@@ -5,6 +5,7 @@ silicon lattice, metallic-gate nuclear-bath moment estimates, and the fitting
 pipeline that extracts the headline numbers."""
 
 from .core import (
+    NoiseBatch,
     NoiseDraw,
     NoiseModel,
     QuantumState,
@@ -56,6 +57,7 @@ __all__ = [
     "ErrorBudget",
     "ExperimentResult",
     "FreeEvolution",
+    "NoiseBatch",
     "NoiseDraw",
     "NoiseModel",
     "NuclearReadoutConfig",

@@ -149,6 +149,16 @@ def _validate_section(section: dict, schema: dict, path: str) -> None:
                 raise ConfigError(f"{path}.{key}: expected a number")
         elif not isinstance(value, expected):
             raise ConfigError(f"{path}.{key}: expected {expected.__name__}")
+        _reject_non_finite(value, f"{path}.{key}")
+
+
+def _reject_non_finite(value, path: str) -> None:
+    """Reject NaN and +-Infinity, which Python's json parser accepts."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _build_params(config: dict) -> SpinSystemParams:
@@ -489,15 +499,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def _dispatch(args) -> int:
@@ -534,6 +542,9 @@ def _run_all(runs, args) -> int:
         fmt = run.pop("format", None)
         trials = args.trials if args.trials is not None else run.pop("trials", 1)
         seed = args.seed if args.seed is not None else run.pop("seed", 0)
+        for key, value in (("trials", trials), ("seed", seed)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{experiment}.{key}: expected int, got {value!r}")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         if args.threads < 1:

@@ -54,6 +54,12 @@ def sigma_from_t2(t2_us: float) -> float:
     return 1e3 / (SQRT2 * np.pi * t2_us)
 
 
+def _require_finite(obj, names) -> None:
+    for name in names:
+        if not np.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class SpinSystemParams:
     """Physical constants of the electron-nucleus pair.
@@ -72,6 +78,7 @@ class SpinSystemParams:
     full_hamiltonian: bool = False
 
     def __post_init__(self):
+        _require_finite(self, ("b_ext", "gamma_e", "gamma_n", "a_hf", "a_spectator"))
         if self.b_ext <= 0:
             raise ValueError("b_ext must be positive")
         # High-field regime guard: electron Zeeman splitting must dominate
@@ -171,7 +178,8 @@ def _spin_index(label: str) -> int:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """4x4 Hermitian matrix in frequency units (MHz), tagged with its frame.
+    """4x4 Hermitian matrix in frequency units (MHz), tagged with its frame;
+    a batch of N trials carries shape (N, 4, 4).
 
     frame is 'lab' or a (f_e_ref, f_n_ref) tuple of rotating-frame reference
     frequencies in MHz.
@@ -182,9 +190,9 @@ class Hamiltonian:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError("Hamiltonian must be 4x4")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        if m.shape[-2:] != (4, 4):
+            raise ValueError("Hamiltonian must be 4x4 (or a stack of 4x4)")
+        if np.max(np.abs(m - dagger(m))) > 1e-12:
             raise ValueError("Hamiltonian not Hermitian")
         object.__setattr__(self, "matrix", m)
 
@@ -206,6 +214,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(
+            self, ("sigma_ix", "sigma_iz", "sigma_sz", "spectator_flip_prob")
+        )
         if min(self.sigma_ix, self.sigma_iz, self.sigma_sz) < 0:
             raise ValueError("noise sigmas must be >= 0")
         if not 0 <= self.spectator_flip_prob <= 1:
@@ -255,6 +266,39 @@ class NoiseDraw:
 ZERO_DRAW = NoiseDraw()
 
 
+@dataclass(frozen=True, eq=False)
+class NoiseBatch:
+    """N quasi-static draws, one per trial, as length-N arrays (kHz).
+
+    The sequence engine runs all N trials at once along a leading trial
+    axis; a single NoiseDraw is the batch of one.
+    """
+
+    delta_ix: np.ndarray
+    delta_iz: np.ndarray
+    delta_sz: np.ndarray
+    spectator_detuned: np.ndarray
+
+    @classmethod
+    def stack(cls, draws) -> "NoiseBatch":
+        draws = list(draws)
+        if not draws:
+            raise ValueError("a noise batch needs at least one draw")
+        return cls(
+            delta_ix=np.array([d.delta_ix for d in draws], dtype=float),
+            delta_iz=np.array([d.delta_iz for d in draws], dtype=float),
+            delta_sz=np.array([d.delta_sz for d in draws], dtype=float),
+            spectator_detuned=np.array([d.spectator_detuned for d in draws], dtype=bool),
+        )
+
+    @classmethod
+    def of(cls, noise: "NoiseDraw | NoiseBatch") -> "NoiseBatch":
+        return noise if isinstance(noise, cls) else cls.stack([noise])
+
+    def __len__(self) -> int:
+        return len(self.delta_iz)
+
+
 def sample_noise(model: NoiseModel, rng: np.random.Generator) -> NoiseDraw:
     """Draw one quasi-static noise realisation."""
     return NoiseDraw(
@@ -263,11 +307,6 @@ def sample_noise(model: NoiseModel, rng: np.random.Generator) -> NoiseDraw:
         delta_sz=model.sigma_sz * rng.standard_normal() if model.sigma_sz else 0.0,
         spectator_detuned=bool(rng.random() < model.spectator_flip_prob),
     )
-
-
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """Counter-based per-trial generator; trial results are order-independent."""
-    return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +380,7 @@ def drive_operator(channel: str, phase_deg: float) -> np.ndarray:
 def rotating_frame_hamiltonian(
     params: SpinSystemParams,
     drive: Drive | None = None,
-    noise_draw: NoiseDraw = ZERO_DRAW,
+    noise_draw: NoiseDraw | NoiseBatch = ZERO_DRAW,
     frame: tuple | None = None,
     charge_config: str = "qd1",
     qd2_frequency_offset: float = 0.0,
@@ -354,24 +393,27 @@ def rotating_frame_hamiltonian(
     phase; counter-rotating terms are dropped. The drive, when present, must
     be resonant with its frame reference - off-frame tones are handled by the
     sequence engine via exact frame-change rotations.
+
+    A NoiseDraw gives a 4x4 matrix; a NoiseBatch of N draws gives (N, 4, 4).
     """
     alpha = -params.b_ext * params.gamma_e * 1e3
     beta = -params.b_ext * params.gamma_n
     if charge_config == "qd2":
         alpha = alpha + qd2_frequency_offset
-    if noise_draw.spectator_detuned:
-        alpha = alpha + abs(params.a_spectator) * 1e-3
+    alpha = alpha + np.where(
+        noise_draw.spectator_detuned, abs(params.a_spectator) * 1e-3, 0.0
+    )
     if frame is None:
         frame = (abs(alpha), abs(beta))
     f_e_ref, f_n_ref = frame
 
-    loaded = charge_config in ("qd1", "qd2")
-    h = (alpha - f_e_ref) * SZ + (beta - f_n_ref) * IZ
-    if loaded and charge_config == "qd1" and params.a_hf != 0:
+    outer = np.multiply.outer
+    h = outer(alpha - f_e_ref, SZ) + (beta - f_n_ref) * IZ
+    if charge_config == "qd1" and params.a_hf != 0:
         h = h + params.a_mhz * (SZ @ IZ)
-    h = h + noise_draw.delta_sz_mhz * SZ + noise_draw.delta_iz_mhz * IZ
-    if noise_draw.delta_ix:
-        h = h + noise_draw.delta_ix_mhz * XN / 2
+    h = h + outer(noise_draw.delta_sz * 1e-3, SZ) + outer(noise_draw.delta_iz * 1e-3, IZ)
+    if np.any(noise_draw.delta_ix):
+        h = h + outer(noise_draw.delta_ix * 1e-3, XN) / 2
 
     if drive is not None and drive.rabi > 0:
         addressed = params.f_e0 if drive.channel == "ESR" else params.f_n0
@@ -388,12 +430,21 @@ def rotating_frame_hamiltonian(
 # Propagation and channels
 
 
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def unitary(h: Hamiltonian | np.ndarray, dt_us: float) -> np.ndarray:
-    """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition."""
+    """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition.
+
+    A stack of Hamiltonians (..., 4, 4) gives the stack of propagators from
+    one batched eigh.
+    """
     m = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=complex)
     w, v = np.linalg.eigh(m)
     phases = np.exp(-2j * np.pi * w * dt_us)
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def propagate(state: QuantumState, h: Hamiltonian, dt_us: float) -> QuantumState:
@@ -414,11 +465,13 @@ _MASK_ELECTRON = (_ELECTRON_IDX[:, None] != _ELECTRON_IDX[None, :])
 _MASK_NUCLEAR = (_NUCLEAR_IDX[:, None] != _NUCLEAR_IDX[None, :])
 
 
-def apply_dephasing_channel(state: QuantumState, p_err: float, subsystem: str) -> QuantumState:
+def apply_dephasing_channel(state, p_err: float, subsystem: str):
     """Dephasing channel rho -> (1-p) rho + p diag_subsystem(rho).
 
     Scales every coherence of the chosen subsystem by (1 - p_err); the
     diagonal (and the other subsystem's internal coherences) are untouched.
+    state is a QuantumState (returned as one) or a (..., 4, 4) array of
+    density matrices (returned as an array).
     """
     if not 0 <= p_err <= 1:
         raise ValueError("p_err must be in [0, 1]")
@@ -428,16 +481,19 @@ def apply_dephasing_channel(state: QuantumState, p_err: float, subsystem: str) -
         mask = _MASK_NUCLEAR
     else:
         raise ValueError("subsystem must be 'electron' or 'nuclear'")
-    rho = state.density_matrix()
+    is_state = isinstance(state, QuantumState)
+    rho = state.density_matrix() if is_state else state
     rho = np.where(mask, (1.0 - p_err) * rho, rho)
-    return QuantumState(matrix=rho)
+    return QuantumState(matrix=rho) if is_state else rho
 
 
 def partial_trace_electron(rho: np.ndarray) -> np.ndarray:
-    """Trace out the electron, returning the 2x2 nuclear density matrix."""
-    return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+    """Trace out the electron, returning the 2x2 nuclear density matrix
+    (one per leading batch index)."""
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-4, axis2=-2)
 
 
 def partial_trace_nucleus(rho: np.ndarray) -> np.ndarray:
-    """Trace out the nucleus, returning the 2x2 electron density matrix."""
-    return rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    """Trace out the nucleus, returning the 2x2 electron density matrix
+    (one per leading batch index)."""
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)

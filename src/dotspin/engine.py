@@ -1,7 +1,8 @@
 """Pulse-sequence executor.
 
-Propagates a 4x4 density matrix through a PulseSequence for one frozen
-quasi-static noise draw. The state is kept in the sequence's rotating frame
+Propagates 4x4 density matrices through a PulseSequence, one per frozen
+quasi-static noise draw, all trials of a batch at once along a leading
+trial axis. The state is kept in the sequence's rotating frame
 (f_e_ref for the electron, f_n_ref for the nucleus). A pulse whose tone
 differs from its channel reference is propagated exactly in its own drive
 frame, with diagonal frame-change rotations at the pulse boundaries; only
@@ -19,12 +20,14 @@ from .core import (
     IDENT4,
     IZ,
     SZ,
-    XN,
+    NoiseBatch,
     NoiseDraw,
     QuantumState,
     SpinSystemParams,
     ZERO_DRAW,
+    dagger,
     drive_operator,
+    rotating_frame_hamiltonian,
     unitary,
 )
 from .sequences import (
@@ -51,11 +54,22 @@ CHIRP_EDGE_FRACTION = 0.1
 
 @dataclass
 class SequenceResult:
-    """Final state plus the Born probabilities recorded at measurement
-    markers: list of (kind, probabilities) in timeline order."""
+    """Final density matrix plus the Born probabilities recorded at
+    measurement markers: list of (kind, probabilities) in timeline order.
 
-    state: QuantumState
+    A NoiseBatch of N draws gives rho of shape (N, 4, 4) and records of shape
+    (N, 2); a single NoiseDraw drops the trial axis: (4, 4) and (2,).
+    """
+
+    rho: np.ndarray
     records: list = field(default_factory=list)
+
+    @property
+    def state(self) -> QuantumState:
+        """The final state of a single-draw run."""
+        if self.rho.ndim != 2:
+            raise ValueError("a batched result has one state per trial; use .rho")
+        return QuantumState(matrix=self.rho)
 
     def last(self, kind: str) -> np.ndarray:
         for k, probs in reversed(self.records):
@@ -64,43 +78,56 @@ class SequenceResult:
         raise KeyError(f"no {kind!r} measurement recorded")
 
     def joint_probabilities(self) -> np.ndarray:
-        return self.state.populations()
+        """Born probabilities of the four joint basis states (per trial)."""
+        return np.real(np.diagonal(self.rho, axis1=-2, axis2=-1)).clip(0.0)
+
+
+#: |down,Down><down,Down|, the default initial state.
+_GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 
 def run_sequence(
     seq: PulseSequence,
     params: SpinSystemParams,
-    noise_draw: NoiseDraw = ZERO_DRAW,
+    noise_draw: NoiseDraw | NoiseBatch = ZERO_DRAW,
     initial_state: QuantumState | None = None,
 ) -> SequenceResult:
-    """Execute a sequence for one noise draw and return the final state.
+    """Execute a sequence for one noise draw, or for a batch of N draws at
+    once along a leading trial axis, and return the final state(s).
 
     Measurements are recorded as ideal Born probabilities (no collapse);
     sampling-based readout lives in the readout module.
     """
-    if initial_state is None:
-        initial_state = QuantumState.basis("down", "down")
-    rho = initial_state.density_matrix().copy()
+    batch = NoiseBatch.of(noise_draw)
+    rho0 = _GROUND if initial_state is None else initial_state.density_matrix()
+    rho = np.repeat(rho0[None], len(batch), axis=0)
     config = seq.initial_config
     t = 0.0  # absolute sequence time, us
     records = []
+    static = {}  # charge config -> drive-free Hamiltonians of the batch
+
+    def h_static(config):
+        if config not in static:
+            static[config] = rotating_frame_hamiltonian(
+                params, noise_draw=batch, frame=(seq.f_e_ref, seq.f_n_ref),
+                charge_config=config,
+                qd2_frequency_offset=seq.qd2_frequency_offset,
+            ).matrix
+        return static[config]
 
     for el in seq.elements:
         if isinstance(el, Pulse):
             if el.channel == "ESR" and config not in LOADED_CONFIGS:
                 raise ValueError("ESR pulse with no electron loaded")
-            rho = _apply_pulse(rho, el, seq, params, noise_draw, config, t)
+            rho = _conjugate(_pulse_unitary(el, seq, h_static(config), t), rho)
             t += el.duration
         elif isinstance(el, Rotation):
             if el.channel == "ESR" and config not in LOADED_CONFIGS:
                 raise ValueError("ESR rotation with no electron loaded")
-            u = _rotation_unitary(el)
-            rho = u @ rho @ u.conj().T
+            rho = _conjugate(_rotation_unitary(el), rho)
         elif isinstance(el, FreeEvolution):
             if el.duration > 0:
-                h = _static_hamiltonian(seq, params, noise_draw, config)
-                u = unitary(h, el.duration)
-                rho = u @ rho @ u.conj().T
+                rho = _conjugate(unitary(h_static(config), el.duration), rho)
             t += el.duration
         elif isinstance(el, ChargeEvent):
             rho, config = _apply_charge_event(rho, el, config)
@@ -111,42 +138,28 @@ def run_sequence(
         else:
             raise TypeError(f"unknown sequence element {el!r}")
 
-    return SequenceResult(state=QuantumState(matrix=_renormalise(rho)), records=records)
+    rho = _renormalise(rho)
+    if not isinstance(noise_draw, NoiseBatch):
+        rho = rho[0]
+        records = [(kind, probs[0]) for kind, probs in records]
+    return SequenceResult(rho=rho, records=records)
+
+
+def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return u @ rho @ dagger(u)
 
 
 def _renormalise(rho: np.ndarray) -> np.ndarray:
     # guard against accumulated float drift over very long sequences
-    rho = (rho + rho.conj().T) / 2
-    return rho / np.trace(rho).real
+    rho = (rho + dagger(rho)) / 2
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _marginal(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    p = np.real(np.diag(rho)).clip(0.0)
+    p = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).clip(0.0)
     if subsystem == "electron":
-        return np.array([p[0] + p[1], p[2] + p[3]])
-    return np.array([p[0] + p[2], p[1] + p[3]])
-
-
-def _static_hamiltonian(
-    seq: PulseSequence,
-    params: SpinSystemParams,
-    noise: NoiseDraw,
-    config: str,
-) -> np.ndarray:
-    """Drive-free rotating-frame Hamiltonian for the current charge config."""
-    alpha = -params.b_ext * params.gamma_e * 1e3
-    beta = -params.b_ext * params.gamma_n
-    if config == "qd2":
-        alpha = alpha + seq.qd2_frequency_offset
-    if noise.spectator_detuned:
-        alpha = alpha + abs(params.a_spectator) * 1e-3
-    h = (alpha - seq.f_e_ref) * SZ + (beta - seq.f_n_ref) * IZ
-    if config == "qd1" and params.a_hf != 0:
-        h = h + params.a_mhz * (SZ @ IZ)
-    h = h + noise.delta_sz_mhz * SZ + noise.delta_iz_mhz * IZ
-    if noise.delta_ix:
-        h = h + noise.delta_ix_mhz * XN / 2
-    return h
+        return np.stack([p[..., 0] + p[..., 1], p[..., 2] + p[..., 3]], axis=-1)
+    return np.stack([p[..., 0] + p[..., 2], p[..., 1] + p[..., 3]], axis=-1)
 
 
 def _rotation_unitary(el: Rotation) -> np.ndarray:
@@ -155,16 +168,14 @@ def _rotation_unitary(el: Rotation) -> np.ndarray:
     return np.cos(theta / 2) * IDENT4 - 1j * np.sin(theta / 2) * axis
 
 
-def _apply_pulse(
-    rho: np.ndarray,
+def _pulse_unitary(
     pulse: Pulse,
     seq: PulseSequence,
-    params: SpinSystemParams,
-    noise: NoiseDraw,
-    config: str,
+    h0: np.ndarray,
     t0: float,
 ) -> np.ndarray:
-    h0 = _static_hamiltonian(seq, params, noise, config)
+    """Propagators (one per trial) of a pulse starting at sequence time t0,
+    given the drive-free Hamiltonians h0 of the batch."""
     z_op = SZ if pulse.channel == "ESR" else IZ
     f_ref = seq.f_e_ref if pulse.channel == "ESR" else seq.f_n_ref
     rabi_mhz = pulse.rabi * 1e-3
@@ -172,13 +183,7 @@ def _apply_pulse(
     if pulse.chirp is None:
         df = pulse.frequency - f_ref
         h_d = h0 - df * z_op + (rabi_mhz / 2) * drive_operator(pulse.channel, pulse.phase)
-        u = unitary(h_d, pulse.duration)
-        if df != 0.0:
-            # exact frame change into / out of the drive frame at frequency f
-            w_in = _frame_rotation(z_op, df, t0)
-            w_out = _frame_rotation(z_op, df, t0 + pulse.duration).conj().T
-            u = w_out @ u @ w_in
-        return u @ rho @ u.conj().T
+        return _in_drive_frame(unitary(h_d, pulse.duration), z_op, df, t0, pulse.duration)
 
     # Linear chirp: frame at the sweep centre, drive phase accumulates the
     # instantaneous detuning integral; piecewise-constant stepping.
@@ -204,11 +209,16 @@ def _apply_pulse(
         amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
         h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
         u_total = unitary(h_k, dt) @ u_total
-    if df_c != 0.0:
-        w_in = _frame_rotation(z_op, df_c, t0)
-        w_out = _frame_rotation(z_op, df_c, t0 + pulse.duration).conj().T
-        u_total = w_out @ u_total @ w_in
-    return u_total @ rho @ u_total.conj().T
+    return _in_drive_frame(u_total, z_op, df_c, t0, pulse.duration)
+
+
+def _in_drive_frame(u, z_op, df: float, t0: float, duration: float) -> np.ndarray:
+    """Exact frame change into / out of the drive frame at offset df."""
+    if df == 0.0:
+        return u
+    w_in = _frame_rotation(z_op, df, t0)
+    w_out = _frame_rotation(z_op, df, t0 + duration).conj().T
+    return w_out @ u @ w_in
 
 
 def _frame_rotation(z_op: np.ndarray, df: float, t: float) -> np.ndarray:
@@ -217,24 +227,20 @@ def _frame_rotation(z_op: np.ndarray, df: float, t: float) -> np.ndarray:
 
 
 def _apply_charge_event(rho: np.ndarray, el: ChargeEvent, config: str):
-    if el.kind in ("load_down", "load_up"):
+    if el.kind in ("load_down", "load_up", "unload"):
+        # the nucleus keeps its state; the electron is reset into a fresh
+        # spin state (unloading keeps spin-down as a reference slot only)
+        e = 1 if el.kind == "load_up" else 0
         rho_n = core.partial_trace_electron(rho)
-        e_state = np.zeros((2, 2), dtype=complex)
-        e_state[0 if el.kind == "load_down" else 1, 0 if el.kind == "load_down" else 1] = 1.0
-        rho = np.kron(e_state, rho_n)
-        config = "qd1"
-    elif el.kind == "unload":
-        rho_n = core.partial_trace_electron(rho)
-        e_state = np.diag([1.0, 0.0]).astype(complex)  # reference slot only
-        rho = np.kron(e_state, rho_n)
-        config = "unloaded"
+        rho = np.zeros_like(rho)
+        rho[..., 2 * e:2 * e + 2, 2 * e:2 * e + 2] = rho_n
+        config = "unloaded" if el.kind == "unload" else "qd1"
     elif el.kind == "shuttle_1_to_2":
         config = "qd2"
     elif el.kind == "shuttle_2_to_1":
         config = "qd1"
     if el.dephase_prob > 0:
-        state = core.apply_dephasing_channel(
-            QuantumState(matrix=_renormalise(rho)), el.dephase_prob, el.dephase_target
+        rho = core.apply_dephasing_channel(
+            _renormalise(rho), el.dephase_prob, el.dephase_target
         )
-        rho = state.density_matrix()
     return rho, config

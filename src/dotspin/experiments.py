@@ -1,6 +1,11 @@
 """Protocol drivers: execute pulse sequences over Monte Carlo noise trials
 and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
+
+Each driver draws its per-trial noise once, as one NoiseBatch, and makes one
+engine call per sweep point that runs every trial at once. The ``threads``
+argument is kept for compatibility and does nothing: results do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -8,17 +13,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from .core import (
-    NoiseDraw,
+    NoiseBatch,
     NoiseModel,
     QuantumState,
     SpinSystemParams,
-    ZERO_DRAW,
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
@@ -111,20 +114,20 @@ def binomial_stderr(p: np.ndarray, trials: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / max(trials, 1))
 
 
-def _average_populations(
-    build_draws,
-    run_one,
-    trials: int,
-    threads: int = 1,
-):
-    """Average run_one(draw) over per-trial draws, reducing in trial order."""
-    draws = [build_draws(t) for t in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(run_one, draws))
-    else:
-        outs = [run_one(d) for d in draws]
-    return sum(outs) / trials
+def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
+    """The experiment's per-trial draws, trial t keyed on (seed, *label, t)."""
+    return NoiseBatch.stack(
+        sample_noise(noise, rng_for(seed, *label, t)) for t in range(trials)
+    )
+
+
+def _trial_mean(seq, params, draws, kind, initial_state=None) -> np.ndarray:
+    """Probabilities of one measurement kind ('nuclear', 'electron', or
+    'joint' for the final joint populations), averaged over the batch's
+    trials in trial order."""
+    res = run_sequence(seq, params, draws, initial_state)
+    probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
+    return probs.sum(axis=0) / len(draws)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +157,7 @@ def run_nmr_chevron(
         raise ValueError("sweep ranges must be non-empty")
     noise = noise or NoiseModel()
     f = transition_frequencies(params)
+    draws = _draws(noise, seed, trials)
 
     rows_f, rows_t, rows_p = [], [], []
     for freq in freq_range:
@@ -170,13 +174,7 @@ def run_nmr_chevron(
                 f_n_ref=freq,
                 initial_config="unloaded",
             )
-
-            def one(draw, seq=seq):
-                return run_sequence(seq, params, draw).last("nuclear")
-
-            p = _average_populations(
-                lambda t: sample_noise(noise, rng_for(seed, t)), one, trials, threads
-            )
+            p = _trial_mean(seq, params, draws, "nuclear")
             rows_f.append(freq)
             rows_t.append(dur)
             rows_p.append(p[1])  # P(flip) from the Down-initialised nucleus
@@ -219,12 +217,12 @@ def _run_free_precession(
     seed: int,
     charge_config: str,
     ideal_pulses: bool,
-    threads: int = 1,
 ) -> ExperimentResult:
     tau_range = np.asarray(tau_range, dtype=float)
     if tau_range.size == 0 or np.any(tau_range < 0):
         raise ValueError("tau_range must be non-empty and non-negative")
     builder = ramsey_sequence if kind == "ramsey" else hahn_sequence
+    draws = _draws(noise, seed, trials)
     probs = []
     for tau in tau_range:
         seq = builder(
@@ -234,14 +232,7 @@ def _run_free_precession(
             charge_config=charge_config,
             ideal_pulses=ideal_pulses,
         )
-
-        def one(draw, seq=seq):
-            return run_sequence(seq, params, draw).last("nuclear")
-
-        p = _average_populations(
-            lambda t: sample_noise(noise, rng_for(seed, t)), one, trials, threads
-        )
-        probs.append(p[1])
+        probs.append(_trial_mean(seq, params, draws, "nuclear")[1])
     p = np.array(probs)
     return ExperimentResult(
         columns={
@@ -271,7 +262,7 @@ def run_ramsey(
     least ten fringes within the unloaded dephasing time."""
     return _run_free_precession(
         "ramsey", tau_range, detuning_khz, params or SpinSystemParams(),
-        noise or NoiseModel(), trials, seed, charge_config, ideal_pulses, threads
+        noise or NoiseModel(), trials, seed, charge_config, ideal_pulses
     )
 
 
@@ -290,7 +281,7 @@ def run_hahn(
     detuning noise is refocused exactly."""
     return _run_free_precession(
         "hahn", tau_range, detuning_khz, params or SpinSystemParams(),
-        noise or NoiseModel(), trials, seed, charge_config, ideal_pulses, threads
+        noise or NoiseModel(), trials, seed, charge_config, ideal_pulses
     )
 
 
@@ -413,7 +404,6 @@ def _bell_basis_probabilities(
     trials: int,
     seed: int,
     initial_nuclear: str = "down",
-    threads: int = 1,
 ) -> np.ndarray:
     """Trial-averaged joint Born probabilities for one measurement basis."""
     scale = config.duration_scale()
@@ -426,22 +416,17 @@ def _bell_basis_probabilities(
         projection = (phi_n, phi_e)
     seq = bell_circuit(params, projection=projection, duration_scale=scale)
     noise = config.noise_model(seed)
-    init = _initial_state(initial_nuclear)
     basis_idx = {"ZZ": 0, "XX": 1, "YY": 2}[basis]
-
-    def one(draw):
-        return run_sequence(seq, params, draw, initial_state=init).joint_probabilities()
-
     p_flip = noise.spectator_flip_prob
-
-    def build(t):
-        # Stratified (systematic) spectator flips: exact flip fraction across
-        # the trial set; unbiased, removes the Bernoulli count variance.
-        draw = sample_noise(noise, rng_for(seed, basis_idx, t))
-        flip = int(np.floor((t + 1) * p_flip)) > int(np.floor(t * p_flip))
-        return replace(draw, spectator_detuned=flip)
-
-    return _average_populations(build, one, trials, threads)
+    draws = _draws(noise, seed, trials, basis_idx)
+    # Stratified (systematic) spectator flips: exact flip fraction across
+    # the trial set; unbiased, removes the Bernoulli count variance.
+    t = np.arange(trials)
+    draws = replace(
+        draws,
+        spectator_detuned=np.floor((t + 1) * p_flip) > np.floor(t * p_flip),
+    )
+    return _trial_mean(seq, params, draws, "joint", _initial_state(initial_nuclear))
 
 
 @dataclass
@@ -485,7 +470,7 @@ def run_bell_tomography(
     clamped = False
     for basis in ("ZZ", "XX", "YY"):
         probs = _bell_basis_probabilities(
-            basis, params, config, calibration, trials, seed, initial_nuclear, threads
+            basis, params, config, calibration, trials, seed, initial_nuclear
         )
         if readout is not None:
             fid = readout["ZZ"] if basis == "ZZ" else readout["XY"]
@@ -548,7 +533,7 @@ def run_bell_parity_sweep(
     phi_range = np.asarray(phi_range, dtype=float)
     if calibration is None:
         calibration = calibrate_bell_projection(params, config.duration_scale())
-    noise = config.noise_model(seed)
+    draws = _draws(config.noise_model(seed), seed, trials)
     init = _initial_state(initial_nuclear)
     scale = config.duration_scale()
 
@@ -561,13 +546,7 @@ def run_bell_parity_sweep(
             phi_n = calibration["phi_n"]
             phi_e = tuple(p + phi for p in calibration["phi_e"])
         seq = bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
-
-        def one(draw, seq=seq):
-            return run_sequence(seq, params, draw, initial_state=init).joint_probabilities()
-
-        probs = _average_populations(
-            lambda t: sample_noise(noise, rng_for(seed, t)), one, trials, threads
-        )
+        probs = _trial_mean(seq, params, draws, "joint", init)
         parity_col.append(_parity(probs))
         joint.append(probs)
     joint = np.array(joint)
@@ -618,7 +597,7 @@ def compute_error_budget(
     def fidelity(cfg, mech_seed):
         return run_bell_tomography(
             params, cfg, trials=trials, seed=mech_seed,
-            calibration=calibration, threads=threads,
+            calibration=calibration,
         ).fidelity
 
     baseline = fidelity(config.none(), seed)
@@ -679,18 +658,14 @@ def run_shuttle_experiments(
             "noise": asdict(noise), "tau_0_us": tau_0, "p_err": p_err}
 
     if variant == "phase":
-        probs = []
-        for t_load in sweep:
-            seq = shuttle_ramsey_sequence(params, t_load, tau_0, p_err=p_err)
-
-            def one(draw, seq=seq):
-                return run_sequence(seq, params, draw).last("nuclear")
-
-            p = _average_populations(
-                lambda t: sample_noise(noise, rng_for(seed, t)), one, trials, threads
-            )
-            probs.append(p[1])
-        p = np.array(probs)
+        draws = _draws(noise, seed, trials)
+        p = np.array([
+            _trial_mean(
+                shuttle_ramsey_sequence(params, t_load, tau_0, p_err=p_err),
+                params, draws, "nuclear",
+            )[1]
+            for t_load in sweep
+        ])
         return ExperimentResult(
             columns={"t_load_us": sweep, "p_up": p,
                      "p_up_stderr": binomial_stderr(p, trials)},
@@ -699,6 +674,7 @@ def run_shuttle_experiments(
 
     if variant == "repeated":
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
+        draws = {name: _draws(noise, seed, trials, name) for name in phases}
         cols = {name: [] for name in phases}
         coherence = []
         for k in sweep:
@@ -707,15 +683,7 @@ def run_shuttle_experiments(
                 seq = repeated_load_sequence(
                     params, int(k), tau_0, p_err=p_err, final_phase=phi
                 )
-
-                def one(draw, seq=seq):
-                    return run_sequence(seq, params, draw).last("nuclear")
-
-                p = _average_populations(
-                    lambda t: sample_noise(noise, rng_for(seed, name, t)),
-                    one, trials, threads,
-                )
-                values[name] = p[1]
+                values[name] = _trial_mean(seq, params, draws[name], "nuclear")[1]
             for name in phases:
                 cols[name].append(values[name])
             coherence.append(
@@ -729,21 +697,17 @@ def run_shuttle_experiments(
         return ExperimentResult(columns=columns, trials=trials, seed=seed, meta=meta)
 
     if variant == "electron":
-        probs = []
-        for phi in sweep:
-            seq = electron_shuttle_ramsey(
-                params, final_phase=phi, t_ramp=t_ramp, p_transfer=p_transfer,
-                qd2_frequency_offset=qd2_frequency_offset,
-            )
-
-            def one(draw, seq=seq):
-                return run_sequence(seq, params, draw).last("electron")
-
-            p = _average_populations(
-                lambda t: sample_noise(noise, rng_for(seed, t)), one, trials, threads
-            )
-            probs.append(p[1])
-        p = np.array(probs)
+        draws = _draws(noise, seed, trials)
+        p = np.array([
+            _trial_mean(
+                electron_shuttle_ramsey(
+                    params, final_phase=phi, t_ramp=t_ramp, p_transfer=p_transfer,
+                    qd2_frequency_offset=qd2_frequency_offset,
+                ),
+                params, draws, "electron",
+            )[1]
+            for phi in sweep
+        ])
         return ExperimentResult(
             columns={"phi_deg": sweep, "p_up": p,
                      "p_up_stderr": binomial_stderr(p, trials)},

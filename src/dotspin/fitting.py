@@ -258,7 +258,12 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
             total = total + h * np.exp(-((f - mu) ** 2) / (2 * sigma**2))
         return total
 
-    f0_guess = float(np.mean(frequencies))
+    # The midrange of the 2nd-98th percentiles sits between the outer peaks
+    # whatever their weights; the mean is pulled towards the heavier pair and,
+    # started there, the fit can settle on a local minimum that mislabels
+    # the peaks.
+    lo, hi = np.percentile(frequencies, [2, 98])
+    f0_guess = float(lo + hi) / 2
     spread = float(np.std(frequencies))
     a1_guess = spread  # the outer splitting dominates the variance
     # initial a2 from the residual structure within each outer peak pair

@@ -1,0 +1,271 @@
+"""Reference per-trial sequence executor, kept only to check the batched
+engine in ``dotspin.engine`` against.
+
+This is the package's original engine: it propagates one 4x4 density matrix
+per noise draw, builds its own drive-free Hamiltonian, and averages trials
+one at a time (optionally on a thread pool). The core helpers it relied on
+(propagator, partial trace, dephasing channel) are copied here in their
+original single-matrix form, so the reference shares no numerical code with
+the batched path beyond the operator constants and the state container.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from dotspin.core import (
+    IDENT4,
+    IZ,
+    SZ,
+    XN,
+    NoiseDraw,
+    QuantumState,
+    SpinSystemParams,
+    ZERO_DRAW,
+    _MASK_ELECTRON,
+    _MASK_NUCLEAR,
+    drive_operator,
+)
+from dotspin.sequences import (
+    ChargeEvent,
+    FreeEvolution,
+    MeasureElectron,
+    MeasureNuclear,
+    Pulse,
+    PulseSequence,
+    Rotation,
+    LOADED_CONFIGS,
+)
+
+
+def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
+    """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition."""
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    phases = np.exp(-2j * np.pi * w * dt_us)
+    return (v * phases) @ v.conj().T
+
+
+def partial_trace_electron(rho: np.ndarray) -> np.ndarray:
+    return rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
+
+
+def apply_dephasing_channel(state: QuantumState, p_err: float, subsystem: str):
+    mask = _MASK_ELECTRON if subsystem == "electron" else _MASK_NUCLEAR
+    rho = state.density_matrix()
+    return QuantumState(matrix=np.where(mask, (1.0 - p_err) * rho, rho))
+
+
+def average_populations(build_draws, run_one, trials: int, threads: int = 1):
+    """Average run_one(draw) over per-trial draws, reducing in trial order."""
+    draws = [build_draws(t) for t in range(trials)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outs = list(pool.map(run_one, draws))
+    else:
+        outs = [run_one(d) for d in draws]
+    return sum(outs) / trials
+
+
+#: Discretisation bound for chirped pulses: dt <= 1/(CHIRP_STEPS_PER_CYCLE * f)
+#: for both the Rabi frequency and the maximum frame detuning, bounding the
+#: piecewise-constant (Magnus) error per pulse below ~1e-4.
+CHIRP_STEPS_PER_CYCLE = 50
+
+#: Chirped pulses ramp their amplitude smoothly (sin^2) over this fraction of
+#: the duration at each end, so the adiabatic eigenstates connect to the bare
+#: states even when the sweep terminates close to resonance.
+CHIRP_EDGE_FRACTION = 0.1
+
+
+@dataclass
+class SequenceResult:
+    """Final state plus the Born probabilities recorded at measurement
+    markers: list of (kind, probabilities) in timeline order."""
+
+    state: QuantumState
+    records: list = field(default_factory=list)
+
+    def last(self, kind: str) -> np.ndarray:
+        for k, probs in reversed(self.records):
+            if k == kind:
+                return probs
+        raise KeyError(f"no {kind!r} measurement recorded")
+
+    def joint_probabilities(self) -> np.ndarray:
+        return self.state.populations()
+
+
+def run_sequence(
+    seq: PulseSequence,
+    params: SpinSystemParams,
+    noise_draw: NoiseDraw = ZERO_DRAW,
+    initial_state: QuantumState | None = None,
+) -> SequenceResult:
+    """Execute a sequence for one noise draw and return the final state.
+
+    Measurements are recorded as ideal Born probabilities (no collapse);
+    sampling-based readout lives in the readout module.
+    """
+    if initial_state is None:
+        initial_state = QuantumState.basis("down", "down")
+    rho = initial_state.density_matrix().copy()
+    config = seq.initial_config
+    t = 0.0  # absolute sequence time, us
+    records = []
+
+    for el in seq.elements:
+        if isinstance(el, Pulse):
+            if el.channel == "ESR" and config not in LOADED_CONFIGS:
+                raise ValueError("ESR pulse with no electron loaded")
+            rho = _apply_pulse(rho, el, seq, params, noise_draw, config, t)
+            t += el.duration
+        elif isinstance(el, Rotation):
+            if el.channel == "ESR" and config not in LOADED_CONFIGS:
+                raise ValueError("ESR rotation with no electron loaded")
+            u = _rotation_unitary(el)
+            rho = u @ rho @ u.conj().T
+        elif isinstance(el, FreeEvolution):
+            if el.duration > 0:
+                h = _static_hamiltonian(seq, params, noise_draw, config)
+                u = unitary(h, el.duration)
+                rho = u @ rho @ u.conj().T
+            t += el.duration
+        elif isinstance(el, ChargeEvent):
+            rho, config = _apply_charge_event(rho, el, config)
+        elif isinstance(el, MeasureNuclear):
+            records.append(("nuclear", _marginal(rho, "nuclear")))
+        elif isinstance(el, MeasureElectron):
+            records.append(("electron", _marginal(rho, "electron")))
+        else:
+            raise TypeError(f"unknown sequence element {el!r}")
+
+    return SequenceResult(state=QuantumState(matrix=_renormalise(rho)), records=records)
+
+
+def _renormalise(rho: np.ndarray) -> np.ndarray:
+    # guard against accumulated float drift over very long sequences
+    rho = (rho + rho.conj().T) / 2
+    return rho / np.trace(rho).real
+
+
+def _marginal(rho: np.ndarray, subsystem: str) -> np.ndarray:
+    p = np.real(np.diag(rho)).clip(0.0)
+    if subsystem == "electron":
+        return np.array([p[0] + p[1], p[2] + p[3]])
+    return np.array([p[0] + p[2], p[1] + p[3]])
+
+
+def _static_hamiltonian(
+    seq: PulseSequence,
+    params: SpinSystemParams,
+    noise: NoiseDraw,
+    config: str,
+) -> np.ndarray:
+    """Drive-free rotating-frame Hamiltonian for the current charge config."""
+    alpha = -params.b_ext * params.gamma_e * 1e3
+    beta = -params.b_ext * params.gamma_n
+    if config == "qd2":
+        alpha = alpha + seq.qd2_frequency_offset
+    if noise.spectator_detuned:
+        alpha = alpha + abs(params.a_spectator) * 1e-3
+    h = (alpha - seq.f_e_ref) * SZ + (beta - seq.f_n_ref) * IZ
+    if config == "qd1" and params.a_hf != 0:
+        h = h + params.a_mhz * (SZ @ IZ)
+    h = h + noise.delta_sz_mhz * SZ + noise.delta_iz_mhz * IZ
+    if noise.delta_ix:
+        h = h + noise.delta_ix_mhz * XN / 2
+    return h
+
+
+def _rotation_unitary(el: Rotation) -> np.ndarray:
+    axis = drive_operator(el.channel, el.phase)
+    theta = np.deg2rad(el.angle)
+    return np.cos(theta / 2) * IDENT4 - 1j * np.sin(theta / 2) * axis
+
+
+def _apply_pulse(
+    rho: np.ndarray,
+    pulse: Pulse,
+    seq: PulseSequence,
+    params: SpinSystemParams,
+    noise: NoiseDraw,
+    config: str,
+    t0: float,
+) -> np.ndarray:
+    h0 = _static_hamiltonian(seq, params, noise, config)
+    z_op = SZ if pulse.channel == "ESR" else IZ
+    f_ref = seq.f_e_ref if pulse.channel == "ESR" else seq.f_n_ref
+    rabi_mhz = pulse.rabi * 1e-3
+
+    if pulse.chirp is None:
+        df = pulse.frequency - f_ref
+        h_d = h0 - df * z_op + (rabi_mhz / 2) * drive_operator(pulse.channel, pulse.phase)
+        u = unitary(h_d, pulse.duration)
+        if df != 0.0:
+            # exact frame change into / out of the drive frame at frequency f
+            w_in = _frame_rotation(z_op, df, t0)
+            w_out = _frame_rotation(z_op, df, t0 + pulse.duration).conj().T
+            u = w_out @ u @ w_in
+        return u @ rho @ u.conj().T
+
+    # Linear chirp: frame at the sweep centre, drive phase accumulates the
+    # instantaneous detuning integral; piecewise-constant stepping.
+    f_start, f_stop = pulse.chirp
+    f_c = (f_start + f_stop) / 2
+    df_c = f_c - f_ref
+    span = abs(f_stop - f_start)
+    max_rate = max(rabi_mhz, span / 2, 1e-9)
+    n_steps = max(1, int(np.ceil(pulse.duration * max_rate * CHIRP_STEPS_PER_CYCLE)))
+    dt = pulse.duration / n_steps
+    rate = (f_stop - f_start) / pulse.duration  # MHz per us
+
+    h_base = h0 - df_c * z_op
+    t_edge = CHIRP_EDGE_FRACTION * pulse.duration
+    u_total = IDENT4
+    for k in range(n_steps):
+        t_mid = (k + 0.5) * dt
+        # accumulated phase of the tone relative to the sweep-centre frame
+        theta = pulse.phase + 360.0 * (
+            (f_start - f_c) * t_mid + 0.5 * rate * t_mid**2
+        )
+        ramp = min(t_mid, pulse.duration - t_mid)
+        amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
+        h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
+        u_total = unitary(h_k, dt) @ u_total
+    if df_c != 0.0:
+        w_in = _frame_rotation(z_op, df_c, t0)
+        w_out = _frame_rotation(z_op, df_c, t0 + pulse.duration).conj().T
+        u_total = w_out @ u_total @ w_in
+    return u_total @ rho @ u_total.conj().T
+
+
+def _frame_rotation(z_op: np.ndarray, df: float, t: float) -> np.ndarray:
+    """Diagonal rotation exp(+2*pi*i df t Z) mapping sequence frame -> drive frame."""
+    return np.diag(np.exp(2j * np.pi * df * t * np.diag(z_op))).astype(complex)
+
+
+def _apply_charge_event(rho: np.ndarray, el: ChargeEvent, config: str):
+    if el.kind in ("load_down", "load_up"):
+        rho_n = partial_trace_electron(rho)
+        e_state = np.zeros((2, 2), dtype=complex)
+        e_state[0 if el.kind == "load_down" else 1, 0 if el.kind == "load_down" else 1] = 1.0
+        rho = np.kron(e_state, rho_n)
+        config = "qd1"
+    elif el.kind == "unload":
+        rho_n = partial_trace_electron(rho)
+        e_state = np.diag([1.0, 0.0]).astype(complex)  # reference slot only
+        rho = np.kron(e_state, rho_n)
+        config = "unloaded"
+    elif el.kind == "shuttle_1_to_2":
+        config = "qd2"
+    elif el.kind == "shuttle_2_to_1":
+        config = "qd1"
+    if el.dephase_prob > 0:
+        state = apply_dephasing_channel(
+            QuantumState(matrix=_renormalise(rho)), el.dephase_prob, el.dephase_target
+        )
+        rho = state.density_matrix()
+    return rho, config

@@ -36,6 +36,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config({}, "teleport")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_number_names_the_path(self, value):
+        with pytest.raises(ConfigError, match=r"params\.b_ext: expected a finite"):
+            validate_config({"params": {"b_ext": value}}, "ramsey")
+        with pytest.raises(ConfigError, match=r"hyperfine-mc\.thresholds\[1\]"):
+            validate_config({"thresholds": [100.0, value]}, "hyperfine-mc")
+
 
 class TestExitCodes:
     def test_bad_config_key_exits_1(self, capsys, tmp_path):
@@ -66,6 +73,33 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "9z"])
         assert exc.value.code == 2
+
+    def test_non_finite_config_file_exits_1(self, capsys, tmp_path):
+        # Python's json parser accepts NaN / Infinity literals
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"noise": {"sigma_iz": NaN}}')
+        code, _, err = run_cli(capsys, "ramsey", "--config", str(cfg))
+        assert code == 1
+        assert "noise.sigma_iz" in err
+
+    @pytest.mark.parametrize("text", ['{"trials": NaN}', '{"trials": 2.5}', '{"seed": 1.5}'])
+    def test_non_integer_trials_or_seed_exits_1(self, capsys, tmp_path, text):
+        # trials and seed are taken from the config before the schema check
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, "ramsey", "--config", str(cfg))
+        assert code == 1
+        assert "ramsey." + next(iter(json.loads(text))) in err
+
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it must still map to exit 2
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr("dotspin.cli.run_ramsey", diverge)
+        code, _, err = run_cli(capsys, "ramsey", "--trials", "1")
+        assert code == 2
+        assert "numerical failure" in err
 
     def test_success_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "readout-fidelity")

@@ -24,10 +24,10 @@ from dotspin.core import (
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
-    trial_rng,
     unitary,
     Drive,
 )
+from dotspin.experiments import rng_for
 
 PARAMS = SpinSystemParams()
 
@@ -81,6 +81,12 @@ class TestLevelStructure:
         with pytest.raises(ValueError):
             SpinSystemParams(b_ext=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_params_rejected(self, value):
+        for name in ("b_ext", "gamma_e", "gamma_n", "a_hf", "a_spectator"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SpinSystemParams(**{name: value})
+
 
 class TestNoise:
     def test_sigma_from_t2_reference_values(self):
@@ -102,10 +108,10 @@ class TestNoise:
             0.25, abs=0.03
         )
 
-    def test_trial_rng_reproducible_and_order_independent(self):
-        a = trial_rng(3, 17).standard_normal(4)
-        b = trial_rng(3, 17).standard_normal(4)
-        c = trial_rng(3, 18).standard_normal(4)
+    def test_rng_for_reproducible_and_order_independent(self):
+        a = rng_for(3, 17).standard_normal(4)
+        b = rng_for(3, 17).standard_normal(4)
+        c = rng_for(3, 18).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -114,6 +120,12 @@ class TestNoise:
             NoiseModel(sigma_iz=-1.0)
         with pytest.raises(ValueError):
             NoiseModel(spectator_flip_prob=1.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, value):
+        for name in ("sigma_ix", "sigma_iz", "sigma_sz", "spectator_flip_prob"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                NoiseModel(**{name: value})
 
 
 class TestPropagation:

@@ -12,9 +12,9 @@ from dotspin.core import (
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
-    trial_rng,
 )
 from dotspin.engine import run_sequence
+from dotspin.experiments import rng_for
 from dotspin.sequences import (
     ChargeEvent,
     FreeEvolution,
@@ -128,7 +128,7 @@ class TestRefocusingAndNoise:
         model = NoiseModel(sigma_iz=sigma_from_t2(100.0))  # violent noise
         seq = hahn_sequence(PARAMS, tau=400.0)
         for trial in range(20):
-            draw = sample_noise(model, trial_rng(1, trial))
+            draw = sample_noise(model, rng_for(1, trial))
             # pi/2 - pi - pi/2 about the same axis composes to 2 pi, so a
             # perfect echo returns the nucleus to its initial state
             p_down = run_sequence(seq, PARAMS, draw).last("nuclear")[0]
@@ -146,7 +146,7 @@ class TestRefocusingAndNoise:
             # average cos(2 pi delta tau) over draws = envelope at tau
             signal = 0.0
             for trial in range(trials):
-                draw = sample_noise(model, trial_rng(2, trial))
+                draw = sample_noise(model, rng_for(2, trial))
                 seq = ramsey_sequence(PARAMS, tau, detuning_khz=0.0)
                 signal += run_sequence(seq, PARAMS, draw).last("nuclear")[1]
             amps.append(2 * signal / trials - 1.0)
