@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 config/validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import io
 import json
 import os
 import sys
-import tempfile
-from contextlib import contextmanager
-from dataclasses import asdict
+import typing
 from importlib import resources
 
 import numpy as np
@@ -33,6 +33,7 @@ from .experiments import (
     run_rabi,
     run_ramsey,
     run_shuttle_experiments,
+    write_csv,
 )
 from . import fitting, hyperfine, vanvleck
 from .readout import NuclearReadoutConfig, fidelity_curve, optimize_shots
@@ -53,20 +54,16 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------
 # Config validation
 
-_PARAMS_SCHEMA = {
-    "b_ext": float, "gamma_e": float, "gamma_n": float, "a_hf": float,
-    "a_spectator": float, "electron_loaded": bool, "full_hamiltonian": bool,
-}
-_NOISE_SCHEMA = {
-    "sigma_ix": float, "sigma_iz": float, "sigma_sz": float,
-    "spectator_flip_prob": float, "seed": int,
-}
-_BELL_NOISE_SCHEMA = {
-    "t2_star_e_us": float, "t2_star_n_us": float, "t2_rabi_n_us": float,
-    "spectator_flip_prob": float, "pulse_length_error": float,
-    "electron_t2star": bool, "spectator_nucleus": bool,
-    "pulse_calibration": bool, "nmr_control": bool, "nuclear_t2star": bool,
-}
+
+def _fields_schema(cls) -> dict:
+    """Field name -> type of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+_PARAMS_SCHEMA = _fields_schema(SpinSystemParams)
+_NOISE_SCHEMA = _fields_schema(NoiseModel)
+_BELL_NOISE_SCHEMA = _fields_schema(BellNoiseConfig)
 
 _SCHEMAS = {
     "spectrum": {"params": _PARAMS_SCHEMA},
@@ -107,12 +104,9 @@ _SCHEMAS = {
         "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
         "variant": str, "sweep_start": float, "sweep_stop": float,
         "sweep_points": int, "tau_0": float, "p_err": float,
-        "t_ramp": float, "p_transfer": float, "trials": int, "seed": int,
+        "p_transfer": float, "trials": int, "seed": int,
     },
-    "readout-fidelity": {
-        "m_shots": int, "t_shot_ms": float, "t1_n_hours": float,
-        "f_e_avg": float, "m_max": int,
-    },
+    "readout-fidelity": {**_fields_schema(NuclearReadoutConfig), "m_max": int},
     "hyperfine-mc": {
         "diameter_start": float, "diameter_stop": float, "diameter_points": int,
         "thresholds": list, "ppm": float, "draws": int, "f_z": float, "seed": int,
@@ -169,6 +163,12 @@ def _build_noise(config: dict) -> NoiseModel:
     return NoiseModel(**config.get("noise", {}))
 
 
+def _given(config: dict, *names) -> dict:
+    """The keyword arguments among names that the config sets; the library
+    defaults apply to the rest."""
+    return {name: config[name] for name in names if name in config}
+
+
 def _linspace(config, prefix, default_start, default_stop, default_points):
     return np.linspace(
         config.get(f"{prefix}_start", default_start),
@@ -181,73 +181,67 @@ def _linspace(config, prefix, default_start, default_stop, default_points):
 # Experiment dispatch
 
 
-def _run_spectrum(config, trials, seed, threads):
+def _run_spectrum(config, trials, seed):
     params = _build_params(config)
     return {"transition_frequencies_mhz": transition_frequencies(params)}
 
 
-def _run_chevron(config, trials, seed, threads):
+def _run_chevron(config, trials, seed):
     params = _build_params(config)
     f = transition_frequencies(params)
-    centre = {
-        "unloaded": f["f_n0"], "qd1": f["f_n_elec_down"],
-    }.get(config.get("charge_config", "unloaded"), f["f_n0"])
+    centre = f["f_n_elec_down"] if config.get("charge_config") == "qd1" else f["f_n0"]
     freqs = _linspace(config, "freq", centre - 0.01, centre + 0.01, 21)
     durs = _linspace(config, "dur", 25.0, 1000.0, 21)
     return run_nmr_chevron(
         freqs, durs, params, noise=_build_noise(config), trials=trials,
-        seed=seed, rabi=config.get("rabi", 2.0),
-        charge_config=config.get("charge_config", "unloaded"),
-        electron_spin=config.get("electron_spin", "down"), threads=threads,
+        seed=seed, **_given(config, "rabi", "charge_config", "electron_spin"),
     )
 
 
-def _run_rabi(config, trials, seed, threads):
-    params = _build_params(config)
+def _run_rabi(config, trials, seed):
     durs = _linspace(config, "dur", 25.0, 2000.0, 41)
     return run_rabi(
-        durs, params, frequency=config.get("frequency"),
-        noise=_build_noise(config), trials=trials, seed=seed,
-        rabi=config.get("rabi", 2.0),
-        charge_config=config.get("charge_config", "unloaded"),
-        electron_spin=config.get("electron_spin", "down"), threads=threads,
+        durs, _build_params(config), noise=_build_noise(config), trials=trials,
+        seed=seed,
+        **_given(config, "frequency", "rabi", "charge_config", "electron_spin"),
     )
 
 
-def _run_ramsey(config, trials, seed, threads):
+def _run_ramsey(config, trials, seed):
     taus = _linspace(config, "tau", 10.0, 15000.0, 40)
     return run_ramsey(
-        taus, detuning_khz=config.get("detuning_khz", 2.0),
-        params=_build_params(config), noise=_build_noise(config),
+        taus, params=_build_params(config), noise=_build_noise(config),
         trials=trials, seed=seed,
-        charge_config=config.get("charge_config", "unloaded"), threads=threads,
+        **_given(config, "detuning_khz", "charge_config"),
     )
 
 
-def _run_hahn(config, trials, seed, threads):
+def _run_hahn(config, trials, seed):
     taus = _linspace(config, "tau", 10.0, 25000.0, 40)
     return run_hahn(
-        taus, detuning_khz=config.get("detuning_khz", 0.0),
-        params=_build_params(config), noise=_build_noise(config),
+        taus, params=_build_params(config), noise=_build_noise(config),
         trials=trials, seed=seed,
-        charge_config=config.get("charge_config", "unloaded"), threads=threads,
+        **_given(config, "detuning_khz", "charge_config"),
     )
 
 
-def _run_bell(config, trials, seed, threads):
+def _run_bell(config, trials, seed):
     params = _build_params(config)
     bell_noise = BellNoiseConfig(**config.get("bell_noise", {}))
-    if config.get("mode", "tomography") == "parity":
+    mode = config.get("mode", "tomography")
+    if mode == "parity":
         phis = _linspace(config, "phi", 0.0, 360.0, 19)
         return run_bell_parity_sweep(
-            params, bell_noise, phi_range=phis,
-            vary=config.get("vary", "nuclear"), trials=trials, seed=seed,
-            initial_nuclear=config.get("initial_nuclear", "down"),
-            threads=threads,
+            params, bell_noise, phi_range=phis, trials=trials, seed=seed,
+            **_given(config, "vary", "initial_nuclear"),
+        )
+    if mode != "tomography":
+        raise ConfigError(
+            f"bell.mode: expected 'tomography' or 'parity', got {mode!r}"
         )
     res = run_bell_tomography(
         params, bell_noise, trials=trials, seed=seed,
-        initial_nuclear=config.get("initial_nuclear", "down"), threads=threads,
+        **_given(config, "initial_nuclear"),
     )
     return {
         "fidelity": res.fidelity,
@@ -258,67 +252,59 @@ def _run_bell(config, trials, seed, threads):
     }
 
 
-def _run_error_budget(config, trials, seed, threads):
+def _run_error_budget(config, trials, seed):
     budget = compute_error_budget(
         _build_params(config), BellNoiseConfig(**config.get("bell_noise", {})),
-        trials=trials, seed=seed, threads=threads,
+        trials=trials, seed=seed,
     )
-    return asdict(budget)
+    return dataclasses.asdict(budget)
 
 
-def _run_shuttle(config, trials, seed, threads):
+_SHUTTLE_SWEEPS = {"phase": (0.0, 20.0, 41), "repeated": (0.0, 100.0, 11),
+                   "electron": (0.0, 360.0, 19)}
+
+
+def _run_shuttle(config, trials, seed):
     variant = config.get("variant", "phase")
-    defaults = {"phase": (0.0, 20.0, 41), "repeated": (0.0, 100.0, 11),
-                "electron": (0.0, 360.0, 19)}[variant]
-    sweep = _linspace(config, "sweep", *defaults)
+    if variant not in _SHUTTLE_SWEEPS:
+        raise ConfigError(
+            f"shuttle.variant: expected one of {', '.join(_SHUTTLE_SWEEPS)}, "
+            f"got {variant!r}"
+        )
+    sweep = _linspace(config, "sweep", *_SHUTTLE_SWEEPS[variant])
     if variant == "repeated":
         sweep = np.unique(np.round(sweep).astype(int))
     return run_shuttle_experiments(
         variant, sweep, params=_build_params(config),
         noise=_build_noise(config), trials=trials, seed=seed,
-        tau_0=config.get("tau_0", 500.0), p_err=config.get("p_err", 0.0),
-        t_ramp=config.get("t_ramp", 1.0),
-        p_transfer=config.get("p_transfer", 0.0), threads=threads,
+        **_given(config, "tau_0", "p_err", "p_transfer"),
     )
 
 
-def _run_readout_fidelity(config, trials, seed, threads):
-    cfg = NuclearReadoutConfig(
-        m_shots=config.get("m_shots", 26),
-        t_shot_ms=config.get("t_shot_ms", 8.0),
-        t1_n_hours=config.get("t1_n_hours", 1.0),
-        f_e_avg=config.get("f_e_avg", 0.765),
-    )
-    m_max = config.get("m_max", 50)
+def _run_readout_fidelity(config, trials, seed):
+    config = dict(config)
+    m_max = config.pop("m_max", 50)
+    cfg = NuclearReadoutConfig(**config)
     rows = fidelity_curve(cfg, m_max)
-    m_opt = optimize_shots(cfg, m_max)
-    return {
-        "m": np.array([r[0] for r in rows], dtype=float),
-        "f_t1": np.array([r[1] for r in rows]),
-        "f_shot": np.array([r[2] for r in rows]),
-        "f_n": np.array([r[3] for r in rows]),
-        "m_opt": np.full(len(rows), float(m_opt)),
-    }
+    table = dict(zip(("m", "f_t1", "f_shot", "f_n"), np.array(rows, dtype=float).T))
+    table["m_opt"] = np.full(len(rows), float(optimize_shots(cfg, m_max)))
+    return table
 
 
-def _run_hyperfine(config, trials, seed, threads):
+def _run_hyperfine(config, trials, seed):
     diameters = _linspace(config, "diameter", 3.0, 15.0, 13)
     return hyperfine.probability_curves(
-        diameters, config.get("thresholds", [100.0, 200.0, 500.0]),
-        ppm=config.get("ppm", 800.0), draws=config.get("draws", 1000),
-        f_z=config.get("f_z", hyperfine.DEFAULT_F_Z), seed=seed,
+        diameters, config.get("thresholds", [100.0, 200.0, 500.0]), seed=seed,
+        **_given(config, "ppm", "draws", "f_z"),
     )
 
 
-def _run_vanvleck(config, trials, seed, threads):
+def _run_vanvleck(config, trials, seed):
     standoffs = _linspace(config, "standoff", 2.0, 20.0, 10)
-    return vanvleck.standoff_sweep(
-        standoffs, thickness=config.get("thickness", 50.0),
-        lateral=tuple(config.get("lateral", (300.0, 100.0))),
-    )
+    return vanvleck.standoff_sweep(standoffs, **_given(config, "thickness", "lateral"))
 
 
-def _run_fit(config, trials, seed, threads):
+def _run_fit(config, trials, seed):
     import csv as _csv
 
     path = config["input"]
@@ -349,7 +335,7 @@ def _run_fit(config, trials, seed, threads):
     }
 
 
-def _run_s1_stats(config, trials, seed, threads):
+def _run_s1_stats(config, trials, seed):
     """Synthetic centre-frequency telegraph record: two nuclei flipping at
     their characteristic lifetimes, then the full fit/classify pipeline."""
     rng = np.random.default_rng(seed)
@@ -407,21 +393,13 @@ _RUNNERS = {
 
 
 def _write_table(table: dict, out, fmt: str, meta: dict, seed, trials) -> None:
-    if isinstance(table, ExperimentResult):
-        if fmt == "json":
-            text = table.to_json()
-        else:
-            with _out_path(out) as path:
-                table.to_csv(path)
-            return
-    elif fmt == "csv" and all(
-        isinstance(v, (np.ndarray, list)) for v in table.values()
+    columns = table.columns if isinstance(table, ExperimentResult) else table
+    if fmt == "csv" and all(
+        isinstance(v, (np.ndarray, list)) for v in columns.values()
     ):
-        with _out_path(out) as path:
-            hyperfine.export_csv(
-                {k: np.asarray(v, dtype=float) for k, v in table.items()}, path
-            )
-        return
+        return _write_csv(columns, out)
+    if isinstance(table, ExperimentResult):
+        text = table.to_json()
     else:
         payload = {
             "result": _jsonable(table),
@@ -435,16 +413,15 @@ def _write_table(table: dict, out, fmt: str, meta: dict, seed, trials) -> None:
             fh.write(text)
 
 
-@contextmanager
-def _out_path(out):
-    """Yield a real filesystem path; '-' spools to a temp file and echoes it
-    to stdout so the CSV writers only ever deal with paths."""
+def _write_csv(columns: dict, out) -> None:
+    """CSV rows end in CRLF in a file and in LF on stdout."""
     if out != "-":
-        yield out
+        with open(out, "w", newline="") as fh:
+            write_csv(columns, fh)
         return
-    with tempfile.NamedTemporaryFile("r", suffix=".csv", delete=True) as fh:
-        yield fh.name
-        sys.stdout.write(fh.read())
+    buf = io.StringIO(newline=None)
+    write_csv(columns, buf)
+    sys.stdout.write(buf.getvalue())
 
 
 def _jsonable(obj):
@@ -563,7 +540,7 @@ def _run_all(runs, args) -> int:
                     "threads": args.threads}
             print(json.dumps(_jsonable(plan), indent=2, sort_keys=True))
             continue
-        result = _RUNNERS[experiment](run, trials, seed, args.threads)
+        result = _RUNNERS[experiment](run, trials, seed)
         _write_table(result, out, fmt, {"experiment": experiment, **run},
                      seed, trials)
     return 0

@@ -178,15 +178,10 @@ def _spin_index(label: str) -> int:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """4x4 Hermitian matrix in frequency units (MHz), tagged with its frame;
-    a batch of N trials carries shape (N, 4, 4).
-
-    frame is 'lab' or a (f_e_ref, f_n_ref) tuple of rotating-frame reference
-    frequencies in MHz.
-    """
+    """4x4 Hermitian matrix in frequency units (MHz); a batch of N trials
+    carries shape (N, 4, 4)."""
 
     matrix: np.ndarray
-    frame: object = "lab"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -211,7 +206,6 @@ class NoiseModel:
     sigma_iz: float = 0.0
     sigma_sz: float = 0.0
     spectator_flip_prob: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         _require_finite(
@@ -229,7 +223,6 @@ class NoiseModel:
         t2_star_n_us: float | None = None,
         t2_star_e_us: float | None = None,
         spectator_flip_prob: float = 0.0,
-        seed: int = 0,
     ) -> "NoiseModel":
         """Build from coherence times (us) via sigma = 1/(sqrt(2) pi T2)."""
         return cls(
@@ -237,7 +230,6 @@ class NoiseModel:
             sigma_iz=sigma_from_t2(t2_star_n_us) if t2_star_n_us else 0.0,
             sigma_sz=sigma_from_t2(t2_star_e_us) if t2_star_e_us else 0.0,
             spectator_flip_prob=spectator_flip_prob,
-            seed=seed,
         )
 
 
@@ -328,7 +320,7 @@ def build_static_hamiltonian(params: SpinSystemParams, secular: bool = True) -> 
             h = h + a * (SZ @ IZ)
         else:
             h = h + a * (SX @ IX + SY @ IY + SZ @ IZ)
-    return Hamiltonian(matrix=h, frame="lab")
+    return Hamiltonian(matrix=h)
 
 
 def transition_frequencies(params: SpinSystemParams) -> dict:
@@ -423,7 +415,7 @@ def rotating_frame_hamiltonian(
                 "frequency; rotating wave approximation invalid"
             )
         h = h + (drive.rabi * 1e-3 / 2) * drive_operator(drive.channel, drive.phase)
-    return Hamiltonian(matrix=h, frame=(f_e_ref, f_n_ref))
+    return Hamiltonian(matrix=h)
 
 
 # ---------------------------------------------------------------------------

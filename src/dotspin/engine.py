@@ -98,6 +98,12 @@ def run_sequence(
     Measurements are recorded as ideal Born probabilities (no collapse);
     sampling-based readout lives in the readout module.
     """
+    if params.full_hamiltonian:
+        raise ValueError(
+            "full_hamiltonian=True is not supported by the sequence engine: its "
+            "rotating-frame Hamiltonians keep only the secular hyperfine term "
+            "A S_z I_z"
+        )
     batch = NoiseBatch.of(noise_draw)
     rho0 = _GROUND if initial_state is None else initial_state.density_matrix()
     rho = np.repeat(rho0[None], len(batch), axis=0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, asdict, replace
 
@@ -22,11 +23,13 @@ from .core import (
     NoiseModel,
     QuantumState,
     SpinSystemParams,
+    _require_finite,
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
 )
 from .engine import run_sequence
+from .fitting import coherence_metric
 from .readout import ReadoutFidelities, confuse_readout, correct_readout
 from .sequences import (
     DEFAULT_NMR_RABI,
@@ -78,26 +81,26 @@ class ExperimentResult:
                     raise ValueError(f"column {name} has probabilities outside [0, 1]")
             self.columns[name] = arr
 
-    def to_csv(self, path) -> None:
-        names = list(self.columns)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            for row in zip(*(self.columns[n] for n in names)):
-                writer.writerow([repr(float(v)) for v in row])
-
-    def to_json(self, path=None):
+    def to_json(self) -> str:
         payload = {
             "columns": {k: list(v) for k, v in self.columns.items()},
             "trials": self.trials,
             "seed": self.seed,
             "provenance": provenance_block(self.meta, self.seed, self.trials),
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def write_csv(columns: dict, stream) -> None:
+    """Write named equal-length columns to a text stream as CSV: a header
+    row, then one row per index with each value as repr(float(v)). Rows end
+    in CRLF, as the csv module writes them; a stream that translates
+    newlines (io.StringIO(newline=None)) turns them into LF."""
+    writer = csv.writer(stream)
+    writer.writerow(columns)
+    writer.writerows(
+        [repr(float(v)) for v in row] for row in zip(*columns.values())
+    )
 
 
 def provenance_block(meta: dict, seed: int, trials: int) -> dict:
@@ -130,6 +133,15 @@ def _trial_mean(seq, params, draws, kind, initial_state=None) -> np.ndarray:
     return probs.sum(axis=0) / len(draws)
 
 
+def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
+    """_trial_mean of the sequence build(point) at each sweep point, shape
+    (points, 2) or (points, 4) for kind 'joint'."""
+    return np.array([
+        _trial_mean(build(point), params, draws, kind, initial_state)
+        for point in points
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Resonance maps / Rabi
 
@@ -155,35 +167,32 @@ def run_nmr_chevron(
     duration_range = np.asarray(duration_range, dtype=float)
     if freq_range.size == 0 or duration_range.size == 0:
         raise ValueError("sweep ranges must be non-empty")
+    if charge_config not in ("unloaded", "qd1"):
+        raise ValueError(
+            f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}"
+        )
+    if electron_spin not in ("down", "up"):
+        raise ValueError(f"electron_spin must be 'down' or 'up', got {electron_spin!r}")
     noise = noise or NoiseModel()
     f = transition_frequencies(params)
-    draws = _draws(noise, seed, trials)
+    load = (ChargeEvent(kind=f"load_{electron_spin}"),) if charge_config == "qd1" else ()
 
-    rows_f, rows_t, rows_p = [], [], []
-    for freq in freq_range:
-        for dur in duration_range:
-            elements = []
-            if charge_config == "qd1":
-                elements.append(
-                    ChargeEvent(kind="load_down" if electron_spin == "down" else "load_up")
-                )
-            elements += [Pulse("NMR", freq, rabi, dur), MeasureNuclear()]
-            seq = PulseSequence(
-                elements=tuple(elements),
-                f_e_ref=f["f_e0"],
-                f_n_ref=freq,
-                initial_config="unloaded",
-            )
-            p = _trial_mean(seq, params, draws, "nuclear")
-            rows_f.append(freq)
-            rows_t.append(dur)
-            rows_p.append(p[1])  # P(flip) from the Down-initialised nucleus
+    def build(point):
+        freq, dur = point
+        return PulseSequence(
+            elements=(*load, Pulse("NMR", freq, rabi, dur), MeasureNuclear()),
+            f_e_ref=f["f_e0"],
+            f_n_ref=freq,
+            initial_config="unloaded",
+        )
 
-    p = np.array(rows_p)
+    grid = list(itertools.product(freq_range, duration_range))
+    # P(flip) from the Down-initialised nucleus
+    p = _sweep(build, grid, params, _draws(noise, seed, trials), "nuclear")[:, 1]
     return ExperimentResult(
         columns={
-            "frequency_mhz": np.array(rows_f),
-            "duration_us": np.array(rows_t),
+            "frequency_mhz": np.array([freq for freq, _ in grid]),
+            "duration_us": np.array([dur for _, dur in grid]),
             "p_flip": p,
             "p_flip_stderr": binomial_stderr(p, trials),
         },
@@ -222,18 +231,16 @@ def _run_free_precession(
     if tau_range.size == 0 or np.any(tau_range < 0):
         raise ValueError("tau_range must be non-empty and non-negative")
     builder = ramsey_sequence if kind == "ramsey" else hahn_sequence
-    draws = _draws(noise, seed, trials)
-    probs = []
-    for tau in tau_range:
-        seq = builder(
+    p = _sweep(
+        lambda tau: builder(
             params,
             tau,
             detuning_khz=detuning_khz,
             charge_config=charge_config,
             ideal_pulses=ideal_pulses,
-        )
-        probs.append(_trial_mean(seq, params, draws, "nuclear")[1])
-    p = np.array(probs)
+        ),
+        tau_range, params, _draws(noise, seed, trials), "nuclear",
+    )[:, 1]
     return ExperimentResult(
         columns={
             "tau_us": tau_range,
@@ -289,6 +296,13 @@ def run_hahn(
 # Bell-state tomography
 
 
+#: The imperfection mechanisms BellNoiseConfig switches on and off.
+_BELL_MECHANISMS = (
+    "electron_t2star", "spectator_nucleus", "pulse_calibration",
+    "nmr_control", "nuclear_t2star",
+)
+
+
 #: Noise and imperfection settings of the entanglement experiment. Times in
 #: microseconds; pulse_length_error is the fractional pulse-duration
 #: calibration error applied as a multiplicative duration factor.
@@ -305,51 +319,42 @@ class BellNoiseConfig:
     nmr_control: bool = True
     nuclear_t2star: bool = True
 
-    def noise_model(self, seed: int = 0) -> NoiseModel:
+    def __post_init__(self):
+        times = ("t2_star_e_us", "t2_star_n_us", "t2_rabi_n_us")
+        _require_finite(self, times + ("spectator_flip_prob", "pulse_length_error"))
+        for name in times:
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0 <= self.spectator_flip_prob <= 1:
+            raise ValueError(
+                f"spectator_flip_prob must be in [0, 1], got {self.spectator_flip_prob!r}"
+            )
+
+    def noise_model(self) -> NoiseModel:
         return NoiseModel(
             sigma_ix=sigma_from_t2(self.t2_rabi_n_us) if self.nmr_control else 0.0,
             sigma_iz=sigma_from_t2(self.t2_star_n_us) if self.nuclear_t2star else 0.0,
             sigma_sz=sigma_from_t2(self.t2_star_e_us) if self.electron_t2star else 0.0,
             spectator_flip_prob=self.spectator_flip_prob if self.spectator_nucleus else 0.0,
-            seed=seed,
         )
 
     def duration_scale(self) -> float:
         return 1.0 + (self.pulse_length_error if self.pulse_calibration else 0.0)
 
     def only(self, mechanism: str) -> "BellNoiseConfig":
-        flags = {k: False for k in
-                 ("electron_t2star", "spectator_nucleus", "pulse_calibration",
-                  "nmr_control", "nuclear_t2star")}
-        flags[mechanism] = True
-        return BellNoiseConfig(
-            t2_star_e_us=self.t2_star_e_us,
-            t2_star_n_us=self.t2_star_n_us,
-            t2_rabi_n_us=self.t2_rabi_n_us,
-            spectator_flip_prob=self.spectator_flip_prob,
-            pulse_length_error=self.pulse_length_error,
-            **flags,
-        )
+        return replace(self.none(), **{mechanism: True})
 
     def none(self) -> "BellNoiseConfig":
-        c = self.only("electron_t2star")
-        return BellNoiseConfig(
-            t2_star_e_us=c.t2_star_e_us,
-            t2_star_n_us=c.t2_star_n_us,
-            t2_rabi_n_us=c.t2_rabi_n_us,
-            spectator_flip_prob=c.spectator_flip_prob,
-            pulse_length_error=c.pulse_length_error,
-            electron_t2star=False, spectator_nucleus=False, pulse_calibration=False,
-            nmr_control=False, nuclear_t2star=False,
-        )
+        return replace(self, **dict.fromkeys(_BELL_MECHANISMS, False))
 
 
 def _initial_state(initial_nuclear: str) -> QuantumState:
     return QuantumState.basis("down", initial_nuclear)
 
 
-def _parity(probs: np.ndarray) -> float:
-    return probs[0] + probs[3] - probs[1] - probs[2]
+def _parity(probs: np.ndarray):
+    """Two-qubit parity of joint probabilities (last axis of length 4)."""
+    return probs[..., 0] + probs[..., 3] - probs[..., 1] - probs[..., 2]
 
 
 def calibrate_bell_projection(
@@ -415,7 +420,7 @@ def _bell_basis_probabilities(
         phi_n = tuple(p + shift for p in calibration["phi_n"])
         projection = (phi_n, phi_e)
     seq = bell_circuit(params, projection=projection, duration_scale=scale)
-    noise = config.noise_model(seed)
+    noise = config.noise_model()
     basis_idx = {"ZZ": 0, "XX": 1, "YY": 2}[basis]
     p_flip = noise.spectator_flip_prob
     draws = _draws(noise, seed, trials, basis_idx)
@@ -526,6 +531,8 @@ def run_bell_parity_sweep(
     threads: int = 1,
 ) -> ExperimentResult:
     """Two-qubit parity vs the nuclear (or electron) projection phase."""
+    if vary not in ("nuclear", "electron"):
+        raise ValueError(f"vary must be 'nuclear' or 'electron', got {vary!r}")
     params = params or SpinSystemParams()
     config = config or BellNoiseConfig()
     if phi_range is None:
@@ -533,27 +540,24 @@ def run_bell_parity_sweep(
     phi_range = np.asarray(phi_range, dtype=float)
     if calibration is None:
         calibration = calibrate_bell_projection(params, config.duration_scale())
-    draws = _draws(config.noise_model(seed), seed, trials)
-    init = _initial_state(initial_nuclear)
     scale = config.duration_scale()
 
-    parity_col, joint = [], []
-    for phi in phi_range:
+    def build(phi):
+        phi_n, phi_e = calibration["phi_n"], calibration["phi_e"]
         if vary == "nuclear":
-            phi_n = tuple(p + phi for p in calibration["phi_n"])
-            phi_e = calibration["phi_e"]
+            phi_n = tuple(p + phi for p in phi_n)
         else:
-            phi_n = calibration["phi_n"]
-            phi_e = tuple(p + phi for p in calibration["phi_e"])
-        seq = bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
-        probs = _trial_mean(seq, params, draws, "joint", init)
-        parity_col.append(_parity(probs))
-        joint.append(probs)
-    joint = np.array(joint)
+            phi_e = tuple(p + phi for p in phi_e)
+        return bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
+
+    joint = _sweep(
+        build, phi_range, params, _draws(config.noise_model(), seed, trials),
+        "joint", _initial_state(initial_nuclear),
+    )
     return ExperimentResult(
         columns={
             "phi_deg": phi_range,
-            "parity": np.array(parity_col),
+            "parity": _parity(joint),
             "p_down_Down": joint[:, 0],
             "p_down_Up": joint[:, 1],
             "p_up_Down": joint[:, 2],
@@ -619,11 +623,6 @@ def compute_error_budget(
 # Shuttle experiments
 
 
-def coherence_from_four_phases(p_x, p_mx, p_y, p_my):
-    """Nuclear coherence C = sqrt((p_X - p_-X)^2 + (p_Y - p_-Y)^2)."""
-    return float(np.hypot(p_x - p_mx, p_y - p_my))
-
-
 def run_shuttle_experiments(
     variant: str,
     sweep,
@@ -633,7 +632,6 @@ def run_shuttle_experiments(
     seed: int = 0,
     tau_0: float = 500.0,
     p_err: float = 0.0,
-    t_ramp: float = 1.0,
     p_transfer: float = 0.0,
     qd2_frequency_offset: float = 2.0,
     threads: int = 1,
@@ -657,61 +655,35 @@ def run_shuttle_experiments(
     meta = {"experiment": f"shuttle_{variant}", "params": asdict(params),
             "noise": asdict(noise), "tau_0_us": tau_0, "p_err": p_err}
 
-    if variant == "phase":
-        draws = _draws(noise, seed, trials)
-        p = np.array([
-            _trial_mean(
-                shuttle_ramsey_sequence(params, t_load, tau_0, p_err=p_err),
-                params, draws, "nuclear",
-            )[1]
-            for t_load in sweep
-        ])
-        return ExperimentResult(
-            columns={"t_load_us": sweep, "p_up": p,
-                     "p_up_stderr": binomial_stderr(p, trials)},
-            trials=trials, seed=seed, meta=meta,
-        )
-
     if variant == "repeated":
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
-        draws = {name: _draws(noise, seed, trials, name) for name in phases}
-        cols = {name: [] for name in phases}
-        coherence = []
-        for k in sweep:
-            values = {}
-            for name, phi in phases.items():
-                seq = repeated_load_sequence(
-                    params, int(k), tau_0, p_err=p_err, final_phase=phi
-                )
-                values[name] = _trial_mean(seq, params, draws[name], "nuclear")[1]
-            for name in phases:
-                cols[name].append(values[name])
-            coherence.append(
-                coherence_from_four_phases(
-                    values["p_x"], values["p_mx"], values["p_y"], values["p_my"]
-                )
-            )
         columns = {"k_cycles": sweep}
-        columns.update({name: np.array(v) for name, v in cols.items()})
-        columns["coherence"] = np.array(coherence)
+        for name, phi in phases.items():
+            columns[name] = _sweep(
+                lambda k: repeated_load_sequence(
+                    params, int(k), tau_0, p_err=p_err, final_phase=phi
+                ),
+                sweep, params, _draws(noise, seed, trials, name), "nuclear",
+            )[:, 1]
+        columns["coherence"] = np.array([
+            coherence_metric(*values)
+            for values in zip(*(columns[name] for name in phases))
+        ])
         return ExperimentResult(columns=columns, trials=trials, seed=seed, meta=meta)
 
-    if variant == "electron":
-        draws = _draws(noise, seed, trials)
-        p = np.array([
-            _trial_mean(
-                electron_shuttle_ramsey(
-                    params, final_phase=phi, t_ramp=t_ramp, p_transfer=p_transfer,
-                    qd2_frequency_offset=qd2_frequency_offset,
-                ),
-                params, draws, "electron",
-            )[1]
-            for phi in sweep
-        ])
-        return ExperimentResult(
-            columns={"phi_deg": sweep, "p_up": p,
-                     "p_up_stderr": binomial_stderr(p, trials)},
-            trials=trials, seed=seed, meta=meta,
-        )
-
-    raise ValueError(f"unknown shuttle variant {variant!r}")
+    # the other two variants record P(up) of one spin per sweep point
+    builders = {
+        "phase": ("t_load_us", "nuclear", lambda t_load: shuttle_ramsey_sequence(
+            params, t_load, tau_0, p_err=p_err)),
+        "electron": ("phi_deg", "electron", lambda phi: electron_shuttle_ramsey(
+            params, final_phase=phi, p_transfer=p_transfer,
+            qd2_frequency_offset=qd2_frequency_offset)),
+    }
+    if variant not in builders:
+        raise ValueError(f"unknown shuttle variant {variant!r}")
+    column, kind, build = builders[variant]
+    p = _sweep(build, sweep, params, _draws(noise, seed, trials), kind)[:, 1]
+    return ExperimentResult(
+        columns={column: sweep, "p_up": p, "p_up_stderr": binomial_stderr(p, trials)},
+        trials=trials, seed=seed, meta=meta,
+    )

@@ -11,7 +11,6 @@ is not independently known.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -294,12 +293,3 @@ def max_coupling_surface(diameter_range, f_z_range, k_hf: float | None = None):
                 float(np.max(couplings)) if couplings.size else 0.0
             )
     return {k: np.array(v) for k, v in rows.items()}
-
-
-def export_csv(table: dict, path) -> None:
-    names = list(table)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*(table[n] for n in names)):
-            writer.writerow([repr(float(v)) for v in row])

@@ -4,7 +4,7 @@ the analytic nuclear readout fidelity model, and confusion-matrix correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import binom
@@ -166,15 +166,7 @@ def optimize_shots(config: NuclearReadoutConfig, m_max: int = 100) -> int:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     best_m, best_f = 1, -np.inf
-    for m in range(1, m_max + 1):
-        f_n = nuclear_fidelity_model(
-            NuclearReadoutConfig(
-                m_shots=m,
-                t_shot_ms=config.t_shot_ms,
-                t1_n_hours=config.t1_n_hours,
-                f_e_avg=config.f_e_avg,
-            )
-        )["f_n"]
+    for m, _, _, f_n in fidelity_curve(config, m_max):
         if f_n > best_f + 1e-15:
             best_m, best_f = m, f_n
     return best_m
@@ -184,14 +176,7 @@ def fidelity_curve(config: NuclearReadoutConfig, m_max: int = 50) -> list:
     """Rows of (M, f_t1, f_shot, f_n) for M in [1, m_max]."""
     rows = []
     for m in range(1, m_max + 1):
-        r = nuclear_fidelity_model(
-            NuclearReadoutConfig(
-                m_shots=m,
-                t_shot_ms=config.t_shot_ms,
-                t1_n_hours=config.t1_n_hours,
-                f_e_avg=config.f_e_avg,
-            )
-        )
+        r = nuclear_fidelity_model(replace(config, m_shots=m))
         rows.append((m, r["f_t1"], r["f_shot"], r["f_n"]))
     return rows
 

@@ -84,13 +84,11 @@ class FreeEvolution:
 
 @dataclass(frozen=True)
 class ChargeEvent:
-    """Load/unload/shuttle event. The ideal simulator treats these as
-    instantaneous frame changes; ramp_time is carried for bookkeeping and
-    for user-supplied dephasing tables. dephase_prob applies a dephasing
-    channel to dephase_target when the event executes."""
+    """Load/unload/shuttle event, executed as an instantaneous frame change.
+    dephase_prob applies a dephasing channel to dephase_target when the
+    event executes."""
 
     kind: str
-    ramp_time: float = 1.0
     dephase_prob: float = 0.0
     dephase_target: str = "nuclear"
 
@@ -110,11 +108,7 @@ class MeasureElectron:
 
 @dataclass(frozen=True)
 class MeasureNuclear:
-    shots: int = 1
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+    pass
 
 
 _ELEMENT_TYPES = {
@@ -507,7 +501,6 @@ def repeated_load_sequence(
 def electron_shuttle_ramsey(
     params: SpinSystemParams,
     final_phase: float = 0.0,
-    t_ramp: float = 1.0,
     p_transfer: float = 0.0,
     qd2_frequency_offset: float = 2.0,
     esr_rabi: float = DEFAULT_ESR_RABI,
@@ -533,7 +526,6 @@ def electron_shuttle_ramsey(
         first,
         ChargeEvent(
             kind="shuttle_1_to_2",
-            ramp_time=t_ramp,
             dephase_prob=p_transfer,
             dephase_target="electron",
         ),

@@ -12,7 +12,6 @@ free-induction decay exp(-M2 t^2 / 2) gives T2* = sqrt(2/M2).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,12 +161,3 @@ def standoff_sweep(
         rows["t2star_sum_ms"].append(t2star_from_moment(m_sum))
         rows["t2star_integral_ms"].append(t2star_from_moment(m_int))
     return {k: np.array(v) for k, v in rows.items()}
-
-
-def export_csv(table: dict, path) -> None:
-    names = list(table)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in zip(*(table[n] for n in names)):
-            writer.writerow([repr(float(v)) for v in row])

@@ -235,7 +235,7 @@ def test_drivers_match_per_trial_reference():
         duration_scale=cfg.duration_scale(),
     )
     expected = ref.average_populations(
-        lambda t: sample_noise(cfg.noise_model(1), rng_for(1, t)),
+        lambda t: sample_noise(cfg.noise_model(), rng_for(1, t)),
         lambda d: ref.run_sequence(seq, PARAMS, d, init).joint_probabilities(), 6,
     )
     assert abs(res.columns["p_up_Up"][0] - expected[3]) < TOL

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dotspin.cli import ConfigError, main, validate_config
+from dotspin.cli import ConfigError, _write_table, main, validate_config
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +91,26 @@ class TestExitCodes:
         assert code == 1
         assert "ramsey." + next(iter(json.loads(text))) in err
 
+    @pytest.mark.parametrize("experiment, config, path", [
+        ("chevron", {"charge_config": "bogus"}, "charge_config"),
+        ("chevron", {"electron_spin": "sideways", "charge_config": "qd1"},
+         "electron_spin"),
+        ("bell", {"mode": "parityy"}, "bell.mode"),
+        ("bell", {"mode": "parity", "vary": "both"}, "vary"),
+        ("shuttle", {"variant": "nope"}, "shuttle.variant"),
+        # keys of knobs that did nothing are unknown
+        ("ramsey", {"noise": {"seed": 3}}, "ramsey.noise.seed"),
+        ("shuttle", {"t_ramp": 2.0}, "shuttle.t_ramp"),
+    ])
+    def test_unused_value_exits_1_naming_it(self, capsys, tmp_path,
+                                            experiment, config, path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, experiment, "--config", str(cfg),
+                                 "--trials", "1")
+        assert code == 1
+        assert path in err and out == ""
+
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must still map to exit 2
         def diverge(*args, **kwargs):
@@ -142,6 +162,22 @@ class TestOutputs:
         )
         assert code == 0
         assert (tmp_path / "scan.csv").exists()
+
+    def test_csv_rows_end_crlf_in_file_and_lf_on_stdout(self, capsys, tmp_path):
+        table = {"m": np.array([1.0, 2.0]), "f": [0.1, 1e-20]}
+        out = tmp_path / "t.csv"
+        _write_table(table, str(out), "csv", {}, 0, 1)
+        assert out.read_bytes() == b"m,f\r\n1.0,0.1\r\n2.0,1e-20\r\n"
+        _write_table(table, "-", "csv", {}, 0, 1)
+        assert capsys.readouterr().out == "m,f\n1.0,0.1\n2.0,1e-20\n"
+        # the same holds for experiment results
+        (tmp_path / "r.json").write_text('{"tau_points": 3}')
+        args = ("ramsey", "--trials", "1", "--config", str(tmp_path / "r.json"))
+        code, stdout, _ = run_cli(capsys, *args)
+        assert code == 0 and "\r" not in stdout
+        code, _, _ = run_cli(capsys, *args, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == stdout.replace("\n", "\r\n").encode()
 
     def test_fit_round_trip_from_csv(self, capsys, tmp_path):
         x = np.linspace(0.0, 20.0, 60)

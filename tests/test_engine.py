@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dotspin.core import (
+    NoiseBatch,
     NoiseDraw,
     NoiseModel,
     QuantumState,
@@ -141,14 +142,14 @@ class TestRefocusingAndNoise:
         model = NoiseModel(sigma_iz=sigma_from_t2(t2))
         taus = np.array([200.0, 400.0, 600.0, 800.0])
         trials = 3000
+        draws = NoiseBatch.stack(
+            sample_noise(model, rng_for(2, trial)) for trial in range(trials)
+        )
         amps = []
         for tau in taus:
             # average cos(2 pi delta tau) over draws = envelope at tau
-            signal = 0.0
-            for trial in range(trials):
-                draw = sample_noise(model, rng_for(2, trial))
-                seq = ramsey_sequence(PARAMS, tau, detuning_khz=0.0)
-                signal += run_sequence(seq, PARAMS, draw).last("nuclear")[1]
+            seq = ramsey_sequence(PARAMS, tau, detuning_khz=0.0)
+            signal = run_sequence(seq, PARAMS, draws).last("nuclear")[:, 1].sum()
             amps.append(2 * signal / trials - 1.0)
         expected = np.exp(-((taus / t2) ** 2))
         assert np.allclose(amps, expected, atol=0.05)
@@ -177,6 +178,16 @@ class TestRefocusingAndNoise:
             np.pi * np.hypot(rabi, 120.0) * 1e-3 * t_pi
         ) ** 2
         assert shifted == pytest.approx(expected, abs=1e-3)
+
+
+class TestSecularOnly:
+    def test_full_hamiltonian_rejected(self):
+        # both rotating-frame builders keep only A S_z I_z, so a low-field
+        # run would silently use high-field physics
+        params = SpinSystemParams(b_ext=0.001, full_hamiltonian=True)
+        seq = ramsey_sequence(params, 100.0, charge_config="qd1")
+        with pytest.raises(ValueError, match="full_hamiltonian"):
+            run_sequence(seq, params)
 
 
 class TestStateHandling:

@@ -21,6 +21,7 @@ from dotspin.experiments import (
     run_rabi,
     run_ramsey,
     run_shuttle_experiments,
+    write_csv,
 )
 from dotspin.fitting import fit_sinusoid
 from dotspin.readout import ReadoutFidelities
@@ -45,7 +46,8 @@ class TestResultContainer:
             trials=10, seed=3, meta={"experiment": "demo"},
         )
         path = tmp_path / "out.csv"
-        res.to_csv(path)
+        with open(path, "w", newline="") as fh:
+            write_csv(res.columns, fh)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y"
         data = np.loadtxt(lines[1:], delimiter=",")
@@ -143,6 +145,27 @@ class TestSweeps:
 
 
 class TestBell:
+    @pytest.mark.parametrize("field, value", [
+        ("t2_star_e_us", -15.0),
+        ("t2_star_n_us", 0.0),
+        ("t2_rabi_n_us", float("inf")),
+        ("spectator_flip_prob", 1.5),
+        ("pulse_length_error", float("nan")),
+    ])
+    def test_noise_config_refuses_bad_values_by_name(self, field, value):
+        # refused at construction, whether or not the mechanism is enabled
+        with pytest.raises(ValueError, match=field):
+            BellNoiseConfig(**{field: value}, electron_t2star=False)
+
+    def test_only_enables_one_mechanism(self):
+        cfg = BellNoiseConfig(t2_star_e_us=9.0).only("nmr_control")
+        assert cfg.t2_star_e_us == 9.0
+        assert cfg.nmr_control and not cfg.electron_t2star
+        assert not any((cfg.spectator_nucleus, cfg.pulse_calibration,
+                        cfg.nuclear_t2star))
+        with pytest.raises(TypeError):
+            BellNoiseConfig().only("cosmic_rays")
+
     def test_calibration_reaches_unit_parity(self):
         cal = calibrate_bell_projection(PARAMS)
         assert cal["parity"] > 0.999

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dotspin.experiments import write_csv
 from dotspin.hyperfine import (
     CALIBRATION_DIAMETER,
     CALIBRATION_MAX_A,
@@ -12,7 +13,6 @@ from dotspin.hyperfine import (
     calibrate_k_hf,
     default_region,
     enclosed_probability,
-    export_csv,
     generate_lattice,
     max_coupling_surface,
     probability_curves,
@@ -138,7 +138,8 @@ class TestProbabilityCurves:
     def test_export_csv(self, tmp_path):
         table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
         path = tmp_path / "t.csv"
-        export_csv(table, path)
+        with open(path, "w", newline="") as fh:
+            write_csv(table, fh)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, np.array([[1.0, 3.0], [2.0, 4.0]]))
 

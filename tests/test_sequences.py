@@ -7,7 +7,6 @@ from dotspin.core import SpinSystemParams, transition_frequencies
 from dotspin.sequences import (
     ChargeEvent,
     FreeEvolution,
-    MeasureNuclear,
     Pulse,
     PulseSequence,
     Rotation,
@@ -39,10 +38,6 @@ class TestElements:
             ChargeEvent(kind="teleport")
         with pytest.raises(ValueError):
             ChargeEvent(kind="unload", dephase_prob=2.0)
-
-    def test_measure_shots(self):
-        with pytest.raises(ValueError):
-            MeasureNuclear(shots=0)
 
 
 class TestValidation:
