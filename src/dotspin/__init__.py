@@ -10,7 +10,6 @@ from .core import (
     NoiseModel,
     QuantumState,
     SpinSystemParams,
-    build_static_hamiltonian,
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
@@ -69,7 +68,6 @@ __all__ = [
     "SequenceResult",
     "SpinSystemParams",
     "bell_circuit",
-    "build_static_hamiltonian",
     "calibrate_bell_projection",
     "compute_error_budget",
     "hahn_sequence",

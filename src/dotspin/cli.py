@@ -4,7 +4,7 @@ Runs the simulation experiments from declarative JSON configs, writes CSV
 (sweeps) or JSON (scalar results with a provenance block), and bundles one
 config per reproduced figure under `dotspin/configs/`.
 
-Exit codes: 0 success, 1 config/validation error, 2 numerical failure.
+Exit codes: 0 success, 1 config/validation or file error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ SUBCOMMANDS = (
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries the offending key path."""
+
+
+class _SectionRefused(ConfigError):
+    """A config dataclass refused a value of the run's section `key` ("" for
+    the run's top level); _run_all names the section's path."""
 
 
 # --------------------------------------------------------------------------
@@ -155,12 +160,20 @@ def _reject_non_finite(value, path: str) -> None:
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
+def _build(cls, config: dict, key: str = ""):
+    """cls built from the config section `key` (the whole config if "")."""
+    try:
+        return cls(**(config.get(key, {}) if key else config))
+    except ValueError as exc:
+        raise _SectionRefused(key, exc) from None
+
+
 def _build_params(config: dict) -> SpinSystemParams:
-    return SpinSystemParams(**config.get("params", {}))
+    return _build(SpinSystemParams, config, "params")
 
 
 def _build_noise(config: dict) -> NoiseModel:
-    return NoiseModel(**config.get("noise", {}))
+    return _build(NoiseModel, config, "noise")
 
 
 def _given(config: dict, *names) -> dict:
@@ -227,7 +240,7 @@ def _run_hahn(config, trials, seed):
 
 def _run_bell(config, trials, seed):
     params = _build_params(config)
-    bell_noise = BellNoiseConfig(**config.get("bell_noise", {}))
+    bell_noise = _build(BellNoiseConfig, config, "bell_noise")
     mode = config.get("mode", "tomography")
     if mode == "parity":
         phis = _linspace(config, "phi", 0.0, 360.0, 19)
@@ -254,7 +267,7 @@ def _run_bell(config, trials, seed):
 
 def _run_error_budget(config, trials, seed):
     budget = compute_error_budget(
-        _build_params(config), BellNoiseConfig(**config.get("bell_noise", {})),
+        _build_params(config), _build(BellNoiseConfig, config, "bell_noise"),
         trials=trials, seed=seed,
     )
     return dataclasses.asdict(budget)
@@ -284,7 +297,7 @@ def _run_shuttle(config, trials, seed):
 def _run_readout_fidelity(config, trials, seed):
     config = dict(config)
     m_max = config.pop("m_max", 50)
-    cfg = NuclearReadoutConfig(**config)
+    cfg = _build(NuclearReadoutConfig, config)
     rows = fidelity_curve(cfg, m_max)
     table = dict(zip(("m", "f_t1", "f_shot", "f_n"), np.array(rows, dtype=float).T))
     table["m_opt"] = np.full(len(rows), float(optimize_shots(cfg, m_max)))
@@ -465,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--dry-run", action="store_true")
         if name == "readout-fidelity":
-            p.add_argument("--scan-m", default=None, metavar="LO..HI")
+            p.add_argument("--scan-m", default=None, metavar="[1..]HI")
         if name == "fit":
             p.add_argument("--model", default=None)
             p.add_argument("--input", default=None)
@@ -480,7 +493,7 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -505,10 +518,21 @@ def _dispatch(args) -> int:
         config["model"] = args.model
     if getattr(args, "input", None):
         config["input"] = args.input
-    if getattr(args, "scan_m", None):
-        lo, _, hi = args.scan_m.partition("..")
-        config["m_max"] = int(hi or lo)
+    if getattr(args, "scan_m", None) is not None:
+        config["m_max"] = _scan_m_max(args.scan_m)
     return _run_all([config], args)
+
+
+def _scan_m_max(spec: str) -> int:
+    """HI of a `--scan-m [1..]HI` spec; the scan always starts at M = 1."""
+    lo, sep, hi = spec.partition("..")
+    try:
+        lo, hi = (int(lo), int(hi)) if sep else (1, int(lo))
+    except ValueError:
+        raise ConfigError(f"--scan-m: expected [1..]HI, got {spec!r}") from None
+    if lo != 1 or hi < 1:
+        raise ConfigError(f"--scan-m: the scan runs over M = 1..HI with HI >= 1, got {spec!r}")
+    return hi
 
 
 def _run_all(runs, args) -> int:
@@ -540,7 +564,12 @@ def _run_all(runs, args) -> int:
                     "threads": args.threads}
             print(json.dumps(_jsonable(plan), indent=2, sort_keys=True))
             continue
-        result = _RUNNERS[experiment](run, trials, seed)
+        try:
+            result = _RUNNERS[experiment](run, trials, seed)
+        except _SectionRefused as exc:
+            key, cause = exc.args
+            path = f"{experiment}.{key}" if key else experiment
+            raise ConfigError(f"{path}: {cause}") from None
         _write_table(result, out, fmt, {"experiment": experiment, **run},
                      seed, trials)
     return 0

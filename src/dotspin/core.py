@@ -74,21 +74,18 @@ class SpinSystemParams:
     gamma_n: float = -8.458
     a_hf: float = -448.5
     a_spectator: float = -120.0
-    electron_loaded: bool = True
-    full_hamiltonian: bool = False
 
     def __post_init__(self):
         _require_finite(self, ("b_ext", "gamma_e", "gamma_n", "a_hf", "a_spectator"))
         if self.b_ext <= 0:
-            raise ValueError("b_ext must be positive")
+            raise ValueError(f"b_ext must be positive, got {self.b_ext!r}")
         # High-field regime guard: electron Zeeman splitting must dominate
         # the hyperfine coupling or the secular approximation is invalid.
-        if not self.full_hamiltonian and self.a_hf != 0:
-            if abs(self.f_e0) < 100 * abs(self.a_hf) * 1e-3:
-                raise ValueError(
-                    "electron Zeeman splitting below 100x |a_hf|; set "
-                    "full_hamiltonian=True to work outside the high-field regime"
-                )
+        if abs(self.f_e0) < 100 * abs(self.a_hf) * 1e-3:
+            raise ValueError(
+                "electron Zeeman splitting below 100x |a_hf|: outside the "
+                "high-field regime the secular Hamiltonian A S_z I_z is invalid"
+            )
 
     @property
     def f_e0(self) -> float:
@@ -141,16 +138,6 @@ class QuantumState:
         return cls(vector=vec)
 
     # -- views -------------------------------------------------------------
-    @property
-    def is_pure(self) -> bool:
-        return self._vec is not None
-
-    @property
-    def vector(self) -> np.ndarray:
-        if self._vec is None:
-            raise ValueError("state is a density matrix")
-        return self._vec
-
     def density_matrix(self) -> np.ndarray:
         if self._rho is not None:
             return self._rho
@@ -211,26 +198,13 @@ class NoiseModel:
         _require_finite(
             self, ("sigma_ix", "sigma_iz", "sigma_sz", "spectator_flip_prob")
         )
-        if min(self.sigma_ix, self.sigma_iz, self.sigma_sz) < 0:
-            raise ValueError("noise sigmas must be >= 0")
+        for name in ("sigma_ix", "sigma_iz", "sigma_sz"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 0 <= self.spectator_flip_prob <= 1:
-            raise ValueError("spectator_flip_prob must be in [0, 1]")
-
-    @classmethod
-    def from_coherence_times(
-        cls,
-        t2_rabi_n_us: float | None = None,
-        t2_star_n_us: float | None = None,
-        t2_star_e_us: float | None = None,
-        spectator_flip_prob: float = 0.0,
-    ) -> "NoiseModel":
-        """Build from coherence times (us) via sigma = 1/(sqrt(2) pi T2)."""
-        return cls(
-            sigma_ix=sigma_from_t2(t2_rabi_n_us) if t2_rabi_n_us else 0.0,
-            sigma_iz=sigma_from_t2(t2_star_n_us) if t2_star_n_us else 0.0,
-            sigma_sz=sigma_from_t2(t2_star_e_us) if t2_star_e_us else 0.0,
-            spectator_flip_prob=spectator_flip_prob,
-        )
+            raise ValueError(
+                f"spectator_flip_prob must be in [0, 1], got {self.spectator_flip_prob!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -305,35 +279,16 @@ def sample_noise(model: NoiseModel, rng: np.random.Generator) -> NoiseDraw:
 # Hamiltonians
 
 
-def build_static_hamiltonian(params: SpinSystemParams, secular: bool = True) -> Hamiltonian:
-    """Static (drive-free) Hamiltonian H = -B(gamma_e S_z + gamma_n I_z) + A(S.I).
-
-    With the secular flag the hyperfine term is truncated to A S_z I_z
-    (the flip-flop terms are negligible in the high-field regime). When the
-    electron is not loaded the hyperfine term is absent entirely.
-    """
-    b = params.b_ext
-    h = -b * (params.gamma_e * 1e3) * SZ - b * params.gamma_n * IZ
-    if params.electron_loaded and params.a_hf != 0:
-        a = params.a_mhz
-        if secular:
-            h = h + a * (SZ @ IZ)
-        else:
-            h = h + a * (SX @ IX + SY @ IY + SZ @ IZ)
-    return Hamiltonian(matrix=h)
-
-
 def transition_frequencies(params: SpinSystemParams) -> dict:
     """Labelled transition frequencies (MHz) under the secular approximation.
 
     Keys: f_e0 / f_n0 (bare Larmor), f_e_nuc_up / f_e_nuc_down (ESR line
     conditioned on the nuclear state), f_n_elec_up / f_n_elec_down (NMR line
-    conditioned on the electron state). Unloaded, all conditional lines
-    collapse onto the bare frequencies.
+    conditioned on the electron state).
     """
     alpha = -params.b_ext * params.gamma_e * 1e3  # electron Zeeman term, MHz
     beta = -params.b_ext * params.gamma_n
-    a = params.a_mhz if params.electron_loaded else 0.0
+    a = params.a_mhz
     return {
         "f_e0": abs(alpha),
         "f_n0": abs(beta),
@@ -344,23 +299,6 @@ def transition_frequencies(params: SpinSystemParams) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Drive:
-    """One co-rotating drive tone. frequency in MHz, phase in degrees,
-    rabi in kHz."""
-
-    channel: str  # 'ESR' | 'NMR'
-    frequency: float
-    phase: float = 0.0
-    rabi: float = 0.0
-
-    def __post_init__(self):
-        if self.channel not in ("ESR", "NMR"):
-            raise ValueError("channel must be 'ESR' or 'NMR'")
-        if self.rabi < 0:
-            raise ValueError("rabi must be >= 0")
-
-
 def drive_operator(channel: str, phase_deg: float) -> np.ndarray:
     """Co-rotating drive axis operator (full Pauli, eigenvalues +-1)."""
     phi = np.deg2rad(phase_deg)
@@ -369,22 +307,32 @@ def drive_operator(channel: str, phase_deg: float) -> np.ndarray:
     return np.cos(phi) * XN + np.sin(phi) * YN
 
 
+def check_rwa(params: SpinSystemParams, channel: str, rabi_khz: float) -> None:
+    """Refuse a drive whose (peak) Rabi frequency exceeds 10% of the
+    transition it addresses, where the rotating wave approximation fails."""
+    addressed = params.f_e0 if channel == "ESR" else params.f_n0
+    if rabi_khz * 1e-3 > 0.1 * addressed:
+        raise ValueError(
+            f"{channel} Rabi frequency {rabi_khz!r} kHz exceeds 10% of the "
+            f"addressed transition frequency ({addressed:.6g} MHz); rotating "
+            "wave approximation invalid"
+        )
+
+
 def rotating_frame_hamiltonian(
     params: SpinSystemParams,
-    drive: Drive | None = None,
     noise_draw: NoiseDraw | NoiseBatch = ZERO_DRAW,
     frame: tuple | None = None,
     charge_config: str = "qd1",
     qd2_frequency_offset: float = 0.0,
 ) -> Hamiltonian:
-    """RWA Hamiltonian in the frame rotating at (f_e_ref, f_n_ref).
+    """Drive-free secular Hamiltonian in the frame rotating at (f_e_ref, f_n_ref).
 
-    Contains the detuning terms (including the quasi-static noise offsets on
-    I_z / S_z, the additive I_x drive-amplitude noise, and the spectator
-    detuning on the ESR line) plus the co-rotating drive term at the stated
-    phase; counter-rotating terms are dropped. The drive, when present, must
-    be resonant with its frame reference - off-frame tones are handled by the
-    sequence engine via exact frame-change rotations.
+    Contains the detuning terms, the secular hyperfine term A S_z I_z in
+    'qd1', the quasi-static noise offsets on I_z / S_z, the additive I_x
+    drive-amplitude noise, and the spectator detuning on the ESR line. The
+    sequence engine adds the co-rotating drive terms; frame=(0, 0) gives the
+    lab-frame Zeeman + secular hyperfine Hamiltonian.
 
     A NoiseDraw gives a 4x4 matrix; a NoiseBatch of N draws gives (N, 4, 4).
     """
@@ -406,15 +354,6 @@ def rotating_frame_hamiltonian(
     h = h + outer(noise_draw.delta_sz * 1e-3, SZ) + outer(noise_draw.delta_iz * 1e-3, IZ)
     if np.any(noise_draw.delta_ix):
         h = h + outer(noise_draw.delta_ix * 1e-3, XN) / 2
-
-    if drive is not None and drive.rabi > 0:
-        addressed = params.f_e0 if drive.channel == "ESR" else params.f_n0
-        if drive.rabi * 1e-3 > 0.1 * addressed:
-            raise ValueError(
-                "Rabi frequency exceeds 10% of the addressed transition "
-                "frequency; rotating wave approximation invalid"
-            )
-        h = h + (drive.rabi * 1e-3 / 2) * drive_operator(drive.channel, drive.phase)
     return Hamiltonian(matrix=h)
 
 
@@ -437,16 +376,6 @@ def unitary(h: Hamiltonian | np.ndarray, dt_us: float) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     phases = np.exp(-2j * np.pi * w * dt_us)
     return (v * phases[..., None, :]) @ dagger(v)
-
-
-def propagate(state: QuantumState, h: Hamiltonian, dt_us: float) -> QuantumState:
-    """Evolve a state under a piecewise-constant Hamiltonian for dt_us."""
-    if dt_us <= 0:
-        raise ValueError("dt must be positive")
-    u = unitary(h, dt_us)
-    if state.is_pure:
-        return QuantumState(vector=u @ state.vector)
-    return QuantumState(matrix=u @ state.density_matrix() @ u.conj().T)
 
 
 # Masks selecting coherences of one subsystem: element (i, j) is scaled iff the

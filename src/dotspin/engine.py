@@ -25,6 +25,7 @@ from .core import (
     QuantumState,
     SpinSystemParams,
     ZERO_DRAW,
+    check_rwa,
     dagger,
     drive_operator,
     rotating_frame_hamiltonian,
@@ -38,7 +39,6 @@ from .sequences import (
     Pulse,
     PulseSequence,
     Rotation,
-    LOADED_CONFIGS,
 )
 
 #: Discretisation bound for chirped pulses: dt <= 1/(CHIRP_STEPS_PER_CYCLE * f)
@@ -96,14 +96,9 @@ def run_sequence(
     once along a leading trial axis, and return the final state(s).
 
     Measurements are recorded as ideal Born probabilities (no collapse);
-    sampling-based readout lives in the readout module.
+    sampling-based readout lives in the readout module. A pulse whose peak
+    Rabi frequency exceeds 10% of its transition is refused (check_rwa).
     """
-    if params.full_hamiltonian:
-        raise ValueError(
-            "full_hamiltonian=True is not supported by the sequence engine: its "
-            "rotating-frame Hamiltonians keep only the secular hyperfine term "
-            "A S_z I_z"
-        )
     batch = NoiseBatch.of(noise_draw)
     rho0 = _GROUND if initial_state is None else initial_state.density_matrix()
     rho = np.repeat(rho0[None], len(batch), axis=0)
@@ -123,13 +118,10 @@ def run_sequence(
 
     for el in seq.elements:
         if isinstance(el, Pulse):
-            if el.channel == "ESR" and config not in LOADED_CONFIGS:
-                raise ValueError("ESR pulse with no electron loaded")
+            check_rwa(params, el.channel, el.rabi)
             rho = _conjugate(_pulse_unitary(el, seq, h_static(config), t), rho)
             t += el.duration
         elif isinstance(el, Rotation):
-            if el.channel == "ESR" and config not in LOADED_CONFIGS:
-                raise ValueError("ESR rotation with no electron loaded")
             rho = _conjugate(_rotation_unitary(el), rho)
         elif isinstance(el, FreeEvolution):
             if el.duration > 0:

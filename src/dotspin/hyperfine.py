@@ -200,7 +200,6 @@ class HyperfineSample:
     positions: np.ndarray
     a_values: np.ndarray
     ppm: float
-    seed: int | None = None
 
     def count_above(self, threshold_khz: float) -> int:
         return int(np.sum(self.a_values >= threshold_khz))

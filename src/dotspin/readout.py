@@ -64,11 +64,13 @@ class NuclearReadoutConfig:
 
     def __post_init__(self):
         if self.m_shots < 1:
-            raise ValueError("m_shots must be >= 1")
-        if self.t_shot_ms <= 0:
-            raise ValueError("t_shot must be positive")
-        if self.t1_n_hours <= 0:
-            raise ValueError("t1_n must be positive")
+            raise ValueError(f"m_shots must be >= 1, got {self.m_shots!r}")
+        for name in ("t_shot_ms", "t1_n_hours"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        # a probability; the comparison also refuses NaN
+        if not 0 <= self.f_e_avg <= 1:
+            raise ValueError(f"f_e_avg must be in [0, 1], got {self.f_e_avg!r}")
 
 
 def single_shot_electron(

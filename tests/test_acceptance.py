@@ -15,7 +15,6 @@ from dotspin.core import (
     QuantumState,
     SpinSystemParams,
     apply_dephasing_channel,
-    build_static_hamiltonian,
     sigma_from_t2,
     transition_frequencies,
 )
@@ -208,19 +207,18 @@ def test_acceptance_6_fitter_coverage():
 
 
 def test_acceptance_7_property_suite():
-    f = transition_frequencies(PARAMS)
     rng = np.random.default_rng(0)
 
     # propagator unitarity over random quasi-static detunings
-    from dotspin.core import Drive, rotating_frame_hamiltonian, unitary, NoiseDraw
+    from dotspin.core import drive_operator, rotating_frame_hamiltonian, unitary, NoiseDraw
 
     for _ in range(50):
         draw = NoiseDraw(
             delta_ix=rng.normal(0, 0.5), delta_iz=rng.normal(0, 0.5),
             delta_sz=rng.normal(0, 30.0),
         )
-        drive = Drive("NMR", f["f_n0"], rabi=20.0)
-        h = rotating_frame_hamiltonian(PARAMS, drive, draw)
+        drive = (20.0 * 1e-3 / 2) * drive_operator("NMR", 0.0)
+        h = rotating_frame_hamiltonian(PARAMS, noise_draw=draw).matrix + drive
         u = unitary(h, float(rng.uniform(0.01, 50.0)))
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
 

@@ -1,10 +1,14 @@
 """Command-line interface: validation, exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dotspin
 from dotspin.cli import ConfigError, _write_table, main, validate_config
 
 
@@ -101,6 +105,10 @@ class TestExitCodes:
         # keys of knobs that did nothing are unknown
         ("ramsey", {"noise": {"seed": 3}}, "ramsey.noise.seed"),
         ("shuttle", {"t_ramp": 2.0}, "shuttle.t_ramp"),
+        ("ramsey", {"params": {"full_hamiltonian": True}},
+         "ramsey.params.full_hamiltonian"),
+        ("ramsey", {"params": {"electron_loaded": False}},
+         "ramsey.params.electron_loaded"),
     ])
     def test_unused_value_exits_1_naming_it(self, capsys, tmp_path,
                                             experiment, config, path):
@@ -110,6 +118,53 @@ class TestExitCodes:
                                  "--trials", "1")
         assert code == 1
         assert path in err and out == ""
+
+    @pytest.mark.parametrize("experiment, config, message", [
+        ("bell", {"bell_noise": {"t2_star_e_us": -1}},
+         "bell.bell_noise: t2_star_e_us must be positive, got -1"),
+        ("error-budget", {"bell_noise": {"spectator_flip_prob": 2.0}},
+         "error-budget.bell_noise: spectator_flip_prob must be in [0, 1]"),
+        ("ramsey", {"params": {"b_ext": -1}},
+         "ramsey.params: b_ext must be positive, got -1"),
+        ("hahn", {"noise": {"sigma_iz": -1}},
+         "hahn.noise: sigma_iz must be >= 0, got -1"),
+        ("readout-fidelity", {"f_e_avg": 1.5, "m_max": 3},
+         "readout-fidelity: f_e_avg must be in [0, 1], got 1.5"),
+        ("readout-fidelity", {"t_shot_ms": 0},
+         "readout-fidelity: t_shot_ms must be positive"),
+        ("readout-fidelity", {"t1_n_hours": -1.0},
+         "readout-fidelity: t1_n_hours must be positive"),
+    ])
+    def test_refused_section_value_names_its_path(self, capsys, tmp_path,
+                                                  experiment, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, experiment, "--config", str(cfg),
+                                 "--trials", "1")
+        assert code == 1 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("argv, env, path", [
+        (["spectrum", "--out", "{absent}/x.json"], {}, "{absent}/x.json"),
+        (["fit", "--model", "ramsey", "--input", "{absent}.csv"], {},
+         "{absent}.csv"),
+        (["reproduce", "4b"], {"DOTSPIN_OUTDIR": "{absent}"},
+         "{absent}/fig_4b_shuttle_phase.csv"),
+    ])
+    def test_file_error_exits_1_naming_the_path(self, tmp_path, argv, env, path):
+        absent = str(tmp_path / "absent")
+        src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        env = {**os.environ, "PYTHONPATH": src,
+               **{k: v.format(absent=absent) for k, v in env.items()}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dotspin.cli",
+             *(a.format(absent=absent) for a in argv)],
+            env=env, capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert path.format(absent=absent) in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must still map to exit 2
@@ -152,6 +207,20 @@ class TestReadoutScan:
         data = np.genfromtxt(out, delimiter=",", names=True)
         assert data["m_opt"][0] == 26.0
         assert data["m"][np.argmax(data["f_n"])] == 26.0
+
+    def test_scan_m_bare_hi_matches_full_spec(self, capsys):
+        code, full, _ = run_cli(capsys, "readout-fidelity", "--scan-m", "1..50")
+        assert code == 0
+        code, bare, _ = run_cli(capsys, "readout-fidelity", "--scan-m", "50")
+        assert code == 0
+        assert bare == full and full.count("\n") == 51
+
+    @pytest.mark.parametrize("spec", ["10..12", "5..2", "abc", "1..0", "0", "1.."])
+    def test_bad_scan_m_exits_1_naming_it(self, capsys, spec):
+        # the scan always starts at M = 1; a different LO was silently ignored
+        code, out, err = run_cli(capsys, "readout-fidelity", f"--scan-m={spec}")
+        assert code == 1 and out == ""
+        assert "--scan-m" in err
 
 
 class TestOutputs:

@@ -180,16 +180,6 @@ class TestRefocusingAndNoise:
         assert shifted == pytest.approx(expected, abs=1e-3)
 
 
-class TestSecularOnly:
-    def test_full_hamiltonian_rejected(self):
-        # both rotating-frame builders keep only A S_z I_z, so a low-field
-        # run would silently use high-field physics
-        params = SpinSystemParams(b_ext=0.001, full_hamiltonian=True)
-        seq = ramsey_sequence(params, 100.0, charge_config="qd1")
-        with pytest.raises(ValueError, match="full_hamiltonian"):
-            run_sequence(seq, params)
-
-
 class TestStateHandling:
     @given(
         tau=st.floats(1.0, 2000.0),

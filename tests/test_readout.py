@@ -77,6 +77,12 @@ class TestFidelityModel:
             ))
             assert r["f_shot"] == 1.0
 
+    @pytest.mark.parametrize("f", [1.5, -0.1, float("nan")])
+    def test_out_of_domain_f_e_avg_refused(self, f):
+        # outside [0, 1] the binomial model returns nan for f_shot and f_n
+        with pytest.raises(ValueError, match=r"f_e_avg must be in \[0, 1\]"):
+            NuclearReadoutConfig(f_e_avg=f)
+
     def test_fshot_single_shot_enumeration(self):
         # M=1: two reads, majority (ties succeed) fails only when both err
         f = 0.7
