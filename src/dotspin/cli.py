@@ -20,7 +20,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import NoiseModel, SpinSystemParams, transition_frequencies
+from .core import NoiseModel, SpinSystemParams, rng_for, transition_frequencies
 from .experiments import (
     BellNoiseConfig,
     ExperimentResult,
@@ -70,6 +70,12 @@ _PARAMS_SCHEMA = _fields_schema(SpinSystemParams)
 _NOISE_SCHEMA = _fields_schema(NoiseModel)
 _BELL_NOISE_SCHEMA = _fields_schema(BellNoiseConfig)
 
+_FREE_PRECESSION_SCHEMA = {
+    "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
+    "tau_start": float, "tau_stop": float, "tau_points": int,
+    "detuning_khz": float, "charge_config": str, "trials": int, "seed": int,
+}
+
 _SCHEMAS = {
     "spectrum": {"params": _PARAMS_SCHEMA},
     "chevron": {
@@ -85,16 +91,8 @@ _SCHEMAS = {
         "dur_points": int, "rabi": float, "charge_config": str,
         "electron_spin": str, "trials": int, "seed": int,
     },
-    "ramsey": {
-        "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
-        "tau_start": float, "tau_stop": float, "tau_points": int,
-        "detuning_khz": float, "charge_config": str, "trials": int, "seed": int,
-    },
-    "hahn": {
-        "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
-        "tau_start": float, "tau_stop": float, "tau_points": int,
-        "detuning_khz": float, "charge_config": str, "trials": int, "seed": int,
-    },
+    "ramsey": _FREE_PRECESSION_SCHEMA,
+    "hahn": _FREE_PRECESSION_SCHEMA,
     "bell": {
         "params": _PARAMS_SCHEMA, "bell_noise": _BELL_NOISE_SCHEMA,
         "mode": str,  # tomography | parity
@@ -128,10 +126,34 @@ _SCHEMAS = {
 }
 
 
+#: Keys that only some values of a choice key read: experiment -> (choice
+#: key, its default, {key: the choice values that read it}).
+_CHOICE_READS = {
+    "bell": ("mode", "tomography", {
+        key: ("parity",) for key in ("vary", "phi_start", "phi_stop", "phi_points")
+    }),
+    "shuttle": ("variant", "phase", {
+        "tau_0": ("phase", "repeated"), "p_err": ("phase", "repeated"),
+        "p_transfer": ("electron",),
+    }),
+    "chevron": ("charge_config", "unloaded", {"electron_spin": ("qd1",)}),
+    "rabi": ("charge_config", "unloaded", {"electron_spin": ("qd1",)}),
+}
+
+
 def validate_config(config: dict, experiment: str, path: str = "") -> None:
     if experiment not in _SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    _validate_section(config, _SCHEMAS[experiment], path or experiment)
+    path = path or experiment
+    _validate_section(config, _SCHEMAS[experiment], path)
+    if experiment in _CHOICE_READS:
+        choice, default, reads = _CHOICE_READS[experiment]
+        value = config.get(choice, default)
+        for key in config:
+            if key in reads and value not in reads[key]:
+                raise ConfigError(
+                    f"{path}.{key}: not read when {path}.{choice} is {value!r}"
+                )
 
 
 def _validate_section(section: dict, schema: dict, path: str) -> None:
@@ -220,18 +242,10 @@ def _run_rabi(config, trials, seed):
     )
 
 
-def _run_ramsey(config, trials, seed):
-    taus = _linspace(config, "tau", 10.0, 15000.0, 40)
-    return run_ramsey(
-        taus, params=_build_params(config), noise=_build_noise(config),
-        trials=trials, seed=seed,
-        **_given(config, "detuning_khz", "charge_config"),
-    )
-
-
-def _run_hahn(config, trials, seed):
-    taus = _linspace(config, "tau", 10.0, 25000.0, 40)
-    return run_hahn(
+def _run_free_precession(run_experiment, tau_stop, config, trials, seed):
+    """run_ramsey or run_hahn over taus from 10 us to tau_stop by default."""
+    taus = _linspace(config, "tau", 10.0, tau_stop, 40)
+    return run_experiment(
         taus, params=_build_params(config), noise=_build_noise(config),
         trials=trials, seed=seed,
         **_given(config, "detuning_khz", "charge_config"),
@@ -351,7 +365,7 @@ def _run_fit(config, trials, seed):
 def _run_s1_stats(config, trials, seed):
     """Synthetic centre-frequency telegraph record: two nuclei flipping at
     their characteristic lifetimes, then the full fit/classify pipeline."""
-    rng = np.random.default_rng(seed)
+    rng = rng_for(seed)
     a1 = config.get("a1", 503.0)
     a2 = config.get("a2", 119.0)
     sigma = config.get("sigma", 34.0)
@@ -388,8 +402,9 @@ _RUNNERS = {
     "spectrum": _run_spectrum,
     "chevron": _run_chevron,
     "rabi": _run_rabi,
-    "ramsey": _run_ramsey,
-    "hahn": _run_hahn,
+    # looked up at call time, so a replaced cli.run_ramsey / run_hahn runs
+    "ramsey": lambda *args: _run_free_precession(run_ramsey, 15000.0, *args),
+    "hahn": lambda *args: _run_free_precession(run_hahn, 25000.0, *args),
     "bell": _run_bell,
     "error-budget": _run_error_budget,
     "shuttle": _run_shuttle,
@@ -570,6 +585,10 @@ def _run_all(runs, args) -> int:
             key, cause = exc.args
             path = f"{experiment}.{key}" if key else experiment
             raise ConfigError(f"{path}: {cause}") from None
+        except (ConfigError, np.linalg.LinAlgError):
+            raise  # named already / a numerical failure (exit 2)
+        except ValueError as exc:  # a library refusal names its argument
+            raise ConfigError(f"{experiment}: {exc}") from None
         _write_table(result, out, fmt, {"experiment": experiment, **run},
                      seed, trials)
     return 0

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +103,25 @@ class SpinSystemParams:
         return self.a_hf * 1e-3
 
 
-class QuantumState:
-    """Pure state (4 amplitudes) or density matrix (4x4) of the joint system."""
+def rng_for(seed: int, *key) -> np.random.Generator:
+    """Deterministic, order-independent generator for one (seed, *key) tuple,
+    the package's one seeding scheme; rng_for(seed) is default_rng(seed).
 
-    __slots__ = ("_vec", "_rho")
+    String key parts are hashed to stable integers so labels can seed too.
+    """
+    words = tuple(
+        int.from_bytes(hashlib.sha256(k.encode()).digest()[:4], "little")
+        if isinstance(k, str) else int(k)
+        for k in key
+    )
+    return np.random.default_rng(np.random.SeedSequence((seed,) + words))
+
+
+class QuantumState:
+    """Density matrix (4x4) of the joint system; a pure state is stored as
+    the outer product of its 4 amplitudes."""
+
+    __slots__ = ("_rho",)
 
     def __init__(self, vector=None, matrix=None):
         if (vector is None) == (matrix is None):
@@ -115,18 +131,16 @@ class QuantumState:
             norm = np.linalg.norm(vec)
             if abs(norm - 1.0) > 1e-10:
                 raise ValueError(f"state vector norm {norm} differs from 1")
-            self._vec = vec
-            self._rho = None
-        else:
-            rho = np.asarray(matrix, dtype=complex).reshape(4, 4)
-            if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-                raise ValueError("density matrix not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > 1e-10:
-                raise ValueError("density matrix trace differs from 1")
-            if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
-                raise ValueError("density matrix has negative eigenvalues")
-            self._vec = None
-            self._rho = rho
+            self._rho = np.outer(vec, vec.conj())
+            return
+        rho = np.asarray(matrix, dtype=complex).reshape(4, 4)
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+            raise ValueError("density matrix not Hermitian")
+        if abs(np.trace(rho).real - 1.0) > 1e-10:
+            raise ValueError("density matrix trace differs from 1")
+        if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+            raise ValueError("density matrix has negative eigenvalues")
+        self._rho = rho
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -139,21 +153,11 @@ class QuantumState:
 
     # -- views -------------------------------------------------------------
     def density_matrix(self) -> np.ndarray:
-        if self._rho is not None:
-            return self._rho
-        return np.outer(self._vec, self._vec.conj())
+        return self._rho
 
     def populations(self) -> np.ndarray:
         """Born probabilities of the four joint basis states."""
-        return np.real(np.diag(self.density_matrix())).clip(0.0)
-
-    def electron_populations(self) -> np.ndarray:
-        p = self.populations()
-        return np.array([p[0] + p[1], p[2] + p[3]])
-
-    def nuclear_populations(self) -> np.ndarray:
-        p = self.populations()
-        return np.array([p[0] + p[2], p[1] + p[3]])
+        return populations(self._rho)
 
 
 def _spin_index(label: str) -> int:
@@ -161,22 +165,6 @@ def _spin_index(label: str) -> int:
         return {"down": 0, "up": 1}[label]
     except KeyError:
         raise ValueError(f"spin label must be 'down' or 'up', got {label!r}")
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """4x4 Hermitian matrix in frequency units (MHz); a batch of N trials
-    carries shape (N, 4, 4)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape[-2:] != (4, 4):
-            raise ValueError("Hamiltonian must be 4x4 (or a stack of 4x4)")
-        if np.max(np.abs(m - dagger(m))) > 1e-12:
-            raise ValueError("Hamiltonian not Hermitian")
-        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
@@ -325,7 +313,7 @@ def rotating_frame_hamiltonian(
     frame: tuple | None = None,
     charge_config: str = "qd1",
     qd2_frequency_offset: float = 0.0,
-) -> Hamiltonian:
+) -> np.ndarray:
     """Drive-free secular Hamiltonian in the frame rotating at (f_e_ref, f_n_ref).
 
     Contains the detuning terms, the secular hyperfine term A S_z I_z in
@@ -334,7 +322,8 @@ def rotating_frame_hamiltonian(
     sequence engine adds the co-rotating drive terms; frame=(0, 0) gives the
     lab-frame Zeeman + secular hyperfine Hamiltonian.
 
-    A NoiseDraw gives a 4x4 matrix; a NoiseBatch of N draws gives (N, 4, 4).
+    A NoiseDraw gives a 4x4 matrix; a NoiseBatch of N draws gives (N, 4, 4),
+    Hermitian by construction (real coefficients times Hermitian operators).
     """
     alpha = -params.b_ext * params.gamma_e * 1e3
     beta = -params.b_ext * params.gamma_n
@@ -354,7 +343,7 @@ def rotating_frame_hamiltonian(
     h = h + outer(noise_draw.delta_sz * 1e-3, SZ) + outer(noise_draw.delta_iz * 1e-3, IZ)
     if np.any(noise_draw.delta_ix):
         h = h + outer(noise_draw.delta_ix * 1e-3, XN) / 2
-    return Hamiltonian(matrix=h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +355,30 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def unitary(h: Hamiltonian | np.ndarray, dt_us: float) -> np.ndarray:
+def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
     """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition.
 
     A stack of Hamiltonians (..., 4, 4) gives the stack of propagators from
     one batched eigh.
     """
-    m = h.matrix if isinstance(h, Hamiltonian) else np.asarray(h, dtype=complex)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(h)
     phases = np.exp(-2j * np.pi * w * dt_us)
     return (v * phases[..., None, :]) @ dagger(v)
+
+
+def populations(rho: np.ndarray) -> np.ndarray:
+    """Born probabilities of the four joint basis states (per batch index)."""
+    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)).clip(0.0)
+
+
+def marginal(rho: np.ndarray, subsystem: str) -> np.ndarray:
+    """(down, up) populations of the 'electron' or 'nuclear' subsystem."""
+    p = populations(rho).reshape(rho.shape[:-2] + (2, 2))  # [..., electron, nucleus]
+    if subsystem == "electron":
+        return p[..., 0] + p[..., 1]
+    if subsystem == "nuclear":
+        return p[..., 0, :] + p[..., 1, :]
+    raise ValueError("subsystem must be 'electron' or 'nuclear'")
 
 
 # Masks selecting coherences of one subsystem: element (i, j) is scaled iff the

@@ -28,10 +28,13 @@ from .core import (
     check_rwa,
     dagger,
     drive_operator,
+    marginal,
+    populations,
     rotating_frame_hamiltonian,
     unitary,
 )
 from .sequences import (
+    _EVENT_TRANSITIONS,
     ChargeEvent,
     FreeEvolution,
     MeasureElectron,
@@ -79,7 +82,7 @@ class SequenceResult:
 
     def joint_probabilities(self) -> np.ndarray:
         """Born probabilities of the four joint basis states (per trial)."""
-        return np.real(np.diagonal(self.rho, axis1=-2, axis2=-1)).clip(0.0)
+        return populations(self.rho)
 
 
 #: |down,Down><down,Down|, the default initial state.
@@ -113,7 +116,7 @@ def run_sequence(
                 params, noise_draw=batch, frame=(seq.f_e_ref, seq.f_n_ref),
                 charge_config=config,
                 qd2_frequency_offset=seq.qd2_frequency_offset,
-            ).matrix
+            )
         return static[config]
 
     for el in seq.elements:
@@ -128,11 +131,12 @@ def run_sequence(
                 rho = _conjugate(unitary(h_static(config), el.duration), rho)
             t += el.duration
         elif isinstance(el, ChargeEvent):
-            rho, config = _apply_charge_event(rho, el, config)
+            rho = _apply_charge_event(rho, el)
+            config = _EVENT_TRANSITIONS[el.kind][1]
         elif isinstance(el, MeasureNuclear):
-            records.append(("nuclear", _marginal(rho, "nuclear")))
+            records.append(("nuclear", marginal(rho, "nuclear")))
         elif isinstance(el, MeasureElectron):
-            records.append(("electron", _marginal(rho, "electron")))
+            records.append(("electron", marginal(rho, "electron")))
         else:
             raise TypeError(f"unknown sequence element {el!r}")
 
@@ -151,13 +155,6 @@ def _renormalise(rho: np.ndarray) -> np.ndarray:
     # guard against accumulated float drift over very long sequences
     rho = (rho + dagger(rho)) / 2
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def _marginal(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    p = np.real(np.diagonal(rho, axis1=-2, axis2=-1)).clip(0.0)
-    if subsystem == "electron":
-        return np.stack([p[..., 0] + p[..., 1], p[..., 2] + p[..., 3]], axis=-1)
-    return np.stack([p[..., 0] + p[..., 2], p[..., 1] + p[..., 3]], axis=-1)
 
 
 def _rotation_unitary(el: Rotation) -> np.ndarray:
@@ -224,21 +221,16 @@ def _frame_rotation(z_op: np.ndarray, df: float, t: float) -> np.ndarray:
     return np.diag(np.exp(2j * np.pi * df * t * np.diag(z_op))).astype(complex)
 
 
-def _apply_charge_event(rho: np.ndarray, el: ChargeEvent, config: str):
-    if el.kind in ("load_down", "load_up", "unload"):
-        # the nucleus keeps its state; the electron is reset into a fresh
-        # spin state (unloading keeps spin-down as a reference slot only)
+def _apply_charge_event(rho: np.ndarray, el: ChargeEvent) -> np.ndarray:
+    if "unloaded" in _EVENT_TRANSITIONS[el.kind]:
+        # (un)loading: the nucleus keeps its state; the electron is reset into
+        # a fresh spin state (unloading keeps spin-down as a reference slot)
         e = 1 if el.kind == "load_up" else 0
         rho_n = core.partial_trace_electron(rho)
         rho = np.zeros_like(rho)
         rho[..., 2 * e:2 * e + 2, 2 * e:2 * e + 2] = rho_n
-        config = "unloaded" if el.kind == "unload" else "qd1"
-    elif el.kind == "shuttle_1_to_2":
-        config = "qd2"
-    elif el.kind == "shuttle_2_to_1":
-        config = "qd1"
     if el.dephase_prob > 0:
         rho = core.apply_dephasing_channel(
             _renormalise(rho), el.dephase_prob, el.dephase_target
         )
-    return rho, config
+    return rho

@@ -24,6 +24,7 @@ from .core import (
     QuantumState,
     SpinSystemParams,
     _require_finite,
+    rng_for,
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
@@ -44,19 +45,6 @@ from .sequences import (
     repeated_load_sequence,
     shuttle_ramsey_sequence,
 )
-
-
-def rng_for(seed: int, *key) -> np.random.Generator:
-    """Deterministic, order-independent generator for one (trial, ...) key.
-
-    String key parts are hashed to stable integers so labels can seed too.
-    """
-    words = tuple(
-        int.from_bytes(hashlib.sha256(k.encode()).digest()[:4], "little")
-        if isinstance(k, str) else int(k)
-        for k in key
-    )
-    return np.random.default_rng(np.random.SeedSequence((seed,) + words))
 
 
 @dataclass
@@ -651,6 +639,8 @@ def run_shuttle_experiments(
     sweep = np.asarray(sweep, dtype=float)
     if sweep.size == 0:
         raise ValueError("sweep must be non-empty")
+    if not tau_0 > 0:
+        raise ValueError(f"tau_0 must be positive, got {tau_0!r}")
 
     meta = {"experiment": f"shuttle_{variant}", "params": asdict(params),
             "noise": asdict(noise), "tau_0_us": tau_0, "p_err": p_err}

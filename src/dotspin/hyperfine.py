@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import airy, ai_zeros
+from scipy.special import airy, ai_zeros, erf
+
+from .core import rng_for
 
 SI_LATTICE_CONSTANT = 0.543  # nm, unstrained silicon
 M_ELECTRON = 9.1093837015e-31  # kg
@@ -93,18 +95,14 @@ def _vertical_profile(z, params: WavefunctionParams):
 
 
 @lru_cache(maxsize=64)
-def _normalisation(params: WavefunctionParams) -> float:
-    """N so that integral of |psi|^2 over all space is 1 (nm^-3)."""
-    d = params.dot_diameter
-    # transverse: integral of exp(-4 r^2 / d^2) over the plane
-    i_perp = np.pi * d**2 / 4.0
+def _vertical_integral(params: WavefunctionParams) -> float:
+    """Integral of the vertical profile over the box height [0, region_z]."""
     z_max = params.region[2]
     # the valley oscillation is fast; give quad its period as a hint
     period = np.pi / params.valley_wavevector
     pts = np.arange(0.0, z_max, 10 * period)
-    i_z = quad(lambda z: float(_vertical_profile(z, params)), 0.0, z_max,
-               points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
-    return 1.0 / (i_perp * i_z)
+    return quad(lambda z: float(_vertical_profile(z, params)), 0.0, z_max,
+                points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
 
 
 def wavefunction_density(positions, params: WavefunctionParams):
@@ -115,8 +113,11 @@ def wavefunction_density(positions, params: WavefunctionParams):
     pos = np.atleast_2d(pos)
     r_perp_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
     d = params.dot_diameter
+    # N = 1 / (integral of |psi|^2 over the box), the transverse integral
+    # of exp(-4 r^2 / d^2) over the plane being pi d^2 / 4
+    norm = 1.0 / (np.pi * d**2 / 4.0 * _vertical_integral(params))
     density = (
-        _normalisation(params)
+        norm
         * np.exp(-4.0 * r_perp_sq / d**2)
         * _vertical_profile(pos[:, 2], params)
     )
@@ -127,20 +128,12 @@ def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the simulation box."""
     lx, ly, lz = params.region
     d = params.dot_diameter
-    # independent 1D Gaussian marginals exp(-4 x^2 / d^2)
-    from scipy.special import erf
-
-    def frac_1d(half):
-        return erf(2.0 * half / d)
-
-    period = np.pi / params.valley_wavevector
-    pts = np.arange(0.0, lz, 10 * period)
-    i_in = quad(lambda z: float(_vertical_profile(z, params)), 0.0, lz,
-                points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
+    i_in = _vertical_integral(params)
     i_all = i_in + quad(
         lambda z: float(_vertical_profile(z, params)), lz, lz * 4, limit=400
     )[0]
-    return frac_1d(lx / 2) * frac_1d(ly / 2) * i_in / i_all
+    # independent 1D Gaussian marginals exp(-4 x^2 / d^2) over [-l/2, l/2]
+    return erf(lx / d) * erf(ly / d) * i_in / i_all
 
 
 def generate_lattice(region, lattice_constant: float = SI_LATTICE_CONSTANT):
@@ -215,15 +208,15 @@ def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
 
 def sample_hyperfine(
     params: WavefunctionParams,
-    ppm: float = 800.0,
-    rng: np.random.Generator | None = None,
+    ppm: float,
+    rng: np.random.Generator,
     k_hf: float | None = None,
 ) -> HyperfineSample:
     """Place the isotope independently at each lattice site with probability
-    ppm x 1e-6 and evaluate the contact coupling there."""
+    ppm x 1e-6, drawn from the caller's rng, and evaluate the contact
+    coupling there."""
     if not 0 <= ppm <= 1e6:
         raise ValueError("ppm must be within [0, 1e6]")
-    rng = rng or np.random.default_rng()
     sites, couplings = site_couplings(params, k_hf)
     mask = rng.random(len(sites)) < ppm * 1e-6
     return HyperfineSample(
@@ -263,7 +256,7 @@ def probability_curves(
         floor = float(np.min(thresholds))
         eligible = couplings[couplings >= floor]
         order = np.sort(eligible)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, int(d * 1e6))))
+        rng = rng_for(seed, int(d * 1e6))
         hits = np.zeros(len(thresholds))
         for _ in range(draws):
             occupied = order[rng.random(len(order)) < p_occ]

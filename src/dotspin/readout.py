@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import binom
 
-from .core import QuantumState
+from .core import QuantumState, marginal
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,14 @@ def single_shot_electron(
     outcome flips with error rate (1 - f). Returns (reported, collapsed
     state), where the state collapses onto the true outcome.
     """
-    p_down, p_up = state.electron_populations()
+    rho = state.density_matrix()
+    p_down, p_up = marginal(rho, "electron")
     total = p_down + p_up
     true_up = rng.random() < p_up / total
     if true_up:
         reported_up = rng.random() < fidelities.f_up
     else:
         reported_up = rng.random() >= fidelities.f_down
-    rho = state.density_matrix()
     proj = np.diag([0.0, 0.0, 1.0, 1.0]) if true_up else np.diag([1.0, 1.0, 0.0, 0.0])
     collapsed = proj @ rho @ proj
     collapsed = collapsed / np.trace(collapsed).real

@@ -13,7 +13,7 @@ dot, hyperfine off, ESR shifted by the inter-dot g-factor difference).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -355,32 +355,8 @@ def ramsey_sequence(
     The detuning is implemented by offsetting the nuclear frame reference, so
     the coherence precesses at `detuning_khz` during free evolution.
     """
-    f = transition_frequencies(params)
-    line = f["f_n_elec_down"] if charge_config == "qd1" else f["f_n0"]
-    f_n_ref = line - detuning_khz * 1e-3
-    elements = []
-    if charge_config == "qd1":
-        elements.append(ChargeEvent(kind="load_down"))
-    if ideal_pulses:
-        halfpi = Rotation("NMR", 90.0)
-        halfpi_final = Rotation("NMR", 90.0, phase=final_phase)
-    else:
-        halfpi = Pulse("NMR", line, nmr_rabi, pi_duration(nmr_rabi) / 2)
-        halfpi_final = Pulse(
-            "NMR", line, nmr_rabi, pi_duration(nmr_rabi) / 2, phase=final_phase
-        )
-    elements += [
-        halfpi,
-        FreeEvolution(tau, charge_config),
-        halfpi_final,
-        MeasureNuclear(),
-    ]
-    return PulseSequence(
-        elements=tuple(elements),
-        f_e_ref=f["f_e0"],
-        f_n_ref=f_n_ref,
-        initial_config="unloaded",
-    )
+    return _free_precession(params, tau, detuning_khz, final_phase,
+                            charge_config, ideal_pulses, nmr_rabi, echo=False)
 
 
 def hahn_sequence(
@@ -396,33 +372,35 @@ def hahn_sequence(
 
     tau is the half-interval (total free evolution 2*tau).
     """
+    return _free_precession(params, tau, detuning_khz, final_phase,
+                            charge_config, ideal_pulses, nmr_rabi, echo=True)
+
+
+def _free_precession(params, tau, detuning_khz, final_phase, charge_config,
+                     ideal_pulses, nmr_rabi, echo: bool) -> PulseSequence:
+    """Ramsey, or with echo=True Hahn (a refocusing pi and a second wait),
+    on the bare nuclear line ('unloaded') or, with a spin-down electron
+    loaded first, on its electron-down line ('qd1')."""
+    if charge_config not in ("unloaded", "qd1"):
+        raise ValueError(
+            f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}"
+        )
     f = transition_frequencies(params)
     line = f["f_n_elec_down"] if charge_config == "qd1" else f["f_n0"]
-    f_n_ref = line - detuning_khz * 1e-3
-    elements = []
-    if charge_config == "qd1":
-        elements.append(ChargeEvent(kind="load_down"))
     if ideal_pulses:
-        halfpi = Rotation("NMR", 90.0)
-        refocus = Rotation("NMR", 180.0)
-        halfpi_final = Rotation("NMR", 90.0, phase=final_phase)
+        half_pi, pi = Rotation("NMR", 90.0), Rotation("NMR", 180.0)
     else:
         t_pi = pi_duration(nmr_rabi)
-        halfpi = Pulse("NMR", line, nmr_rabi, t_pi / 2)
-        refocus = Pulse("NMR", line, nmr_rabi, t_pi)
-        halfpi_final = Pulse("NMR", line, nmr_rabi, t_pi / 2, phase=final_phase)
-    elements += [
-        halfpi,
-        FreeEvolution(tau, charge_config),
-        refocus,
-        FreeEvolution(tau, charge_config),
-        halfpi_final,
-        MeasureNuclear(),
-    ]
+        half_pi = Pulse("NMR", line, nmr_rabi, t_pi / 2)
+        pi = Pulse("NMR", line, nmr_rabi, t_pi)
+    wait = FreeEvolution(tau, charge_config)
+    elements = [ChargeEvent(kind="load_down")] if charge_config == "qd1" else []
+    elements += [half_pi, *([wait, pi, wait] if echo else [wait]),
+                 replace(half_pi, phase=final_phase), MeasureNuclear()]
     return PulseSequence(
         elements=tuple(elements),
         f_e_ref=f["f_e0"],
-        f_n_ref=f_n_ref,
+        f_n_ref=line - detuning_khz * 1e-3,
         initial_config="unloaded",
     )
 

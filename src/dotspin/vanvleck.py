@@ -38,8 +38,12 @@ class ElectrodeGeometry:
     def __post_init__(self):
         if self.standoff <= 0:
             raise ValueError("standoff must be positive")
-        if self.thickness < 0 or any(v <= 0 for v in self.lateral):
-            raise ValueError("electrode dimensions must be positive")
+        if self.thickness < 0:
+            raise ValueError(f"thickness must be >= 0, got {self.thickness!r}")
+        if any(v <= 0 for v in self.lateral):
+            raise ValueError(
+                f"lateral dimensions must be positive, got {self.lateral!r}"
+            )
 
     @property
     def volume_nm3(self) -> float:

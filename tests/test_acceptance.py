@@ -218,7 +218,7 @@ def test_acceptance_7_property_suite():
             delta_sz=rng.normal(0, 30.0),
         )
         drive = (20.0 * 1e-3 / 2) * drive_operator("NMR", 0.0)
-        h = rotating_frame_hamiltonian(PARAMS, noise_draw=draw).matrix + drive
+        h = rotating_frame_hamiltonian(PARAMS, noise_draw=draw) + drive
         u = unitary(h, float(rng.uniform(0.01, 50.0)))
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dotspin
-from dotspin.cli import ConfigError, _write_table, main, validate_config
+from dotspin.cli import FIGURE_IDS, ConfigError, _write_table, main, validate_config
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +35,16 @@ class TestValidation:
              "noise": {"sigma_iz": 0.1}},
             "ramsey",
         )
+
+    def test_keys_the_choice_never_reads_are_refused(self):
+        with pytest.raises(ConfigError, match=r"bell\.vary: not read"):
+            validate_config({"mode": "tomography", "vary": "nuclear"}, "bell")
+        with pytest.raises(ConfigError, match=r"shuttle\.p_transfer: not read"):
+            validate_config({"variant": "repeated", "p_transfer": 0.1}, "shuttle")
+        validate_config({"mode": "parity", "vary": "electron", "phi_points": 5}, "bell")
+        validate_config({"variant": "electron", "p_transfer": 0.1}, "shuttle")
+        validate_config({"variant": "repeated", "tau_0": 50.0, "p_err": 0.1}, "shuttle")
+        validate_config({"charge_config": "qd1", "electron_spin": "up"}, "rabi")
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -109,6 +119,22 @@ class TestExitCodes:
          "ramsey.params.full_hamiltonian"),
         ("ramsey", {"params": {"electron_loaded": False}},
          "ramsey.params.electron_loaded"),
+        # keys the chosen mode, variant or charge configuration never reads
+        ("bell", {"vary": "electron"},
+         "bell.vary: not read when bell.mode is 'tomography'"),
+        ("bell", {"mode": "tomography", "phi_points": 5}, "bell.phi_points"),
+        ("bell", {"phi_start": 10.0}, "bell.phi_start"),
+        ("bell", {"phi_stop": 90.0}, "bell.phi_stop"),
+        ("shuttle", {"variant": "electron", "tau_0": 100.0},
+         "shuttle.tau_0: not read when shuttle.variant is 'electron'"),
+        ("shuttle", {"variant": "electron", "p_err": 0.1}, "shuttle.p_err"),
+        ("shuttle", {"p_transfer": 0.1}, "shuttle.p_transfer"),
+        ("shuttle", {"variant": "repeated", "sweep_points": 2, "p_transfer": 0.1},
+         "shuttle.p_transfer"),
+        ("chevron", {"electron_spin": "up"},
+         "chevron.electron_spin: not read when chevron.charge_config is 'unloaded'"),
+        ("rabi", {"charge_config": "unloaded", "electron_spin": "down"},
+         "rabi.electron_spin"),
     ])
     def test_unused_value_exits_1_naming_it(self, capsys, tmp_path,
                                             experiment, config, path):
@@ -134,6 +160,17 @@ class TestExitCodes:
          "readout-fidelity: t_shot_ms must be positive"),
         ("readout-fidelity", {"t1_n_hours": -1.0},
          "readout-fidelity: t1_n_hours must be positive"),
+        # values refused by the library name their argument
+        ("readout-fidelity", {"m_max": 0}, "readout-fidelity: m_max must be >= 1"),
+        ("hyperfine-mc", {"draws": 10}, "hyperfine-mc: draws must be >= 100"),
+        ("vanvleck", {"thickness": -1}, "vanvleck: thickness must be >= 0, got -1"),
+        ("vanvleck", {"lateral": [300.0, 0.0]},
+         "vanvleck: lateral dimensions must be positive"),
+        ("shuttle", {"tau_0": -1}, "shuttle: tau_0 must be positive, got -1"),
+        ("ramsey", {"charge_config": "qd2"},
+         "ramsey: charge_config must be 'unloaded' or 'qd1', got 'qd2'"),
+        ("hahn", {"charge_config": "qd2"},
+         "hahn: charge_config must be 'unloaded' or 'qd1', got 'qd2'"),
     ])
     def test_refused_section_value_names_its_path(self, capsys, tmp_path,
                                                   experiment, config, message):
@@ -192,6 +229,18 @@ class TestDryRun:
         plan = json.loads(stdout)
         assert plan["experiment"] == "readout-fidelity"
         assert not out.exists()
+
+    def test_dry_run_refuses_a_key_the_mode_never_reads(self, capsys, tmp_path):
+        cfg = tmp_path / "bell.json"
+        cfg.write_text(json.dumps({"vary": "electron"}))
+        code, out, err = run_cli(capsys, "bell", "--config", str(cfg), "--dry-run")
+        assert code == 1 and out == ""
+        assert "bell.vary" in err
+
+    def test_bundled_configs_pass_dry_run(self, capsys):
+        for figure in FIGURE_IDS:
+            code, _, err = run_cli(capsys, "reproduce", figure, "--dry-run")
+            assert code == 0, (figure, err)
 
 
 class TestReadoutScan:

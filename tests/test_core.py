@@ -11,21 +11,22 @@ from dotspin.core import (
     SX,
     SY,
     SZ,
-    Hamiltonian,
     NoiseModel,
     QuantumState,
     SpinSystemParams,
     apply_dephasing_channel,
+    marginal,
     partial_trace_electron,
     partial_trace_nucleus,
+    rng_for,
     rotating_frame_hamiltonian,
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
     unitary,
 )
+from dotspin import experiments
 from dotspin.engine import run_sequence
-from dotspin.experiments import rng_for
 from dotspin.sequences import Pulse, PulseSequence
 
 PARAMS = SpinSystemParams()
@@ -57,7 +58,7 @@ class TestLevelStructure:
 
     def test_secular_eigenvalues_match_exact_diagonalization(self):
         # secular and full hyperfine splittings agree to ~A^2/(2 f_e0)
-        h_sec = rotating_frame_hamiltonian(PARAMS, frame=(0, 0)).matrix
+        h_sec = rotating_frame_hamiltonian(PARAMS, frame=(0, 0))
         h_full = h_sec + PARAMS.a_mhz * (SX @ IX + SY @ IY)
         w_sec = np.sort(np.linalg.eigvalsh(h_sec))
         w_full = np.sort(np.linalg.eigvalsh(h_full))
@@ -106,6 +107,20 @@ class TestNoise:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @given(seed=st.integers(0, 2**64), k=st.integers(0, 2**40))
+    @settings(max_examples=50, deadline=None)
+    def test_rng_for_keeps_the_default_rng_streams(self, seed, k):
+        # the streams of hyperfine.probability_curves (seed, int(d * 1e6))
+        # and of the CLI's s1 statistics (seed,)
+        assert experiments.rng_for is rng_for
+        assert np.array_equal(
+            rng_for(seed).random(8), np.random.default_rng(seed).random(8)
+        )
+        assert np.array_equal(
+            rng_for(seed, k).random(8),
+            np.random.default_rng(np.random.SeedSequence((seed, k))).random(8),
+        )
+
     def test_invalid_noise_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma_iz=-1.0)
@@ -150,7 +165,7 @@ class TestPropagation:
         t_pi = 1e3 / (2 * rabi)
         state = self._one_pulse(Pulse("ESR", f["f_e_nuc_down"], rabi, t_pi),
                                 QuantumState.basis("down", "down"))
-        assert state.electron_populations()[1] > 0.99
+        assert marginal(state.density_matrix(), "electron")[1] > 0.99
 
     def test_detuned_line_barely_driven(self):
         # the same pulse leaves the opposite nuclear manifold nearly untouched
@@ -161,7 +176,7 @@ class TestPropagation:
                                 QuantumState.basis("down", "up"))
         # Rabi formula bound: max transfer = Omega^2 / (Omega^2 + Delta^2)
         bound = rabi**2 / (rabi**2 + 448.5**2)
-        assert state.electron_populations()[1] < 1.5 * bound
+        assert marginal(state.density_matrix(), "electron")[1] < 1.5 * bound
 
     def test_rwa_guard_on_excessive_rabi(self):
         # the engine builds its own drive term, so the guard must sit on its path
@@ -180,8 +195,8 @@ class TestStatesAndChannels:
     def test_basis_populations(self):
         s = QuantumState.basis("up", "down")
         assert s.populations()[2] == 1.0
-        assert s.electron_populations()[1] == 1.0
-        assert s.nuclear_populations()[0] == 1.0
+        assert marginal(s.density_matrix(), "electron")[1] == 1.0
+        assert marginal(s.density_matrix(), "nuclear")[0] == 1.0
 
     @given(p=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
@@ -204,9 +219,3 @@ class TestStatesAndChannels:
         rho = QuantumState(vector=vec).density_matrix()
         assert np.trace(partial_trace_electron(rho)).real == pytest.approx(1.0)
         assert np.trace(partial_trace_nucleus(rho)).real == pytest.approx(1.0)
-
-    def test_hamiltonian_must_be_hermitian(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            Hamiltonian(matrix=m)

@@ -106,10 +106,11 @@ class TestSampling:
 
     def test_ppm_bounds(self):
         params = WavefunctionParams(dot_diameter=8.0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_hyperfine(params, ppm=-1.0)
+            sample_hyperfine(params, -1.0, rng)
         with pytest.raises(ValueError):
-            sample_hyperfine(params, ppm=2e6)
+            sample_hyperfine(params, 2e6, rng)
 
     def test_count_above_threshold(self):
         params = WavefunctionParams(dot_diameter=8.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from dotspin.core import QuantumState
+from dotspin.core import QuantumState, marginal
 from dotspin.readout import (
     IDEAL_FIDELITIES,
     NuclearReadoutConfig,
@@ -54,7 +54,8 @@ class TestSingleShot:
         state = QuantumState(vector=np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2))
         rng = np.random.default_rng(3)
         _, collapsed = single_shot_electron(state, IDEAL_FIDELITIES, rng)
-        assert max(collapsed.electron_populations()) == pytest.approx(1.0)
+        p = marginal(collapsed.density_matrix(), "electron")
+        assert max(p) == pytest.approx(1.0)
 
     def test_fidelity_range_guard(self):
         with pytest.raises(ValueError):
