@@ -51,11 +51,6 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries the offending key path."""
 
 
-class _SectionRefused(ConfigError):
-    """A config dataclass refused a value of the run's section `key` ("" for
-    the run's top level); _run_all names the section's path."""
-
-
 # --------------------------------------------------------------------------
 # Config validation
 
@@ -66,94 +61,99 @@ def _fields_schema(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-_PARAMS_SCHEMA = _fields_schema(SpinSystemParams)
-_NOISE_SCHEMA = _fields_schema(NoiseModel)
-_BELL_NOISE_SCHEMA = _fields_schema(BellNoiseConfig)
+_SHUTTLE_SWEEPS = {"phase": (0.0, 20.0, 41), "repeated": (0.0, 100.0, 11),
+                   "electron": (0.0, 360.0, 19)}
+
+_CHARGE_CONFIG = ("unloaded", "qd1")
+_SPIN = ("down", "up")
 
 _FREE_PRECESSION_SCHEMA = {
-    "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
+    "params": SpinSystemParams, "noise": NoiseModel,
     "tau_start": float, "tau_stop": float, "tau_points": int,
-    "detuning_khz": float, "charge_config": str, "trials": int, "seed": int,
+    "detuning_khz": float, "charge_config": _CHARGE_CONFIG,
 }
 
+#: experiment -> {key: expected}. expected is a type; a tuple of the allowed
+#: values, the CLI default first; or a config dataclass, whose fields the
+#: section may set and which is built to check their values.
 _SCHEMAS = {
-    "spectrum": {"params": _PARAMS_SCHEMA},
+    "spectrum": {"params": SpinSystemParams},
     "chevron": {
-        "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
+        "params": SpinSystemParams, "noise": NoiseModel,
         "freq_start": float, "freq_stop": float, "freq_points": int,
         "dur_start": float, "dur_stop": float, "dur_points": int,
-        "rabi": float, "charge_config": str, "electron_spin": str,
-        "trials": int, "seed": int,
+        "rabi": float, "charge_config": _CHARGE_CONFIG, "electron_spin": _SPIN,
     },
     "rabi": {
-        "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
+        "params": SpinSystemParams, "noise": NoiseModel,
         "frequency": float, "dur_start": float, "dur_stop": float,
-        "dur_points": int, "rabi": float, "charge_config": str,
-        "electron_spin": str, "trials": int, "seed": int,
+        "dur_points": int, "rabi": float, "charge_config": _CHARGE_CONFIG,
+        "electron_spin": _SPIN,
     },
     "ramsey": _FREE_PRECESSION_SCHEMA,
     "hahn": _FREE_PRECESSION_SCHEMA,
     "bell": {
-        "params": _PARAMS_SCHEMA, "bell_noise": _BELL_NOISE_SCHEMA,
-        "mode": str,  # tomography | parity
-        "vary": str, "phi_start": float, "phi_stop": float, "phi_points": int,
-        "initial_nuclear": str, "trials": int, "seed": int,
+        "params": SpinSystemParams, "bell_noise": BellNoiseConfig,
+        "mode": ("tomography", "parity"), "vary": ("nuclear", "electron"),
+        "phi_start": float, "phi_stop": float, "phi_points": int,
+        "initial_nuclear": _SPIN,
     },
-    "error-budget": {
-        "params": _PARAMS_SCHEMA, "bell_noise": _BELL_NOISE_SCHEMA,
-        "trials": int, "seed": int,
-    },
+    "error-budget": {"params": SpinSystemParams, "bell_noise": BellNoiseConfig},
     "shuttle": {
-        "params": _PARAMS_SCHEMA, "noise": _NOISE_SCHEMA,
-        "variant": str, "sweep_start": float, "sweep_stop": float,
-        "sweep_points": int, "tau_0": float, "p_err": float,
-        "p_transfer": float, "trials": int, "seed": int,
+        "params": SpinSystemParams, "noise": NoiseModel,
+        "variant": tuple(_SHUTTLE_SWEEPS), "sweep_start": float,
+        "sweep_stop": float, "sweep_points": int, "tau_0": float,
+        "p_err": float, "p_transfer": float,
     },
     "readout-fidelity": {**_fields_schema(NuclearReadoutConfig), "m_max": int},
     "hyperfine-mc": {
         "diameter_start": float, "diameter_stop": float, "diameter_points": int,
-        "thresholds": list, "ppm": float, "draws": int, "f_z": float, "seed": int,
+        "thresholds": list, "ppm": float, "draws": int, "f_z": float,
     },
     "vanvleck": {
         "standoff_start": float, "standoff_stop": float, "standoff_points": int,
         "thickness": float, "lateral": list,
     },
-    "fit": {"model": str, "input": str, "x_column": str, "y_column": str},
+    "fit": {"model": ("ramsey", "hahn", "sinusoid", "coherence_decay"),
+            "input": str, "x_column": str, "y_column": str},
     "s1-stats": {
         "t1_a1_hours": float, "t1_a2_minutes": float, "a1": float, "a2": float,
-        "sigma": float, "n_scans": int, "scan_interval_s": float, "seed": int,
+        "sigma": float, "n_scans": int, "scan_interval_s": float,
     },
 }
 
 
 #: Keys that only some values of a choice key read: experiment -> (choice
-#: key, its default, {key: the choice values that read it}).
+#: key, {key: the choice values that read it}).
 _CHOICE_READS = {
-    "bell": ("mode", "tomography", {
+    "bell": ("mode", {
         key: ("parity",) for key in ("vary", "phi_start", "phi_stop", "phi_points")
     }),
-    "shuttle": ("variant", "phase", {
+    "shuttle": ("variant", {
         "tau_0": ("phase", "repeated"), "p_err": ("phase", "repeated"),
         "p_transfer": ("electron",),
     }),
-    "chevron": ("charge_config", "unloaded", {"electron_spin": ("qd1",)}),
-    "rabi": ("charge_config", "unloaded", {"electron_spin": ("qd1",)}),
+    "chevron": ("charge_config", {"electron_spin": ("qd1",)}),
+    "rabi": ("charge_config", {"electron_spin": ("qd1",)}),
 }
 
 
-def validate_config(config: dict, experiment: str, path: str = "") -> None:
+def validate_config(config: dict, experiment: str) -> None:
+    """Refuse, naming its key path, any config value that the run refuses,
+    apart from the library refusals that only the run reaches (README,
+    "Command line"). --dry-run makes the same check."""
     if experiment not in _SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    path = path or experiment
-    _validate_section(config, _SCHEMAS[experiment], path)
+    schema = _SCHEMAS[experiment]
+    _validate_section(config, schema, experiment)
     if experiment in _CHOICE_READS:
-        choice, default, reads = _CHOICE_READS[experiment]
-        value = config.get(choice, default)
+        choice, reads = _CHOICE_READS[experiment]
+        value = config.get(choice, schema[choice][0])
         for key in config:
             if key in reads and value not in reads[key]:
-                raise ConfigError(
-                    f"{path}.{key}: not read when {path}.{choice} is {value!r}"
-                )
+                raise ConfigError(f"{experiment}.{key}: not read when "
+                                  f"{experiment}.{choice} is {value!r}")
+    _check_top_level(config, experiment)
 
 
 def _validate_section(section: dict, schema: dict, path: str) -> None:
@@ -162,40 +162,81 @@ def _validate_section(section: dict, schema: dict, path: str) -> None:
     for key, value in section.items():
         if key not in schema:
             raise ConfigError(f"{path}.{key}: unknown key")
-        expected = schema[key]
-        if isinstance(expected, dict):
-            _validate_section(value, expected, f"{path}.{key}")
+        expected, where = schema[key], f"{path}.{key}"
+        if isinstance(expected, tuple):
+            if value not in expected:
+                raise ConfigError(
+                    f"{where}: expected one of {', '.join(map(repr, expected))}, "
+                    f"got {value!r}"
+                )
+        elif dataclasses.is_dataclass(expected):
+            _validate_section(value, _fields_schema(expected), where)
+            _library_check(where, expected, **value)
+        elif expected is list:
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{where}: expected a non-empty list of numbers")
+            for i, item in enumerate(value):
+                _check_number(item, f"{where}[{i}]")
         elif expected is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: expected a number")
+            _check_number(value, where)
         elif not isinstance(value, expected):
-            raise ConfigError(f"{path}.{key}: expected {expected.__name__}")
-        _reject_non_finite(value, f"{path}.{key}")
+            raise ConfigError(f"{where}: expected {expected.__name__}")
 
 
-def _reject_non_finite(value, path: str) -> None:
-    """Reject NaN and +-Infinity, which Python's json parser accepts."""
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not np.isfinite(value):
+def _check_number(value, path: str) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a number")
+    # Python's json parser accepts NaN and +-Infinity
+    if isinstance(value, float) and not np.isfinite(value):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
-def _build(cls, config: dict, key: str = ""):
-    """cls built from the config section `key` (the whole config if "")."""
+def _library_check(path: str, check, *args, **kwargs) -> None:
+    """Call check, refusing its ValueError as `<path>: <message>`."""
     try:
-        return cls(**(config.get(key, {}) if key else config))
+        check(*args, **kwargs)
     except ValueError as exc:
-        raise _SectionRefused(key, exc) from None
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _check_top_level(config: dict, experiment: str) -> None:
+    """The checks of a run's top-level values beyond their types."""
+    if experiment == "readout-fidelity":
+        settings = {k: v for k, v in config.items() if k != "m_max"}
+        _library_check(experiment, NuclearReadoutConfig, **settings)
+    elif experiment == "hyperfine-mc" and "ppm" in config:
+        _library_check(experiment, hyperfine.check_ppm, config["ppm"])
+    elif experiment == "fit":
+        for key in ("model", "input"):
+            if key not in config:
+                raise ConfigError(f"fit.{key}: missing (give --{key} or set it)")
+    elif experiment == "s1-stats":
+        for key in ("t1_a1_hours", "t1_a2_minutes", "scan_interval_s"):
+            if config.get(key, 1.0) <= 0:
+                raise ConfigError(f"s1-stats.{key}: must be positive, got {config[key]!r}")
+        if config.get("sigma", 0.0) < 0:
+            raise ConfigError(f"s1-stats.sigma: must be >= 0, got {config['sigma']!r}")
+
+
+def _count(run: dict, experiment: str, key: str, flag, least: int) -> int:
+    """Pop trials or seed from a run's config; a --trials or --seed flag wins.
+    The value must be an int >= least, which is also the default."""
+    value, name = run.pop(key, least), f"{experiment}.{key}"
+    if flag is not None:
+        value, name = flag, f"--{key}"
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name}: expected int, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _build_params(config: dict) -> SpinSystemParams:
-    return _build(SpinSystemParams, config, "params")
+    return SpinSystemParams(**config.get("params", {}))
 
 
 def _build_noise(config: dict) -> NoiseModel:
-    return _build(NoiseModel, config, "noise")
+    return NoiseModel(**config.get("noise", {}))
 
 
 def _given(config: dict, *names) -> dict:
@@ -254,17 +295,12 @@ def _run_free_precession(run_experiment, tau_stop, config, trials, seed):
 
 def _run_bell(config, trials, seed):
     params = _build_params(config)
-    bell_noise = _build(BellNoiseConfig, config, "bell_noise")
-    mode = config.get("mode", "tomography")
-    if mode == "parity":
+    bell_noise = BellNoiseConfig(**config.get("bell_noise", {}))
+    if config.get("mode") == "parity":
         phis = _linspace(config, "phi", 0.0, 360.0, 19)
         return run_bell_parity_sweep(
             params, bell_noise, phi_range=phis, trials=trials, seed=seed,
             **_given(config, "vary", "initial_nuclear"),
-        )
-    if mode != "tomography":
-        raise ConfigError(
-            f"bell.mode: expected 'tomography' or 'parity', got {mode!r}"
         )
     res = run_bell_tomography(
         params, bell_noise, trials=trials, seed=seed,
@@ -281,23 +317,14 @@ def _run_bell(config, trials, seed):
 
 def _run_error_budget(config, trials, seed):
     budget = compute_error_budget(
-        _build_params(config), _build(BellNoiseConfig, config, "bell_noise"),
+        _build_params(config), BellNoiseConfig(**config.get("bell_noise", {})),
         trials=trials, seed=seed,
     )
     return dataclasses.asdict(budget)
 
 
-_SHUTTLE_SWEEPS = {"phase": (0.0, 20.0, 41), "repeated": (0.0, 100.0, 11),
-                   "electron": (0.0, 360.0, 19)}
-
-
 def _run_shuttle(config, trials, seed):
     variant = config.get("variant", "phase")
-    if variant not in _SHUTTLE_SWEEPS:
-        raise ConfigError(
-            f"shuttle.variant: expected one of {', '.join(_SHUTTLE_SWEEPS)}, "
-            f"got {variant!r}"
-        )
     sweep = _linspace(config, "sweep", *_SHUTTLE_SWEEPS[variant])
     if variant == "repeated":
         sweep = np.unique(np.round(sweep).astype(int))
@@ -311,7 +338,7 @@ def _run_shuttle(config, trials, seed):
 def _run_readout_fidelity(config, trials, seed):
     config = dict(config)
     m_max = config.pop("m_max", 50)
-    cfg = _build(NuclearReadoutConfig, config)
+    cfg = NuclearReadoutConfig(**config)
     rows = fidelity_curve(cfg, m_max)
     table = dict(zip(("m", "f_t1", "f_shot", "f_n"), np.array(rows, dtype=float).T))
     table["m_opt"] = np.full(len(rows), float(optimize_shots(cfg, m_max)))
@@ -343,15 +370,8 @@ def _run_fit(config, trials, seed):
     y_col = config.get("y_column") or list(rows[0])[1]
     x = np.array([float(r[x_col]) for r in rows])
     y = np.array([float(r[y_col]) for r in rows])
-    model = config["model"]
-    fitters = {
-        "ramsey": fitting.fit_ramsey, "hahn": fitting.fit_hahn,
-        "sinusoid": fitting.fit_sinusoid,
-        "coherence_decay": fitting.fit_coherence_decay,
-    }
-    if model not in fitters:
-        raise ConfigError(f"fit.model: unknown model {model!r}")
-    res = fitters[model](x, y)
+    # looked up at call time, so a replaced fitting.fit_<model> runs
+    res = getattr(fitting, f"fit_{config['model']}")(x, y)
     return {
         "model": res.model,
         "parameters": res.parameters,
@@ -431,7 +451,7 @@ def _write_table(table: dict, out, fmt: str, meta: dict, seed, trials) -> None:
     else:
         payload = {
             "result": _jsonable(table),
-            "provenance": provenance_block(meta, seed or 0, trials or 0),
+            "provenance": provenance_block(meta, seed, trials),
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
     if out == "-":
@@ -556,13 +576,8 @@ def _run_all(runs, args) -> int:
         experiment = run.pop("experiment", args.command)
         out = run.pop("out", None)
         fmt = run.pop("format", None)
-        trials = args.trials if args.trials is not None else run.pop("trials", 1)
-        seed = args.seed if args.seed is not None else run.pop("seed", 0)
-        for key, value in (("trials", trials), ("seed", seed)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{experiment}.{key}: expected int, got {value!r}")
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
+        trials = _count(run, experiment, "trials", args.trials, 1)
+        seed = _count(run, experiment, "seed", args.seed, 0)
         if args.threads < 1:
             raise ConfigError("threads must be >= 1")
         validate_config(run, experiment)
@@ -581,10 +596,6 @@ def _run_all(runs, args) -> int:
             continue
         try:
             result = _RUNNERS[experiment](run, trials, seed)
-        except _SectionRefused as exc:
-            key, cause = exc.args
-            path = f"{experiment}.{key}" if key else experiment
-            raise ConfigError(f"{path}: {cause}") from None
         except (ConfigError, np.linalg.LinAlgError):
             raise  # named already / a numerical failure (exit 2)
         except ValueError as exc:  # a library refusal names its argument

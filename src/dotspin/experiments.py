@@ -3,9 +3,7 @@ and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
 
 Each driver draws its per-trial noise once, as one NoiseBatch, and makes one
-engine call per sweep point that runs every trial at once. The ``threads``
-argument is kept for compatibility and does nothing: results do not depend
-on it.
+engine call per sweep point that runs every trial at once.
 """
 
 from __future__ import annotations
@@ -144,7 +142,6 @@ def run_nmr_chevron(
     rabi: float = DEFAULT_NMR_RABI,
     charge_config: str = "unloaded",
     electron_spin: str = "down",
-    threads: int = 1,
 ) -> ExperimentResult:
     """Nuclear flip probability over (drive frequency, duration).
 
@@ -251,7 +248,6 @@ def run_ramsey(
     seed: int = 0,
     charge_config: str = "unloaded",
     ideal_pulses: bool = True,
-    threads: int = 1,
 ) -> ExperimentResult:
     """Detuned nuclear Ramsey decay. The default 2 kHz detuning gives at
     least ten fringes within the unloaded dephasing time."""
@@ -270,7 +266,6 @@ def run_hahn(
     seed: int = 0,
     charge_config: str = "unloaded",
     ideal_pulses: bool = True,
-    threads: int = 1,
 ) -> ExperimentResult:
     """Nuclear Hahn echo; tau is the half-interval. Pure quasi-static
     detuning noise is refocused exactly."""
@@ -443,11 +438,10 @@ def run_bell_tomography(
     seed: int = 0,
     initial_nuclear: str = "down",
     calibration: dict | None = None,
-    threads: int = 1,
 ) -> BellTomographyResult:
     """Bell-state fidelity from XX / YY / ZZ measurements.
 
-    readout, when given, maps basis context to ReadoutFidelities
+    readout, when given, maps the projection regime to ReadoutFidelities
     ({'ZZ': ..., 'XY': ...}); the measured distributions are passed through
     the electron confusion matrix and corrected by direct inversion, exactly
     as the real analysis pipeline does. The fidelity combination is
@@ -516,7 +510,6 @@ def run_bell_parity_sweep(
     seed: int = 0,
     initial_nuclear: str = "down",
     calibration: dict | None = None,
-    threads: int = 1,
 ) -> ExperimentResult:
     """Two-qubit parity vs the nuclear (or electron) projection phase."""
     if vary not in ("nuclear", "electron"):
@@ -576,7 +569,6 @@ def compute_error_budget(
     config: BellNoiseConfig | None = None,
     trials: int = 1000,
     seed: int = 0,
-    threads: int = 1,
 ) -> ErrorBudget:
     """Bell-fidelity error budget: each mechanism simulated in isolation
     against the noiseless baseline, plus the all-mechanisms-on total."""
@@ -622,7 +614,6 @@ def run_shuttle_experiments(
     p_err: float = 0.0,
     p_transfer: float = 0.0,
     qd2_frequency_offset: float = 2.0,
-    threads: int = 1,
 ) -> ExperimentResult:
     """The three electron-transfer experiments.
 

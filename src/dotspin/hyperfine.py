@@ -206,6 +206,12 @@ def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
     return sites, k_hf * wavefunction_density(sites, params)
 
 
+def check_ppm(ppm: float) -> None:
+    """Refuse an isotope concentration outside [0, 1e6] ppm."""
+    if not 0 <= ppm <= 1e6:
+        raise ValueError("ppm must be within [0, 1e6]")
+
+
 def sample_hyperfine(
     params: WavefunctionParams,
     ppm: float,
@@ -215,8 +221,7 @@ def sample_hyperfine(
     """Place the isotope independently at each lattice site with probability
     ppm x 1e-6, drawn from the caller's rng, and evaluate the contact
     coupling there."""
-    if not 0 <= ppm <= 1e6:
-        raise ValueError("ppm must be within [0, 1e6]")
+    check_ppm(ppm)
     sites, couplings = site_couplings(params, k_hf)
     mask = rng.random(len(sites)) < ppm * 1e-6
     return HyperfineSample(
@@ -241,8 +246,11 @@ def probability_curves(
     """
     if draws < 100:
         raise ValueError("draws must be >= 100")
+    check_ppm(ppm)
     diameter_range = np.asarray(diameter_range, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
+    if thresholds.size == 0:
+        raise ValueError("thresholds must be non-empty")
     p_occ = ppm * 1e-6
 
     rows = {k: [] for k in

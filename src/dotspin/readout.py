@@ -16,14 +16,11 @@ from .core import QuantumState, marginal
 class ReadoutFidelities:
     """Asymmetric single-shot electron readout fidelities.
 
-    f_down = P(report down | down), f_up = P(report up | up). The context
-    tag records which RF-power regime the values were characterised in
-    ('ZZ' or 'XY' projection pulses).
+    f_down = P(report down | down), f_up = P(report up | up).
     """
 
     f_down: float = 0.884
     f_up: float = 0.733
-    context: str = "ZZ"
 
     def __post_init__(self):
         for f in (self.f_down, self.f_up):
@@ -45,7 +42,7 @@ class ReadoutFidelities:
         )
 
 
-IDEAL_FIDELITIES = ReadoutFidelities(f_down=1.0, f_up=1.0, context="ideal")
+IDEAL_FIDELITIES = ReadoutFidelities(f_down=1.0, f_up=1.0)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,10 @@ class ElectrodeGeometry:
             raise ValueError("standoff must be positive")
         if self.thickness < 0:
             raise ValueError(f"thickness must be >= 0, got {self.thickness!r}")
+        if len(self.lateral) != 2:
+            raise ValueError(
+                f"lateral must have exactly two entries, got {self.lateral!r}"
+            )
         if any(v <= 0 for v in self.lateral):
             raise ValueError(
                 f"lateral dimensions must be positive, got {self.lateral!r}"

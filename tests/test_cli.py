@@ -168,9 +168,11 @@ class TestExitCodes:
          "vanvleck: lateral dimensions must be positive"),
         ("shuttle", {"tau_0": -1}, "shuttle: tau_0 must be positive, got -1"),
         ("ramsey", {"charge_config": "qd2"},
-         "ramsey: charge_config must be 'unloaded' or 'qd1', got 'qd2'"),
+         "ramsey.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
         ("hahn", {"charge_config": "qd2"},
-         "hahn: charge_config must be 'unloaded' or 'qd1', got 'qd2'"),
+         "hahn.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
+        ("vanvleck", {"lateral": [1.0]},
+         "vanvleck: lateral must have exactly two entries, got [1.0]"),
     ])
     def test_refused_section_value_names_its_path(self, capsys, tmp_path,
                                                   experiment, config, message):
@@ -236,6 +238,83 @@ class TestDryRun:
         code, out, err = run_cli(capsys, "bell", "--config", str(cfg), "--dry-run")
         assert code == 1 and out == ""
         assert "bell.vary" in err
+
+    @pytest.mark.parametrize("experiment, config, message", [
+        ("chevron", {"charge_config": "bogus"},
+         "chevron.charge_config: expected one of 'unloaded', 'qd1', got 'bogus'"),
+        ("chevron", {"electron_spin": "sideways", "charge_config": "qd1"},
+         "chevron.electron_spin: expected one of 'down', 'up', got 'sideways'"),
+        ("bell", {"mode": "nope"},
+         "bell.mode: expected one of 'tomography', 'parity', got 'nope'"),
+        ("bell", {"mode": "parity", "vary": "both"},
+         "bell.vary: expected one of 'nuclear', 'electron', got 'both'"),
+        ("bell", {"initial_nuclear": "x"},
+         "bell.initial_nuclear: expected one of 'down', 'up', got 'x'"),
+        ("shuttle", {"variant": "nope"}, "shuttle.variant: expected one of "
+         "'phase', 'repeated', 'electron', got 'nope'"),
+        ("ramsey", {"charge_config": "qd2"},
+         "ramsey.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
+        ("hahn", {"charge_config": "qd2"},
+         "hahn.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
+        ("fit", {"model": "spline", "input": "x.csv"},
+         "fit.model: expected one of 'ramsey', 'hahn', 'sinusoid', "
+         "'coherence_decay', got 'spline'"),
+        ("bell", {"bell_noise": {"t2_star_e_us": -1}},
+         "bell.bell_noise: t2_star_e_us must be positive, got -1"),
+        ("error-budget", {"bell_noise": {"spectator_flip_prob": 2.0}},
+         "error-budget.bell_noise: spectator_flip_prob must be in [0, 1]"),
+        ("ramsey", {"params": {"b_ext": -1}},
+         "ramsey.params: b_ext must be positive, got -1"),
+        ("hahn", {"noise": {"sigma_iz": -1}},
+         "hahn.noise: sigma_iz must be >= 0, got -1"),
+        ("readout-fidelity", {"f_e_avg": 1.5},
+         "readout-fidelity: f_e_avg must be in [0, 1], got 1.5"),
+        ("readout-fidelity", {"t_shot_ms": 0},
+         "readout-fidelity: t_shot_ms must be positive"),
+        ("readout-fidelity", {"t1_n_hours": -1.0},
+         "readout-fidelity: t1_n_hours must be positive"),
+        ("hyperfine-mc", {"ppm": -5}, "hyperfine-mc: ppm must be within [0, 1e6]"),
+        ("hyperfine-mc", {"ppm": 2e6}, "hyperfine-mc: ppm must be within [0, 1e6]"),
+        ("hyperfine-mc", {"thresholds": []},
+         "hyperfine-mc.thresholds: expected a non-empty list of numbers"),
+        ("vanvleck", {"lateral": ["a", "b"]},
+         "vanvleck.lateral[0]: expected a number"),
+        ("s1-stats", {"t1_a1_hours": 0}, "s1-stats.t1_a1_hours: must be positive, got 0"),
+        ("s1-stats", {"t1_a2_minutes": -1.0},
+         "s1-stats.t1_a2_minutes: must be positive, got -1.0"),
+        ("s1-stats", {"scan_interval_s": 0}, "s1-stats.scan_interval_s: must be positive"),
+        ("s1-stats", {"sigma": -1}, "s1-stats.sigma: must be >= 0, got -1"),
+        ("fit", {"input": "x.csv"}, "fit.model: missing"),
+        ("fit", {"model": "ramsey"}, "fit.input: missing"),
+        ("ramsey", {"seed": -1}, "ramsey.seed must be >= 0, got -1"),
+    ])
+    def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
+                                                  experiment, config, message):
+        # s1-stats has no subcommand; any subcommand reaches it through "experiment"
+        command = "spectrum" if experiment == "s1-stats" else experiment
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"experiment": experiment, **config}))
+        dry = run_cli(capsys, command, "--config", str(cfg), "--dry-run")
+        assert dry[0] == 1 and dry[1] == ""
+        assert "error: " + message in dry[2]
+        assert run_cli(capsys, command, "--config", str(cfg), "--trials", "1") == dry
+
+    def test_flags_win_over_config_trials_and_seed(self, capsys, tmp_path):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"seed": 1, "trials": 3}))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg),
+                               "--seed", "2", "--dry-run")
+        assert code == 0
+        plan = json.loads(out)
+        assert (plan["seed"], plan["trials"], plan["config"]) == (2, 3, {})
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--seed", "2")
+        assert code == 0
+        provenance = json.loads(out)["provenance"]
+        assert (provenance["seed"], provenance["trials"]) == (2, 3)
+        assert "seed" not in provenance["config"]
+        code, out, err = run_cli(capsys, "spectrum", "--seed", "-1", "--dry-run")
+        assert code == 1 and out == ""
+        assert "--seed must be >= 0, got -1" in err
 
     def test_bundled_configs_pass_dry_run(self, capsys):
         for figure in FIGURE_IDS:

@@ -136,6 +136,16 @@ class TestProbabilityCurves:
         with pytest.raises(ValueError):
             probability_curves([8.0], [100.0], draws=50)
 
+    @pytest.mark.parametrize("thresholds, ppm, message", [
+        ([100.0], -5.0, "ppm must be within"),
+        ([100.0], 2e6, "ppm must be within"),
+        ([], 800.0, "thresholds must be non-empty"),
+    ])
+    def test_out_of_range_inputs_refused(self, thresholds, ppm, message):
+        # out-of-range ppm gave curves of all 0 or all 1
+        with pytest.raises(ValueError, match=message):
+            probability_curves([8.0], thresholds, ppm=ppm, draws=100)
+
     def test_export_csv(self, tmp_path):
         table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
         path = tmp_path / "t.csv"

@@ -21,6 +21,8 @@ class TestGeometry:
             ElectrodeGeometry(standoff=2.0, thickness=-1.0)
         with pytest.raises(ValueError):
             ElectrodeGeometry(standoff=2.0, lateral=(0.0, 100.0))
+        with pytest.raises(ValueError, match="exactly two entries"):
+            ElectrodeGeometry(standoff=2.0, lateral=(100.0,))
 
     def test_fcc_site_density(self):
         geo = ElectrodeGeometry(standoff=2.0)
