@@ -179,7 +179,10 @@ def _validate_section(section: dict, schema: dict, path: str) -> None:
                 _check_number(item, f"{where}[{i}]")
         elif expected is float:
             _check_number(value, where)
-        elif not isinstance(value, expected):
+        # JSON true/false are Python bools, and bool is a subclass of int
+        elif not isinstance(value, expected) or (
+            expected is int and isinstance(value, bool)
+        ):
             raise ConfigError(f"{where}: expected {expected.__name__}")
 
 
@@ -201,6 +204,9 @@ def _library_check(path: str, check, *args, **kwargs) -> None:
 
 def _check_top_level(config: dict, experiment: str) -> None:
     """The checks of a run's top-level values beyond their types."""
+    for key, value in config.items():
+        if key.endswith("_points") and value < 1:
+            raise ConfigError(f"{experiment}.{key}: must be >= 1, got {value!r}")
     if experiment == "readout-fidelity":
         settings = {k: v for k, v in config.items() if k != "m_max"}
         _library_check(experiment, NuclearReadoutConfig, **settings)
@@ -216,6 +222,11 @@ def _check_top_level(config: dict, experiment: str) -> None:
                 raise ConfigError(f"s1-stats.{key}: must be positive, got {config[key]!r}")
         if config.get("sigma", 0.0) < 0:
             raise ConfigError(f"s1-stats.sigma: must be >= 0, got {config['sigma']!r}")
+        least = fitting.MIN_SPECTRUM_SAMPLES
+        if config.get("n_scans", least) < least:
+            raise ConfigError(
+                f"s1-stats.n_scans: must be >= {least}, got {config['n_scans']!r}"
+            )
 
 
 def _count(run: dict, experiment: str, key: str, flag, least: int) -> int:

@@ -27,6 +27,9 @@ __all__ = [
     "fit_coherence_decay",
 ]
 
+#: Fewest samples fit_esr_histogram accepts.
+MIN_SPECTRUM_SAMPLES = 100
+
 
 @dataclass
 class FitResult:
@@ -242,8 +245,10 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     bins). Returns f0, a1, a2, sigma and the four peak amplitudes.
     """
     frequencies = np.asarray(frequencies, dtype=float)
-    if len(frequencies) < 100:
-        raise ValueError("need at least 100 samples to fit the spectrum")
+    if len(frequencies) < MIN_SPECTRUM_SAMPLES:
+        raise ValueError(
+            f"need at least {MIN_SPECTRUM_SAMPLES} samples to fit the spectrum"
+        )
     edges = np.arange(
         np.min(frequencies) - bin_width, np.max(frequencies) + 2 * bin_width,
         bin_width,

@@ -105,6 +105,13 @@ def _vertical_integral(params: WavefunctionParams) -> float:
                 points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
 
 
+def _density_norm(params: WavefunctionParams) -> float:
+    """N = 1 / (integral of |psi|^2 over the box), the transverse integral
+    of exp(-4 r^2 / d^2) over the plane being pi d^2 / 4."""
+    d = params.dot_diameter
+    return 1.0 / (np.pi * d**2 / 4.0 * _vertical_integral(params))
+
+
 def wavefunction_density(positions, params: WavefunctionParams):
     """|psi|^2 in nm^-3 at (..., 3) positions (x, y, z) in nm, the interface
     at z = 0 and the dot centred on the z axis."""
@@ -112,13 +119,9 @@ def wavefunction_density(positions, params: WavefunctionParams):
     scalar = pos.ndim == 1
     pos = np.atleast_2d(pos)
     r_perp_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
-    d = params.dot_diameter
-    # N = 1 / (integral of |psi|^2 over the box), the transverse integral
-    # of exp(-4 r^2 / d^2) over the plane being pi d^2 / 4
-    norm = 1.0 / (np.pi * d**2 / 4.0 * _vertical_integral(params))
     density = (
-        norm
-        * np.exp(-4.0 * r_perp_sq / d**2)
+        _density_norm(params)
+        * np.exp(-4.0 * r_perp_sq / params.dot_diameter**2)
         * _vertical_profile(pos[:, 2], params)
     )
     return float(density[0]) if scalar else density
@@ -136,38 +139,77 @@ def enclosed_probability(params: WavefunctionParams) -> float:
     return erf(lx / d) * erf(ly / d) * i_in / i_all
 
 
-def generate_lattice(region, lattice_constant: float = SI_LATTICE_CONSTANT):
-    """Diamond-cubic sites filling the region (lx, ly, lz in nm), 8 per
-    conventional cell. The box is snapped to whole cells (the realised site
-    count is exactly 8 per cell); x, y are centred on 0, z starts at 0.
+#: Diamond-cubic basis, 8 sites per conventional cell, in cell units.
+_DIAMOND_BASIS = np.array(
+    [
+        [0.00, 0.00, 0.00], [0.00, 0.50, 0.50],
+        [0.50, 0.00, 0.50], [0.50, 0.50, 0.00],
+        [0.25, 0.25, 0.25], [0.25, 0.75, 0.75],
+        [0.75, 0.25, 0.75], [0.75, 0.75, 0.25],
+    ]
+)
 
-    Returns an (N, 3) array of positions in nm.
-    """
+
+def _lattice_axes(region, lattice_constant: float):
+    """Per-axis coordinates (x, y, z) of the diamond lattice filling the
+    region, each an (n_cells, 8) array: site (ix, iy, iz, k) sits at
+    (x[ix, k], y[iy, k], z[iz, k]). None if no whole cell fits."""
     region = tuple(float(v) for v in region)
     if any(v < 0 for v in region):
         raise ValueError("region dimensions must be non-negative")
     a = lattice_constant
     counts = [max(int(round(v / a)), 0) for v in region]
     if 0 in counts:
-        return np.empty((0, 3))
-    nx, ny, nz = counts
-    base = np.array(
-        [
-            [0.00, 0.00, 0.00], [0.00, 0.50, 0.50],
-            [0.50, 0.00, 0.50], [0.50, 0.50, 0.00],
-            [0.25, 0.25, 0.25], [0.25, 0.75, 0.75],
-            [0.75, 0.25, 0.75], [0.75, 0.75, 0.25],
-        ]
+        return None
+    x, y, z = (
+        (np.arange(n)[:, None] + _DIAMOND_BASIS[:, i]) * a
+        for i, n in enumerate(counts)
     )
-    ix, iy, iz = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
+    x -= counts[0] * a / 2.0
+    y -= counts[1] * a / 2.0
+    return x, y, z
+
+
+def _sites(x, y, z):
+    """(N, 3) positions of every site of the lattice axes, ordered by cell
+    (x, y, z index) and then by basis site."""
+    sites = np.empty((len(x), len(y), len(z), 8, 3))
+    sites[..., 0] = x[:, None, None, :]
+    sites[..., 1] = y[None, :, None, :]
+    sites[..., 2] = z
+    return sites.reshape(-1, 3)
+
+
+def generate_lattice(region, lattice_constant: float = SI_LATTICE_CONSTANT):
+    """Diamond-cubic sites filling the region (lx, ly, lz in nm), 8 per
+    conventional cell. The box is snapped to whole cells (the realised site
+    count is exactly 8 per cell); x, y are centred on 0, z starts at 0.
+
+    Returns an (N, 3) array of positions in nm, ordered by cell (x, y, z
+    index) and then by basis site.
+    """
+    axes = _lattice_axes(region, lattice_constant)
+    return np.empty((0, 3)) if axes is None else _sites(*axes)
+
+
+def _lattice_density(params: WavefunctionParams):
+    """The sites of params' lattice and |psi|^2 at each, bitwise equal to
+    wavefunction_density(sites, params).
+
+    The envelope is separable: the Gaussian is evaluated once per (x, y)
+    column of sites and the vertical profile once per atomic layer, and
+    their product is broadcast over the lattice.
+    """
+    axes = _lattice_axes(params.region, params.lattice_constant)
+    if axes is None:
+        return np.empty((0, 3)), np.empty(0)
+    x, y, z = axes
+    r_perp_sq = x[:, None, :] ** 2 + y[None, :, :] ** 2
+    lateral = _density_norm(params) * np.exp(
+        -4.0 * r_perp_sq / params.dot_diameter**2
     )
-    cells = np.stack([ix, iy, iz], axis=-1).reshape(-1, 1, 3)
-    sites = (cells + base) * a
-    sites = sites.reshape(-1, 3)
-    sites[:, 0] -= nx * a / 2.0
-    sites[:, 1] -= ny * a / 2.0
-    return sites
+    density = lateral[:, :, None, :] * _vertical_profile(z, params)
+    return _sites(x, y, z), density.reshape(-1)
 
 
 @lru_cache(maxsize=16)
@@ -180,9 +222,7 @@ def calibrate_k_hf(
     diameter supports max_a as the peak coupling attainable at an actual
     lattice site (the best-placed nucleus the device could host)."""
     params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
-    sites = generate_lattice(params.region, params.lattice_constant)
-    peak = np.max(wavefunction_density(sites, params))
-    return max_a / peak
+    return max_a / np.max(_lattice_density(params)[1])
 
 
 @dataclass
@@ -202,8 +242,8 @@ def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
     """Lattice positions and their |A| in kHz (every site, occupied or not)."""
     if k_hf is None:
         k_hf = calibrate_k_hf()
-    sites = generate_lattice(params.region, params.lattice_constant)
-    return sites, k_hf * wavefunction_density(sites, params)
+    sites, density = _lattice_density(params)
+    return sites, k_hf * density
 
 
 def check_ppm(ppm: float) -> None:

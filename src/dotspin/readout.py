@@ -113,14 +113,14 @@ def repetitive_nuclear_readout(
         previous_reported = nuclear_up
     hazard = 2.0 * config.t_shot_ms * 1e-3 / (config.t1_n_hours * 3600.0)
     p_flip = -np.expm1(-hazard)  # per-shot flip probability
-    state = nuclear_up
-    votes_up = 0
-    for _ in range(config.m_shots):
-        for _ in range(2):
-            correct = rng.random() < config.f_e_avg
-            votes_up += int(state if correct else not state)
-        if rng.random() < p_flip:
-            state = not state
+    # per shot, in stream order: two reads, then the flip draw
+    draws = rng.random((config.m_shots, 3))
+    flips = draws[:, 2] < p_flip
+    # the nucleus during shot i has flipped once per earlier shot's flip
+    flipped = (np.cumsum(flips) - flips) % 2 == 1
+    state = flipped != bool(nuclear_up)
+    wrong = draws[:, :2] >= config.f_e_avg
+    votes_up = int(np.count_nonzero(state[:, None] != wrong))
     votes_down = 2 * config.m_shots - votes_up
     if votes_up > votes_down:
         reported = True

@@ -70,12 +70,15 @@ def _moment_prefactor(gamma_n: float, gamma_bath: float, spin_bath: float) -> fl
     )
 
 
-def _angular_sum_chunk(x, y, z):
-    """sum (1 - 3 cos^2 theta)^2 / r^6 for coordinate arrays in nm,
-    returned in m^-6."""
-    r2 = x * x + y * y + z * z
-    cos2 = z * z / r2
-    return np.sum((1.0 - 3.0 * cos2) ** 2 / r2**3) * 1e54
+#: Atomic layers per block of the lattice sum. The blocks, each summed as
+#: one C-ordered (x, y, layer) array, fix the order of the floating-point
+#: summation, and so the bits of the result.
+_CHUNK_LAYERS = 4
+
+#: FCC basis, 4 sites per conventional cell, in cell units.
+_FCC_BASIS = np.array(
+    [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
+)
 
 
 def second_moment_sum(
@@ -83,10 +86,16 @@ def second_moment_sum(
     gamma_n: float = GAMMA_SI,
     gamma_bath: float = GAMMA_AL,
     spin_bath: float = SPIN_AL,
-    chunk_layers: int = 4,
 ) -> float:
     """Discrete lattice sum of M2 (rad^2/s^2) over all FCC sites in the
-    electrode, processed a few atomic layers at a time."""
+    electrode, processed a few atomic layers at a time.
+
+    A site's term (1 - 3 z^2/r^2)^2 / r^6, with r^2 = (x^2 + y^2) + z^2,
+    depends on x^2, y^2 and z^2 alone, and the grid, centred on the
+    nucleus, repeats most x^2 and y^2 values. Each block of layers and basis
+    offset evaluates the term once per distinct (x^2, y^2) pair and expands
+    it onto the (x, y, layer) block that is summed.
+    """
     a = geometry.al_lattice_constant
     lx, ly = geometry.lateral
     nx = int(np.floor(lx / a))
@@ -94,19 +103,31 @@ def second_moment_sum(
     nz = int(np.floor(geometry.thickness / a))
     if nx == 0 or ny == 0 or nz == 0:
         return 0.0
-    base = np.array(
-        [[0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
-    )
     xs = (np.arange(nx) - nx / 2.0) * a
     ys = (np.arange(ny) - ny / 2.0) * a
+    planes = []
+    for off in _FCC_BASIS:
+        x = xs + off[0] * a
+        y = ys + off[1] * a
+        x2, x_index = np.unique(x * x, return_inverse=True)
+        y2, y_index = np.unique(y * y, return_inverse=True)
+        planes.append((x2[:, None] + y2, x_index, y_index))
     total = 0.0
-    for z0 in range(0, nz, chunk_layers):
-        zs = (np.arange(z0, min(z0 + chunk_layers, nz))) * a + geometry.standoff
-        for off in base:
-            gx, gy, gz = np.meshgrid(
-                xs + off[0] * a, ys + off[1] * a, zs + off[2] * a, indexing="ij"
-            )
-            total += _angular_sum_chunk(gx, gy, gz)
+    for z0 in range(0, nz, _CHUNK_LAYERS):
+        zs = (np.arange(z0, min(z0 + _CHUNK_LAYERS, nz))) * a + geometry.standoff
+        for off, (xy2, x_index, y_index) in zip(_FCC_BASIS, planes):
+            z = (zs + off[2] * a)[:, None, None]
+            z2 = z * z
+            r2 = xy2 + z2  # (layer, distinct x^2, distinct y^2)
+            term = z2 / r2  # cos^2 theta
+            term *= 3.0
+            np.subtract(1.0, term, out=term)
+            np.square(term, out=term)
+            np.power(r2, 3, out=r2)  # r^6
+            term /= r2
+            # (x, y, layer), the order in which the sum adds the terms up
+            block = term.transpose(1, 2, 0)[:, y_index][x_index]
+            total += np.sum(block) * 1e54  # nm^-6 -> m^-6
     return _moment_prefactor(gamma_n, gamma_bath, spin_bath) * total
 
 

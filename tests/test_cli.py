@@ -287,6 +287,13 @@ class TestDryRun:
         ("fit", {"input": "x.csv"}, "fit.model: missing"),
         ("fit", {"model": "ramsey"}, "fit.input: missing"),
         ("ramsey", {"seed": -1}, "ramsey.seed must be >= 0, got -1"),
+        ("ramsey", {"tau_points": True}, "ramsey.tau_points: expected int"),
+        ("readout-fidelity", {"m_shots": False}, "readout-fidelity.m_shots: expected int"),
+        ("ramsey", {"tau_points": -2}, "ramsey.tau_points: must be >= 1, got -2"),
+        ("vanvleck", {"standoff_points": 0},
+         "vanvleck.standoff_points: must be >= 1, got 0"),
+        ("s1-stats", {"n_scans": -3}, "s1-stats.n_scans: must be >= 100, got -3"),
+        ("s1-stats", {"n_scans": 10}, "s1-stats.n_scans: must be >= 100, got 10"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
