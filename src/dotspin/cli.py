@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import NoiseModel, SpinSystemParams, rng_for, transition_frequencies
 from .experiments import (
+    DEFAULT_SHUTTLE_TAU_0,
     BellNoiseConfig,
     ExperimentResult,
     compute_error_budget,
@@ -216,6 +217,8 @@ def _check_top_level(config: dict, experiment: str) -> None:
         for key in ("model", "input"):
             if key not in config:
                 raise ConfigError(f"fit.{key}: missing (give --{key} or set it)")
+    elif experiment == "shuttle":
+        _check_shuttle_sweep(config)
     elif experiment == "s1-stats":
         for key in ("t1_a1_hours", "t1_a2_minutes", "scan_interval_s"):
             if config.get(key, 1.0) <= 0:
@@ -227,6 +230,24 @@ def _check_top_level(config: dict, experiment: str) -> None:
             raise ConfigError(
                 f"s1-stats.n_scans: must be >= {least}, got {config['n_scans']!r}"
             )
+
+
+def _check_shuttle_sweep(config: dict) -> None:
+    """Refuse a shuttle sweep endpoint that the variant's sequence builder
+    refuses: a t_load outside [0, tau_0] ('phase'), or a cycle count below 0
+    after the run rounds it ('repeated'). A tau_0 <= 0 is left to the run,
+    which refuses it first."""
+    variant = config.get("variant", "phase")
+    tau_0 = config.get("tau_0", DEFAULT_SHUTTLE_TAU_0)
+    start, stop, _ = _SHUTTLE_SWEEPS[variant]
+    for key, default in (("sweep_start", start), ("sweep_stop", stop)):
+        value = config.get(key, default)
+        if variant == "phase" and tau_0 > 0 and not 0 <= value <= tau_0:
+            raise ConfigError(f"shuttle.{key}: t_load must be within "
+                              f"[0, tau_0 = {tau_0!r}], got {value!r}")
+        if variant == "repeated" and np.round(value) < 0:
+            raise ConfigError(f"shuttle.{key}: k_cycles must be >= 0 after "
+                              f"rounding, got {value!r}")
 
 
 def _count(run: dict, experiment: str, key: str, flag, least: int) -> int:

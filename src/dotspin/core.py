@@ -355,13 +355,38 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+#: Distinct Hamiltonian stacks whose eigendecompositions unitary keeps; when
+#: full, a new stack evicts the oldest.
+EIGH_MEMO_SIZE = 16
+
+#: (shape, dtype, bytes) of a Hamiltonian stack -> its read-only (w, v).
+_eigh_memo: dict = {}
+
+
+def _eigh(h: np.ndarray) -> tuple:
+    """np.linalg.eigh(h), computed once per distinct stack among the last
+    EIGH_MEMO_SIZE. The key holds a copy of h's bytes, so a caller that
+    later mutates h does not change a stored result."""
+    h = np.asarray(h)
+    key = (h.shape, h.dtype, h.tobytes())
+    entry = _eigh_memo.get(key)
+    if entry is None:
+        w, v = np.linalg.eigh(h)
+        w.flags.writeable = v.flags.writeable = False
+        entry = _eigh_memo[key] = (w, v)
+        if len(_eigh_memo) > EIGH_MEMO_SIZE:
+            del _eigh_memo[next(iter(_eigh_memo))]
+    return entry
+
+
 def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
     """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition.
 
     A stack of Hamiltonians (..., 4, 4) gives the stack of propagators from
-    one batched eigh.
+    one batched eigh, which is reused while the same stack recurs (a sweep
+    over durations at one drive, the free evolutions of one sequence).
     """
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h)
     phases = np.exp(-2j * np.pi * w * dt_us)
     return (v * phases[..., None, :]) @ dagger(v)
 

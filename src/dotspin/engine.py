@@ -109,6 +109,7 @@ def run_sequence(
     t = 0.0  # absolute sequence time, us
     records = []
     static = {}  # charge config -> drive-free Hamiltonians of the batch
+    free = {}  # (charge config, duration) -> free-evolution propagators
 
     def h_static(config):
         if config not in static:
@@ -128,7 +129,10 @@ def run_sequence(
             rho = _conjugate(_rotation_unitary(el), rho)
         elif isinstance(el, FreeEvolution):
             if el.duration > 0:
-                rho = _conjugate(unitary(h_static(config), el.duration), rho)
+                key = (config, el.duration)
+                if key not in free:
+                    free[key] = unitary(h_static(config), el.duration)
+                rho = _conjugate(free[key], rho)
             t += el.duration
         elif isinstance(el, ChargeEvent):
             rho = _apply_charge_event(rho, el)

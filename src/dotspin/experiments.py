@@ -3,12 +3,16 @@ and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
 
 Each driver draws its per-trial noise once, as one NoiseBatch, and makes one
-engine call per sweep point that runs every trial at once.
+engine call per sweep point. That call runs every trial at once; when all the
+batch's draws are bit-for-bit equal (an all-zero noise model) it runs one
+trial, whose result is repeated for every trial before the same trial-order
+sum, so the mean is unchanged to the bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -110,20 +114,36 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     )
 
 
-def _trial_mean(seq, params, draws, kind, initial_state=None) -> np.ndarray:
+def _collapse(draws: NoiseBatch) -> NoiseBatch:
+    """The batch's first draw alone when all its draws are bit-for-bit equal
+    (every all-zero noise model), else the batch itself."""
+    rows = np.stack([draws.delta_ix, draws.delta_iz, draws.delta_sz,
+                     draws.spectator_detuned], axis=1).view(np.uint8)
+    if (rows == rows[0]).all():
+        return NoiseBatch(draws.delta_ix[:1], draws.delta_iz[:1],
+                          draws.delta_sz[:1], draws.spectator_detuned[:1])
+    return draws
+
+
+def _trial_mean(seq, params, draws, trials, kind, initial_state=None) -> np.ndarray:
     """Probabilities of one measurement kind ('nuclear', 'electron', or
-    'joint' for the final joint populations), averaged over the batch's
-    trials in trial order."""
+    'joint' for the final joint populations), averaged over the trials in
+    trial order. draws is the trials' batch, or _collapse's one draw when
+    all of theirs are equal: the engine then runs that one trial, and its
+    result is repeated for every trial before the same sum."""
     res = run_sequence(seq, params, draws, initial_state)
     probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-    return probs.sum(axis=0) / len(draws)
+    if len(draws) < trials:
+        probs = np.repeat(probs, trials, axis=0)
+    return probs.sum(axis=0) / trials
 
 
 def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
     """_trial_mean of the sequence build(point) at each sweep point, shape
     (points, 2) or (points, 4) for kind 'joint'."""
+    trials, draws = len(draws), _collapse(draws)
     return np.array([
-        _trial_mean(build(point), params, draws, kind, initial_state)
+        _trial_mean(build(point), params, draws, trials, kind, initial_state)
         for point in points
     ])
 
@@ -353,8 +373,15 @@ def calibrate_bell_projection(
     samples four quadrature points, extracts the maximising phase and moves
     on; a few sweeps converge to the joint optimum.
 
-    Returns {'phi_e': (a, b), 'phi_n': (a, b), 'parity': best}.
+    Returns {'phi_e': (a, b), 'phi_n': (a, b), 'parity': best}, a fresh dict
+    on each call; the calibration itself runs once per (params,
+    duration_scale, sweeps).
     """
+    return dict(_calibrated_projection(params, duration_scale, sweeps))
+
+
+@functools.lru_cache(maxsize=64)
+def _calibrated_projection(params, duration_scale, sweeps) -> dict:
     phases = np.zeros(4)  # (phi_e_up, phi_e_down, phi_n_down, phi_n_up)
 
     def parity_at(ph):
@@ -414,7 +441,8 @@ def _bell_basis_probabilities(
         draws,
         spectator_detuned=np.floor((t + 1) * p_flip) > np.floor(t * p_flip),
     )
-    return _trial_mean(seq, params, draws, "joint", _initial_state(initial_nuclear))
+    return _trial_mean(seq, params, _collapse(draws), trials, "joint",
+                       _initial_state(initial_nuclear))
 
 
 @dataclass
@@ -603,6 +631,10 @@ def compute_error_budget(
 # Shuttle experiments
 
 
+#: Total nuclear precession time (us) of the phase and repeated shuttle runs.
+DEFAULT_SHUTTLE_TAU_0 = 500.0
+
+
 def run_shuttle_experiments(
     variant: str,
     sweep,
@@ -610,7 +642,7 @@ def run_shuttle_experiments(
     noise: NoiseModel | None = None,
     trials: int = 1,
     seed: int = 0,
-    tau_0: float = 500.0,
+    tau_0: float = DEFAULT_SHUTTLE_TAU_0,
     p_err: float = 0.0,
     p_transfer: float = 0.0,
     qd2_frequency_offset: float = 2.0,

@@ -46,6 +46,20 @@ class TestValidation:
         validate_config({"variant": "repeated", "tau_0": 50.0, "p_err": 0.1}, "shuttle")
         validate_config({"charge_config": "qd1", "electron_spin": "up"}, "rabi")
 
+    def test_shuttle_sweep_bounds_are_the_runs(self, capsys, tmp_path):
+        validate_config({"variant": "phase", "sweep_stop": 500.0}, "shuttle")
+        validate_config({"variant": "electron", "sweep_start": -90.0}, "shuttle")
+        # tau_0 <= 0 is refused by the run, before any sweep point
+        validate_config({"variant": "phase", "tau_0": -1.0}, "shuttle")
+        # the run rounds cycle counts, so -0.5 is the cycle count 0
+        config = {"variant": "repeated", "sweep_start": -0.5, "sweep_stop": 1.0,
+                  "sweep_points": 2}
+        validate_config(config, "shuttle")
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "shuttle", "--config", str(cfg), "--trials", "1")
+        assert code == 0 and out.splitlines()[1].startswith("0.0,")
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             validate_config({}, "teleport")
@@ -294,6 +308,13 @@ class TestDryRun:
          "vanvleck.standoff_points: must be >= 1, got 0"),
         ("s1-stats", {"n_scans": -3}, "s1-stats.n_scans: must be >= 100, got -3"),
         ("s1-stats", {"n_scans": 10}, "s1-stats.n_scans: must be >= 100, got 10"),
+        ("shuttle", {"variant": "phase", "sweep_stop": 600},
+         "shuttle.sweep_stop: t_load must be within [0, tau_0 = 500.0], got 600"),
+        ("shuttle", {"tau_0": 10.0},
+         "shuttle.sweep_stop: t_load must be within [0, tau_0 = 10.0], got 20.0"),
+        ("shuttle", {"variant": "repeated", "sweep_start": -1, "sweep_stop": 2,
+                     "sweep_points": 2},
+         "shuttle.sweep_start: k_cycles must be >= 0 after rounding, got -1"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
