@@ -386,7 +386,12 @@ def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
     one batched eigh, which is reused while the same stack recurs (a sweep
     over durations at one drive, the free evolutions of one sequence).
     """
-    w, v = _eigh(h)
+    return eigen_propagator(*_eigh(h), dt_us)
+
+
+def eigen_propagator(w: np.ndarray, v: np.ndarray, dt_us: float) -> np.ndarray:
+    """U = v exp(-2*pi*i w dt) v^dagger from the eigendecomposition (w, v)
+    of a Hamiltonian (stack)."""
     phases = np.exp(-2j * np.pi * w * dt_us)
     return (v * phases[..., None, :]) @ dagger(v)
 

@@ -28,6 +28,7 @@ from .core import (
     check_rwa,
     dagger,
     drive_operator,
+    eigen_propagator,
     marginal,
     populations,
     rotating_frame_hamiltonian,
@@ -207,7 +208,8 @@ def _pulse_unitary(
         ramp = min(t_mid, pulse.duration - t_mid)
         amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
         h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
-        u_total = unitary(h_k, dt) @ u_total
+        # every step's stack is new, so it bypasses unitary's eigh memo
+        u_total = eigen_propagator(*np.linalg.eigh(h_k), dt) @ u_total
     return _in_drive_frame(u_total, z_op, df_c, t0, pulse.duration)
 
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 __all__ = [
     "FitResult",
@@ -53,6 +52,8 @@ class FitResult:
 
 def _fit(fn, x, y, p0, bounds, names, model, sigma=None,
          absolute_sigma=False) -> FitResult:
+    from scipy.optimize import curve_fit
+
     try:
         popt, pcov = curve_fit(
             fn, x, y, p0=p0, bounds=bounds, maxfev=5000, ftol=1e-11, xtol=1e-11,
@@ -192,6 +193,8 @@ def fit_flip_intervals(intervals, bins=None) -> FitResult:
     """Characteristic lifetime from waiting intervals between flips: an
     exponential fit to the interval histogram, cross-checked by the
     maximum-likelihood mean (reported in flags)."""
+    from scipy.optimize import curve_fit
+
     intervals = np.asarray(intervals, dtype=float)
     if len(intervals) < 10:
         raise ValueError("need at least 10 intervals to fit a lifetime")

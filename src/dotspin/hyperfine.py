@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import airy, ai_zeros, erf
 
 from .core import rng_for
 
@@ -28,7 +26,7 @@ E_CHARGE = 1.602176634e-19  # C
 VALLEY_K_FRACTION = 0.85  # valley wavevector as a fraction of 2*pi/a
 
 #: First zero of the Airy function; the envelope vanishes at the interface.
-AIRY_A1 = float(ai_zeros(1)[0][0])  # ~ -2.3381
+AIRY_A1 = -2.3381074104597674  # float(scipy.special.ai_zeros(1)[0][0])
 
 DEFAULT_F_Z = 25.0  # MV/m, mid-range vertical field
 CALIBRATION_DIAMETER = 7.0  # nm
@@ -87,6 +85,8 @@ class WavefunctionParams:
 def _vertical_profile(z, params: WavefunctionParams):
     """Unnormalised vertical density Ai^2(z/l + a1) * 2cos^2(k_v z + phi),
     zero below the interface."""
+    from scipy.special import airy
+
     z = np.asarray(z, dtype=float)
     ell = params.airy_length_nm
     ai = airy(z / ell + AIRY_A1)[0]
@@ -97,6 +97,8 @@ def _vertical_profile(z, params: WavefunctionParams):
 @lru_cache(maxsize=64)
 def _vertical_integral(params: WavefunctionParams) -> float:
     """Integral of the vertical profile over the box height [0, region_z]."""
+    from scipy.integrate import quad
+
     z_max = params.region[2]
     # the valley oscillation is fast; give quad its period as a hint
     period = np.pi / params.valley_wavevector
@@ -129,6 +131,9 @@ def wavefunction_density(positions, params: WavefunctionParams):
 
 def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the simulation box."""
+    from scipy.integrate import quad
+    from scipy.special import erf
+
     lx, ly, lz = params.region
     d = params.dot_diameter
     i_in = _vertical_integral(params)

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import binom
 
 from .core import QuantumState, marginal
 
@@ -153,8 +152,12 @@ def nuclear_fidelity_model(config: NuclearReadoutConfig) -> dict:
     m = config.m_shots
     f = config.f_e_avg
     f_t1 = float(np.exp(-2.0 * m * config.t_shot_ms * 1e-3 / (config.t1_n_hours * 3600.0)))
-    # P(#errors <= M) over 2M reads with per-read error rate (1 - f)
-    f_shot = float(binom.cdf(m, 2 * m, 1.0 - f))
+    # P(#errors <= M) over 2M reads with per-read error rate (1 - f): the
+    # ufunc that scipy.stats.binom.cdf evaluates (binom_gen._cdf), called
+    # directly so that the readout model does not import scipy.stats
+    from scipy.special._ufuncs import _binom_cdf
+
+    f_shot = float(_binom_cdf(m, 2 * m, 1.0 - f))
     f_n = f_t1 * f_shot + (1.0 - f_t1) * (1.0 - f_shot)
     return {"f_t1": f_t1, "f_shot": f_shot, "f_n": f_n}
 

@@ -458,3 +458,18 @@ class TestReproduce:
             # strongest response at the longest pulse on the conditional line
             best = np.argmax(data["p_flip"])
             assert data["frequency_mhz"][best] == pytest.approx(line, abs=0.005)
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that use it, so runs that
+        # never call it do not pay for its import
+        src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dotspin, dotspin.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

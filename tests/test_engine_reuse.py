@@ -11,9 +11,16 @@ from hypothesis import given, settings, strategies as st
 import reference_engine as ref
 from test_batched_engine import PARAMS, initial_states, noise_draws, sequences
 from dotspin import core, experiments
-from dotspin.core import NoiseBatch, NoiseDraw, dagger, unitary
+from dotspin.core import NoiseBatch, NoiseDraw, dagger, transition_frequencies, unitary
 from dotspin.engine import run_sequence
-from dotspin.sequences import MeasureElectron, MeasureNuclear, repeated_load_sequence
+from dotspin.sequences import (
+    ChargeEvent,
+    MeasureElectron,
+    MeasureNuclear,
+    PulseSequence,
+    adiabatic_inversion,
+    repeated_load_sequence,
+)
 
 TOL = 1e-12
 
@@ -105,6 +112,26 @@ def test_unitary_memo_keys_on_the_exact_stack():
         keys.append((hi.shape, hi.dtype, hi.tobytes()))
         assert len(core._eigh_memo) == min(i + 1, core.EIGH_MEMO_SIZE)
     assert list(core._eigh_memo) == keys[-core.EIGH_MEMO_SIZE:]
+
+
+def test_chirp_steps_leave_the_eigh_memo_alone():
+    # each chirp step's Hamiltonian stack is new, so the steps take their
+    # eigendecomposition from eigh directly and evict nothing reusable
+    freqs = transition_frequencies(PARAMS)
+    seq = PulseSequence(
+        elements=(ChargeEvent(kind="load_down"),
+                  adiabatic_inversion(PARAMS, "f_e_nuc_down"), MeasureElectron()),
+        f_e_ref=freqs["f_e0"], f_n_ref=freqs["f_n0"], initial_config="unloaded",
+    )
+    draws = [NoiseDraw(), NoiseDraw(delta_sz=3.0, delta_iz=0.02)]
+    core._eigh_memo.clear()
+    unitary(np.diag([1.0, 2.0, 3.0, 4.0]), 1.0)
+    keys = list(core._eigh_memo)
+    got = run_sequence(seq, PARAMS, NoiseBatch.stack(draws))
+    assert list(core._eigh_memo) == keys
+    for i, d in enumerate(draws):
+        one = ref.run_sequence(seq, PARAMS, d)
+        assert np.max(np.abs(got.rho[i] - one.state.density_matrix())) < TOL
 
 
 @given(

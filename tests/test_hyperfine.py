@@ -5,6 +5,7 @@ import pytest
 
 from dotspin.experiments import write_csv
 from dotspin.hyperfine import (
+    AIRY_A1,
     CALIBRATION_DIAMETER,
     CALIBRATION_MAX_A,
     SI_LATTICE_CONSTANT,
@@ -25,6 +26,11 @@ from dotspin.hyperfine import (
 class TestWavefunction:
     def test_airy_length_decreases_with_field(self):
         assert airy_length(50.0) < airy_length(10.0)
+
+    def test_airy_zero_literal_is_scipys(self):
+        from scipy.special import ai_zeros
+
+        assert AIRY_A1 == float(ai_zeros(1)[0][0])
 
     def test_airy_length_positive_field_required(self):
         with pytest.raises(ValueError):

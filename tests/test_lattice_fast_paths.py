@@ -2,7 +2,10 @@
 bit for bit for the hyperfine density and the Van Vleck sum, draw for draw
 for the repetitive readout."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_lattice as ref
@@ -17,7 +20,8 @@ from dotspin.hyperfine import (
     site_couplings,
 )
 from dotspin.readout import NuclearReadoutConfig, repetitive_nuclear_readout
-from dotspin.vanvleck import ElectrodeGeometry, second_moment_sum
+from dotspin import vanvleck
+from dotspin.vanvleck import AL_LATTICE_CONSTANT, ElectrodeGeometry, second_moment_sum
 
 
 @given(
@@ -88,6 +92,17 @@ def test_second_moment_sum_matches_meshgrid_reference(standoff, thickness,
                                  lateral=lateral,
                                  al_lattice_constant=al_lattice_constant)
     assert second_moment_sum(geometry) == ref.second_moment_sum(geometry)
+
+
+@pytest.mark.parametrize("standoff", [4 * AL_LATTICE_CONSTANT, 2.0, 4.0, 6.0, 8.0, 10.0])
+def test_near_field_split_matches_whole_electrode_sum(standoff, monkeypatch):
+    geometry = ElectrodeGeometry(standoff=standoff)
+    split = second_moment_sum(geometry)
+    # an unbounded near box sums every site with the kernel pinned above
+    monkeypatch.setattr(vanvleck, "NEAR_FIELD_NM", math.inf)
+    exact = second_moment_sum(geometry)
+    assert split != exact  # the default gate reaches beyond the near box
+    assert abs(split - exact) <= 1e-6 * exact
 
 
 @given(

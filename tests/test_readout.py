@@ -84,6 +84,13 @@ class TestFidelityModel:
         with pytest.raises(ValueError, match=r"f_e_avg must be in \[0, 1\]"):
             NuclearReadoutConfig(f_e_avg=f)
 
+    @pytest.mark.parametrize("f", [0.0, 0.5, 0.765, 0.99, 1.0])
+    def test_fshot_is_binom_cdf_bit_for_bit(self, f):
+        # the model calls the ufunc behind binom.cdf, not binom itself
+        for m in range(1, 101):
+            r = nuclear_fidelity_model(NuclearReadoutConfig(m_shots=m, f_e_avg=f))
+            assert r["f_shot"] == float(binom.cdf(m, 2 * m, 1.0 - f))
+
     def test_fshot_single_shot_enumeration(self):
         # M=1: two reads, majority (ties succeed) fails only when both err
         f = 0.7
