@@ -211,8 +211,18 @@ def _check_top_level(config: dict, experiment: str) -> None:
     if experiment == "readout-fidelity":
         settings = {k: v for k, v in config.items() if k != "m_max"}
         _library_check(experiment, NuclearReadoutConfig, **settings)
-    elif experiment == "hyperfine-mc" and "ppm" in config:
-        _library_check(experiment, hyperfine.check_ppm, config["ppm"])
+    elif experiment == "hyperfine-mc":
+        if "ppm" in config:
+            _library_check(experiment, hyperfine.check_ppm, config["ppm"])
+        # both sweep endpoints, even when diameter_points is 1
+        for key in ("diameter_start", "diameter_stop", "f_z"):
+            if config.get(key, 1.0) <= 0:
+                raise ConfigError(f"hyperfine-mc.{key}: must be positive, got {config[key]!r}")
+        least = hyperfine.MIN_DRAWS
+        if config.get("draws", least) < least:
+            raise ConfigError(
+                f"hyperfine-mc.draws: must be >= {least}, got {config['draws']!r}"
+            )
     elif experiment == "fit":
         for key in ("model", "input"):
             if key not in config:

@@ -11,8 +11,9 @@ is not independently known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ AIRY_A1 = -2.3381074104597674  # float(scipy.special.ai_zeros(1)[0][0])
 DEFAULT_F_Z = 25.0  # MV/m, mid-range vertical field
 CALIBRATION_DIAMETER = 7.0  # nm
 CALIBRATION_MAX_A = 450.0  # kHz
+MIN_DRAWS = 100  # placement draws per diameter in probability_curves
 
 
 def airy_length(f_z: float) -> float:
@@ -79,32 +81,65 @@ class WavefunctionParams:
     @property
     def valley_wavevector(self) -> float:
         """nm^-1, along z."""
-        return VALLEY_K_FRACTION * 2.0 * np.pi / self.lattice_constant
+        return _valley_wavevector(self.lattice_constant)
 
 
-def _vertical_profile(z, params: WavefunctionParams):
+def _valley_wavevector(lattice_constant: float) -> float:
+    """Valley wavevector in nm^-1 for a lattice constant in nm."""
+    return VALLEY_K_FRACTION * 2.0 * np.pi / lattice_constant
+
+
+def _vertical_profile(z, params):
     """Unnormalised vertical density Ai^2(z/l + a1) * 2cos^2(k_v z + phi),
-    zero below the interface."""
+    zero below the interface. params is a WavefunctionParams or a _Vertical;
+    only f_z, valley_phase and lattice_constant are read."""
     from scipy.special import airy
 
     z = np.asarray(z, dtype=float)
-    ell = params.airy_length_nm
+    ell = airy_length(params.f_z)
     ai = airy(z / ell + AIRY_A1)[0]
-    valley = 2.0 * np.cos(params.valley_wavevector * z + params.valley_phase) ** 2
+    k_v = _valley_wavevector(params.lattice_constant)
+    valley = 2.0 * np.cos(k_v * z + params.valley_phase) ** 2
     return np.where(z >= 0, ai**2 * valley, 0.0)
 
 
+class _Vertical(NamedTuple):
+    """The fields of WavefunctionParams that the vertical integrals read:
+    every field but the dot diameter and the lateral box."""
+
+    f_z: float
+    valley_phase: float
+    lattice_constant: float
+    z_max: float  # box height, region[2]
+
+
+def _vertical(params: WavefunctionParams) -> _Vertical:
+    return _Vertical(params.f_z, params.valley_phase, params.lattice_constant,
+                     params.region[2])
+
+
 @lru_cache(maxsize=64)
-def _vertical_integral(params: WavefunctionParams) -> float:
-    """Integral of the vertical profile over the box height [0, region_z]."""
+def _vertical_integrals(vertical: _Vertical) -> tuple:
+    """Integrals of the vertical profile over the box height [0, z_max] and
+    over the tail [z_max, 4 z_max] above it. A sweep over dot diameters
+    shares one entry."""
     from scipy.integrate import quad
 
-    z_max = params.region[2]
+    def profile(z):
+        return float(_vertical_profile(z, vertical))
+
+    z_max = vertical.z_max
     # the valley oscillation is fast; give quad its period as a hint
-    period = np.pi / params.valley_wavevector
+    period = np.pi / _valley_wavevector(vertical.lattice_constant)
     pts = np.arange(0.0, z_max, 10 * period)
-    return quad(lambda z: float(_vertical_profile(z, params)), 0.0, z_max,
-                points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
+    inside = quad(profile, 0.0, z_max,
+                  points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
+    return inside, quad(profile, z_max, z_max * 4, limit=400)[0]
+
+
+def _vertical_integral(params: WavefunctionParams) -> float:
+    """Integral of the vertical profile over the box height [0, region_z]."""
+    return _vertical_integrals(_vertical(params))[0]
 
 
 def _density_norm(params: WavefunctionParams) -> float:
@@ -131,15 +166,12 @@ def wavefunction_density(positions, params: WavefunctionParams):
 
 def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the simulation box."""
-    from scipy.integrate import quad
     from scipy.special import erf
 
-    lx, ly, lz = params.region
+    lx, ly, _ = params.region
     d = params.dot_diameter
-    i_in = _vertical_integral(params)
-    i_all = i_in + quad(
-        lambda z: float(_vertical_profile(z, params)), lz, lz * 4, limit=400
-    )[0]
+    i_in, i_tail = _vertical_integrals(_vertical(params))
+    i_all = i_in + i_tail
     # independent 1D Gaussian marginals exp(-4 x^2 / d^2) over [-l/2, l/2]
     return erf(lx / d) * erf(ly / d) * i_in / i_all
 
@@ -198,23 +230,24 @@ def generate_lattice(region, lattice_constant: float = SI_LATTICE_CONSTANT):
 
 
 def _lattice_density(params: WavefunctionParams):
-    """The sites of params' lattice and |psi|^2 at each, bitwise equal to
-    wavefunction_density(sites, params).
+    """|psi|^2 at each site of params' lattice, in generate_lattice's order
+    and bitwise equal to wavefunction_density(sites, params).
 
     The envelope is separable: the Gaussian is evaluated once per (x, y)
     column of sites and the vertical profile once per atomic layer, and
-    their product is broadcast over the lattice.
+    their product is broadcast over the lattice. The site positions are
+    never built.
     """
     axes = _lattice_axes(params.region, params.lattice_constant)
     if axes is None:
-        return np.empty((0, 3)), np.empty(0)
+        return np.empty(0)
     x, y, z = axes
     r_perp_sq = x[:, None, :] ** 2 + y[None, :, :] ** 2
     lateral = _density_norm(params) * np.exp(
         -4.0 * r_perp_sq / params.dot_diameter**2
     )
     density = lateral[:, :, None, :] * _vertical_profile(z, params)
-    return _sites(x, y, z), density.reshape(-1)
+    return density.reshape(-1)
 
 
 @lru_cache(maxsize=16)
@@ -227,7 +260,7 @@ def calibrate_k_hf(
     diameter supports max_a as the peak coupling attainable at an actual
     lattice site (the best-placed nucleus the device could host)."""
     params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
-    return max_a / np.max(_lattice_density(params)[1])
+    return max_a / np.max(_lattice_density(params))
 
 
 @dataclass
@@ -243,12 +276,18 @@ class HyperfineSample:
         return int(np.sum(self.a_values >= threshold_khz))
 
 
-def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
-    """Lattice positions and their |A| in kHz (every site, occupied or not)."""
+def _couplings(params: WavefunctionParams, k_hf: float | None = None):
+    """|A| in kHz at every lattice site, occupied or not, in
+    generate_lattice's order."""
     if k_hf is None:
         k_hf = calibrate_k_hf()
-    sites, density = _lattice_density(params)
-    return sites, k_hf * density
+    return k_hf * _lattice_density(params)
+
+
+def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
+    """Lattice positions and their |A| in kHz (every site, occupied or not)."""
+    sites = generate_lattice(params.region, params.lattice_constant)
+    return sites, _couplings(params, k_hf)
 
 
 def check_ppm(ppm: float) -> None:
@@ -289,8 +328,8 @@ def probability_curves(
     'max_coupling_khz'} as flat equal-length arrays (rows = diameter x
     threshold grid).
     """
-    if draws < 100:
-        raise ValueError("draws must be >= 100")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be >= {MIN_DRAWS}")
     check_ppm(ppm)
     diameter_range = np.asarray(diameter_range, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
@@ -303,7 +342,7 @@ def probability_curves(
              "max_coupling_khz")}
     for d in diameter_range:
         params = WavefunctionParams(dot_diameter=d, f_z=f_z)
-        _, couplings = site_couplings(params, k_hf)
+        couplings = _couplings(params, k_hf)
         max_a = float(np.max(couplings)) if couplings.size else 0.0
         # only sites that can clear the smallest threshold matter
         floor = float(np.min(thresholds))
@@ -331,7 +370,7 @@ def max_coupling_surface(diameter_range, f_z_range, k_hf: float | None = None):
     for d in np.asarray(diameter_range, dtype=float):
         for fz in np.asarray(f_z_range, dtype=float):
             params = WavefunctionParams(dot_diameter=d, f_z=fz)
-            _, couplings = site_couplings(params, k_hf)
+            couplings = _couplings(params, k_hf)
             rows["diameter_nm"].append(d)
             rows["f_z_mv_m"].append(fz)
             rows["max_coupling_khz"].append(

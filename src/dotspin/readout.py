@@ -115,11 +115,16 @@ def repetitive_nuclear_readout(
     # per shot, in stream order: two reads, then the flip draw
     draws = rng.random((config.m_shots, 3))
     flips = draws[:, 2] < p_flip
-    # the nucleus during shot i has flipped once per earlier shot's flip
-    flipped = (np.cumsum(flips) - flips) % 2 == 1
-    state = flipped != bool(nuclear_up)
     wrong = draws[:, :2] >= config.f_e_avg
-    votes_up = int(np.count_nonzero(state[:, None] != wrong))
+    if flips.any():
+        # the nucleus during shot i has flipped once per earlier shot's flip
+        flipped = (np.cumsum(flips) - flips) % 2 == 1
+        state = flipped != bool(nuclear_up)
+        votes_up = int(np.count_nonzero(state[:, None] != wrong))
+    else:
+        # the usual case at T1 >> M t_shot: every read sees the initial state
+        n_wrong = int(np.count_nonzero(wrong))
+        votes_up = 2 * config.m_shots - n_wrong if nuclear_up else n_wrong
     votes_down = 2 * config.m_shots - votes_up
     if votes_up > votes_down:
         reported = True

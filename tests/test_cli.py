@@ -176,7 +176,7 @@ class TestExitCodes:
          "readout-fidelity: t1_n_hours must be positive"),
         # values refused by the library name their argument
         ("readout-fidelity", {"m_max": 0}, "readout-fidelity: m_max must be >= 1"),
-        ("hyperfine-mc", {"draws": 10}, "hyperfine-mc: draws must be >= 100"),
+        ("hyperfine-mc", {"draws": 10}, "hyperfine-mc.draws: must be >= 100, got 10"),
         ("vanvleck", {"thickness": -1}, "vanvleck: thickness must be >= 0, got -1"),
         ("vanvleck", {"lateral": [300.0, 0.0]},
          "vanvleck: lateral dimensions must be positive"),
@@ -315,6 +315,12 @@ class TestDryRun:
         ("shuttle", {"variant": "repeated", "sweep_start": -1, "sweep_stop": 2,
                      "sweep_points": 2},
          "shuttle.sweep_start: k_cycles must be >= 0 after rounding, got -1"),
+        ("hyperfine-mc", {"diameter_start": 0},
+         "hyperfine-mc.diameter_start: must be positive, got 0"),
+        ("hyperfine-mc", {"diameter_stop": -2.0, "diameter_points": 1},
+         "hyperfine-mc.diameter_stop: must be positive, got -2.0"),
+        ("hyperfine-mc", {"f_z": 0}, "hyperfine-mc.f_z: must be positive, got 0"),
+        ("hyperfine-mc", {"draws": 99}, "hyperfine-mc.draws: must be >= 100, got 99"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
