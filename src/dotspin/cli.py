@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Runs the simulation experiments from declarative JSON configs, writes CSV
-(sweeps) or JSON (scalar results with a provenance block), and bundles one
+(tables) or JSON (any result, under a provenance block), and bundles one
 config per reproduced figure under `dotspin/configs/`.
 
 Exit codes: 0 success, 1 config/validation or file error, 2 numerical failure.
@@ -413,15 +413,7 @@ def _run_fit(config, trials, seed):
     x = np.array([float(r[x_col]) for r in rows])
     y = np.array([float(r[y_col]) for r in rows])
     # looked up at call time, so a replaced fitting.fit_<model> runs
-    res = getattr(fitting, f"fit_{config['model']}")(x, y)
-    return {
-        "model": res.model,
-        "parameters": res.parameters,
-        "uncertainties": res.uncertainties,
-        "residual_norm": res.residual_norm,
-        "converged": res.converged,
-        "flags": res.flags,
-    }
+    return dataclasses.asdict(getattr(fitting, f"fit_{config['model']}")(x, y))
 
 
 def _run_s1_stats(config, trials, seed):
@@ -482,20 +474,19 @@ _RUNNERS = {
 # Output
 
 
-def _write_table(table: dict, out, fmt: str, meta: dict, seed, trials) -> None:
-    columns = table.columns if isinstance(table, ExperimentResult) else table
-    if fmt == "csv" and all(
-        isinstance(v, (np.ndarray, list)) for v in columns.values()
-    ):
-        return _write_csv(columns, out)
+def _write_table(table, out, fmt: str, meta: dict, seed, trials) -> None:
+    """Write a run's result: a table (named equal-length columns, or an
+    ExperimentResult) as CSV, or any result as the JSON payload
+    {"provenance": provenance_block(meta, seed, trials), "result": ...}."""
     if isinstance(table, ExperimentResult):
-        text = table.to_json()
-    else:
-        payload = {
-            "result": _jsonable(table),
-            "provenance": provenance_block(meta, seed, trials),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        table = table.columns
+    if fmt == "csv":
+        return _write_csv(table, out)
+    payload = {
+        "result": _jsonable(table),
+        "provenance": provenance_block(meta, seed, trials),
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if out == "-":
         sys.stdout.write(text + "\n")
     else:
@@ -612,28 +603,40 @@ def _scan_m_max(spec: str) -> int:
     return hi
 
 
+def _writes_record(experiment: str, run: dict) -> bool:
+    """Whether the run's result is a record (nested values, not a table of
+    equal-length columns), which has no CSV form."""
+    if experiment == "bell":
+        return run.get("mode", "tomography") == "tomography"
+    return experiment in ("spectrum", "error-budget", "fit", "s1-stats")
+
+
 def _run_all(runs, args) -> int:
-    for i, run in enumerate(runs):
+    # the trials of a sweep point already run as one batch; no run uses threads
+    if args.threads != 1:
+        raise ConfigError(f"--threads: only 1 is supported, got {args.threads}")
+    for run in runs:
         run = dict(run)
         experiment = run.pop("experiment", args.command)
         out = run.pop("out", None)
         fmt = run.pop("format", None)
         trials = _count(run, experiment, "trials", args.trials, 1)
         seed = _count(run, experiment, "seed", args.seed, 0)
-        if args.threads < 1:
-            raise ConfigError("threads must be >= 1")
         validate_config(run, experiment)
         out = args.out or out or "-"
         if out != "-" and not os.path.isabs(out):
             out = os.path.join(os.environ.get("DOTSPIN_OUTDIR", "."), out)
         fmt = args.fmt or fmt or (
-            "json" if experiment in
-            ("spectrum", "bell", "error-budget", "fit", "s1-stats") else "csv"
+            "json" if experiment == "bell" or _writes_record(experiment, run)
+            else "csv"
         )
+        if fmt == "csv" and _writes_record(experiment, run):
+            name = "--format" if args.fmt else f"{experiment}.format"
+            raise ConfigError(f"{name}: {experiment} writes a record, which has "
+                              f"no CSV form; use json")
         if args.dry_run:
             plan = {"experiment": experiment, "config": run, "trials": trials,
-                    "seed": seed, "out": out, "format": fmt,
-                    "threads": args.threads}
+                    "seed": seed, "out": out, "format": fmt}
             print(json.dumps(_jsonable(plan), indent=2, sort_keys=True))
             continue
         try:

@@ -16,7 +16,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class ExperimentResult:
     sqrt(p(1-p)/trials) in matching '<name>_stderr' columns."""
 
     columns: dict
-    trials: int
-    seed: int
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lengths = {len(v) for v in self.columns.values()}
@@ -70,15 +67,6 @@ class ExperimentResult:
                 if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
                     raise ValueError(f"column {name} has probabilities outside [0, 1]")
             self.columns[name] = arr
-
-    def to_json(self) -> str:
-        payload = {
-            "columns": {k: list(v) for k, v in self.columns.items()},
-            "trials": self.trials,
-            "seed": self.seed,
-            "provenance": provenance_block(self.meta, self.seed, self.trials),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def write_csv(columns: dict, stream) -> None:
@@ -201,10 +189,6 @@ def run_nmr_chevron(
             "p_flip": p,
             "p_flip_stderr": binomial_stderr(p, trials),
         },
-        trials=trials,
-        seed=seed,
-        meta={"experiment": "nmr_chevron", "params": asdict(params), "noise": asdict(noise),
-              "rabi_khz": rabi, "charge_config": charge_config},
     )
 
 
@@ -212,9 +196,7 @@ def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResu
     """Resonant Rabi oscillation: a single-frequency chevron slice."""
     if frequency is None:
         frequency = transition_frequencies(params)["f_n0"]
-    res = run_nmr_chevron([frequency], duration_range, params, **kwargs)
-    res.meta["experiment"] = "rabi"
-    return res
+    return run_nmr_chevron([frequency], duration_range, params, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +234,6 @@ def _run_free_precession(
             "p_up": p,
             "p_up_stderr": binomial_stderr(p, trials),
         },
-        trials=trials,
-        seed=seed,
-        meta={"experiment": kind, "params": asdict(params), "noise": asdict(noise),
-              "detuning_khz": detuning_khz, "charge_config": charge_config},
     )
 
 
@@ -572,10 +550,6 @@ def run_bell_parity_sweep(
             "p_up_Down": joint[:, 2],
             "p_up_Up": joint[:, 3],
         },
-        trials=trials,
-        seed=seed,
-        meta={"experiment": "bell_parity", "vary": vary,
-              "initial_nuclear": initial_nuclear, "params": asdict(params)},
     )
 
 
@@ -665,9 +639,6 @@ def run_shuttle_experiments(
     if not tau_0 > 0:
         raise ValueError(f"tau_0 must be positive, got {tau_0!r}")
 
-    meta = {"experiment": f"shuttle_{variant}", "params": asdict(params),
-            "noise": asdict(noise), "tau_0_us": tau_0, "p_err": p_err}
-
     if variant == "repeated":
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
         columns = {"k_cycles": sweep}
@@ -682,7 +653,7 @@ def run_shuttle_experiments(
             coherence_metric(*values)
             for values in zip(*(columns[name] for name in phases))
         ])
-        return ExperimentResult(columns=columns, trials=trials, seed=seed, meta=meta)
+        return ExperimentResult(columns=columns)
 
     # the other two variants record P(up) of one spin per sweep point
     builders = {
@@ -697,6 +668,5 @@ def run_shuttle_experiments(
     column, kind, build = builders[variant]
     p = _sweep(build, sweep, params, _draws(noise, seed, trials), kind)[:, 1]
     return ExperimentResult(
-        columns={column: sweep, "p_up": p, "p_up_stderr": binomial_stderr(p, trials)},
-        trials=trials, seed=seed, meta=meta,
+        columns={column: sweep, "p_up": p, "p_up_stderr": binomial_stderr(p, trials)}
     )

@@ -75,10 +75,6 @@ class WavefunctionParams:
             raise ValueError("region too small: enclosed probability < 0.999")
 
     @property
-    def airy_length_nm(self) -> float:
-        return airy_length(self.f_z)
-
-    @property
     def valley_wavevector(self) -> float:
         """nm^-1, along z."""
         return _valley_wavevector(self.lattice_constant)

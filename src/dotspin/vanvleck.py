@@ -50,10 +50,6 @@ class ElectrodeGeometry:
             )
 
     @property
-    def volume_nm3(self) -> float:
-        return self.thickness * self.lateral[0] * self.lateral[1]
-
-    @property
     def site_density_nm3(self) -> float:
         return 4.0 / self.al_lattice_constant**3
 

@@ -246,11 +246,14 @@ def test_drivers_match_per_trial_reference():
 def test_outputs_byte_identical_across_reruns(seed):
     noise = NoiseModel(sigma_iz=0.3, sigma_sz=4.0, spectator_flip_prob=0.2)
     taus = np.linspace(0.0, 600.0, 3)
+    def column_bytes(res):
+        return {name: column.tobytes() for name, column in res.columns.items()}
+
     a = run_ramsey(taus, noise=noise, trials=5, seed=seed)
     b = run_ramsey(taus, noise=noise, trials=5, seed=seed)
-    assert a.to_json() == b.to_json()
+    assert column_bytes(a) == column_bytes(b)
     a = run_shuttle_experiments("electron", [0.0, 90.0], PARAMS, noise=noise,
                                 trials=4, seed=seed, p_transfer=0.3)
     b = run_shuttle_experiments("electron", [0.0, 90.0], PARAMS, noise=noise,
                                 trials=4, seed=seed, p_transfer=0.3)
-    assert a.to_json() == b.to_json()
+    assert column_bytes(a) == column_bytes(b)

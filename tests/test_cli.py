@@ -350,6 +350,29 @@ class TestDryRun:
         assert code == 1 and out == ""
         assert "--seed must be >= 0, got -1" in err
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["rabi", "--threads", "2"], {}, "--threads: only 1 is supported, got 2"),
+        (["rabi", "--threads", "0"], {}, "--threads: only 1 is supported, got 0"),
+        (["spectrum", "--format", "csv"], {}, "--format: spectrum writes a record"),
+        (["error-budget", "--format", "csv"], {}, "--format: error-budget writes"),
+        (["fit", "--format", "csv"], {"model": "ramsey", "input": "x.csv"},
+         "--format: fit writes a record"),
+        (["spectrum", "--format", "csv"], {"experiment": "s1-stats"},
+         "--format: s1-stats writes a record"),
+        (["bell", "--format", "csv"], {"mode": "tomography"},
+         "--format: bell writes a record"),
+        (["spectrum"], {"format": "csv"}, "spectrum.format: spectrum writes a record"),
+    ])
+    def test_dry_run_refuses_flags_the_run_cannot_honour(self, capsys, tmp_path,
+                                                         argv, config, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg), "--trials", "1"]
+        dry = run_cli(capsys, *argv, "--dry-run")
+        assert dry[0] == 1 and dry[1] == ""
+        assert "error: " + message in dry[2]
+        assert run_cli(capsys, *argv) == dry
+
     def test_bundled_configs_pass_dry_run(self, capsys):
         for figure in FIGURE_IDS:
             code, _, err = run_cli(capsys, "reproduce", figure, "--dry-run")
@@ -424,6 +447,30 @@ class TestOutputs:
         fit = json.loads(out)["result"]
         assert fit["parameters"]["frequency"] == pytest.approx(0.22425, rel=1e-3)
 
+    @pytest.mark.parametrize("experiment, config, trials", [
+        ("rabi", {"dur_points": 3}, "2"),
+        ("hyperfine-mc", {"diameter_points": 1, "draws": 100}, "1"),
+        ("spectrum", {"params": {"b_ext": 1.42}}, "1"),
+    ])
+    def test_json_outputs_share_one_layout(self, capsys, tmp_path,
+                                           experiment, config, trials):
+        # a sweep (rabi, hyperfine-mc) and a record (spectrum) alike; the
+        # provenance config is the --dry-run plan's config and its experiment
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        argv = (experiment, "--config", str(cfg), "--format", "json",
+                "--seed", "7", "--trials", trials)
+        code, out, _ = run_cli(capsys, *argv, "--dry-run")
+        assert code == 0
+        plan = json.loads(out)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == ["provenance", "result"]
+        provenance = payload["provenance"]
+        assert provenance["config"] == {"experiment": plan["experiment"], **plan["config"]}
+        assert (provenance["seed"], provenance["trials"]) == (7, int(trials))
+
     def test_fit_unknown_model_exits_1(self, capsys, tmp_path):
         data = tmp_path / "trace.csv"
         data.write_text("x,y\n0,1\n1,2\n")
@@ -440,11 +487,11 @@ class TestOutputs:
             "noise": {"sigma_iz": 0.0776},
         }))
         outs = []
-        for name, threads in (("a.csv", "1"), ("b.csv", "4"), ("c.csv", "1")):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
             code, _, _ = run_cli(
                 capsys, "ramsey", "--config", str(cfg), "--trials", "6",
-                "--threads", threads, "--out", str(out),
+                "--threads", "1", "--out", str(out),
             )
             assert code == 0
             outs.append(out.read_bytes())

@@ -1,7 +1,5 @@
 """Experiment drivers: sweeps, Bell tomography, error budget, shuttles."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -35,15 +33,11 @@ QUIET = NoiseModel()
 class TestResultContainer:
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentResult(
-                columns={"a": np.arange(3), "b": np.arange(4)},
-                trials=1, seed=0, meta={},
-            )
+            ExperimentResult(columns={"a": np.arange(3), "b": np.arange(4)})
 
     def test_csv_round_trip(self, tmp_path):
         res = ExperimentResult(
-            columns={"x": np.array([0.5, 1.5]), "y": np.array([0.25, 0.75])},
-            trials=10, seed=3, meta={"experiment": "demo"},
+            columns={"x": np.array([0.5, 1.5]), "y": np.array([0.25, 0.75])}
         )
         path = tmp_path / "out.csv"
         with open(path, "w", newline="") as fh:
@@ -52,15 +46,6 @@ class TestResultContainer:
         assert lines[0] == "x,y"
         data = np.loadtxt(lines[1:], delimiter=",")
         assert np.array_equal(data, np.array([[0.5, 0.25], [1.5, 0.75]]))
-
-    def test_json_includes_provenance(self, tmp_path):
-        res = ExperimentResult(
-            columns={"x": np.array([1.0])},
-            trials=2, seed=7, meta={"experiment": "demo"},
-        )
-        payload = json.loads(res.to_json())
-        assert payload["provenance"]["seed"] == 7
-        assert payload["columns"]["x"] == [1.0]
 
     def test_provenance_hash_stable_and_order_free(self):
         a = provenance_block({"p": 1, "q": 2}, seed=0, trials=5)
