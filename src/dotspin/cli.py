@@ -620,6 +620,9 @@ def _run_all(runs, args) -> int:
         experiment = run.pop("experiment", args.command)
         out = run.pop("out", None)
         fmt = run.pop("format", None)
+        if fmt not in (None, "csv", "json"):
+            raise ConfigError(f"{experiment}.format: expected one of 'csv', "
+                              f"'json', got {fmt!r}")
         trials = _count(run, experiment, "trials", args.trials, 1)
         seed = _count(run, experiment, "seed", args.seed, 0)
         validate_config(run, experiment)

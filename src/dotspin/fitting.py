@@ -50,27 +50,126 @@ class FitResult:
         return self.uncertainties[name]
 
 
-def _fit(fn, x, y, p0, bounds, names, model, sigma=None,
-         absolute_sigma=False) -> FitResult:
-    from scipy.optimize import curve_fit
+#: The solver stops when an accepted step lowers the sum of squares by less
+#: than _FTOL of it, when the step is shorter than _XTOL * |p|, or when each
+#: free column of the Jacobian is within _GTOL (cosine) of orthogonal to the
+#: residual. At curve_fit's ftol of 1e-11 the Ramsey and spectrum fits stop up
+#: to 1e-6 short of their optimum; with these values, within 1e-7 of it.
+#: _GTOL also ends, after about 1,000 evaluations, the fits whose optimum lies
+#: at infinity (a sinusoid started at too low a frequency).
+_FTOL, _XTOL, _GTOL = 1e-15, 1e-11, 1e-8
+#: Floor of the solver's damping, relative to the unit diagonal of the scaled
+#: normal equations. It leaves the optimum where it is and keeps the system
+#: solvable when two columns of the Jacobian coincide in floating point.
+_MIN_DAMPING = 1e-12
 
-    try:
-        popt, pcov = curve_fit(
-            fn, x, y, p0=p0, bounds=bounds, maxfev=5000, ftol=1e-11, xtol=1e-11,
-            sigma=sigma, absolute_sigma=absolute_sigma,
-        )
-    except RuntimeError:
+
+def _fit(fn, jac, x, y, p0, bounds, names, model, sigma=None,
+         absolute_sigma=False, max_nfev=5000) -> FitResult:
+    """Fit fn(x, *p) to y from p0 within bounds (lower, upper), weighting
+    each residual by 1/sigma. jac(x, *p) is fn's (len(x), len(p))
+    Jacobian. The covariance follows scipy's curve_fit: the pseudo-inverse
+    of J^T J, singular values below eps * max(J.shape) * s_max dropped, and
+    unless absolute_sigma, scaled by the residual variance (inf when there
+    are no more points than parameters). A fit that spends max_nfev
+    evaluations of fn without converging returns p0, infinite
+    uncertainties and converged=False."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("fit data must be finite")
+    weight = np.ones_like(y) if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+    p, r, jacobian, converged = _levenberg_marquardt(
+        lambda p: weight * (fn(x, *p) - y),
+        lambda p: weight[:, None] * jac(x, *p),
+        p0, bounds, max_nfev,
+    )
+    if not converged:
         return FitResult(model, dict(zip(names, p0)),
                          {n: np.inf for n in names}, np.inf, converged=False)
-    resid = fn(x, *popt) - y
-    sigmas = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
+    cov = _covariance(jacobian, float(r @ r), absolute_sigma)
+    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     return FitResult(
         model,
-        dict(zip(names, popt)),
+        dict(zip(names, p)),
         dict(zip(names, sigmas)),
-        float(np.linalg.norm(resid)),
-        converged=bool(np.all(np.isfinite(popt))),
+        float(np.linalg.norm(fn(x, *p) - y)),
+        converged=bool(np.all(np.isfinite(p))),
     )
+
+
+def _levenberg_marquardt(residual, jacobian, p0, bounds, max_nfev):
+    """Minimise |residual(p)|^2 over the box bounds = (lower, upper).
+
+    Levenberg-Marquardt on the parameters scaled by Marquardt's running
+    maximum of sqrt(diag(J^T J)), with Nielsen's damping update, the damping
+    kept at or above _MIN_DAMPING. A parameter at a bound whose gradient
+    points out of the box is held there for the step; the other parameters'
+    step is clipped to the box. The stopping rules are those of _FTOL (the
+    fall counting only with at least a quarter of the predicted fall),
+    _XTOL and _GTOL. Returns (p, r, J, converged), J the Jacobian of
+    residual at p; converged is False when max_nfev evaluations of residual
+    pass first.
+    """
+    lower, upper = (np.broadcast_to(np.asarray(b, dtype=float), len(p0)) for b in bounds)
+    p = np.asarray(p0, dtype=float)
+    if not np.all((lower <= p) & (p <= upper)):
+        raise ValueError("initial parameters lie outside the bounds")
+    r = residual(p)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("residuals are not finite at the initial parameters")
+    cost = r @ r
+    jac = jacobian(p)
+    norms = np.zeros(len(p))
+    damping, growth = 1e-3, 2.0
+    for _ in range(max_nfev - 1):
+        grad = jac.T @ r
+        curvature = jac.T @ jac
+        columns = np.sqrt(np.diag(curvature))
+        free = ~(((p <= lower) & (grad > 0)) | ((p >= upper) & (grad < 0)))
+        if np.all(np.abs(grad[free]) <= _GTOL * columns[free] * np.sqrt(cost)):
+            return p, r, jac, True
+        norms = np.maximum(norms, columns)
+        unit = np.where(norms > 0, norms, 1.0)[free]
+        system = curvature[np.ix_(free, free)] / np.outer(unit, unit)
+        system.flat[::len(unit) + 1] += damping
+        step = np.zeros(len(p))
+        step[free] = np.linalg.solve(system, -grad[free] / unit) / unit
+        if not np.all(np.isfinite(step)):
+            break
+        trial = np.clip(p + step, lower, upper)
+        step = trial - p
+        short = np.linalg.norm(step) <= _XTOL * (_XTOL + np.linalg.norm(p))
+        r_trial = residual(trial)
+        cost_trial = r_trial @ r_trial
+        if not cost_trial < cost:  # also when the residual is not finite
+            if short:
+                return p, r, jac, True
+            damping *= growth
+            growth *= 2.0
+            continue
+        fall = cost - cost_trial
+        ratio = fall / -(2.0 * grad @ step + np.sum((jac @ step) ** 2))
+        p, r, cost = trial, r_trial, cost_trial
+        jac = jacobian(p)
+        if short or (fall <= _FTOL * (cost + fall) and ratio > 0.25):
+            return p, r, jac, True
+        damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3),
+                      _MIN_DAMPING)
+        growth = 2.0
+    return p, r, jac, False
+
+
+def _covariance(jac, cost: float, absolute_sigma: bool):
+    """curve_fit's parameter covariance from the weighted Jacobian at the
+    optimum and the weighted sum of squares there."""
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    cov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    m, n = jac.shape
+    if np.isnan(cov).any() or (not absolute_sigma and m <= n):
+        return np.full((n, n), np.inf)
+    return cov if absolute_sigma else cov * (cost / (m - n))
 
 
 def _frequency_grid(x, y, n_grid: int = 10):
@@ -94,11 +193,17 @@ def fit_sinusoid(x, y) -> FitResult:
     def model(t, a, f, phi, c):
         return a * np.cos(2 * np.pi * f * t + phi) + c
 
+    def jac(t, a, f, phi, c):
+        angle = 2 * np.pi * f * t + phi
+        slope = -a * np.sin(angle)
+        return np.column_stack([np.cos(angle), 2 * np.pi * t * slope, slope,
+                                np.ones_like(t)])
+
     amp0 = (np.max(y) - np.min(y)) / 2 or 1.0
     best = None
     grid, nyquist = _frequency_grid(x, y)
     for f0 in grid:
-        res = _fit(model, x, y, [amp0, f0, 0.0, np.mean(y)],
+        res = _fit(model, jac, x, y, [amp0, f0, 0.0, np.mean(y)],
                    ([0, 0, -2 * np.pi, -np.inf], [np.inf, nyquist, 2 * np.pi, np.inf]),
                    ["amplitude", "frequency", "phase", "offset"], "sinusoid")
         if best is None or res.residual_norm < best.residual_norm:
@@ -118,34 +223,49 @@ def fit_ramsey(tau, p, alpha_fixed: float | None = None) -> FitResult:
     amp0 = (np.max(p) - np.min(p)) / 2 or 0.5
     grid, nyquist = _frequency_grid(tau, p)
 
-    if alpha_fixed is None:
-        names = ["amplitude", "frequency", "phase", "t2star", "alpha", "offset"]
+    def model(t, a, f, phi, t2, alpha, c):
+        return a * np.cos(2 * np.pi * f * t + phi) * np.exp(-((t / t2) ** alpha)) + c
 
-        def model(t, a, f, phi, t2, alpha, c):
-            return a * np.cos(2 * np.pi * f * t + phi) * np.exp(-((t / t2) ** alpha)) + c
+    def jac(t, a, f, phi, t2, alpha, c):
+        angle = 2 * np.pi * f * t + phi
+        stretch = (t / t2) ** alpha
+        envelope = np.exp(-stretch)
+        decay = a * np.cos(angle) * envelope
+        slope = -a * np.sin(angle) * envelope
+        return np.column_stack([
+            np.cos(angle) * envelope, 2 * np.pi * t * slope, slope,
+            decay * stretch * alpha / t2,
+            # stretch log(t/t2) -> 0 as t -> 0
+            -decay * stretch * np.log(np.where(t > 0, t / t2, 1.0)),
+            np.ones_like(t),
+        ])
 
-        lo = [0, 0, -2 * np.pi, span * 1e-3, 0.5, -np.inf]
-        hi = [np.inf, nyquist, 2 * np.pi, span * 1e3, 4.0, np.inf]
+    names = ["amplitude", "frequency", "phase", "t2star", "alpha", "offset"]
+    lo = [0, 0, -2 * np.pi, span * 1e-3, 0.5, -np.inf]
+    hi = [np.inf, nyquist, 2 * np.pi, span * 1e3, 4.0, np.inf]
 
-        def p0(f0):
-            return [amp0, f0, 0.0, span / 2, 2.0, np.mean(p)]
-    else:
-        names = ["amplitude", "frequency", "phase", "t2star", "offset"]
+    def p0(f0):
+        return [amp0, f0, 0.0, span / 2, 2.0, np.mean(p)]
+
+    if alpha_fixed is not None:
+        # the same model with alpha pinned: its entries dropped throughout
+        full_model, full_jac, full_p0 = model, jac, p0
 
         def model(t, a, f, phi, t2, c):
-            return (a * np.cos(2 * np.pi * f * t + phi)
-                    * np.exp(-((t / t2) ** alpha_fixed)) + c)
+            return full_model(t, a, f, phi, t2, alpha_fixed, c)
 
-        lo = [0, 0, -2 * np.pi, span * 1e-3, -np.inf]
-        hi = [np.inf, nyquist, 2 * np.pi, span * 1e3, np.inf]
+        def jac(t, a, f, phi, t2, c):
+            return np.delete(full_jac(t, a, f, phi, t2, alpha_fixed, c), 4, axis=1)
 
         def p0(f0):
-            return [amp0, f0, 0.0, span / 2, np.mean(p)]
+            return np.delete(full_p0(f0), 4)
+
+        names, lo, hi = (v[:4] + v[5:] for v in (names, lo, hi))
 
     best = None
     noise_floor = 1.2 * np.sqrt(len(p)) * max(np.std(np.diff(p)) / np.sqrt(2), 1e-12)
     for f0 in grid:
-        res = _fit(model, tau, p, p0(f0), (lo, hi), names, "ramsey")
+        res = _fit(model, jac, tau, p, p0(f0), (lo, hi), names, "ramsey")
         if best is None or res.residual_norm < best.residual_norm:
             best = res
         if best.residual_norm < noise_floor:
@@ -169,9 +289,13 @@ def fit_hahn(tau, p) -> FitResult:
     def model(t, a, rate, c):
         return a * np.exp(-2.0 * t * rate) + c
 
+    def jac(t, a, rate, c):
+        decay = np.exp(-2.0 * t * rate)
+        return np.column_stack([decay, -2.0 * t * a * decay, np.ones_like(t)])
+
     amp0 = p[np.argmin(tau)] - p[np.argmax(tau)]
     span = np.max(tau) - np.min(tau)
-    res = _fit(model, tau, p, [amp0 or 0.5, 1.0 / span, np.min(p)],
+    res = _fit(model, jac, tau, p, [amp0 or 0.5, 1.0 / span, np.min(p)],
                ([-np.inf, 0.0, -np.inf], [np.inf, np.inf, np.inf]),
                ["amplitude", "rate", "offset"], "hahn")
     rate = res.parameters.pop("rate")
@@ -193,8 +317,6 @@ def fit_flip_intervals(intervals, bins=None) -> FitResult:
     """Characteristic lifetime from waiting intervals between flips: an
     exponential fit to the interval histogram, cross-checked by the
     maximum-likelihood mean (reported in flags)."""
-    from scipy.optimize import curve_fit
-
     intervals = np.asarray(intervals, dtype=float)
     if len(intervals) < 10:
         raise ValueError("need at least 10 intervals to fit a lifetime")
@@ -209,33 +331,25 @@ def fit_flip_intervals(intervals, bins=None) -> FitResult:
     def model(t, a, t1):
         return a * np.exp(-t / t1)
 
+    def jac(t, a, t1):
+        decay = np.exp(-t / t1)
+        return np.column_stack([decay, a * decay * t / t1**2])
+
     mean = float(np.mean(intervals))
+    names = ["amplitude", "t1"]
+    bounds = ([0, mean * 1e-3], [np.inf, mean * 1e3])
+    counts = counts.astype(float)
     # Poisson-weighted histogram fit; second pass weights by the model
     # prediction (observed-count weights bias the parameters low)
-    weights = np.sqrt(np.clip(counts, 1, None)).astype(float)
-    bounds = ([0, mean * 1e-3], [np.inf, mean * 1e3])
-    try:
-        popt, _ = curve_fit(
-            model, centers, counts.astype(float),
-            p0=[float(counts[0]) or 1.0, mean], sigma=weights,
-            bounds=bounds, maxfev=20000,
-        )
-        weights = np.sqrt(np.clip(model(centers, *popt), 1, None))
-        popt, pcov = curve_fit(
-            model, centers, counts.astype(float), p0=popt, sigma=weights,
-            absolute_sigma=True, bounds=bounds, maxfev=20000,
-        )
-        sigmas = np.sqrt(np.clip(np.diag(pcov), 0.0, None))
-        res = FitResult(
-            "flip_intervals",
-            {"amplitude": popt[0], "t1": popt[1]},
-            {"amplitude": sigmas[0], "t1": sigmas[1]},
-            float(np.linalg.norm(model(centers, *popt) - counts)),
-            converged=True,
-        )
-    except RuntimeError:
-        res = FitResult("flip_intervals", {"amplitude": np.nan, "t1": mean},
-                        {"amplitude": np.inf, "t1": np.inf}, np.inf, False)
+    res = _fit(model, jac, centers, counts, [counts[0] or 1.0, mean], bounds,
+               names, "flip_intervals", sigma=np.sqrt(np.clip(counts, 1, None)),
+               max_nfev=20000)
+    if res.converged:
+        popt = [res.parameters[n] for n in names]
+        res = _fit(model, jac, centers, counts, popt, bounds, names,
+                   "flip_intervals",
+                   sigma=np.sqrt(np.clip(model(centers, *popt), 1, None)),
+                   absolute_sigma=True, max_nfev=20000)
     res.flags["ml_mean"] = mean
     res.flags["ml_sigma"] = mean / np.sqrt(len(intervals))
     return res
@@ -259,12 +373,27 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     counts, edges = np.histogram(frequencies, bins=edges)
     centers = (edges[:-1] + edges[1:]) / 2
 
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
     def model(f, f0, a1, a2, sigma, h1, h2, h3, h4):
         total = np.zeros_like(f)
-        for h, s1, s2 in zip((h1, h2, h3, h4), (1, 1, -1, -1), (1, -1, 1, -1)):
+        for h, (s1, s2) in zip((h1, h2, h3, h4), signs):
             mu = f0 + s1 * a1 + s2 * a2
             total = total + h * np.exp(-((f - mu) ** 2) / (2 * sigma**2))
         return total
+
+    def jac(f, f0, a1, a2, sigma, *heights):
+        out = np.zeros((len(f), 8))
+        for k, (h, (s1, s2)) in enumerate(zip(heights, signs)):
+            offset = f - (f0 + s1 * a1 + s2 * a2)
+            peak = np.exp(-(offset**2) / (2 * sigma**2))
+            pull = h * peak * offset / sigma**2  # d/d(mu) of the peak
+            out[:, 0] += pull
+            out[:, 1] += s1 * pull
+            out[:, 2] += s2 * pull
+            out[:, 3] += pull * offset / sigma
+            out[:, 4 + k] = peak
+        return out
 
     # The midrange of the 2nd-98th percentiles sits between the outer peaks
     # whatever their weights; the mean is pulled towards the heavier pair and,
@@ -284,7 +413,7 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     weights = np.sqrt(np.clip(counts, 1, None)).astype(float)
     for a2_0 in (a2_guess, spread / 8, spread / 3):
         res = _fit(
-            model, centers, counts.astype(float),
+            model, jac, centers, counts.astype(float),
             [f0_guess, a1_guess, a2_0, bin_width * 2, h0, h0, h0, h0],
             ([-np.inf, 0, 0, bin_width / 4, 0, 0, 0, 0],
              [np.inf, np.inf, np.inf, np.inf, np.inf, np.inf, np.inf, np.inf]),
@@ -299,7 +428,7 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     p_best = [best.parameters[n] for n in names]
     weights = np.sqrt(np.clip(model(centers, *p_best), 1, None))
     refined = _fit(
-        model, centers, counts.astype(float), p_best,
+        model, jac, centers, counts.astype(float), p_best,
         ([-np.inf, 0, 0, bin_width / 4, 0, 0, 0, 0], [np.inf] * 8),
         names, "esr_histogram", sigma=weights, absolute_sigma=True,
     )
@@ -355,6 +484,10 @@ def fit_coherence_decay(k, c) -> FitResult:
     def model(n, c0, p_err):
         return c0 * np.exp(-n * p_err)
 
-    res = _fit(model, k, c, [max(c[np.argmin(k)], 1e-3), 1.0 / max(np.max(k), 1.0)],
+    def jac(n, c0, p_err):
+        decay = np.exp(-n * p_err)
+        return np.column_stack([decay, -n * c0 * decay])
+
+    res = _fit(model, jac, k, c, [max(c[np.argmin(k)], 1e-3), 1.0 / max(np.max(k), 1.0)],
                ([0, 0], [np.sqrt(2), 1.0]), ["c0", "p_err"], "coherence_decay")
     return res

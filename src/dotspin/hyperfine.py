@@ -11,6 +11,7 @@ is not independently known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -18,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import rng_for
+from .quadrature import panel_rule
 
 SI_LATTICE_CONSTANT = 0.543  # nm, unstrained silicon
 M_ELECTRON = 9.1093837015e-31  # kg
@@ -27,7 +29,28 @@ E_CHARGE = 1.602176634e-19  # C
 VALLEY_K_FRACTION = 0.85  # valley wavevector as a fraction of 2*pi/a
 
 #: First zero of the Airy function; the envelope vanishes at the interface.
-AIRY_A1 = -2.3381074104597674  # float(scipy.special.ai_zeros(1)[0][0])
+#: The value of scipy.special.ai_zeros(1), which the tests check it against.
+AIRY_A1 = -2.3381074104597674
+
+#: Ai(0) and Ai'(0) (DLMF 9.2.3, 9.2.4), the constants of the Maclaurin series.
+_AI_0 = 0.35502805388781723926
+_AI_PRIME_0 = -0.25881940379280679840
+#: Ai is summed from its Maclaurin series below this argument and taken from
+#: the damped integral of DLMF 9.5.6 at and above it.
+_AIRY_SERIES_MAX = 2.0
+#: Terms of each Maclaurin series; down to AIRY_A1 the last is below 1e-21.
+_AIRY_SERIES_TERMS = 12
+#: Panels and Gauss-Legendre points per panel of the Airy integral. Half as
+#: many panels reach the same 6e-14 relative agreement with scipy.special.airy
+#: over [2, 46], a floor set by the rounding of exp(-zeta).
+_AIRY_PANELS, _AIRY_POINTS = 8, 16
+#: Arguments per block of the (argument, node) matrix of the Airy integral,
+#: which bounds its memory at 1 MB.
+_AIRY_CHUNK = 1024
+#: Gauss-Legendre points per valley period of the vertical integrals. The
+#: valley factor completes one oscillation per period: 12 points integrate the
+#: profile to 1e-15 of quad at epsrel 1e-13 (10 points 5e-15, 8 only 1e-10).
+_VERTICAL_POINTS = 12
 
 DEFAULT_F_Z = 25.0  # MV/m, mid-range vertical field
 CALIBRATION_DIAMETER = 7.0  # nm
@@ -89,14 +112,54 @@ def _vertical_profile(z, params):
     """Unnormalised vertical density Ai^2(z/l + a1) * 2cos^2(k_v z + phi),
     zero below the interface. params is a WavefunctionParams or a _Vertical;
     only f_z, valley_phase and lattice_constant are read."""
-    from scipy.special import airy
-
     z = np.asarray(z, dtype=float)
     ell = airy_length(params.f_z)
-    ai = airy(z / ell + AIRY_A1)[0]
+    # below the interface the profile is zero; Ai is taken at a1 there
+    ai = _airy_ai(np.maximum(z, 0.0) / ell + AIRY_A1)
     k_v = _valley_wavevector(params.lattice_constant)
     valley = 2.0 * np.cos(k_v * z + params.valley_phase) ** 2
     return np.where(z >= 0, ai**2 * valley, 0.0)
+
+
+def _airy_ai(x):
+    """The Airy function Ai at x >= AIRY_A1 (any array shape), within
+    2e-13 relative or 1e-15 absolute of scipy.special.airy up to x = 46."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    near = flat < _AIRY_SERIES_MAX
+    out[near] = _airy_series(flat[near])
+    far = np.flatnonzero(~near)
+    t2, weights = _airy_rule()
+    for start in range(0, far.size, _AIRY_CHUNK):
+        index = far[start:start + _AIRY_CHUNK]
+        xs = flat[index]
+        terms = np.exp(-np.sqrt(xs)[:, None] * t2)
+        terms *= weights
+        out[index] = np.exp(-2.0 / 3.0 * xs**1.5) / np.pi * terms.sum(axis=1)
+    return out.reshape(x.shape)
+
+
+def _airy_series(x):
+    """Ai(x) = Ai(0) f(x) + Ai'(0) g(x) from the Maclaurin series of f and g
+    (DLMF 9.4.1), each by Horner's rule in x^3 on its term ratios."""
+    x3 = x**3
+    f = g = 1.0
+    for k in range(_AIRY_SERIES_TERMS - 1, 0, -1):
+        f = 1.0 + x3 * f / ((3 * k - 1) * (3 * k))
+        g = 1.0 + x3 * g / ((3 * k) * (3 * k + 1))
+    return _AI_0 * f + _AI_PRIME_0 * x * g
+
+
+@lru_cache(maxsize=1)
+def _airy_rule() -> tuple:
+    """Squared nodes t^2 and weights times cos(t^3/3) of the composite rule
+    for Ai(x) = exp(-zeta)/pi * integral over t >= 0 of
+    exp(-sqrt(x) t^2) cos(t^3/3) (DLMF 9.5.6, zeta = 2/3 x^(3/2)), on
+    [0, t_max] with sqrt(x) t_max^2 >= 40 for every x >= _AIRY_SERIES_MAX."""
+    t_max = np.sqrt(40.0 / np.sqrt(_AIRY_SERIES_MAX))
+    t, w = panel_rule(np.linspace(0.0, t_max, _AIRY_PANELS + 1), _AIRY_POINTS)
+    return t * t, w * np.cos(t**3 / 3.0)
 
 
 class _Vertical(NamedTuple):
@@ -119,18 +182,17 @@ def _vertical_integrals(vertical: _Vertical) -> tuple:
     """Integrals of the vertical profile over the box height [0, z_max] and
     over the tail [z_max, 4 z_max] above it. A sweep over dot diameters
     shares one entry."""
-    from scipy.integrate import quad
-
-    def profile(z):
-        return float(_vertical_profile(z, vertical))
-
     z_max = vertical.z_max
-    # the valley oscillation is fast; give quad its period as a hint
-    period = np.pi / _valley_wavevector(vertical.lattice_constant)
-    pts = np.arange(0.0, z_max, 10 * period)
-    inside = quad(profile, 0.0, z_max,
-                  points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
-    return inside, quad(profile, z_max, z_max * 4, limit=400)[0]
+    return (_profile_integral(vertical, 0.0, z_max),
+            _profile_integral(vertical, z_max, 4.0 * z_max))
+
+
+def _profile_integral(params, lo: float, hi: float) -> float:
+    """Integral of the vertical profile over [lo, hi] by a Gauss-Legendre
+    rule on panels one valley period long, starting at lo."""
+    period = np.pi / _valley_wavevector(params.lattice_constant)
+    z, w = panel_rule(np.append(np.arange(lo, hi, period), hi), _VERTICAL_POINTS)
+    return float(np.sum(w * _vertical_profile(z, params)))
 
 
 def _vertical_integral(params: WavefunctionParams) -> float:
@@ -162,14 +224,12 @@ def wavefunction_density(positions, params: WavefunctionParams):
 
 def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the simulation box."""
-    from scipy.special import erf
-
     lx, ly, _ = params.region
     d = params.dot_diameter
     i_in, i_tail = _vertical_integrals(_vertical(params))
     i_all = i_in + i_tail
     # independent 1D Gaussian marginals exp(-4 x^2 / d^2) over [-l/2, l/2]
-    return erf(lx / d) * erf(ly / d) * i_in / i_all
+    return math.erf(lx / d) * math.erf(ly / d) * i_in / i_all
 
 
 #: Diamond-cubic basis, 8 sites per conventional cell, in cell units.

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import panel_rule
+
 MU0_4PI = 1e-7  # T m / A
 HBAR = 1.054571817e-34  # J s
 GAMMA_SI = 2 * np.pi * 8.458e6  # rad/s/T, |gamma| of the qubit nucleus
@@ -162,14 +164,12 @@ def _far_integral(slab, near, a: float) -> float:
     term over the slab's cell box minus the near box's cell box. Each site
     owns the cube of side a around it, so the faces sit half a step beyond
     the outermost sites and the midpoint error stays O(a^2)."""
-    # numpy.polynomial is imported on first use, so not by `import dotspin`
-    rule = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
     integral = 0.0
     for off in _FCC_BASIS * a:
         outer = [(c[0] + o - a / 2, c[-1] + o + a / 2) for c, o in zip(slab, off)]
         inner = [(c[0] + o - a / 2, c[-1] + o + a / 2) for c, o in zip(near, off)]
         for box in _shell_boxes(outer, inner):
-            integral += _box_integral(box, rule)
+            integral += _box_integral(box)
     return integral / a**3
 
 
@@ -185,24 +185,22 @@ def _shell_boxes(outer, inner):
     return boxes
 
 
-def _box_integral(box, rule) -> float:
+def _box_integral(box) -> float:
     """Integral of (1 - 3 z^2/r^2)^2 / r^6 over an axis-aligned box that
-    keeps clear of the nucleus, by the tensor product of the Gauss-Legendre
-    rule (nodes, weights) on [-1, 1]."""
-    (x, wx), (y, wy), (z, wz) = (_axis_rule(lo, hi, rule) for lo, hi in box)
+    keeps clear of the nucleus, by the tensor product of the axis rules."""
+    (x, wx), (y, wy), (z, wz) = (_axis_rule(lo, hi) for lo, hi in box)
     x2, y2, z2 = x[:, None, None] ** 2, y[None, :, None] ** 2, z[None, None, :] ** 2
     r2 = x2 + y2 + z2
     term = (1.0 - 3.0 * z2 / r2) ** 2 / r2**3
     return float(np.einsum("ijk,i,j,k->", term, wx, wy, wz))
 
 
-def _axis_rule(lo: float, hi: float, rule) -> tuple:
+def _axis_rule(lo: float, hi: float) -> tuple:
     """Gauss-Legendre nodes and weights on the axis range [lo, hi], in panels
     of width max(NEAR_FIELD_NM, d) / 2, d being the panel's distance from 0
     (the nucleus) along this axis. Every point outside the near box is about
     NEAR_FIELD_NM or more from the nucleus, and the term varies on the scale
     of that distance."""
-    gauss_nodes, gauss_weights = rule
     nodes, weights = [], []
     for start, stop in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
         if stop <= start:
@@ -213,10 +211,9 @@ def _axis_rule(lo: float, hi: float, rule) -> tuple:
         edges = [closest]
         while edges[-1] < farthest:
             edges.append(min(farthest, edges[-1] + max(NEAR_FIELD_NM, edges[-1]) / 2))
-        left, right = np.array(edges[:-1]), np.array(edges[1:])
-        half = (right - left)[:, None] / 2
-        nodes.append(sign * ((left + right)[:, None] / 2 + half * gauss_nodes).ravel())
-        weights.append((half * gauss_weights).ravel())
+        panel_nodes, panel_weights = panel_rule(edges, _GAUSS_POINTS)
+        nodes.append(sign * panel_nodes)
+        weights.append(panel_weights)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -227,7 +224,8 @@ def second_moment_cylinder_integral(
     spin_bath: float = SPIN_AL,
 ) -> float:
     """Continuum M2: the lattice sum replaced by site-density times the
-    integral over a coaxial cylinder of equal cross-sectional area.
+    integral over a coaxial cylinder of equal cross-sectional area, in
+    closed form (_cylinder_antiderivative).
 
     The integration window is midpoint-corrected: the atomic layers are
     spaced a/2 apart starting exactly at the standoff, so each layer
@@ -235,23 +233,32 @@ def second_moment_cylinder_integral(
     integral misweights the dominant first layer and undershoots the
     discrete sum by ~20% at small standoff.
     """
-    from scipy.integrate import dblquad
-
     if geometry.thickness == 0:
         return 0.0
     radius = np.sqrt(geometry.lateral[0] * geometry.lateral[1] / np.pi)
     z_lo = geometry.standoff - geometry.al_lattice_constant / 4.0
     z_hi = geometry.standoff + geometry.thickness - geometry.al_lattice_constant / 4.0
-
-    def integrand(rho, z):
-        r2 = rho * rho + z * z
-        cos2 = z * z / r2
-        return 2.0 * np.pi * rho * (1.0 - 3.0 * cos2) ** 2 / r2**3
-
-    integral, _ = dblquad(integrand, z_lo, z_hi, 0.0, radius)
+    integral = np.pi * (_cylinder_antiderivative(z_hi, radius)
+                        - _cylinder_antiderivative(z_lo, radius))
     density = geometry.site_density_nm3  # nm^-3
     # density (nm^-3) * integral (nm^-3) = nm^-6; convert to m^-6
     return _moment_prefactor(gamma_n, gamma_bath, spin_bath) * density * integral * 1e54
+
+
+def _cylinder_antiderivative(z: float, radius: float) -> float:
+    """An antiderivative in z of the cylinder's disc integral over
+    2 pi rho drho of (1 - 3 z^2/r^2)^2 / r^6 (rho <= R), divided by pi.
+
+    With u = r^2 the disc integral is pi [F(z^2 + R^2) - F(z^2)], where
+    F(u) = -1/(2u^2) + 2z^2/u^3 - 9z^4/(4u^4). F(z^2) = -3/(4z^4), and with
+    s = z^2 + R^2, F(s) = -3/(4s^2) + 5R^2/(2s^3) - 9R^4/(4s^4), whose z
+    integral follows from the recursion for the integrals of s^-n.
+    """
+    s = z * z + radius * radius
+    return (5.0 * z / (32.0 * s**2) - 3.0 * radius**2 * z / (8.0 * s**3)
+            - 9.0 * z / (64.0 * radius**2 * s)
+            - 9.0 * np.arctan(z / radius) / (64.0 * radius**3)
+            - 1.0 / (4.0 * z**3))
 
 
 def t2star_from_moment(m2: float) -> float:

@@ -3,20 +3,24 @@ fast paths in ``dotspin.hyperfine``, ``dotspin.vanvleck`` and
 ``dotspin.readout`` against.
 
 These are the package's original implementations: the vertical integrals
-run a fresh quad for every WavefunctionParams, the diamond lattice is
-built from meshgrid copies of the cell indices, the hyperfine density
-evaluates the envelope at every lattice site, the Van Vleck sum
-builds full meshgrid copies of each block of layers, and the repetitive
-readout draws one scalar per electron read and per flip test. The fast
-paths must reproduce them bit for bit and draw for draw.
+run the package's quadrature rule afresh for every WavefunctionParams (the
+rule itself is checked against scipy's quad), the diamond lattice is built
+from meshgrid copies of the cell indices, the hyperfine density evaluates
+the envelope at every lattice site, the Van Vleck sum builds full meshgrid
+copies of each block of layers, and the repetitive readout draws one scalar
+per electron read and per flip test. The fast paths must reproduce them bit
+for bit and draw for draw.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from dotspin.hyperfine import (
     WavefunctionParams,
+    _profile_integral,
     _vertical_integral,
     _vertical_profile,
 )
@@ -32,28 +36,18 @@ from dotspin.vanvleck import (
 
 def vertical_integrals(params: WavefunctionParams) -> tuple:
     """The vertical profile's integrals over [0, region_z] and over the tail
-    [region_z, 4 region_z], by a fresh quad for each params."""
-    from scipy.integrate import quad
-
-    def profile(z):
-        return float(_vertical_profile(z, params))
-
+    [region_z, 4 region_z], by a fresh quadrature for each params."""
     z_max = params.region[2]
-    period = np.pi / params.valley_wavevector
-    pts = np.arange(0.0, z_max, 10 * period)
-    inside = quad(profile, 0.0, z_max,
-                  points=pts[1:-1] if len(pts) > 2 else None, limit=400)[0]
-    return inside, quad(profile, z_max, z_max * 4, limit=400)[0]
+    return (_profile_integral(params, 0.0, z_max),
+            _profile_integral(params, z_max, z_max * 4))
 
 
 def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the box, from fresh vertical integrals."""
-    from scipy.special import erf
-
     lx, ly, _ = params.region
     d = params.dot_diameter
     i_in, i_tail = vertical_integrals(params)
-    return erf(lx / d) * erf(ly / d) * i_in / (i_in + i_tail)
+    return math.erf(lx / d) * math.erf(ly / d) * i_in / (i_in + i_tail)
 
 
 def generate_lattice(region, lattice_constant: float):

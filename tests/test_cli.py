@@ -362,6 +362,8 @@ class TestDryRun:
         (["bell", "--format", "csv"], {"mode": "tomography"},
          "--format: bell writes a record"),
         (["spectrum"], {"format": "csv"}, "spectrum.format: spectrum writes a record"),
+        (["rabi"], {"format": "xml"}, "rabi.format: expected one of 'csv', 'json'"),
+        (["spectrum"], {"format": 1}, "spectrum.format: expected one of 'csv', 'json'"),
     ])
     def test_dry_run_refuses_flags_the_run_cannot_honour(self, capsys, tmp_path,
                                                          argv, config, message):
@@ -518,11 +520,30 @@ class TestColdStart:
         # scipy is imported inside the functions that use it, so runs that
         # never call it do not pay for its import
         src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        # (numpy.polynomial, which the quadrature rules use, neither)
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, dotspin, dotspin.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy', 'numpy.polynomial'))))"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("figure", FIGURE_IDS)
+    def test_reproduce_loads_no_scipy(self, figure, tmp_path):
+        # the lattice layers' integrals, the Airy function and the fitters
+        # are numpy; only readout-fidelity's binomial CDF imports scipy
+        src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dotspin.cli import main; "
+             f"code = main(['reproduce', {figure!r}, '--threads', '1']); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env={**os.environ, "PYTHONPATH": src, "DOTSPIN_OUTDIR": str(tmp_path)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+        assert os.listdir(tmp_path)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dotspin import fitting
 from dotspin.cli import main
 from dotspin.fitting import (
     classify_shifts,
@@ -162,3 +163,131 @@ class TestCoherence:
     def test_decay_minimum_points(self):
         with pytest.raises(ValueError):
             fit_coherence_decay([0.0, 1.0], [1.0, 0.9])
+
+
+def _record_fits(monkeypatch):
+    """Replace fitting._fit by a wrapper that keeps each call's arguments,
+    its result and a copy of the result's values (the fitters edit them:
+    fit_hahn turns the rate into t2)."""
+    calls = []
+    real = fitting._fit
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, kwargs, result, dict(result.parameters),
+                      dict(result.uncertainties)))
+        return result
+
+    monkeypatch.setattr(fitting, "_fit", recording)
+    return calls
+
+
+def _oracle_data():
+    """One fixed-seed data set per fitter; every fitted value sits well away
+    from zero, where a relative tolerance means something."""
+    rng = np.random.default_rng(12)
+    x = np.linspace(0.0, 20.0, 120)
+    tau = np.linspace(1.0, 9000.0, 140)
+    ramsey = (0.45 * np.cos(2 * np.pi * 2e-3 * tau + 0.4)
+              * np.exp(-((tau / 2900.0) ** 2.11)) + 0.5)
+    echo = np.linspace(100.0, 40000.0, 30)
+    n = 4000
+    spectrum = (300.0 + (2 * rng.integers(0, 2, n) - 1) * 503.0
+                + (2 * rng.integers(0, 2, n) - 1) * 119.0 + rng.normal(0.0, 34.0, n))
+    k = np.arange(0.0, 101.0, 10.0)
+    return {
+        "sinusoid": lambda: fit_sinusoid(
+            x, 0.4 * np.cos(2 * np.pi * 0.22425 * x + 0.7) + 0.5
+            + rng.normal(0.0, 0.01, len(x))),
+        "ramsey": lambda: fit_ramsey(tau, ramsey + rng.normal(0.0, 0.01, len(tau))),
+        "ramsey_alpha_fixed": lambda: fit_ramsey(
+            tau, ramsey + rng.normal(0.0, 0.01, len(tau)), alpha_fixed=2.0),
+        "hahn": lambda: fit_hahn(
+            echo, 0.5 * np.exp(-2 * echo / 16000.0) + 0.25
+            + rng.normal(0.0, 0.01, len(echo))),
+        "flip_intervals": lambda: fit_flip_intervals(rng.exponential(75.0, 400)),
+        "esr_histogram": lambda: fit_esr_histogram(spectrum),
+        "coherence_decay": lambda: fit_coherence_decay(
+            k, 0.98 * np.exp(-k * 0.0045) + rng.normal(0.0, 0.005, len(k))),
+    }
+
+
+def _returned_call(fitter, monkeypatch):
+    """The arguments of the _fit call that produced the fit a fitter returns
+    on its oracle data, and that call's fitted values and uncertainties."""
+    calls = _record_fits(monkeypatch)
+    returned = _oracle_data()[fitter]()
+    args, kwargs, result, values, sigmas = next(
+        call for call in calls if call[2] is returned)
+    assert result.converged
+    return args, kwargs, values, sigmas
+
+
+@pytest.mark.parametrize("fitter", list(_oracle_data()))
+def test_jacobian_matches_central_differences(fitter, monkeypatch):
+    (fn, jac, x, y, p0, bounds, names, _), _, values, _ = _returned_call(
+        fitter, monkeypatch)
+    p = np.array([values[n] for n in names])
+    analytic = jac(x, *p)
+    for j in range(len(p)):
+        h = 1e-6 * abs(p[j])
+        up, down = p.copy(), p.copy()
+        up[j] += h
+        down[j] -= h
+        column = (fn(x, *up) - fn(x, *down)) / (2 * h)
+        # central differences are good to about 1e-8 of the column at this step
+        scale = np.max(np.abs(column))
+        assert np.max(np.abs(analytic[:, j] - column)) <= 1e-6 * scale, names[j]
+
+
+@pytest.mark.parametrize("fitter", list(_oracle_data()))
+def test_solver_matches_curve_fit(fitter, monkeypatch):
+    # The call that produced the returned fit is rerun by scipy's curve_fit
+    # from the same start, with the same Jacobian and tolerances tight enough
+    # to pin the optimum: the parameters must agree within 1e-6 relative and
+    # the covariance within 1e-4 relative, for both absolute_sigma settings.
+    # (curve_fit's default finite-difference Jacobian is off by up to 0.4% in
+    # the Ramsey frequency column, whose derivative grows with tau.)
+    from scipy.optimize import curve_fit
+
+    (fn, jac, x, y, p0, bounds, names, _), kwargs, values, sigmas = _returned_call(
+        fitter, monkeypatch)
+    sigma = kwargs.get("sigma")
+    p = np.array([values[n] for n in names])
+    weight = np.ones_like(y) if sigma is None else 1.0 / sigma
+    for absolute in (False, True):
+        popt, pcov = curve_fit(fn, x, y, p0=p0, bounds=bounds, sigma=sigma,
+                               absolute_sigma=absolute, jac=jac, ftol=1e-15,
+                               xtol=1e-15, gtol=1e-15, maxfev=20000)
+        np.testing.assert_allclose(p, popt, rtol=1e-6, atol=0)
+        residual = weight * (fn(x, *p) - y)
+        cov = fitting._covariance(weight[:, None] * jac(x, *p),
+                                  float(residual @ residual), absolute)
+        np.testing.assert_allclose(cov, pcov, rtol=1e-4, atol=0)
+        # the uncertainties the fit reports come from that covariance
+        if absolute == kwargs.get("absolute_sigma", False):
+            reported = np.array([sigmas[n] for n in names])
+            np.testing.assert_allclose(reported, np.sqrt(np.diag(cov)), rtol=1e-12)
+
+
+def test_evaluation_cap_returns_unconverged_start():
+    x = np.linspace(0.0, 5.0, 40)
+    y = 2.0 * np.exp(-x / 1.3)
+
+    def model(t, a, tau):
+        return a * np.exp(-t / tau)
+
+    def jac(t, a, tau):
+        decay = np.exp(-t / tau)
+        return np.column_stack([decay, a * decay * t / tau**2])
+
+    args = (model, jac, x, y, [1.0, 0.5], ([0.0, 0.1], [np.inf, 10.0]),
+            ["a", "tau"], "decay")
+    capped = fitting._fit(*args, max_nfev=3)
+    assert not capped.converged
+    assert capped.parameters == {"a": 1.0, "tau": 0.5}
+    assert capped.uncertainties == {"a": np.inf, "tau": np.inf}
+    assert capped.residual_norm == np.inf
+    free = fitting._fit(*args)
+    assert free.converged
+    assert free.value("tau") == pytest.approx(1.3, rel=1e-9)

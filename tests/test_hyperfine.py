@@ -10,6 +10,10 @@ from dotspin.hyperfine import (
     CALIBRATION_MAX_A,
     SI_LATTICE_CONSTANT,
     WavefunctionParams,
+    _airy_ai,
+    _vertical,
+    _vertical_integrals,
+    _vertical_profile,
     airy_length,
     calibrate_k_hf,
     default_region,
@@ -31,6 +35,45 @@ class TestWavefunction:
         from scipy.special import ai_zeros
 
         assert AIRY_A1 == float(ai_zeros(1)[0][0])
+
+    def test_airy_function_matches_scipy(self):
+        # over the arguments the envelope reaches, interface to 4 box heights:
+        # within 2e-13 relative, or 1e-15 absolute next to the zero at a1
+        from scipy.special import airy
+
+        x = np.linspace(AIRY_A1, 46.0, 20001)
+        expected = airy(x)[0]
+        error = np.abs(_airy_ai(x) - expected)
+        assert np.all((error <= 2e-13 * np.abs(expected)) | (error <= 1e-15))
+        # any shape, each value independent of the others
+        assert np.array_equal(_airy_ai(x[1:].reshape(8, -1)),
+                              _airy_ai(x[1:]).reshape(8, -1))
+
+    @pytest.mark.parametrize("diameter, f_z, valley_phase, lattice_constant", [
+        (8.0, 25.0, 0.0, SI_LATTICE_CONSTANT),
+        (2.0, 60.0, 1.3, 0.5),
+        (12.0, 8.0, 4.0, 0.6),
+    ])
+    def test_vertical_integrals_match_quad(self, diameter, f_z, valley_phase,
+                                           lattice_constant):
+        # quad, with a breakpoint at every valley period and a 1e-13 relative
+        # target, on both the box height and the tail above it: within 1e-12
+        from scipy.integrate import quad
+
+        params = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
+                                    valley_phase=valley_phase,
+                                    lattice_constant=lattice_constant)
+        z_max = params.region[2]
+        period = np.pi / params.valley_wavevector
+
+        def profile(z):
+            return float(_vertical_profile(z, params))
+
+        for (lo, hi), value in zip([(0.0, z_max), (z_max, 4 * z_max)],
+                                   _vertical_integrals(_vertical(params))):
+            expected = quad(profile, lo, hi, points=np.arange(lo, hi, period)[1:],
+                            limit=4000, epsabs=0.0, epsrel=1e-13)[0]
+            assert abs(value - expected) <= 1e-12 * expected
 
     def test_airy_length_positive_field_required(self):
         with pytest.raises(ValueError):

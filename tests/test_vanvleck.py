@@ -5,7 +5,11 @@ import pytest
 
 from dotspin.vanvleck import (
     AL_LATTICE_CONSTANT,
+    GAMMA_AL,
+    GAMMA_SI,
+    SPIN_AL,
     ElectrodeGeometry,
+    _moment_prefactor,
     second_moment_cylinder_integral,
     second_moment_sum,
     standoff_sweep,
@@ -68,6 +72,25 @@ class TestSecondMoment:
             s = second_moment_sum(geo)
             c = second_moment_cylinder_integral(geo)
             assert abs(s - c) / c < 0.20
+
+    @pytest.mark.parametrize("standoff", [4 * AL_LATTICE_CONSTANT, 2.0, 4.0, 6.0,
+                                          8.0, 10.0])
+    def test_cylinder_closed_form_matches_dblquad(self, standoff):
+        # dblquad at its default tolerances is itself good to about 1e-11
+        from scipy.integrate import dblquad
+
+        geo = ElectrodeGeometry(standoff=standoff)
+        radius = np.sqrt(geo.lateral[0] * geo.lateral[1] / np.pi)
+        z_lo = standoff - AL_LATTICE_CONSTANT / 4.0
+
+        def integrand(rho, z):
+            r2 = rho * rho + z * z
+            return 2.0 * np.pi * rho * (1.0 - 3.0 * z * z / r2) ** 2 / r2**3
+
+        integral = dblquad(integrand, z_lo, z_lo + geo.thickness, 0.0, radius)[0]
+        expected = (_moment_prefactor(GAMMA_SI, GAMMA_AL, SPIN_AL)
+                    * geo.site_density_nm3 * integral * 1e54)
+        assert second_moment_cylinder_integral(geo) == pytest.approx(expected, rel=1e-10)
 
     def test_zero_thickness_integral_is_zero(self):
         geo = ElectrodeGeometry(standoff=2.0, thickness=0.4, lateral=(10.0, 10.0))
