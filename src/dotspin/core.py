@@ -323,7 +323,8 @@ def rotating_frame_hamiltonian(
     lab-frame Zeeman + secular hyperfine Hamiltonian.
 
     A NoiseDraw gives a 4x4 matrix; a NoiseBatch of N draws gives (N, 4, 4),
-    Hermitian by construction (real coefficients times Hermitian operators).
+    Hermitian by construction (real coefficients times Hermitian operators);
+    a frame of (P, 1) columns, one per sequence of a stack, (P, N, 4, 4).
     """
     alpha = -params.b_ext * params.gamma_e * 1e3
     beta = -params.b_ext * params.gamma_n
@@ -337,7 +338,7 @@ def rotating_frame_hamiltonian(
     f_e_ref, f_n_ref = frame
 
     outer = np.multiply.outer
-    h = outer(alpha - f_e_ref, SZ) + (beta - f_n_ref) * IZ
+    h = outer(alpha - f_e_ref, SZ) + outer(beta - f_n_ref, IZ)
     if charge_config == "qd1" and params.a_hf != 0:
         h = h + params.a_mhz * (SZ @ IZ)
     h = h + outer(noise_draw.delta_sz * 1e-3, SZ) + outer(noise_draw.delta_iz * 1e-3, IZ)
@@ -355,38 +356,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-#: Distinct Hamiltonian stacks whose eigendecompositions unitary keeps; when
-#: full, a new stack evicts the oldest.
-EIGH_MEMO_SIZE = 16
-
-#: (shape, dtype, bytes) of a Hamiltonian stack -> its read-only (w, v).
-_eigh_memo: dict = {}
-
-
-def _eigh(h: np.ndarray) -> tuple:
-    """np.linalg.eigh(h), computed once per distinct stack among the last
-    EIGH_MEMO_SIZE. The key holds a copy of h's bytes, so a caller that
-    later mutates h does not change a stored result."""
-    h = np.asarray(h)
-    key = (h.shape, h.dtype, h.tobytes())
-    entry = _eigh_memo.get(key)
-    if entry is None:
-        w, v = np.linalg.eigh(h)
-        w.flags.writeable = v.flags.writeable = False
-        entry = _eigh_memo[key] = (w, v)
-        if len(_eigh_memo) > EIGH_MEMO_SIZE:
-            del _eigh_memo[next(iter(_eigh_memo))]
-    return entry
-
-
-def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
+def unitary(h: np.ndarray, dt_us) -> np.ndarray:
     """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition.
 
     A stack of Hamiltonians (..., 4, 4) gives the stack of propagators from
-    one batched eigh, which is reused while the same stack recurs (a sweep
-    over durations at one drive, the free evolutions of one sequence).
+    one batched eigh. dt_us may be an array broadcasting against the
+    eigenvalues (..., 4), such as a (P, 1, 1) column of durations.
     """
-    return eigen_propagator(*_eigh(h), dt_us)
+    return eigen_propagator(*np.linalg.eigh(h), dt_us)
 
 
 def eigen_propagator(w: np.ndarray, v: np.ndarray, dt_us: float) -> np.ndarray:

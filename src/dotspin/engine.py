@@ -1,12 +1,13 @@
 """Pulse-sequence executor.
 
 Propagates 4x4 density matrices through a PulseSequence, one per frozen
-quasi-static noise draw, all trials of a batch at once along a leading
-trial axis. The state is kept in the sequence's rotating frame
-(f_e_ref for the electron, f_n_ref for the nucleus). A pulse whose tone
-differs from its channel reference is propagated exactly in its own drive
-frame, with diagonal frame-change rotations at the pulse boundaries; only
-chirped pulses require piecewise-constant discretisation.
+quasi-static noise draw, all trials of a batch at once along a trial axis,
+and with run_stack P sequences of one stack_key at once, as (P, N, 4, 4).
+The state is kept in the sequence's rotating frame (f_e_ref for the
+electron, f_n_ref for the nucleus). A pulse whose tone differs from its
+channel reference is propagated exactly in its own drive frame, with
+diagonal frame-change rotations at the pulse boundaries; only chirped
+pulses require piecewise-constant discretisation.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class SequenceResult:
 
     A NoiseBatch of N draws gives rho of shape (N, 4, 4) and records of shape
     (N, 2); a single NoiseDraw drops the trial axis: (4, 4) and (2,).
+    run_stack keeps the trial axis and adds one of P sequences before it.
     """
 
     rho: np.ndarray
@@ -103,38 +105,73 @@ def run_sequence(
     sampling-based readout lives in the readout module. A pulse whose peak
     Rabi frequency exceeds 10% of its transition is refused (check_rwa).
     """
+    res = run_stack((seq,), params, noise_draw, initial_state)
+    drop = (0,) if isinstance(noise_draw, NoiseBatch) else (0, 0)  # P, and N
+    return SequenceResult(res.rho[drop], [(kind, p[drop]) for kind, p in res.records])
+
+
+def stack_key(seq: PulseSequence) -> tuple:
+    """What the sequences of one run_stack call share: element types and
+    channels, charge configs, whether each pulse is on its frame reference
+    and each free evolution non-zero, and whole charge events, measurements
+    and chirped pulses (with their frame reference)."""
+    key = [seq.initial_config, seq.qd2_frequency_offset]
+    for el in seq.elements:
+        if isinstance(el, Pulse):
+            f_ref = seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref
+            key.append((el, f_ref) if el.chirp else (el.channel, el.frequency == f_ref))
+        elif isinstance(el, Rotation):
+            key.append((Rotation, el.channel))
+        elif isinstance(el, FreeEvolution):
+            key.append((el.charge_config, el.duration > 0))
+        else:
+            key.append(el)
+    return tuple(key)
+
+
+def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> SequenceResult:
+    """Execute P sequences that share one stack_key against the same noise
+    draw(s) in one pass: rho (P, N, 4, 4) and records (P, N, 2), N = 1 for
+    a NoiseDraw. A field that differs between the sequences is a (P, 1)
+    column, one that does not the scalar it is, so each point gets the
+    arithmetic of its own run_sequence."""
     batch = NoiseBatch.of(noise_draw)
     rho0 = _GROUND if initial_state is None else initial_state.density_matrix()
     rho = np.repeat(rho0[None], len(batch), axis=0)
-    config = seq.initial_config
+    head, frame = seqs[0], _columns(seqs, ("f_e_ref", "f_n_ref"))
+    config = head.initial_config
     t = 0.0  # absolute sequence time, us
     records = []
     static = {}  # charge config -> drive-free Hamiltonians of the batch
-    free = {}  # (charge config, duration) -> free-evolution propagators
+    free = {}  # (charge config, duration(s)) -> free-evolution propagators
 
     def h_static(config):
         if config not in static:
             static[config] = rotating_frame_hamiltonian(
-                params, noise_draw=batch, frame=(seq.f_e_ref, seq.f_n_ref),
-                charge_config=config,
-                qd2_frequency_offset=seq.qd2_frequency_offset,
+                params, noise_draw=batch, frame=frame, charge_config=config,
+                qd2_frequency_offset=head.qd2_frequency_offset,
             )
         return static[config]
 
-    for el in seq.elements:
+    for els in zip(*(seq.elements for seq in seqs), strict=True):
+        el = els[0]
         if isinstance(el, Pulse):
-            check_rwa(params, el.channel, el.rabi)
-            rho = _conjugate(_pulse_unitary(el, seq, h_static(config), t), rho)
-            t += el.duration
+            check_rwa(params, el.channel, max(e.rabi for e in els))
+            values = _columns(els, ("frequency", "rabi", "duration", "phase"))
+            rho = _conjugate(_pulse_unitary(el, *values, frame, h_static(config), t), rho)
+            t = t + values[2]
         elif isinstance(el, Rotation):
-            rho = _conjugate(_rotation_unitary(el), rho)
+            angle, phase = _columns(els, ("angle", "phase"))
+            rho = _conjugate(_rotation_unitary(el.channel, angle, phase), rho)
         elif isinstance(el, FreeEvolution):
+            (duration,) = _columns(els, ("duration",))
             if el.duration > 0:
-                key = (config, el.duration)
+                key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
+                       else duration)
                 if key not in free:
-                    free[key] = unitary(h_static(config), el.duration)
+                    free[key] = unitary(h_static(config), _lift(duration, 1))
                 rho = _conjugate(free[key], rho)
-            t += el.duration
+            t = t + duration
         elif isinstance(el, ChargeEvent):
             rho = _apply_charge_event(rho, el)
             config = _EVENT_TRANSITIONS[el.kind][1]
@@ -145,11 +182,29 @@ def run_sequence(
         else:
             raise TypeError(f"unknown sequence element {el!r}")
 
-    rho = _renormalise(rho)
-    if not isinstance(noise_draw, NoiseBatch):
-        rho = rho[0]
-        records = [(kind, probs[0]) for kind, probs in records]
-    return SequenceResult(rho=rho, records=records)
+    def per_point(x, ndim):  # one entry per sequence: as it is, or repeated
+        return x if x.ndim == ndim else np.repeat(x[None], len(seqs), axis=0)
+
+    return SequenceResult(per_point(_renormalise(rho), 4),
+                          [(kind, per_point(p, 3)) for kind, p in records])
+
+
+def _columns(items, names) -> list:
+    """Each named field of the items: the first item's value when all are
+    equal to the bit, else a (P, 1) column."""
+    if len(items) == 1:
+        return [getattr(items[0], name) for name in names]
+    out = []
+    for name in names:
+        column = np.array([getattr(item, name) for item in items], dtype=float)
+        bits = column.view(np.uint64)
+        out.append(getattr(items[0], name) if (bits == bits[0]).all() else column[:, None])
+    return out
+
+
+def _lift(x, axes: int):
+    """A (P, 1) column with `axes` trailing axes added; a scalar as it is."""
+    return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
 
 
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -162,28 +217,26 @@ def _renormalise(rho: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def _rotation_unitary(el: Rotation) -> np.ndarray:
-    axis = drive_operator(el.channel, el.phase)
-    theta = np.deg2rad(el.angle)
+def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:
+    axis = drive_operator(channel, _lift(phase, 2))
+    theta = np.deg2rad(_lift(angle, 2))
     return np.cos(theta / 2) * IDENT4 - 1j * np.sin(theta / 2) * axis
 
 
-def _pulse_unitary(
-    pulse: Pulse,
-    seq: PulseSequence,
-    h0: np.ndarray,
-    t0: float,
-) -> np.ndarray:
-    """Propagators (one per trial) of a pulse starting at sequence time t0,
-    given the drive-free Hamiltonians h0 of the batch."""
+def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
+                   h0: np.ndarray, t0) -> np.ndarray:
+    """Propagators (per point and trial) of a pulse with the given values
+    starting at sequence time t0, given the drive-free Hamiltonians h0 of
+    the batch in the frame (f_e_ref, f_n_ref)."""
     z_op = SZ if pulse.channel == "ESR" else IZ
-    f_ref = seq.f_e_ref if pulse.channel == "ESR" else seq.f_n_ref
-    rabi_mhz = pulse.rabi * 1e-3
+    f_ref = frame[0] if pulse.channel == "ESR" else frame[1]
+    rabi_mhz = rabi * 1e-3
 
     if pulse.chirp is None:
-        df = pulse.frequency - f_ref
-        h_d = h0 - df * z_op + (rabi_mhz / 2) * drive_operator(pulse.channel, pulse.phase)
-        return _in_drive_frame(unitary(h_d, pulse.duration), z_op, df, t0, pulse.duration)
+        df = frequency - f_ref
+        h_d = h0 - _lift(df, 2) * z_op + _lift(rabi_mhz / 2, 2) * drive_operator(
+            pulse.channel, _lift(phase, 2))
+        return _in_drive_frame(unitary(h_d, _lift(duration, 1)), z_op, df, t0, duration)
 
     # Linear chirp: frame at the sweep centre, drive phase accumulates the
     # instantaneous detuning integral; piecewise-constant stepping.
@@ -192,39 +245,40 @@ def _pulse_unitary(
     df_c = f_c - f_ref
     span = abs(f_stop - f_start)
     max_rate = max(rabi_mhz, span / 2, 1e-9)
-    n_steps = max(1, int(np.ceil(pulse.duration * max_rate * CHIRP_STEPS_PER_CYCLE)))
-    dt = pulse.duration / n_steps
-    rate = (f_stop - f_start) / pulse.duration  # MHz per us
+    n_steps = max(1, int(np.ceil(duration * max_rate * CHIRP_STEPS_PER_CYCLE)))
+    dt = duration / n_steps
+    rate = (f_stop - f_start) / duration  # MHz per us
 
-    h_base = h0 - df_c * z_op
-    t_edge = CHIRP_EDGE_FRACTION * pulse.duration
+    h_base = h0 - _lift(df_c, 2) * z_op
+    t_edge = CHIRP_EDGE_FRACTION * duration
     u_total = IDENT4
     for k in range(n_steps):
         t_mid = (k + 0.5) * dt
         # accumulated phase of the tone relative to the sweep-centre frame
-        theta = pulse.phase + 360.0 * (
-            (f_start - f_c) * t_mid + 0.5 * rate * t_mid**2
-        )
-        ramp = min(t_mid, pulse.duration - t_mid)
+        theta = phase + 360.0 * ((f_start - f_c) * t_mid + 0.5 * rate * t_mid**2)
+        ramp = min(t_mid, duration - t_mid)
         amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
         h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
-        # every step's stack is new, so it bypasses unitary's eigh memo
         u_total = eigen_propagator(*np.linalg.eigh(h_k), dt) @ u_total
-    return _in_drive_frame(u_total, z_op, df_c, t0, pulse.duration)
+    return _in_drive_frame(u_total, z_op, df_c, t0, duration)
 
 
-def _in_drive_frame(u, z_op, df: float, t0: float, duration: float) -> np.ndarray:
+def _in_drive_frame(u, z_op, df, t0, duration) -> np.ndarray:
     """Exact frame change into / out of the drive frame at offset df."""
-    if df == 0.0:
+    if np.all(df == 0.0):
         return u
     w_in = _frame_rotation(z_op, df, t0)
-    w_out = _frame_rotation(z_op, df, t0 + duration).conj().T
+    w_out = dagger(_frame_rotation(z_op, df, t0 + duration))
     return w_out @ u @ w_in
 
 
-def _frame_rotation(z_op: np.ndarray, df: float, t: float) -> np.ndarray:
-    """Diagonal rotation exp(+2*pi*i df t Z) mapping sequence frame -> drive frame."""
-    return np.diag(np.exp(2j * np.pi * df * t * np.diag(z_op))).astype(complex)
+def _frame_rotation(z_op: np.ndarray, df, t) -> np.ndarray:
+    """Diagonal rotation exp(+2*pi*i df t Z) mapping sequence frame -> drive
+    frame (one per point for columns df or t)."""
+    diagonal = np.exp(2j * np.pi * _lift(df, 1) * _lift(t, 1) * np.diag(z_op))
+    out = np.zeros(diagonal.shape + (4,), dtype=complex)
+    out[..., range(4), range(4)] = diagonal
+    return out
 
 
 def _apply_charge_event(rho: np.ndarray, el: ChargeEvent) -> np.ndarray:

@@ -2,11 +2,12 @@
 and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
 
-Each driver draws its per-trial noise once, as one NoiseBatch, and makes one
-engine call per sweep point. That call runs every trial at once; when all the
-batch's draws are bit-for-bit equal (an all-zero noise model) it runs one
-trial, whose result is repeated for every trial before the same trial-order
-sum, so the mean is unchanged to the bit.
+Each experiment draws its per-trial noise once, as one NoiseBatch, and runs
+its sweep through _sweep: the engine sees only the batch's distinct draws, and
+the sweep points whose sequences share one structure (engine.stack_key)
+run together as one stack. Every point's result is expanded back to trial
+order before the same trial-order sum, so the means are those of one
+engine call per point on every trial, to the bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
+    ZERO_DRAW,
     NoiseBatch,
     NoiseModel,
     QuantumState,
@@ -31,7 +33,7 @@ from .core import (
     sigma_from_t2,
     transition_frequencies,
 )
-from .engine import run_sequence
+from .engine import run_sequence, run_stack, stack_key
 from .fitting import coherence_metric
 from .readout import ReadoutFidelities, confuse_readout, correct_readout
 from .sequences import (
@@ -102,38 +104,41 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     )
 
 
-def _collapse(draws: NoiseBatch) -> NoiseBatch:
-    """The batch's first draw alone when all its draws are bit-for-bit equal
-    (every all-zero noise model), else the batch itself."""
-    rows = np.stack([draws.delta_ix, draws.delta_iz, draws.delta_sz,
-                     draws.spectator_detuned], axis=1).view(np.uint8)
-    if (rows == rows[0]).all():
-        return NoiseBatch(draws.delta_ix[:1], draws.delta_iz[:1],
-                          draws.delta_sz[:1], draws.spectator_detuned[:1])
-    return draws
-
-
-def _trial_mean(seq, params, draws, trials, kind, initial_state=None) -> np.ndarray:
-    """Probabilities of one measurement kind ('nuclear', 'electron', or
-    'joint' for the final joint populations), averaged over the trials in
-    trial order. draws is the trials' batch, or _collapse's one draw when
-    all of theirs are equal: the engine then runs that one trial, and its
-    result is repeated for every trial before the same sum."""
-    res = run_sequence(seq, params, draws, initial_state)
-    probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-    if len(draws) < trials:
-        probs = np.repeat(probs, trials, axis=0)
-    return probs.sum(axis=0) / trials
+#: Most sweep points x trials one engine run holds (at least one point), so
+#: neither its states nor the trial-order expansion grow with the sweep.
+STACK_ROWS = 1024
 
 
 def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
-    """_trial_mean of the sequence build(point) at each sweep point, shape
-    (points, 2) or (points, 4) for kind 'joint'."""
-    trials, draws = len(draws), _collapse(draws)
-    return np.array([
-        _trial_mean(build(point), params, draws, trials, kind, initial_state)
-        for point in points
-    ])
+    """Probabilities of one measurement kind ('nuclear', 'electron', or
+    'joint' for the final joint populations) of the sequence build(point) at
+    each point, averaged over the trials in trial order: shape (points, 2),
+    or (points, 4) for 'joint'. The engine runs each distinct draw row once
+    (as bytes: a -0.0 beside a 0.0 stays distinct) and the points of one
+    stack_key as one stack, in chunks of at most STACK_ROWS points x trials;
+    results are expanded back to trial order before the sum."""
+    trials = len(draws)
+    columns = (draws.delta_ix, draws.delta_iz, draws.delta_sz, draws.spectator_detuned)
+    # one trial's draw as 32 bytes, so rows are equal only when bit-for-bit
+    _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
+                                  return_index=True, return_inverse=True)
+    distinct = NoiseBatch(*(column[first] for column in columns))
+    seqs = [build(point) for point in points]
+    groups = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(stack_key(seq), []).append(i)
+    out = np.empty((len(seqs), 4 if kind == "joint" else 2))
+    size = max(1, STACK_ROWS // trials)
+    for members in groups.values():
+        for lo in range(0, len(members), size):
+            chunk = members[lo:lo + size]
+            res = (run_sequence(seqs[chunk[0]], params, distinct, initial_state)
+                   if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
+                   else run_stack([seqs[i] for i in chunk], params, distinct, initial_state))
+            probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
+            probs = probs.reshape(len(chunk), len(first), -1)
+            out[chunk] = probs[:, inverse].sum(axis=1) / trials
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +175,19 @@ def run_nmr_chevron(
     f = transition_frequencies(params)
     load = (ChargeEvent(kind=f"load_{electron_spin}"),) if charge_config == "qd1" else ()
 
-    def build(point):
+    def build(point):  # in the frame of the drive
         freq, dur = point
-        return PulseSequence(
-            elements=(*load, Pulse("NMR", freq, rabi, dur), MeasureNuclear()),
-            f_e_ref=f["f_e0"],
-            f_n_ref=freq,
-            initial_config="unloaded",
-        )
+        return PulseSequence((*load, Pulse("NMR", freq, rabi, dur), MeasureNuclear()),
+                             f_e_ref=f["f_e0"], f_n_ref=freq, initial_config="unloaded")
 
     grid = list(itertools.product(freq_range, duration_range))
     # P(flip) from the Down-initialised nucleus
     p = _sweep(build, grid, params, _draws(noise, seed, trials), "nuclear")[:, 1]
-    return ExperimentResult(
-        columns={
-            "frequency_mhz": np.array([freq for freq, _ in grid]),
-            "duration_us": np.array([dur for _, dur in grid]),
-            "p_flip": p,
-            "p_flip_stderr": binomial_stderr(p, trials),
-        },
-    )
+    return ExperimentResult(columns={
+        "frequency_mhz": np.array([freq for freq, _ in grid]),
+        "duration_us": np.array([dur for _, dur in grid]),
+        "p_flip": p, "p_flip_stderr": binomial_stderr(p, trials),
+    })
 
 
 def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResult:
@@ -203,38 +201,21 @@ def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResu
 # Ramsey / Hahn
 
 
-def _run_free_precession(
-    kind: str,
-    tau_range,
-    detuning_khz: float,
-    params: SpinSystemParams,
-    noise: NoiseModel,
-    trials: int,
-    seed: int,
-    charge_config: str,
-    ideal_pulses: bool,
-) -> ExperimentResult:
+def _run_free_precession(kind, tau_range, detuning_khz, params, noise, trials,
+                         seed, charge_config, ideal_pulses) -> ExperimentResult:
     tau_range = np.asarray(tau_range, dtype=float)
     if tau_range.size == 0 or np.any(tau_range < 0):
         raise ValueError("tau_range must be non-empty and non-negative")
-    builder = ramsey_sequence if kind == "ramsey" else hahn_sequence
-    p = _sweep(
-        lambda tau: builder(
-            params,
-            tau,
-            detuning_khz=detuning_khz,
-            charge_config=charge_config,
-            ideal_pulses=ideal_pulses,
-        ),
-        tau_range, params, _draws(noise, seed, trials), "nuclear",
-    )[:, 1]
-    return ExperimentResult(
-        columns={
-            "tau_us": tau_range,
-            "p_up": p,
-            "p_up_stderr": binomial_stderr(p, trials),
-        },
-    )
+    make = ramsey_sequence if kind == "ramsey" else hahn_sequence
+
+    def build(tau):
+        return make(params, tau, detuning_khz=detuning_khz,
+                       charge_config=charge_config, ideal_pulses=ideal_pulses)
+
+    p = _sweep(build, tau_range, params, _draws(noise, seed, trials), "nuclear")[:, 1]
+    return ExperimentResult(columns={
+        "tau_us": tau_range, "p_up": p, "p_up_stderr": binomial_stderr(p, trials),
+    })
 
 
 def run_ramsey(
@@ -362,26 +343,24 @@ def calibrate_bell_projection(
 def _calibrated_projection(params, duration_scale, sweeps) -> dict:
     phases = np.zeros(4)  # (phi_e_up, phi_e_down, phi_n_down, phi_n_up)
 
-    def parity_at(ph):
-        seq = bell_circuit(
-            params,
-            projection=((ph[2], ph[3]), (ph[0], ph[1])),
-            duration_scale=duration_scale,
-        )
-        return _parity(run_sequence(seq, params).joint_probabilities())
+    def circuit(ph):
+        return bell_circuit(params, projection=((ph[2], ph[3]), (ph[0], ph[1])),
+                            duration_scale=duration_scale)
 
-    best = parity_at(phases)
+    def parity_at(*phase_sets):  # the noiseless parities, in one engine run
+        return _parity(_sweep(circuit, phase_sets, params, NoiseBatch.of(ZERO_DRAW), "joint"))
+
+    (best,) = parity_at(phases)
     for _ in range(sweeps):
         for i in range(4):
-            samples = []
-            for offset in (0.0, 90.0, 180.0, 270.0):
-                trial = phases.copy()
-                trial[i] = phases[i] + offset
-                samples.append(parity_at(trial))
+            candidates = [phases.copy() for _ in range(4)]
+            for candidate, offset in zip(candidates, (0.0, 90.0, 180.0, 270.0)):
+                candidate[i] = phases[i] + offset
+            samples = parity_at(*candidates)
             a = (samples[0] - samples[2]) / 2
             b = (samples[1] - samples[3]) / 2
             phases[i] = (phases[i] + np.rad2deg(np.arctan2(b, a))) % 360.0
-        best = parity_at(phases)
+        (best,) = parity_at(phases)
     return {
         "phi_e": (phases[0], phases[1]),
         "phi_n": (phases[2], phases[3]),
@@ -389,15 +368,9 @@ def _calibrated_projection(params, duration_scale, sweeps) -> dict:
     }
 
 
-def _bell_basis_probabilities(
-    basis: str,
-    params: SpinSystemParams,
-    config: BellNoiseConfig,
-    calibration: dict,
-    trials: int,
-    seed: int,
-    initial_nuclear: str = "down",
-) -> np.ndarray:
+def _bell_basis_probabilities(basis: str, params: SpinSystemParams,
+                              config: BellNoiseConfig, calibration: dict, trials: int,
+                              seed: int, initial_nuclear: str = "down") -> np.ndarray:
     """Trial-averaged joint Born probabilities for one measurement basis."""
     scale = config.duration_scale()
     if basis == "ZZ":
@@ -419,8 +392,8 @@ def _bell_basis_probabilities(
         draws,
         spectator_detuned=np.floor((t + 1) * p_flip) > np.floor(t * p_flip),
     )
-    return _trial_mean(seq, params, _collapse(draws), trials, "joint",
-                       _initial_state(initial_nuclear))
+    return _sweep(lambda s: s, [seq], params, draws, "joint",
+                  _initial_state(initial_nuclear))[0]
 
 
 @dataclass
@@ -495,15 +468,10 @@ def run_bell_tomography(
             "corrected fidelity exceeds 1; readout correction model inconsistent"
         )
     return BellTomographyResult(
-        probabilities=corrected,
-        raw_probabilities=raw,
-        fidelity=float(fidelity),
+        probabilities=corrected, raw_probabilities=raw, fidelity=float(fidelity),
         components={"f_zz": f_zz, "f_xx": f_xx, "f_yy": f_yy},
-        calibration=calibration,
-        initial_nuclear=initial_nuclear,
-        trials=trials,
-        seed=seed,
-        correction_clamped=clamped,
+        calibration=calibration, initial_nuclear=initial_nuclear, trials=trials,
+        seed=seed, correction_clamped=clamped,
     )
 
 
@@ -537,20 +505,13 @@ def run_bell_parity_sweep(
             phi_e = tuple(p + phi for p in phi_e)
         return bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
 
-    joint = _sweep(
-        build, phi_range, params, _draws(config.noise_model(), seed, trials),
-        "joint", _initial_state(initial_nuclear),
-    )
-    return ExperimentResult(
-        columns={
-            "phi_deg": phi_range,
-            "parity": _parity(joint),
-            "p_down_Down": joint[:, 0],
-            "p_down_Up": joint[:, 1],
-            "p_up_Down": joint[:, 2],
-            "p_up_Up": joint[:, 3],
-        },
-    )
+    joint = _sweep(build, phi_range, params, _draws(config.noise_model(), seed, trials),
+                   "joint", _initial_state(initial_nuclear))
+    return ExperimentResult(columns={
+        "phi_deg": phi_range, "parity": _parity(joint),
+        "p_down_Down": joint[:, 0], "p_down_Up": joint[:, 1],
+        "p_up_Down": joint[:, 2], "p_up_Up": joint[:, 3],
+    })
 
 
 @dataclass
@@ -644,9 +605,8 @@ def run_shuttle_experiments(
         columns = {"k_cycles": sweep}
         for name, phi in phases.items():
             columns[name] = _sweep(
-                lambda k: repeated_load_sequence(
-                    params, int(k), tau_0, p_err=p_err, final_phase=phi
-                ),
+                lambda k: repeated_load_sequence(params, int(k), tau_0, p_err=p_err,
+                                                 final_phase=phi),
                 sweep, params, _draws(noise, seed, trials, name), "nuclear",
             )[:, 1]
         columns["coherence"] = np.array([

@@ -200,14 +200,24 @@ def fit_sinusoid(x, y) -> FitResult:
                                 np.ones_like(t)])
 
     amp0 = (np.max(y) - np.min(y)) / 2 or 1.0
-    best = None
     grid, nyquist = _frequency_grid(x, y)
+    return _best_start(grid, y, lambda f0: _fit(
+        model, jac, x, y, [amp0, f0, 0.0, np.mean(y)],
+        ([0, 0, -2 * np.pi, -np.inf], [np.inf, nyquist, 2 * np.pi, np.inf]),
+        ["amplitude", "frequency", "phase", "offset"], "sinusoid"))
+
+
+def _best_start(grid, y, fit_from) -> FitResult:
+    """The best fit_from(f0) over the frequency starts, stopping once one is
+    below the noise floor that y's point-to-point scatter sets."""
+    noise_floor = 1.2 * np.sqrt(len(y)) * max(np.std(np.diff(y)) / np.sqrt(2), 1e-12)
+    best = None
     for f0 in grid:
-        res = _fit(model, jac, x, y, [amp0, f0, 0.0, np.mean(y)],
-                   ([0, 0, -2 * np.pi, -np.inf], [np.inf, nyquist, 2 * np.pi, np.inf]),
-                   ["amplitude", "frequency", "phase", "offset"], "sinusoid")
+        res = fit_from(f0)
         if best is None or res.residual_norm < best.residual_norm:
             best = res
+        if best.residual_norm < noise_floor:
+            break
     return best
 
 
@@ -262,14 +272,8 @@ def fit_ramsey(tau, p, alpha_fixed: float | None = None) -> FitResult:
 
         names, lo, hi = (v[:4] + v[5:] for v in (names, lo, hi))
 
-    best = None
-    noise_floor = 1.2 * np.sqrt(len(p)) * max(np.std(np.diff(p)) / np.sqrt(2), 1e-12)
-    for f0 in grid:
-        res = _fit(model, jac, tau, p, p0(f0), (lo, hi), names, "ramsey")
-        if best is None or res.residual_norm < best.residual_norm:
-            best = res
-        if best.residual_norm < noise_floor:
-            break
+    best = _best_start(grid, p, lambda f0: _fit(
+        model, jac, tau, p, p0(f0), (lo, hi), names, "ramsey"))
     if alpha_fixed is not None:
         best.parameters["alpha"] = alpha_fixed
         best.uncertainties["alpha"] = 0.0

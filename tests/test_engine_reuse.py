@@ -1,6 +1,7 @@
-"""The engine's reuse paths against the work they replace: collapsed
-identical trials, the eigendecomposition memo, the per-run free-evolution
-propagators and the cached Bell calibration."""
+"""The engine's reuse paths against the work they replace: sweep points run
+as stacks on the distinct draw rows (against one run_sequence per point on
+every trial), the per-run free-evolution propagators and the cached Bell
+calibration."""
 
 from dataclasses import replace
 
@@ -10,128 +11,207 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from test_batched_engine import PARAMS, initial_states, noise_draws, sequences
-from dotspin import core, experiments
-from dotspin.core import NoiseBatch, NoiseDraw, dagger, transition_frequencies, unitary
+from dotspin import experiments
+from dotspin.core import NoiseBatch, NoiseDraw, NoiseModel, transition_frequencies
 from dotspin.engine import run_sequence
 from dotspin.sequences import (
-    ChargeEvent,
+    FreeEvolution,
     MeasureElectron,
     MeasureNuclear,
-    PulseSequence,
-    adiabatic_inversion,
+    Pulse,
+    Rotation,
     repeated_load_sequence,
 )
 
 TOL = 1e-12
 
 
+def _per_point_sweep(build, points, params, draws, kind, initial_state=None):
+    """The reference for experiments._sweep: one run_sequence per point on
+    every trial, then the trial-order mean."""
+    out = []
+    for point in points:
+        res = run_sequence(build(point), params, draws, initial_state)
+        probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
+        out.append(probs.sum(axis=0) / len(draws))
+    return np.array(out)
+
+
+@st.composite
+def stacks(draw):
+    """A random sequence and up to three copies of it with tones, Rabi
+    rates, durations, phases, rotation angles and frame references
+    redrawn, each value kept or changed at random."""
+    base = draw(sequences(max_elements=6))
+
+    def moved(x, lo, hi):
+        return x if draw(st.booleans()) else x + draw(st.floats(lo, hi))
+
+    seqs = [base]
+    for _ in range(draw(st.integers(0, 3))):
+        elements = []
+        for el in base.elements:
+            if isinstance(el, Pulse) and el.chirp is None:
+                el = replace(el, frequency=moved(el.frequency, -1e-3, 1e-3),
+                             rabi=moved(el.rabi, 0.0, 0.4),
+                             duration=moved(el.duration, 0.0, 5.0),
+                             phase=moved(el.phase, 0.0, 360.0))
+            elif isinstance(el, Rotation):
+                el = replace(el, angle=moved(el.angle, 0.0, 360.0),
+                             phase=moved(el.phase, 0.0, 360.0))
+            elif isinstance(el, FreeEvolution) and el.duration > 0:
+                el = replace(el, duration=moved(el.duration, 0.0, 100.0))
+            elements.append(el)
+        seqs.append(replace(base, elements=tuple(elements),
+                            f_e_ref=moved(base.f_e_ref, -0.1, 0.1),
+                            f_n_ref=moved(base.f_n_ref, -1e-3, 1e-3)))
+    return seqs
+
+
 @given(
-    seqs=st.lists(sequences(max_elements=6), min_size=1, max_size=3),
-    draw=noise_draws,
-    trials=st.integers(1, 6),
+    seqs=stacks(),
+    pool=st.lists(noise_draws, min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
     init=initial_states(),
     kind=st.sampled_from(("nuclear", "electron", "joint")),
 )
 @settings(max_examples=30, deadline=None)
-def test_collapsed_sweep_equals_full_batch_and_reference(seqs, draw, trials, init, kind):
+def test_collapsed_sweep_equals_full_batch_and_reference(seqs, pool, picks, init, kind):
     seqs = [replace(s, elements=s.elements + (MeasureElectron(),)) for s in seqs]
-    draws = NoiseBatch.stack([draw] * trials)
-    assert len(experiments._collapse(draws)) == 1
-    collapsed = experiments._sweep(lambda s: s, seqs, PARAMS, draws, kind, init)
-    # _trial_mean alone runs the engine on all `trials` draws
-    full = np.array([experiments._trial_mean(s, PARAMS, draws, trials, kind, init)
-                     for s in seqs])
-    assert np.array_equal(collapsed, full)
-    for row, seq in zip(collapsed, seqs):
-        one = ref.run_sequence(seq, PARAMS, draw, init)
-        expected = one.joint_probabilities() if kind == "joint" else one.last(kind)
-        assert np.max(np.abs(row - expected)) < TOL
+    trial_draws = [pool[i % len(pool)] for i in picks]
+    draws = NoiseBatch.stack(trial_draws)
+    got = experiments._sweep(lambda s: s, seqs, PARAMS, draws, kind, init)
+    assert np.array_equal(got, _per_point_sweep(lambda s: s, seqs, PARAMS, draws, kind, init))
+    ones = [ref.run_sequence(seqs[0], PARAMS, d, init) for d in trial_draws]
+    expected = np.mean([o.joint_probabilities() if kind == "joint" else o.last(kind)
+                        for o in ones], axis=0)
+    assert np.max(np.abs(got[0] - expected)) < TOL
 
 
-def test_distinct_draws_are_not_collapsed():
-    draws = NoiseBatch.stack([NoiseDraw(), NoiseDraw(), NoiseDraw(delta_iz=0.1)])
-    assert experiments._collapse(draws) is draws
-    # equal values with different bits (a signed zero) are distinct too
-    draws = NoiseBatch.stack([NoiseDraw(delta_sz=0.0), NoiseDraw(delta_sz=-0.0)])
-    assert experiments._collapse(draws) is draws
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """(points, distinct draws) of every engine run the experiments make."""
+    runs = []
+    stack, single = experiments.run_stack, experiments.run_sequence
+
+    def run_stack(seqs, params, noise, *args):
+        runs.append((len(seqs), len(NoiseBatch.of(noise))))
+        return stack(seqs, params, noise, *args)
+
+    def run_sequence(seq, params, noise=NoiseDraw(), *args):
+        runs.append((1, len(NoiseBatch.of(noise))))
+        return single(seq, params, noise, *args)
+
+    monkeypatch.setattr(experiments, "run_stack", run_stack)
+    monkeypatch.setattr(experiments, "run_sequence", run_sequence)
+    return runs
 
 
-def _unitary_without_memo(h, t):
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-2j * np.pi * w * t)[..., None, :]) @ dagger(v)
+def _assert_equals_per_point_runs(experiment, monkeypatch):
+    got = experiment().columns
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "_sweep", _per_point_sweep)
+        expected = experiment().columns
+    assert got.keys() == expected.keys()
+    for name in got:
+        assert np.array_equal(got[name], expected[name]), name
 
 
-@st.composite
-def hamiltonian_stacks(draw):
-    n = draw(st.integers(1, 3))
-    dtype = draw(st.sampled_from((np.complex128, np.complex64, np.float64)))
-    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=32 * n, max_size=32 * n))
-    a = np.array(values).reshape(n, 2, 4, 4)
-    m = a[:, 0] + (1j * a[:, 1] if np.iscomplexobj(np.zeros(1, dtype)) else 0)
-    return ((m + dagger(m)) / 2).astype(dtype)
+NOISE = NoiseModel(sigma_iz=0.5, sigma_sz=20.0, spectator_flip_prob=0.3)
 
 
-@given(stacks=st.lists(hamiltonian_stacks(), min_size=1, max_size=24),
-       t=st.floats(0.0, 100.0))
-@settings(max_examples=30, deadline=None)
-def test_unitary_memo_returns_what_eigh_gives(stacks, t):
-    core._eigh_memo.clear()
-    for h in stacks + stacks[::-1]:  # cold, then warm where still held
-        assert np.array_equal(unitary(h, t), _unitary_without_memo(h, t))
-        assert len(core._eigh_memo) <= core.EIGH_MEMO_SIZE
-    for w, v in core._eigh_memo.values():
-        assert not w.flags.writeable and not v.flags.writeable
-        with pytest.raises(ValueError):
-            v[...] = 0
+@pytest.mark.parametrize("charge_config, line", [("unloaded", "f_n0"),
+                                                  ("qd1", "f_n_elec_down")])
+def test_chevron_with_a_frame_per_frequency_equals_per_point_runs(
+        charge_config, line, engine_runs, monkeypatch):
+    freqs = transition_frequencies(PARAMS)[line] + np.linspace(-0.01, 0.01, 5)
+    _assert_equals_per_point_runs(lambda: experiments.run_nmr_chevron(
+        freqs, np.linspace(25.0, 1000.0, 4), PARAMS, noise=NOISE, trials=3,
+        seed=2, charge_config=charge_config), monkeypatch)
+    assert engine_runs[0][0] == 20  # the whole grid is one stack
 
 
-def test_unitary_memo_keys_on_the_exact_stack():
-    core._eigh_memo.clear()
-    rng = np.random.default_rng(3)
-    m = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
-    h = (m + dagger(m)) / 2
-    first = unitary(h, 7.0)
-    # the caller mutating its array afterwards does not reach the memo
-    h[1] = h[1] + np.diag([0.5, -0.25, 0.0, 1.0])
-    assert np.array_equal(unitary(h, 7.0), _unitary_without_memo(h, 7.0))
-    assert not np.array_equal(unitary(h, 7.0), first)
-    # equal bytes under another shape or dtype are a different stack
-    reshaped = h.reshape(1, 2, 4, 4)
-    assert unitary(reshaped, 7.0).shape == (1, 2, 4, 4)
-    h64 = h[0].astype(np.complex64)
-    as_real = h64.view(np.float64)
-    assert as_real.shape == h64.shape and as_real.tobytes() == h64.tobytes()
-    assert np.array_equal(unitary(h64, 7.0), _unitary_without_memo(h64, 7.0))
-    assert np.array_equal(unitary(as_real, 7.0), _unitary_without_memo(as_real, 7.0))
-    # the memo is bounded and evicts the oldest stack first
-    core._eigh_memo.clear()
-    keys = []
-    for i in range(core.EIGH_MEMO_SIZE + 3):
-        hi = h + i
-        unitary(hi, 1.0)
-        keys.append((hi.shape, hi.dtype, hi.tobytes()))
-        assert len(core._eigh_memo) == min(i + 1, core.EIGH_MEMO_SIZE)
-    assert list(core._eigh_memo) == keys[-core.EIGH_MEMO_SIZE:]
+def test_rabi_equals_per_point_runs(monkeypatch):
+    _assert_equals_per_point_runs(lambda: experiments.run_rabi(
+        np.linspace(25.0, 2000.0, 7), PARAMS, trials=2), monkeypatch)
 
 
-def test_chirp_steps_leave_the_eigh_memo_alone():
-    # each chirp step's Hamiltonian stack is new, so the steps take their
-    # eigendecomposition from eigh directly and evict nothing reusable
-    freqs = transition_frequencies(PARAMS)
-    seq = PulseSequence(
-        elements=(ChargeEvent(kind="load_down"),
-                  adiabatic_inversion(PARAMS, "f_e_nuc_down"), MeasureElectron()),
-        f_e_ref=freqs["f_e0"], f_n_ref=freqs["f_n0"], initial_config="unloaded",
-    )
-    draws = [NoiseDraw(), NoiseDraw(delta_sz=3.0, delta_iz=0.02)]
-    core._eigh_memo.clear()
-    unitary(np.diag([1.0, 2.0, 3.0, 4.0]), 1.0)
-    keys = list(core._eigh_memo)
-    got = run_sequence(seq, PARAMS, NoiseBatch.stack(draws))
-    assert list(core._eigh_memo) == keys
-    for i, d in enumerate(draws):
-        one = ref.run_sequence(seq, PARAMS, d)
-        assert np.max(np.abs(got.rho[i] - one.state.density_matrix())) < TOL
+@pytest.mark.parametrize("run", [experiments.run_ramsey, experiments.run_hahn])
+@pytest.mark.parametrize("ideal_pulses", [True, False])
+@pytest.mark.parametrize("charge_config", ["unloaded", "qd1"])
+def test_free_precession_equals_per_point_runs(run, ideal_pulses, charge_config,
+                                               monkeypatch):
+    _assert_equals_per_point_runs(lambda: run(
+        [0.0, 10.0, 500.0, 3000.0], params=PARAMS, noise=NoiseModel(sigma_iz=0.0776),
+        trials=5, seed=1, charge_config=charge_config, ideal_pulses=ideal_pulses,
+    ), monkeypatch)
+
+
+@pytest.mark.parametrize("vary", ["nuclear", "electron"])
+def test_bell_parity_sweep_equals_per_point_runs(vary, engine_runs, monkeypatch):
+    _assert_equals_per_point_runs(lambda: experiments.run_bell_parity_sweep(
+        PARAMS, experiments.BellNoiseConfig(), phi_range=[0.0, 40.0, 90.0, 200.0],
+        vary=vary, trials=4, seed=3), monkeypatch)
+    assert engine_runs[-1] == (4, 4)
+
+
+@pytest.mark.parametrize("variant, sweep", [
+    ("phase", [0.0, 5.0, 20.0, 50.0]),  # t_load = 0 and = tau_0
+    ("electron", [0.0, 90.0, 200.0]),
+    ("repeated", [0, 1, 3]),
+])
+def test_shuttle_sweeps_equal_per_point_runs(variant, sweep, engine_runs, monkeypatch):
+    _assert_equals_per_point_runs(lambda: experiments.run_shuttle_experiments(
+        variant, sweep, PARAMS, noise=NoiseModel(sigma_iz=0.3, sigma_sz=10.0),
+        trials=3, tau_0=50.0, p_err=0.1, p_transfer=0.3), monkeypatch)
+    if variant == "repeated":  # four phases, one stack of one per cycle count
+        assert engine_runs == [(1, 3)] * 12
+
+
+@pytest.mark.parametrize("points, sizes", [(4, [4]), (5, [4, 1]), (8, [4, 4]),
+                                           (9, [4, 4, 1])])
+def test_sweep_chunks_hold_at_most_stack_rows(points, sizes, engine_runs):
+    trials = experiments.STACK_ROWS // 4
+    draws = experiments._draws(NoiseModel(sigma_iz=0.3), 1, trials)
+    taus = np.linspace(10.0, 500.0, points)
+
+    def build(tau):
+        return experiments.ramsey_sequence(PARAMS, tau, detuning_khz=2.0)
+
+    got = experiments._sweep(build, taus, PARAMS, draws, "nuclear")
+    assert [p for p, _ in engine_runs] == sizes
+    assert np.array_equal(got, _per_point_sweep(build, taus, PARAMS, draws, "nuclear"))
+
+
+def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):
+    # equal values with different bits (a signed zero) are distinct rows
+    draws = NoiseBatch.stack([NoiseDraw(delta_sz=0.0), NoiseDraw(delta_sz=-0.0),
+                              NoiseDraw(delta_sz=0.0)])
+    seq = experiments.ramsey_sequence(PARAMS, 100.0, charge_config="qd1")
+    got = experiments._sweep(lambda s: s, [seq], PARAMS, draws, "nuclear")
+    assert engine_runs == [(1, 2)]
+    assert np.array_equal(got, _per_point_sweep(lambda s: s, [seq], PARAMS, draws, "nuclear"))
+    # a spectator-only Bell basis: stratified flips, two distinct rows of 40
+    calibration = experiments.calibrate_bell_projection(PARAMS)
+    engine_runs.clear()
+
+    def basis():
+        return experiments._bell_basis_probabilities(
+            "XX", PARAMS, experiments.BellNoiseConfig().only("spectator_nucleus"),
+            calibration, trials=40, seed=0)
+
+    got = basis()
+    assert engine_runs == [(1, 2)]
+    monkeypatch.setattr(experiments, "_sweep", _per_point_sweep)
+    assert np.array_equal(got, basis())
+
+
+def test_calibration_runs_each_coordinate_as_one_stack(engine_runs, monkeypatch):
+    got = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05, 3)
+    assert len(engine_runs) == 16
+    assert engine_runs.count((4, 1)) == 12
+    monkeypatch.setattr(experiments, "_sweep", _per_point_sweep)
+    assert experiments._calibrated_projection.__wrapped__(PARAMS, 1.05, 3) == got
 
 
 @given(
