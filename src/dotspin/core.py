@@ -253,14 +253,18 @@ class NoiseBatch:
         return len(self.delta_iz)
 
 
-def sample_noise(model: NoiseModel, rng: np.random.Generator) -> NoiseDraw:
-    """Draw one quasi-static noise realisation."""
-    return NoiseDraw(
-        delta_ix=model.sigma_ix * rng.standard_normal() if model.sigma_ix else 0.0,
-        delta_iz=model.sigma_iz * rng.standard_normal() if model.sigma_iz else 0.0,
-        delta_sz=model.sigma_sz * rng.standard_normal() if model.sigma_sz else 0.0,
-        spectator_detuned=bool(rng.random() < model.spectator_flip_prob),
+def sample_noise(model: NoiseModel, rng: np.random.Generator, trials: int) -> NoiseBatch:
+    """Draw `trials` quasi-static noise realisations from one generator, row
+    t being trial t: one (trials, 3) standard-normal block, every column
+    drawn whatever the sigmas, then one uniform block for the spectator flag.
+    A zero sigma gives +0.0 everywhere (never 0.0 * z, which is -0.0 where
+    z < 0), so an all-zero model gives identical rows."""
+    z = rng.standard_normal((trials, 3))
+    ix, iz, sz = (
+        sigma * z[:, i] if sigma else np.zeros(trials)
+        for i, sigma in enumerate((model.sigma_ix, model.sigma_iz, model.sigma_sz))
     )
+    return NoiseBatch(ix, iz, sz, rng.random(trials) < model.spectator_flip_prob)
 
 
 # ---------------------------------------------------------------------------

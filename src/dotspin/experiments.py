@@ -98,10 +98,11 @@ def binomial_stderr(p: np.ndarray, trials: int) -> np.ndarray:
 
 
 def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
-    """The experiment's per-trial draws, trial t keyed on (seed, *label, t)."""
-    return NoiseBatch.stack(
-        sample_noise(noise, rng_for(seed, *label, t)) for t in range(trials)
-    )
+    """The experiment's draw batch, row t for trial t, from one generator
+    keyed on (seed, "noise", *label). The "noise" part keeps the stream apart
+    from rng_for(seed), the s1 record's; the key holds neither the thread
+    count nor the sweep order, so neither moves a draw."""
+    return sample_noise(noise, rng_for(seed, "noise", *label), trials)
 
 
 #: Most sweep points x trials one engine run holds (at least one point), so

@@ -478,19 +478,20 @@ def coherence_metric(p_x, p_mx, p_y, p_my) -> float:
 
 
 def fit_coherence_decay(k, c) -> FitResult:
-    """Exponential coherence decay C(k) = C0 exp(-k p_err) vs the number of
-    dephasing-channel applications k."""
+    """Coherence decay C(k) = C0 (1 - p_err)^k vs the number of
+    dephasing-channel applications k: each application keeps a fraction
+    1 - p_err of the coherence, as the engine's channel does."""
     k = np.asarray(k, dtype=float)
     c = np.asarray(c, dtype=float)
     if len(k) < 3:
         raise ValueError("need at least 3 points to fit the decay")
 
     def model(n, c0, p_err):
-        return c0 * np.exp(-n * p_err)
+        return c0 * (1.0 - p_err) ** n
 
     def jac(n, c0, p_err):
-        decay = np.exp(-n * p_err)
-        return np.column_stack([decay, -n * c0 * decay])
+        keep = 1.0 - p_err  # no 0 ** -1 at k = 0 when p_err reaches its bound 1
+        return np.column_stack([keep ** n, -n * c0 * keep ** np.where(n > 0, n - 1, 0.0)])
 
     res = _fit(model, jac, k, c, [max(c[np.argmin(k)], 1e-3), 1.0 / max(np.max(k), 1.0)],
                ([0, 0], [np.sqrt(2), 1.0]), ["c0", "p_err"], "coherence_decay")

@@ -58,6 +58,12 @@ def apply_dephasing_channel(state: QuantumState, p_err: float, subsystem: str):
     return QuantumState(matrix=np.where(mask, (1.0 - p_err) * rho, rho))
 
 
+def draw_row(batch, t: int) -> NoiseDraw:
+    """Row t of a NoiseBatch as the single draw this executor takes."""
+    return NoiseDraw(float(batch.delta_ix[t]), float(batch.delta_iz[t]),
+                     float(batch.delta_sz[t]), bool(batch.spectator_detuned[t]))
+
+
 def average_populations(build_draws, run_one, trials: int, threads: int = 1):
     """Average run_one(draw) over per-trial draws, reducing in trial order."""
     draws = [build_draws(t) for t in range(trials)]

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
+from dotspin import experiments
 from dotspin.core import (
     NoiseBatch,
     NoiseDraw,
     NoiseModel,
     QuantumState,
     SpinSystemParams,
-    sample_noise,
     transition_frequencies,
 )
 from dotspin.engine import run_sequence
 from dotspin.experiments import (
     BellNoiseConfig,
     calibrate_bell_projection,
-    rng_for,
     run_bell_parity_sweep,
     run_ramsey,
     run_shuttle_experiments,
@@ -193,11 +192,13 @@ def test_every_element_kind_matches_reference():
 
 
 def _ref_ramsey(taus, noise, trials, seed):
+    # trial t's draw is row t of the driver's one draw batch
+    draws = experiments._draws(noise, seed, trials)
     out = []
     for tau in taus:
         seq = ramsey_sequence(PARAMS, tau, detuning_khz=2.0)
         out.append(ref.average_populations(
-            lambda t: sample_noise(noise, rng_for(seed, t)),
+            lambda t: ref.draw_row(draws, t),
             lambda d, seq=seq: ref.run_sequence(seq, PARAMS, d).last("nuclear"),
             trials,
         )[1])
@@ -215,10 +216,11 @@ def test_drivers_match_per_trial_reference():
     res = run_shuttle_experiments("repeated", [0, 3], PARAMS, noise=noise,
                                   trials=5, seed=2, p_err=0.1)
     for name, phi in (("p_x", 0.0), ("p_mx", 180.0), ("p_y", 90.0), ("p_my", 270.0)):
+        draws = experiments._draws(noise, 2, 5, name)
         for row, k in enumerate((0, 3)):
             seq = repeated_load_sequence(PARAMS, k, 500.0, p_err=0.1, final_phase=phi)
             expected = ref.average_populations(
-                lambda t: sample_noise(noise, rng_for(2, name, t)),
+                lambda t: ref.draw_row(draws, t),
                 lambda d: ref.run_sequence(seq, PARAMS, d).last("nuclear"), 5,
             )[1]
             assert abs(res.columns[name][row] - expected) < TOL
@@ -234,8 +236,9 @@ def test_drivers_match_per_trial_reference():
         projection=(tuple(p + 40.0 for p in cal["phi_n"]), cal["phi_e"]),
         duration_scale=cfg.duration_scale(),
     )
+    draws = experiments._draws(cfg.noise_model(), 1, 6)
     expected = ref.average_populations(
-        lambda t: sample_noise(cfg.noise_model(), rng_for(1, t)),
+        lambda t: ref.draw_row(draws, t),
         lambda d: ref.run_sequence(seq, PARAMS, d, init).joint_probabilities(), 6,
     )
     assert abs(res.columns["p_up_Up"][0] - expected[3]) < TOL

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_engine as ref
 from dotspin.core import (
     IX,
     IY,
@@ -93,12 +94,9 @@ class TestNoise:
     def test_sample_noise_statistics(self):
         model = NoiseModel(sigma_ix=1.0, sigma_iz=2.0, sigma_sz=3.0,
                            spectator_flip_prob=0.25)
-        rng = np.random.default_rng(7)
-        draws = [sample_noise(model, rng) for _ in range(4000)]
-        assert np.std([d.delta_iz for d in draws]) == pytest.approx(2.0, rel=0.1)
-        assert np.mean([d.spectator_detuned for d in draws]) == pytest.approx(
-            0.25, abs=0.03
-        )
+        draws = sample_noise(model, np.random.default_rng(7), 4000)
+        assert np.std(draws.delta_iz) == pytest.approx(2.0, rel=0.1)
+        assert np.mean(draws.spectator_detuned) == pytest.approx(0.25, abs=0.03)
 
     def test_rng_for_reproducible_and_order_independent(self):
         a = rng_for(3, 17).standard_normal(4)
@@ -144,9 +142,9 @@ class TestPropagation:
     def test_propagator_unitarity(self, dt, a, dz):
         params = SpinSystemParams(a_hf=a)
         h = rotating_frame_hamiltonian(
-            params, noise_draw=sample_noise(
-                NoiseModel(sigma_sz=abs(dz) + 1e-6), np.random.default_rng(0)
-            ),
+            params, noise_draw=ref.draw_row(sample_noise(
+                NoiseModel(sigma_sz=abs(dz) + 1e-6), np.random.default_rng(0), 1
+            ), 0),
         )
         u = unitary(h, dt)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_engine as ref
 from dotspin.core import (
-    NoiseBatch,
     NoiseDraw,
     NoiseModel,
     QuantumState,
@@ -128,8 +128,9 @@ class TestRefocusingAndNoise:
         # pure quasi-static I_z noise is removed exactly by the echo
         model = NoiseModel(sigma_iz=sigma_from_t2(100.0))  # violent noise
         seq = hahn_sequence(PARAMS, tau=400.0)
+        draws = sample_noise(model, rng_for(1), 20)
         for trial in range(20):
-            draw = sample_noise(model, rng_for(1, trial))
+            draw = ref.draw_row(draws, trial)
             # pi/2 - pi - pi/2 about the same axis composes to 2 pi, so a
             # perfect echo returns the nucleus to its initial state
             p_down = run_sequence(seq, PARAMS, draw).last("nuclear")[0]
@@ -142,9 +143,7 @@ class TestRefocusingAndNoise:
         model = NoiseModel(sigma_iz=sigma_from_t2(t2))
         taus = np.array([200.0, 400.0, 600.0, 800.0])
         trials = 3000
-        draws = NoiseBatch.stack(
-            sample_noise(model, rng_for(2, trial)) for trial in range(trials)
-        )
+        draws = sample_noise(model, rng_for(2), trials)
         amps = []
         for tau in taus:
             # average cos(2 pi delta tau) over draws = envelope at tau

@@ -155,7 +155,7 @@ class TestCoherence:
 
     def test_decay_round_trip(self):
         k = np.arange(0.0, 101.0, 10.0)
-        c = 0.98 * np.exp(-k * 0.0045)
+        c = 0.98 * (1 - 0.0045) ** k
         fit = fit_coherence_decay(k, c)
         assert fit.value("p_err") == pytest.approx(0.0045, rel=1e-3)
         assert fit.value("c0") == pytest.approx(0.98, rel=1e-3)
