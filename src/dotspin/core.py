@@ -367,14 +367,41 @@ def unitary(h: np.ndarray, dt_us) -> np.ndarray:
     one batched eigh. dt_us may be an array broadcasting against the
     eigenvalues (..., 4), such as a (P, 1, 1) column of durations.
     """
-    return eigen_propagator(*np.linalg.eigh(h), dt_us)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-2j * np.pi * w * dt_us)[..., None, :]) @ dagger(v)
 
 
-def eigen_propagator(w: np.ndarray, v: np.ndarray, dt_us: float) -> np.ndarray:
-    """U = v exp(-2*pi*i w dt) v^dagger from the eigendecomposition (w, v)
-    of a Hamiltonian (stack)."""
-    phases = np.exp(-2j * np.pi * w * dt_us)
-    return (v * phases[..., None, :]) @ dagger(v)
+#: Index pairs of the two 2x2 blocks of a drive Hamiltonian: an NMR drive
+#: couples the nuclear states at fixed electron state, an ESR drive (with no
+#: I_x noise) the electron states at fixed nuclear state.
+NMR_BLOCKS = ((0, 1), (2, 3))
+ESR_BLOCKS = ((0, 2), (1, 3))
+
+
+def block_unitary(h: np.ndarray, dt_us, pairs) -> np.ndarray:
+    """Exact propagator U = exp(-2*pi*i H dt) in closed form for a stack of
+    Hamiltonians (..., 4, 4) that are each a direct sum of two 2x2 blocks on
+    the index pairs (i, j) in `pairs` (NMR_BLOCKS or ESR_BLOCKS).
+
+    A block g0 + a.sigma gives exp(-2*pi*i g0 dt) (cos(2*pi |a| dt) -
+    i 2*pi dt sinc(2 |a| dt) a.sigma); the sinc keeps a zero-norm block
+    exact. dt_us broadcasts against (..., 2), one entry per block, as
+    unitary's does against its eigenvalues.
+    """
+    (i0, j0), (i1, j1) = pairs
+    # flat indices of the entries ii, jj, ij and ji of both blocks
+    flat = [5 * i0, 5 * i1, 5 * j0, 5 * j1, 4 * i0 + j0, 4 * i1 + j1, 4 * j0 + i0, 4 * j1 + i1]
+    v = h.reshape(h.shape[:-2] + (16,))[..., flat]
+    h_ii, h_jj, h_ij, h_ji = v[..., 0:2].real, v[..., 2:4].real, v[..., 4:6], v[..., 6:8]
+    a_z = (h_ii - h_jj) * 0.5
+    norm = np.hypot(a_z, np.abs(h_ij))
+    g = np.exp((-1j * np.pi) * ((h_ii + h_jj) * dt_us))
+    gc = g * np.cos((2 * np.pi) * (norm * dt_us))
+    gs = g * ((-2j * np.pi) * dt_us * np.sinc(2 * (norm * dt_us)))  # -i 2 pi dt sinc g
+    gsz = gs * a_z
+    u = np.zeros(gc.shape[:-1] + (16,), dtype=complex)
+    u[..., flat] = np.concatenate([gc + gsz, gc - gsz, gs * h_ij, gs * h_ji], axis=-1)
+    return u.reshape(u.shape[:-1] + (4, 4))
 
 
 def populations(rho: np.ndarray) -> np.ndarray:

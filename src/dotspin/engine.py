@@ -6,8 +6,17 @@ and with run_stack P sequences of one stack_key at once, as (P, N, 4, 4).
 The state is kept in the sequence's rotating frame (f_e_ref for the
 electron, f_n_ref for the nucleus). A pulse whose tone differs from its
 channel reference is propagated exactly in its own drive frame, with
-diagonal frame-change rotations at the pulse boundaries; only chirped
-pulses require piecewise-constant discretisation.
+diagonal frame-change rotations at the pulse boundaries, applied entrywise;
+only chirped pulses require piecewise-constant discretisation.
+
+Propagators come from the structure each element guarantees. An NMR drive
+is two 2x2 blocks (one per electron state), and so is an ESR drive (one per
+nuclear state) when no trial has I_x noise; core.block_unitary gives both
+in closed form. Without I_x noise a free evolution is diagonal and acts as
+a cached entrywise phase mask. ESR pulses and free evolutions under I_x
+noise, and every chirp step, use one stacked eigh (unitary). The choice is
+one flag per run that depends on the batch alone, so a lone run and the
+same point inside a stack take the same path and agree to the bit.
 """
 
 from __future__ import annotations
@@ -18,18 +27,20 @@ import numpy as np
 
 from . import core
 from .core import (
+    ESR_BLOCKS,
     IDENT4,
     IZ,
+    NMR_BLOCKS,
     SZ,
     NoiseBatch,
     NoiseDraw,
     QuantumState,
     SpinSystemParams,
     ZERO_DRAW,
+    block_unitary,
     check_rwa,
     dagger,
     drive_operator,
-    eigen_propagator,
     marginal,
     populations,
     rotating_frame_hamiltonian,
@@ -139,11 +150,14 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     rho0 = _GROUND if initial_state is None else initial_state.density_matrix()
     rho = np.repeat(rho0[None], len(batch), axis=0)
     head, frame = seqs[0], _columns(seqs, ("f_e_ref", "f_n_ref"))
+    # with no I_x noise every drive-free Hamiltonian is diagonal; a property
+    # of the batch alone, so a lone run and a stacked run take the same path
+    diagonal = not np.any(batch.delta_ix)
     config = head.initial_config
     t = 0.0  # absolute sequence time, us
     records = []
     static = {}  # charge config -> drive-free Hamiltonians of the batch
-    free = {}  # (charge config, duration(s)) -> free-evolution propagators
+    free = {}  # (charge config, duration(s)) -> propagators, or phase masks
 
     def h_static(config):
         if config not in static:
@@ -158,7 +172,8 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
         if isinstance(el, Pulse):
             check_rwa(params, el.channel, max(e.rabi for e in els))
             values = _columns(els, ("frequency", "rabi", "duration", "phase"))
-            rho = _conjugate(_pulse_unitary(el, *values, frame, h_static(config), t), rho)
+            u = _pulse_unitary(el, *values, frame, h_static(config), t, diagonal)
+            rho = _conjugate(u, rho)
             t = t + values[2]
         elif isinstance(el, Rotation):
             angle, phase = _columns(els, ("angle", "phase"))
@@ -169,8 +184,9 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
                 key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
                        else duration)
                 if key not in free:
-                    free[key] = unitary(h_static(config), _lift(duration, 1))
-                rho = _conjugate(free[key], rho)
+                    free[key] = _free_propagator(h_static(config), _lift(duration, 1),
+                                                 diagonal)
+                rho = rho * free[key] if diagonal else _conjugate(free[key], rho)
             t = t + duration
         elif isinstance(el, ChargeEvent):
             rho = _apply_charge_event(rho, el)
@@ -223,11 +239,21 @@ def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:
     return np.cos(theta / 2) * IDENT4 - 1j * np.sin(theta / 2) * axis
 
 
+def _free_propagator(h0: np.ndarray, dt, diagonal: bool) -> np.ndarray:
+    """The propagators of a free evolution, or for diagonal Hamiltonians the
+    phase mask rho is multiplied by: p_i conj(p_j), p = exp(-2*pi*i diag dt)."""
+    if not diagonal:
+        return unitary(h0, dt)
+    p = np.exp(-2j * np.pi * np.diagonal(h0, axis1=-2, axis2=-1) * dt)
+    return p[..., :, None] * p.conj()[..., None, :]
+
+
 def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
-                   h0: np.ndarray, t0) -> np.ndarray:
+                   h0: np.ndarray, t0, diagonal: bool) -> np.ndarray:
     """Propagators (per point and trial) of a pulse with the given values
     starting at sequence time t0, given the drive-free Hamiltonians h0 of
-    the batch in the frame (f_e_ref, f_n_ref)."""
+    the batch in the frame (f_e_ref, f_n_ref), diagonal when the batch has
+    no I_x noise."""
     z_op = SZ if pulse.channel == "ESR" else IZ
     f_ref = frame[0] if pulse.channel == "ESR" else frame[1]
     rabi_mhz = rabi * 1e-3
@@ -236,7 +262,12 @@ def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
         df = frequency - f_ref
         h_d = h0 - _lift(df, 2) * z_op + _lift(rabi_mhz / 2, 2) * drive_operator(
             pulse.channel, _lift(phase, 2))
-        return _in_drive_frame(unitary(h_d, _lift(duration, 1)), z_op, df, t0, duration)
+        if pulse.channel == "NMR" or diagonal:  # I_x noise couples only the ESR blocks
+            u = block_unitary(h_d, _lift(duration, 1),
+                              NMR_BLOCKS if pulse.channel == "NMR" else ESR_BLOCKS)
+        else:
+            u = unitary(h_d, _lift(duration, 1))
+        return _in_drive_frame(u, z_op, df, t0, duration)
 
     # Linear chirp: frame at the sweep centre, drive phase accumulates the
     # instantaneous detuning integral; piecewise-constant stepping.
@@ -259,26 +290,22 @@ def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
         ramp = min(t_mid, duration - t_mid)
         amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
         h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
-        u_total = eigen_propagator(*np.linalg.eigh(h_k), dt) @ u_total
+        # eigh, not the 2x2 blocks: over thousands of steps the two forms'
+        # round-off would part by about 1e-12
+        u_total = unitary(h_k, dt) @ u_total
     return _in_drive_frame(u_total, z_op, df_c, t0, duration)
 
 
 def _in_drive_frame(u, z_op, df, t0, duration) -> np.ndarray:
-    """Exact frame change into / out of the drive frame at offset df."""
+    """Exact frame change into / out of the drive frame at offset df: the
+    diagonal rotations exp(+2*pi*i df t Z) at t0 (in) and t0 + duration
+    (out, conjugated), applied to u entrywise."""
     if np.all(df == 0.0):
         return u
-    w_in = _frame_rotation(z_op, df, t0)
-    w_out = dagger(_frame_rotation(z_op, df, t0 + duration))
-    return w_out @ u @ w_in
-
-
-def _frame_rotation(z_op: np.ndarray, df, t) -> np.ndarray:
-    """Diagonal rotation exp(+2*pi*i df t Z) mapping sequence frame -> drive
-    frame (one per point for columns df or t)."""
-    diagonal = np.exp(2j * np.pi * _lift(df, 1) * _lift(t, 1) * np.diag(z_op))
-    out = np.zeros(diagonal.shape + (4,), dtype=complex)
-    out[..., range(4), range(4)] = diagonal
-    return out
+    z = np.diag(z_op).real
+    w_in = np.exp(2j * np.pi * _lift(df, 1) * _lift(t0, 1) * z)
+    w_out = np.exp(-2j * np.pi * _lift(df, 1) * _lift(t0 + duration, 1) * z)
+    return w_out[..., :, None] * u * w_in[..., None, :]
 
 
 def _apply_charge_event(rho: np.ndarray, el: ChargeEvent) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
-from dotspin import experiments
+from dotspin import engine, experiments
 from dotspin.core import (
     NoiseBatch,
     NoiseDraw,
@@ -188,6 +188,40 @@ def test_every_element_kind_matches_reference():
         NoiseDraw(delta_ix=-0.3, delta_iz=0.4, delta_sz=-30.0, spectator_detuned=True),
         NoiseDraw(),
     ]
+    _assert_matches_reference(seq, draws, None)
+
+
+def test_ix_noise_sends_esr_pulses_through_eigh(monkeypatch):
+    # one trial's I_x noise couples the ESR blocks, so the whole batch's ESR
+    # pulses and free evolutions take the stacked eigh; NMR pulses keep their
+    # closed-form blocks, and without that trial nothing reaches eigh
+    f = FREQS
+    seq = PulseSequence(
+        elements=(
+            Pulse("ESR", f["f_e_nuc_down"], 80.0, 3.0, 45.0),
+            Pulse("NMR", f["f_n_elec_down"] + 0.001, 2.0, 120.0, 30.0),
+            FreeEvolution(350.0, "qd1"),
+            Pulse("ESR", f["f_e0"] + 0.5, 100.0, 2.5),
+            MeasureElectron(),
+        ),
+        f_e_ref=f["f_e0"],
+        f_n_ref=f["f_n0"],
+        initial_config="qd1",
+    )
+    draws = [
+        NoiseDraw(delta_iz=-1.1, delta_sz=12.0),
+        NoiseDraw(delta_ix=0.7, delta_iz=0.4, delta_sz=-30.0, spectator_detuned=True),
+        NoiseDraw(),
+    ]
+    calls = []
+    eigh_unitary = engine.unitary
+    monkeypatch.setattr(engine, "unitary",
+                        lambda h, dt: calls.append(h.shape) or eigh_unitary(h, dt))
+    run_sequence(seq, PARAMS, NoiseBatch.stack(draws))
+    assert calls == [(3, 4, 4)] * 3
+    calls.clear()
+    run_sequence(seq, PARAMS, NoiseBatch.stack(draws[::2]))
+    assert calls == []
     _assert_matches_reference(seq, draws, None)
 
 

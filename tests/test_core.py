@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from dotspin.core import (
+    ESR_BLOCKS,
     IX,
     IY,
     IZ,
+    NMR_BLOCKS,
     SX,
     SY,
     SZ,
@@ -16,6 +18,7 @@ from dotspin.core import (
     QuantumState,
     SpinSystemParams,
     apply_dephasing_channel,
+    block_unitary,
     marginal,
     partial_trace_electron,
     partial_trace_nucleus,
@@ -148,6 +151,33 @@ class TestPropagation:
         )
         u = unitary(h, dt)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-10
+
+    @pytest.mark.parametrize("pairs", (NMR_BLOCKS, ESR_BLOCKS))
+    @pytest.mark.parametrize("scale, durations", (
+        (0.3, (0.0, 0.37, 20.0)),  # MHz-scale detunings over pulse lengths
+        (1e-3, (0.37, 2000.0, 25000.0)),  # kHz-scale blocks over the longest waits
+    ))
+    def test_block_unitary_matches_eigh(self, pairs, scale, durations):
+        # the closed form agrees with the eigendecomposition up to the
+        # rounding of the phases 2 pi h dt, which both evaluate in float64
+        rng = np.random.default_rng(7)
+        h = np.zeros((5, 4, 4), dtype=complex)
+        for i, j in pairs:
+            h[:, i, i], h[:, j, j] = scale * rng.normal(size=(2, 5))
+            h[:, i, j] = scale * (rng.normal(size=5) + 1j * rng.normal(size=5))
+            h[:, j, i] = h[:, i, j].conj()
+        (i, j), (k, l) = pairs
+        h[0] = 0.0
+        h[1, i, j] = h[1, j, i] = 0.0  # a zero-norm block: a multiple of 1
+        h[1, j, j] = h[1, i, i]
+        h[2, i, j] = h[2, j, i] = h[2, k, l] = h[2, l, k] = 0.0  # diagonal
+        for dt in durations:
+            assert np.max(np.abs(block_unitary(h, dt, pairs) - unitary(h, dt))) < 1e-12
+        column = np.array(durations)[:, None, None]  # a (P, 1) column, lifted
+        u = block_unitary(h, column, pairs)
+        assert u.shape == (len(durations), 5, 4, 4)
+        assert np.max(np.abs(u - unitary(h, column))) < 1e-12
+        assert np.array_equal(block_unitary(h, 0.0, pairs), np.broadcast_to(np.eye(4), h.shape))
 
     @staticmethod
     def _one_pulse(pulse, initial_state, config="qd1"):
