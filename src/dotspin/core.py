@@ -360,22 +360,34 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def unitary(h: np.ndarray, dt_us) -> np.ndarray:
-    """Exact propagator U = exp(-2*pi*i H dt) via Hermitian eigendecomposition.
-
-    A stack of Hamiltonians (..., 4, 4) gives the stack of propagators from
-    one batched eigh. dt_us may be an array broadcasting against the
-    eigenvalues (..., 4), such as a (P, 1, 1) column of durations.
-    """
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-2j * np.pi * w * dt_us)[..., None, :]) @ dagger(v)
-
-
 #: Index pairs of the two 2x2 blocks of a drive Hamiltonian: an NMR drive
 #: couples the nuclear states at fixed electron state, an ESR drive (with no
 #: I_x noise) the electron states at fixed nuclear state.
 NMR_BLOCKS = ((0, 1), (2, 3))
 ESR_BLOCKS = ((0, 2), (1, 3))
+#: The structure of a drive-free Hamiltonian without I_x noise.
+DIAGONAL = "diagonal"
+
+
+def unitary(h: np.ndarray, dt_us, blocks=None) -> np.ndarray:
+    """Exact propagator U = exp(-2*pi*i H dt) of a stack of Hamiltonians
+    (..., 4, 4), the one place the engine builds propagators.
+
+    blocks names a structure every Hamiltonian of the stack has: DIAGONAL
+    exponentiates the diagonal, NMR_BLOCKS or ESR_BLOCKS use block_unitary,
+    and None (any Hermitian H) takes one batched eigh. dt_us may be an array
+    broadcasting against the eigenvalues (..., 4), such as a (P, 1, 1) column
+    of durations.
+    """
+    if blocks == DIAGONAL:
+        p = np.exp(-2j * np.pi * np.diagonal(h, axis1=-2, axis2=-1) * dt_us)
+        u = np.zeros(p.shape + (4,), dtype=complex)
+        u[..., range(4), range(4)] = p
+        return u
+    if blocks is not None:
+        return block_unitary(h, dt_us, blocks)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-2j * np.pi * w * dt_us)[..., None, :]) @ dagger(v)
 
 
 def block_unitary(h: np.ndarray, dt_us, pairs) -> np.ndarray:

@@ -9,14 +9,15 @@ channel reference is propagated exactly in its own drive frame, with
 diagonal frame-change rotations at the pulse boundaries, applied entrywise;
 only chirped pulses require piecewise-constant discretisation.
 
-Propagators come from the structure each element guarantees. An NMR drive
-is two 2x2 blocks (one per electron state), and so is an ESR drive (one per
-nuclear state) when no trial has I_x noise; core.block_unitary gives both
-in closed form. Without I_x noise a free evolution is diagonal and acts as
-a cached entrywise phase mask. ESR pulses and free evolutions under I_x
-noise, and every chirp step, use one stacked eigh (unitary). The choice is
-one flag per run that depends on the batch alone, so a lone run and the
-same point inside a stack take the same path and agree to the bit.
+Every propagator comes from core.unitary, told the structure its element
+guarantees. An NMR drive is two 2x2 blocks (one per electron state), and so
+is an ESR drive (one per nuclear state) when no trial has I_x noise; both
+take the closed form of core.block_unitary. Without I_x noise a free
+evolution is diagonal and acts as a cached entrywise phase mask. ESR pulses
+and free evolutions under I_x noise, and every chirp step, use one stacked
+eigh. The choice is one flag per run that depends on the batch alone, so a
+lone run and the same point inside a stack take the same path and agree to
+the bit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import core
 from .core import (
+    DIAGONAL,
     ESR_BLOCKS,
     IDENT4,
     IZ,
@@ -37,7 +39,6 @@ from .core import (
     QuantumState,
     SpinSystemParams,
     ZERO_DRAW,
-    block_unitary,
     check_rwa,
     dagger,
     drive_operator,
@@ -241,10 +242,10 @@ def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:
 
 def _free_propagator(h0: np.ndarray, dt, diagonal: bool) -> np.ndarray:
     """The propagators of a free evolution, or for diagonal Hamiltonians the
-    phase mask rho is multiplied by: p_i conj(p_j), p = exp(-2*pi*i diag dt)."""
+    phase mask rho is multiplied by: p_i conj(p_j), p the diagonal of U."""
     if not diagonal:
         return unitary(h0, dt)
-    p = np.exp(-2j * np.pi * np.diagonal(h0, axis1=-2, axis2=-1) * dt)
+    p = np.diagonal(unitary(h0, dt, DIAGONAL), axis1=-2, axis2=-1)
     return p[..., :, None] * p.conj()[..., None, :]
 
 
@@ -262,12 +263,10 @@ def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
         df = frequency - f_ref
         h_d = h0 - _lift(df, 2) * z_op + _lift(rabi_mhz / 2, 2) * drive_operator(
             pulse.channel, _lift(phase, 2))
-        if pulse.channel == "NMR" or diagonal:  # I_x noise couples only the ESR blocks
-            u = block_unitary(h_d, _lift(duration, 1),
-                              NMR_BLOCKS if pulse.channel == "NMR" else ESR_BLOCKS)
-        else:
-            u = unitary(h_d, _lift(duration, 1))
-        return _in_drive_frame(u, z_op, df, t0, duration)
+        # I_x noise couples only the ESR blocks
+        blocks = NMR_BLOCKS if pulse.channel == "NMR" else ESR_BLOCKS if diagonal else None
+        return _in_drive_frame(unitary(h_d, _lift(duration, 1), blocks),
+                               z_op, df, t0, duration)
 
     # Linear chirp: frame at the sweep centre, drive phase accumulates the
     # instantaneous detuning integral; piecewise-constant stepping.

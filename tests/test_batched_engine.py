@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 import reference_engine as ref
 from dotspin import engine, experiments
 from dotspin.core import (
+    DIAGONAL,
+    ESR_BLOCKS,
+    NMR_BLOCKS,
     NoiseBatch,
     NoiseDraw,
     NoiseModel,
@@ -214,14 +217,16 @@ def test_ix_noise_sends_esr_pulses_through_eigh(monkeypatch):
         NoiseDraw(),
     ]
     calls = []
-    eigh_unitary = engine.unitary
-    monkeypatch.setattr(engine, "unitary",
-                        lambda h, dt: calls.append(h.shape) or eigh_unitary(h, dt))
+    unitary = engine.unitary
+    monkeypatch.setattr(engine, "unitary", lambda h, dt, blocks=None: calls.append(
+        (h.shape, blocks)) or unitary(h, dt, blocks))
     run_sequence(seq, PARAMS, NoiseBatch.stack(draws))
-    assert calls == [(3, 4, 4)] * 3
+    assert calls == [((3, 4, 4), None), ((3, 4, 4), NMR_BLOCKS), ((3, 4, 4), None),
+                     ((3, 4, 4), None)]
     calls.clear()
     run_sequence(seq, PARAMS, NoiseBatch.stack(draws[::2]))
-    assert calls == []
+    assert calls == [((2, 4, 4), ESR_BLOCKS), ((2, 4, 4), NMR_BLOCKS),
+                     ((2, 4, 4), DIAGONAL), ((2, 4, 4), ESR_BLOCKS)]
     _assert_matches_reference(seq, draws, None)
 
 

@@ -435,43 +435,6 @@ class TestOutputs:
         assert code == 0
         assert out.read_bytes() == stdout.replace("\n", "\r\n").encode()
 
-    def test_consecutive_calls_match_fresh_processes(self, capsys, tmp_path, monkeypatch):
-        # one parser serves every main call of a process: a run of calls with
-        # different subcommands, a usage error (exit 2), --help (exit 0) and a
-        # config error (exit 1) among them, acts as one fresh process per call
-        calls = (
-            ("spectrum", "--out", "spectrum.json"),
-            ("reproduce", "9z"),
-            ("rabi", "--trials", "1", "--format", "json", "--out", "rabi.json"),
-            ("ramsey", "--help"),
-            ("ramsey", "--trials", "0"),
-            ("rabi", "--trials", "1", "--out", "rabi.csv"),
-        )
-        src = os.path.dirname(os.path.dirname(dotspin.__file__))
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to it
-        for side in ("in_process", "fresh"):
-            (tmp_path / side).mkdir()
-        monkeypatch.setenv("DOTSPIN_OUTDIR", str(tmp_path / "in_process"))
-        for argv in calls:
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
-            out, err = capsys.readouterr()
-            proc = subprocess.run(
-                [sys.executable, "-m", "dotspin.cli", *argv],
-                env={**os.environ, "PYTHONPATH": src,
-                     "DOTSPIN_OUTDIR": str(tmp_path / "fresh")},
-                capture_output=True, text=True,
-            )
-            assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
-        names = sorted(os.listdir(tmp_path / "fresh"))
-        assert names == ["rabi.csv", "rabi.json", "spectrum.json"]
-        assert names == sorted(os.listdir(tmp_path / "in_process"))
-        for name in names:
-            assert ((tmp_path / "in_process" / name).read_bytes()
-                    == (tmp_path / "fresh" / name).read_bytes()), name
-
     def test_fit_round_trip_from_csv(self, capsys, tmp_path):
         x = np.linspace(0.0, 20.0, 60)
         y = 0.4 * np.cos(2 * np.pi * 0.22425 * x) + 0.5
