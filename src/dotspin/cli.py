@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -553,8 +554,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main uses, built on its first call and kept for the process:
+#: parsing leaves a parser unchanged, and building one costs milliseconds.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dotspin
+from dotspin import cli
 from dotspin.cli import FIGURE_IDS, ConfigError, _write_table, main, validate_config
 
 
@@ -434,6 +435,43 @@ class TestOutputs:
         code, _, _ = run_cli(capsys, *args, "--out", str(out))
         assert code == 0
         assert out.read_bytes() == stdout.replace("\n", "\r\n").encode()
+
+    def test_consecutive_calls_match_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        # main keeps one parser for the process, the only state a call leaves
+        # behind for the next: after calls with other subcommands, a usage
+        # error (exit 2), --help (exit 0) and a config error (exit 1) among
+        # them, each call acts as it does with a parser of its own
+        calls = (
+            ("spectrum", "--out", "spectrum.json"),
+            ("reproduce", "9z"),
+            ("rabi", "--trials", "1", "--format", "json", "--out", "rabi.json"),
+            ("ramsey", "--help"),
+            ("ramsey", "--trials", "0"),
+            ("rabi", "--trials", "1", "--out", "rabi.csv"),
+        )
+
+        def run(argv, side):
+            (tmp_path / side).mkdir(exist_ok=True)
+            monkeypatch.setenv("DOTSPIN_OUTDIR", str(tmp_path / side))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        shared = [run(argv, "shared") for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv, "fresh"))
+        assert shared == fresh
+        assert [r[0] for r in shared] == [0, 2, 0, 0, 1, 0]
+        names = sorted(os.listdir(tmp_path / "fresh"))
+        assert names == ["rabi.csv", "rabi.json", "spectrum.json"]
+        assert names == sorted(os.listdir(tmp_path / "shared"))
+        for name in names:
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), name
 
     def test_fit_round_trip_from_csv(self, capsys, tmp_path):
         x = np.linspace(0.0, 20.0, 60)
