@@ -118,21 +118,27 @@ def rng_for(seed: int, *key) -> np.random.Generator:
 
 
 class QuantumState:
-    """Density matrix (4x4) of the joint system; a pure state is stored as
-    the outer product of its 4 amplitudes."""
+    """Density matrix (4x4) of the joint system. A state built from its 4
+    amplitudes keeps a read-only copy of them as .vector, next to their
+    outer product; one built from a matrix has .vector None. The sequence
+    engine propagates a state with a vector as amplitudes for as long as the
+    run keeps it pure."""
 
-    __slots__ = ("_rho",)
+    __slots__ = ("_rho", "_vector")
 
     def __init__(self, vector=None, matrix=None):
         if (vector is None) == (matrix is None):
             raise ValueError("provide exactly one of vector, matrix")
         if vector is not None:
-            vec = np.asarray(vector, dtype=complex).reshape(4)
+            vec = np.array(vector, dtype=complex).reshape(4)
             norm = np.linalg.norm(vec)
             if abs(norm - 1.0) > 1e-10:
                 raise ValueError(f"state vector norm {norm} differs from 1")
+            vec.flags.writeable = False
+            self._vector = vec
             self._rho = np.outer(vec, vec.conj())
             return
+        self._vector = None
         rho = np.asarray(matrix, dtype=complex).reshape(4, 4)
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise ValueError("density matrix not Hermitian")
@@ -152,6 +158,11 @@ class QuantumState:
         return cls(vector=vec)
 
     # -- views -------------------------------------------------------------
+    @property
+    def vector(self) -> np.ndarray | None:
+        """The 4 amplitudes of a state built from them, else None."""
+        return self._vector
+
     def density_matrix(self) -> np.ndarray:
         return self._rho
 
@@ -203,18 +214,6 @@ class NoiseDraw:
     delta_iz: float = 0.0
     delta_sz: float = 0.0
     spectator_detuned: bool = False
-
-    @property
-    def delta_ix_mhz(self) -> float:
-        return self.delta_ix * 1e-3
-
-    @property
-    def delta_iz_mhz(self) -> float:
-        return self.delta_iz * 1e-3
-
-    @property
-    def delta_sz_mhz(self) -> float:
-        return self.delta_sz * 1e-3
 
 
 ZERO_DRAW = NoiseDraw()
@@ -423,7 +422,12 @@ def populations(rho: np.ndarray) -> np.ndarray:
 
 def marginal(rho: np.ndarray, subsystem: str) -> np.ndarray:
     """(down, up) populations of the 'electron' or 'nuclear' subsystem."""
-    p = populations(rho).reshape(rho.shape[:-2] + (2, 2))  # [..., electron, nucleus]
+    return marginal_of_populations(populations(rho), subsystem)
+
+
+def marginal_of_populations(p: np.ndarray, subsystem: str) -> np.ndarray:
+    """marginal from the four joint populations (..., 4) instead of rho."""
+    p = p.reshape(p.shape[:-1] + (2, 2))  # [..., electron, nucleus]
     if subsystem == "electron":
         return p[..., 0] + p[..., 1]
     if subsystem == "nuclear":

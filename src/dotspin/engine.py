@@ -1,23 +1,33 @@
 """Pulse-sequence executor.
 
-Propagates 4x4 density matrices through a PulseSequence, one per frozen
+Propagates the joint state through a PulseSequence, one per frozen
 quasi-static noise draw, all trials of a batch at once along a trial axis,
-and with run_stack P sequences of one stack_key at once, as (P, N, 4, 4).
-The state is kept in the sequence's rotating frame (f_e_ref for the
-electron, f_n_ref for the nucleus). A pulse whose tone differs from its
-channel reference is propagated exactly in its own drive frame, with
-diagonal frame-change rotations at the pulse boundaries, applied entrywise;
-only chirped pulses require piecewise-constant discretisation.
+and with run_stack P sequences of one stack_key at once. The state is kept
+in the sequence's rotating frame (f_e_ref for the electron, f_n_ref for the
+nucleus). A pulse whose tone differs from its channel reference is
+propagated exactly in its own drive frame, with diagonal frame-change
+rotations at the pulse boundaries, applied entrywise; only chirped pulses
+require piecewise-constant discretisation.
+
+A run from a pure state (the default ground state, or a QuantumState built
+from a vector) carries amplitudes psi (P, N, 4) and applies each propagator
+as one 4x4 mat-vec. It switches once to density matrices rho = psi psi^dagger
+(P, N, 4, 4), conjugated as u rho u^dagger, at the first element that can
+mix it: an unload, a charge event with dephasing, or a load, unless the run
+began with its electron amplitudes exactly zero (nothing acts on the
+electron while unloaded, so the load then only moves the nuclear
+amplitudes). The switch depends on the sequence's structure and the initial
+state only, never on a point's values. The result is rho either way.
 
 Every propagator comes from core.unitary, told the structure its element
 guarantees. An NMR drive is two 2x2 blocks (one per electron state), and so
 is an ESR drive (one per nuclear state) when no trial has I_x noise; both
 take the closed form of core.block_unitary. Without I_x noise a free
-evolution is diagonal and acts as a cached entrywise phase mask. ESR pulses
-and free evolutions under I_x noise, and every chirp step, use one stacked
-eigh. The choice is one flag per run that depends on the batch alone, so a
-lone run and the same point inside a stack take the same path and agree to
-the bit.
+evolution is diagonal and acts entrywise: psi is multiplied by a cached
+phase vector p, rho by the mask p_i p_j*. ESR pulses and free evolutions
+under I_x noise, and every chirp step, use one stacked eigh. The choice is
+one flag per run that depends on the batch alone, so a lone run and the
+same point inside a stack take the same path and agree to the bit.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from .core import (
     check_rwa,
     dagger,
     drive_operator,
-    marginal,
+    marginal_of_populations,
     populations,
     rotating_frame_hamiltonian,
     unitary,
@@ -100,8 +110,8 @@ class SequenceResult:
         return populations(self.rho)
 
 
-#: |down,Down><down,Down|, the default initial state.
-_GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+#: |down,Down>, the default initial state.
+_GROUND = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
 def run_sequence(
@@ -148,8 +158,13 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     column, one that does not the scalar it is, so each point gets the
     arithmetic of its own run_sequence."""
     batch = NoiseBatch.of(noise_draw)
-    rho0 = _GROUND if initial_state is None else initial_state.density_matrix()
-    rho = np.repeat(rho0[None], len(batch), axis=0)
+    psi0 = _GROUND if initial_state is None else initial_state.vector
+    pure = psi0 is not None  # state holds amplitudes psi, else density matrices
+    # nothing acts on the electron while unloaded, so a load keeps a pure run
+    # pure exactly when the run began with an empty electron slot
+    load_keeps_pure = pure and not psi0[2:].any()
+    state0 = psi0 if pure else initial_state.density_matrix()
+    state = np.repeat(state0[None], len(batch), axis=0)
     head, frame = seqs[0], _columns(seqs, ("f_e_ref", "f_n_ref"))
     # with no I_x noise every drive-free Hamiltonian is diagonal; a property
     # of the batch alone, so a lone run and a stacked run take the same path
@@ -158,7 +173,7 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     t = 0.0  # absolute sequence time, us
     records = []
     static = {}  # charge config -> drive-free Hamiltonians of the batch
-    free = {}  # (charge config, duration(s)) -> propagators, or phase masks
+    free = {}  # (charge config, duration(s), pure) -> propagators, or phases
 
     def h_static(config):
         if config not in static:
@@ -174,34 +189,38 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
             check_rwa(params, el.channel, max(e.rabi for e in els))
             values = _columns(els, ("frequency", "rabi", "duration", "phase"))
             u = _pulse_unitary(el, *values, frame, h_static(config), t, diagonal)
-            rho = _conjugate(u, rho)
+            state = _apply(u, state, pure)
             t = t + values[2]
         elif isinstance(el, Rotation):
             angle, phase = _columns(els, ("angle", "phase"))
-            rho = _conjugate(_rotation_unitary(el.channel, angle, phase), rho)
+            state = _apply(_rotation_unitary(el.channel, angle, phase), state, pure)
         elif isinstance(el, FreeEvolution):
             (duration,) = _columns(els, ("duration",))
             if el.duration > 0:
                 key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
-                       else duration)
+                       else duration, pure)
                 if key not in free:
                     free[key] = _free_propagator(h_static(config), _lift(duration, 1),
-                                                 diagonal)
-                rho = rho * free[key] if diagonal else _conjugate(free[key], rho)
+                                                 diagonal, pure)
+                state = state * free[key] if diagonal else _apply(free[key], state, pure)
             t = t + duration
         elif isinstance(el, ChargeEvent):
-            rho = _apply_charge_event(rho, el)
-            config = _EVENT_TRANSITIONS[el.kind][1]
-        elif isinstance(el, MeasureNuclear):
-            records.append(("nuclear", marginal(rho, "nuclear")))
-        elif isinstance(el, MeasureElectron):
-            records.append(("electron", marginal(rho, "electron")))
+            before, config = _EVENT_TRANSITIONS[el.kind]
+            if pure and (el.dephase_prob > 0 or config == "unloaded"
+                         or (before == "unloaded" and not load_keeps_pure)):
+                state, pure = _outer(state), False
+            state = _apply_charge_event(state, el, pure)
+        elif isinstance(el, (MeasureNuclear, MeasureElectron)):
+            kind = "nuclear" if isinstance(el, MeasureNuclear) else "electron"
+            p = state.real**2 + state.imag**2 if pure else populations(state)
+            records.append((kind, marginal_of_populations(p, kind)))
         else:
             raise TypeError(f"unknown sequence element {el!r}")
 
     def per_point(x, ndim):  # one entry per sequence: as it is, or repeated
         return x if x.ndim == ndim else np.repeat(x[None], len(seqs), axis=0)
 
+    rho = _outer(state) if pure else state
     return SequenceResult(per_point(_renormalise(rho), 4),
                           [(kind, per_point(p, 3)) for kind, p in records])
 
@@ -224,8 +243,18 @@ def _lift(x, axes: int):
     return x.reshape(x.shape + (1,) * axes) if isinstance(x, np.ndarray) else x
 
 
+def _apply(u: np.ndarray, state: np.ndarray, pure: bool) -> np.ndarray:
+    """u applied to amplitudes (u psi) or to density matrices (u rho u^dagger)."""
+    return (u @ state[..., None])[..., 0] if pure else _conjugate(u, state)
+
+
 def _conjugate(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return u @ rho @ dagger(u)
+
+
+def _outer(psi: np.ndarray) -> np.ndarray:
+    """psi psi^dagger of each amplitude vector (..., 4)."""
+    return psi[..., :, None] * psi.conj()[..., None, :]
 
 
 def _renormalise(rho: np.ndarray) -> np.ndarray:
@@ -240,13 +269,14 @@ def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:
     return np.cos(theta / 2) * IDENT4 - 1j * np.sin(theta / 2) * axis
 
 
-def _free_propagator(h0: np.ndarray, dt, diagonal: bool) -> np.ndarray:
-    """The propagators of a free evolution, or for diagonal Hamiltonians the
-    phase mask rho is multiplied by: p_i conj(p_j), p the diagonal of U."""
+def _free_propagator(h0: np.ndarray, dt, diagonal: bool, pure: bool) -> np.ndarray:
+    """The propagators of a free evolution, or for diagonal Hamiltonians what
+    the state is multiplied by: psi by p, the diagonal of U, and rho by the
+    phase mask p_i conj(p_j)."""
     if not diagonal:
         return unitary(h0, dt)
     p = np.diagonal(unitary(h0, dt, DIAGONAL), axis1=-2, axis2=-1)
-    return p[..., :, None] * p.conj()[..., None, :]
+    return p if pure else _outer(p)
 
 
 def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
@@ -307,16 +337,22 @@ def _in_drive_frame(u, z_op, df, t0, duration) -> np.ndarray:
     return w_out[..., :, None] * u * w_in[..., None, :]
 
 
-def _apply_charge_event(rho: np.ndarray, el: ChargeEvent) -> np.ndarray:
+def _apply_charge_event(state: np.ndarray, el: ChargeEvent, pure: bool) -> np.ndarray:
+    """A charge event on amplitudes (a shuttle, or a load onto an empty
+    electron slot, neither with dephasing) or on density matrices."""
     if "unloaded" in _EVENT_TRANSITIONS[el.kind]:
         # (un)loading: the nucleus keeps its state; the electron is reset into
         # a fresh spin state (unloading keeps spin-down as a reference slot)
         e = 1 if el.kind == "load_up" else 0
-        rho_n = core.partial_trace_electron(rho)
-        rho = np.zeros_like(rho)
-        rho[..., 2 * e:2 * e + 2, 2 * e:2 * e + 2] = rho_n
+        if pure:  # the electron slot is empty: psi_n = psi[0:2] moves to slot e
+            psi = np.zeros_like(state)
+            psi[..., 2 * e:2 * e + 2] = state[..., 0:2]
+            return psi
+        rho_n = core.partial_trace_electron(state)
+        state = np.zeros_like(state)
+        state[..., 2 * e:2 * e + 2, 2 * e:2 * e + 2] = rho_n
     if el.dephase_prob > 0:
-        rho = core.apply_dephasing_channel(
-            _renormalise(rho), el.dephase_prob, el.dephase_target
+        state = core.apply_dephasing_channel(
+            _renormalise(state), el.dephase_prob, el.dephase_target
         )
-    return rho
+    return state

@@ -180,9 +180,9 @@ def _static_hamiltonian(
     h = (alpha - seq.f_e_ref) * SZ + (beta - seq.f_n_ref) * IZ
     if config == "qd1" and params.a_hf != 0:
         h = h + params.a_mhz * (SZ @ IZ)
-    h = h + noise.delta_sz_mhz * SZ + noise.delta_iz_mhz * IZ
+    h = h + (noise.delta_sz * 1e-3) * SZ + (noise.delta_iz * 1e-3) * IZ
     if noise.delta_ix:
-        h = h + noise.delta_ix_mhz * XN / 2
+        h = h + (noise.delta_ix * 1e-3) * XN / 2
     return h
 
 
