@@ -124,7 +124,7 @@ class QuantumState:
     engine propagates a state with a vector as amplitudes for as long as the
     run keeps it pure."""
 
-    __slots__ = ("_rho", "_vector")
+    __slots__ = ("_rho", "vector")
 
     def __init__(self, vector=None, matrix=None):
         if (vector is None) == (matrix is None):
@@ -135,10 +135,10 @@ class QuantumState:
             if abs(norm - 1.0) > 1e-10:
                 raise ValueError(f"state vector norm {norm} differs from 1")
             vec.flags.writeable = False
-            self._vector = vec
+            self.vector = vec
             self._rho = np.outer(vec, vec.conj())
             return
-        self._vector = None
+        self.vector = None
         rho = np.asarray(matrix, dtype=complex).reshape(4, 4)
         if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise ValueError("density matrix not Hermitian")
@@ -158,11 +158,6 @@ class QuantumState:
         return cls(vector=vec)
 
     # -- views -------------------------------------------------------------
-    @property
-    def vector(self) -> np.ndarray | None:
-        """The 4 amplitudes of a state built from them, else None."""
-        return self._vector
-
     def density_matrix(self) -> np.ndarray:
         return self._rho
 
