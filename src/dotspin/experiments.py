@@ -2,12 +2,13 @@
 and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
 
-Each experiment draws its per-trial noise once, as one NoiseBatch, and runs
-its sweep through _sweep: the engine sees only the batch's distinct draws, and
-the sweep points whose sequences share one structure (engine.stack_key)
-run together as one stack. Every point's result is expanded back to trial
-order before the same trial-order sum, so the means are those of one
-engine call per point on every trial, to the bit.
+Each experiment draws its per-trial noise once, as one NoiseBatch (the
+repeated shuttle one per final phase), and runs its sweep through _sweep: the
+sweep points whose sequences share one structure (engine.stack_key) run
+together as one stack, and the engine sees only the distinct draws of the
+stack's batches. Every point's result is expanded back to its own batch's
+trial order before the same trial-order sum, so the means are those of one
+engine call per point on every trial of its batch, to the bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -105,40 +106,74 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     return sample_noise(noise, rng_for(seed, "noise", *label), trials)
 
 
-#: Most sweep points x trials one engine run holds (at least one point), so
-#: neither its states nor the trial-order expansion grow with the sweep.
+#: Most sweep points x max(trials, distinct draw rows) one engine run holds
+#: (at least one point), so neither its states nor the trial-order expansion
+#: grow with the sweep.
 STACK_ROWS = 1024
+
+
+def _distinct_rows(batches) -> tuple:
+    """The distinct draw rows of the given batches together, and for each
+    batch its rows' indices into them in trial order. Rows are compared as
+    32 bytes, so they are equal only when bit for bit (a -0.0 beside a 0.0
+    stays distinct)."""
+    columns = [np.concatenate([getattr(b, f.name) for b in batches])
+               for f in fields(NoiseBatch)]
+    _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
+                                  return_index=True, return_inverse=True)
+    ends = np.cumsum([len(b) for b in batches])
+    return NoiseBatch(*(column[first] for column in columns)), np.split(inverse, ends[:-1])
 
 
 def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
     """Probabilities of one measurement kind ('nuclear', 'electron', or
     'joint' for the final joint populations) of the sequence build(point) at
     each point, averaged over the trials in trial order: shape (points, 2),
-    or (points, 4) for 'joint'. The engine runs each distinct draw row once
-    (as bytes: a -0.0 beside a 0.0 stays distinct) and the points of one
-    stack_key as one stack, in chunks of at most STACK_ROWS points x trials;
-    results are expanded back to trial order before the sum."""
-    trials = len(draws)
-    columns = (draws.delta_ix, draws.delta_iz, draws.delta_sz, draws.spectator_detuned)
-    # one trial's draw as 32 bytes, so rows are equal only when bit-for-bit
-    _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
-                                  return_index=True, return_inverse=True)
-    distinct = NoiseBatch(*(column[first] for column in columns))
+    or (points, 4) for 'joint'.
+
+    draws is one NoiseBatch for every point, or a list of one per point.
+    The points of one stack_key run as one stack, in chunks of at most
+    STACK_ROWS points x max(trials, distinct rows), against the distinct
+    rows of the chunk's batches, each row once (_distinct_rows). Batches
+    with and without I_x noise never share a run, since the engine picks a
+    run's propagators by whether any of its rows has I_x noise. Each point's
+    results are expanded back to its own batch's trial order before the sum,
+    so every point gets the means of one run_sequence on its batch, to the
+    bit."""
     seqs = [build(point) for point in points]
+    batches = draws if isinstance(draws, list) else [draws] * len(seqs)
+    by_id = {id(b): b for b in batches}
+    with_ix = {i: bool(np.any(b.delta_ix)) for i, b in by_id.items()}
     groups = {}
     for i, seq in enumerate(seqs):
-        groups.setdefault(stack_key(seq), []).append(i)
+        groups.setdefault((stack_key(seq), with_ix[id(batches[i])]), []).append(i)
+    unions = {}  # batch ids -> _distinct_rows of those batches
+
+    def rows_of(members):
+        ids = tuple(dict.fromkeys(id(batches[i]) for i in members))
+        if ids not in unions:
+            distinct, inverses = _distinct_rows([by_id[i] for i in ids])
+            unions[ids] = distinct, dict(zip(ids, inverses))
+        return unions[ids]
+
     out = np.empty((len(seqs), 4 if kind == "joint" else 2))
-    size = max(1, STACK_ROWS // trials)
     for members in groups.values():
+        trials = max(len(batches[i]) for i in members)
+        size = max(1, STACK_ROWS // max(trials, len(rows_of(members)[0])))
         for lo in range(0, len(members), size):
             chunk = members[lo:lo + size]
+            distinct, inverses = rows_of(chunk)
             res = (run_sequence(seqs[chunk[0]], params, distinct, initial_state)
                    if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
                    else run_stack([seqs[i] for i in chunk], params, distinct, initial_state))
             probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-            probs = probs.reshape(len(chunk), len(first), -1)
-            out[chunk] = probs[:, inverse].sum(axis=1) / trials
+            probs = probs.reshape(len(chunk), len(distinct), -1)
+            at = {}  # batch id -> positions in the chunk
+            for j, i in enumerate(chunk):
+                at.setdefault(id(batches[i]), []).append(j)
+            for batch_id, js in at.items():
+                out[[chunk[j] for j in js]] = (probs[js][:, inverses[batch_id]].sum(axis=1)
+                                               / len(by_id[batch_id]))
     return out
 
 
@@ -587,9 +622,11 @@ def run_shuttle_experiments(
 
     variant 'phase': sweep = t_load values (us), fixed total precession
     tau_0; the nuclear phase oscillates at |A|/2 vs t_load.
-    variant 'repeated': sweep = load/unload cycle counts k; emits the
-    four-phase probabilities and the coherence C(k), with per-cycle
-    dephasing probability p_err.
+    variant 'repeated': sweep = load/unload cycle counts k, whole numbers;
+    emits the four-phase probabilities and the coherence C(k), with
+    per-cycle dephasing probability p_err. All (phase, k) points run as one
+    sweep, each phase on its own draw batch, so the four phases of one k
+    are one stack that runs the cycles once.
     variant 'electron': sweep = final Ramsey phase (deg) for the
     electron-coherence shuttle transfer, with transfer dephasing p_transfer.
     """
@@ -602,14 +639,21 @@ def run_shuttle_experiments(
         raise ValueError(f"tau_0 must be positive, got {tau_0!r}")
 
     if variant == "repeated":
+        whole = np.isfinite(sweep) & (sweep == np.round(sweep))
+        if not whole.all():
+            raise ValueError(f"cycle counts must be whole numbers, got "
+                             f"{float(sweep[~whole][0])!r}")
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
-        columns = {"k_cycles": sweep}
-        for name, phi in phases.items():
-            columns[name] = _sweep(
-                lambda k: repeated_load_sequence(params, int(k), tau_0, p_err=p_err,
-                                                 final_phase=phi),
-                sweep, params, _draws(noise, seed, trials, name), "nuclear",
-            )[:, 1]
+        # every (phase, k) point in one sweep: the four phases of one k share
+        # a stack_key, so their cycles run once and branch at the last
+        # rotation; each phase keeps its own draw batch
+        points = [(name, int(k)) for name in phases for k in sweep]
+        batches = {name: _draws(noise, seed, trials, name) for name in phases}
+        p = _sweep(lambda point: repeated_load_sequence(
+                       params, point[1], tau_0, p_err=p_err, final_phase=phases[point[0]]),
+                   points, params, [batches[name] for name, _ in points], "nuclear")[:, 1]
+        columns = {"k_cycles": sweep,
+                   **dict(zip(phases, p.reshape(len(phases), len(sweep))))}
         columns["coherence"] = np.array([
             coherence_metric(*values)
             for values in zip(*(columns[name] for name in phases))

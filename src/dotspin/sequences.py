@@ -460,13 +460,12 @@ def repeated_load_sequence(
         elements.append(FreeEvolution(tau_0, "qd2"))
     else:
         dwell = tau_0 / (2 * k_cycles)
-        for _ in range(k_cycles):
-            elements += [
-                ChargeEvent(kind="shuttle_2_to_1"),
-                FreeEvolution(dwell, "qd1"),
-                ChargeEvent(kind="shuttle_1_to_2", dephase_prob=p_err),
-                FreeEvolution(dwell, "qd2"),
-            ]
+        elements += [  # the elements are frozen, so every cycle can share them
+            ChargeEvent(kind="shuttle_2_to_1"),
+            FreeEvolution(dwell, "qd1"),
+            ChargeEvent(kind="shuttle_1_to_2", dephase_prob=p_err),
+            FreeEvolution(dwell, "qd2"),
+        ] * k_cycles
     elements += [Rotation("NMR", 90.0, phase=final_phase), MeasureNuclear()]
     return PulseSequence(
         elements=tuple(elements),

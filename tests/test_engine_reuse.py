@@ -28,12 +28,14 @@ TOL = 1e-12
 
 def _per_point_sweep(build, points, params, draws, kind, initial_state=None):
     """The reference for experiments._sweep: one run_sequence per point on
-    every trial, then the trial-order mean."""
+    every trial of its batch (draws, or draws[i] when draws is a list of one
+    batch per point), then the trial-order mean."""
     out = []
-    for point in points:
-        res = run_sequence(build(point), params, draws, initial_state)
+    for i, point in enumerate(points):
+        batch = draws[i] if isinstance(draws, list) else draws
+        res = run_sequence(build(point), params, batch, initial_state)
         probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-        out.append(probs.sum(axis=0) / len(draws))
+        out.append(probs.sum(axis=0) / len(batch))
     return np.array(out)
 
 
@@ -86,6 +88,33 @@ def test_collapsed_sweep_equals_full_batch_and_reference(seqs, pool, picks, init
     expected = np.mean([o.joint_probabilities() if kind == "joint" else o.last(kind)
                         for o in ones], axis=0)
     assert np.max(np.abs(got[0] - expected)) < TOL
+
+
+@st.composite
+def point_batches(draw, points):
+    """One draw batch per point, picked from: a noisy batch, the same object
+    again, a bit-equal copy of it, a second noisy batch, an all-zero batch
+    and that batch with some of its 0.0 turned into -0.0."""
+    rows, other = (draw(st.lists(noise_draws, min_size=1, max_size=4)) for _ in range(2))
+    base = NoiseBatch.stack(rows)
+    zero = NoiseBatch.stack([NoiseDraw()] * draw(st.integers(1, 3)))
+    signs = np.array(draw(st.lists(st.booleans(), min_size=len(zero), max_size=len(zero))))
+    pool = [base, NoiseBatch.stack(rows), NoiseBatch.stack(other),
+            zero, replace(zero, delta_sz=np.where(signs, -0.0, 0.0))]
+    return [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(points)]
+
+
+@given(data=st.data(), init=initial_states(),
+       kind=st.sampled_from(("nuclear", "electron", "joint")))
+@settings(max_examples=25, deadline=None)
+def test_sweep_on_per_point_batches_equals_per_point_runs(data, init, kind):
+    seqs = data.draw(stacks().filter(  # a chirp adds seconds and nothing here
+        lambda seqs: not any(isinstance(el, Pulse) and el.chirp for el in seqs[0].elements)))
+    seqs = [replace(s, elements=s.elements + (MeasureElectron(),)) for s in seqs]
+    seqs = seqs * data.draw(st.integers(1, 2))  # a point may repeat on another batch
+    batches = data.draw(point_batches(len(seqs)))
+    got = experiments._sweep(lambda s: s, seqs, PARAMS, batches, kind, init)
+    assert np.array_equal(got, _per_point_sweep(lambda s: s, seqs, PARAMS, batches, kind, init))
 
 
 @pytest.fixture
@@ -164,8 +193,8 @@ def test_shuttle_sweeps_equal_per_point_runs(variant, sweep, engine_runs, monkey
     _assert_equals_per_point_runs(lambda: experiments.run_shuttle_experiments(
         variant, sweep, PARAMS, noise=NoiseModel(sigma_iz=0.3, sigma_sz=10.0),
         trials=3, tau_0=50.0, p_err=0.1, p_transfer=0.3), monkeypatch)
-    if variant == "repeated":  # four phases, one stack of one per cycle count
-        assert engine_runs == [(1, 3)] * 12
+    if variant == "repeated":  # per cycle count, one stack of the four phases
+        assert engine_runs == [(4, 12)] * 3  # on the 4 x 3 rows of their batches
 
 
 @pytest.mark.parametrize("points, sizes", [(4, [4]), (5, [4, 1]), (8, [4, 4]),
@@ -181,6 +210,42 @@ def test_sweep_chunks_hold_at_most_stack_rows(points, sizes, engine_runs):
     got = experiments._sweep(build, taus, PARAMS, draws, "nuclear")
     assert [p for p, _ in engine_runs] == sizes
     assert np.array_equal(got, _per_point_sweep(build, taus, PARAMS, draws, "nuclear"))
+
+
+@pytest.mark.parametrize("trials, runs", [
+    (128, [(2, 256)] * 3),  # 512 distinct rows in all, so two points a chunk
+    (300, [(1, 300)] * 6),  # 1,200: one point a run, on its own batch's rows
+])
+def test_sweep_chunks_bound_points_times_distinct_rows_of_several_batches(
+        trials, runs, engine_runs):
+    batches = [experiments._draws(NoiseModel(sigma_iz=0.3), 1, trials, i) for i in range(4)]
+    per_point = [batches[i % 4] for i in range(6)]
+    taus = np.linspace(10.0, 500.0, 6)
+
+    def build(tau):
+        return experiments.ramsey_sequence(PARAMS, tau, detuning_khz=2.0)
+
+    got = experiments._sweep(build, taus, PARAMS, per_point, "nuclear")
+    assert engine_runs == runs
+    assert all(p * n <= experiments.STACK_ROWS for p, n in engine_runs)
+    assert np.array_equal(got, _per_point_sweep(build, taus, PARAMS, per_point, "nuclear"))
+
+
+@pytest.mark.parametrize("noise, trials", [
+    (NoiseModel(), 3),
+    (NoiseModel(sigma_ix=0.2, sigma_iz=0.5, sigma_sz=5.0, spectator_flip_prob=0.3), 4),
+])
+def test_repeated_shuttle_equals_one_sweep_per_phase(noise, trials, engine_runs):
+    k = [0, 1, 2, 5]
+    got = experiments.run_shuttle_experiments("repeated", k, PARAMS, noise=noise,
+                                              trials=trials, seed=7, tau_0=80.0, p_err=0.1)
+    if not noise.sigma_iz:  # the four batches are one row; a stack of four per k
+        assert engine_runs == [(4, 1)] * len(k)
+    for name, phi in (("p_x", 0.0), ("p_mx", 180.0), ("p_y", 90.0), ("p_my", 270.0)):
+        expected = experiments._sweep(  # the form with one sweep per final phase
+            lambda c: repeated_load_sequence(PARAMS, c, 80.0, p_err=0.1, final_phase=phi),
+            k, PARAMS, experiments._draws(noise, 7, trials, name), "nuclear")[:, 1]
+        assert np.array_equal(got.columns[name], expected), name
 
 
 def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):

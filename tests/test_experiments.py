@@ -212,6 +212,11 @@ class TestShuttle:
         assert c[0] > 0.99
         assert c[0] > c[1] > c[2]
 
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    def test_repeated_variant_refuses_non_integral_cycle_counts(self, bad):
+        with pytest.raises(ValueError, match=f"whole numbers, got {bad!r}"):
+            run_shuttle_experiments("repeated", [0, bad], PARAMS)
+
     def test_electron_variant_contrast_set_by_transfer_fidelity(self):
         phi = np.arange(0.0, 360.0, 30.0)
         p_transfer = 0.4

@@ -7,6 +7,7 @@ from dotspin.core import SpinSystemParams, transition_frequencies
 from dotspin.sequences import (
     ChargeEvent,
     FreeEvolution,
+    MeasureNuclear,
     Pulse,
     PulseSequence,
     Rotation,
@@ -156,6 +157,24 @@ class TestBuilders:
         unloads = [e for e in events if e.kind == "shuttle_1_to_2"]
         assert all(e.dephase_prob == 0.1 for e in unloads)
         assert seq.total_duration == pytest.approx(500.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_repeated_load_equals_an_element_by_element_build(self, k):
+        # the cycles reuse four element objects; the sequence is still equal
+        # to one built from fresh elements, cycle by cycle
+        elements = [Rotation("NMR", 90.0)]
+        if k == 0:
+            elements.append(FreeEvolution(500.0, "qd2"))
+        for _ in range(k):
+            elements += [ChargeEvent(kind="shuttle_2_to_1"),
+                         FreeEvolution(500.0 / (2 * k), "qd1"),
+                         ChargeEvent(kind="shuttle_1_to_2", dephase_prob=0.1),
+                         FreeEvolution(500.0 / (2 * k), "qd2")]
+        elements += [Rotation("NMR", 90.0, phase=90.0), MeasureNuclear()]
+        f = transition_frequencies(PARAMS)
+        expected = PulseSequence(tuple(elements), f_e_ref=f["f_e0"], f_n_ref=f["f_n0"],
+                                 initial_config="qd2")
+        assert repeated_load_sequence(PARAMS, k, 500.0, p_err=0.1, final_phase=90.0) == expected
 
     def test_electron_shuttle_targets_electron(self):
         seq = electron_shuttle_ramsey(PARAMS, p_transfer=0.3)
