@@ -121,8 +121,9 @@ def _distinct_rows(batches) -> tuple:
                for f in fields(NoiseBatch)]
     _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
                                   return_index=True, return_inverse=True)
-    ends = np.cumsum([len(b) for b in batches])
-    return NoiseBatch(*(column[first] for column in columns)), np.split(inverse, ends[:-1])
+    ends = list(itertools.accumulate(len(b) for b in batches))
+    return (NoiseBatch(*(column[first] for column in columns)),
+            [inverse[start:end] for start, end in zip([0] + ends, ends)])
 
 
 def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
@@ -172,7 +173,8 @@ def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray
             for j, i in enumerate(chunk):
                 at.setdefault(id(batches[i]), []).append(j)
             for batch_id, js in at.items():
-                out[[chunk[j] for j in js]] = (probs[js][:, inverses[batch_id]].sum(axis=1)
+                own = probs if len(at) == 1 else probs[js]
+                out[[chunk[j] for j in js]] = (own[:, inverses[batch_id]].sum(axis=1)
                                                / len(by_id[batch_id]))
     return out
 
