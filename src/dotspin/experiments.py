@@ -117,8 +117,8 @@ def _distinct_rows(batches) -> tuple:
     batch its rows' indices into them in trial order. Rows are compared as
     32 bytes, so they are equal only when bit for bit (a -0.0 beside a 0.0
     stays distinct)."""
-    columns = [np.concatenate([getattr(b, f.name) for b in batches])
-               for f in fields(NoiseBatch)]
+    columns = [np.concatenate([getattr(b, f.name) for b in batches]) if len(batches) > 1
+               else getattr(batches[0], f.name) for f in fields(NoiseBatch)]
     _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
                                   return_index=True, return_inverse=True)
     ends = list(itertools.accumulate(len(b) for b in batches))
@@ -144,7 +144,8 @@ def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray
     seqs = [build(point) for point in points]
     batches = draws if isinstance(draws, list) else [draws] * len(seqs)
     by_id = {id(b): b for b in batches}
-    with_ix = {i: bool(np.any(b.delta_ix)) for i, b in by_id.items()}
+    with_ix = ({i: bool(np.any(b.delta_ix)) for i, b in by_id.items()} if len(by_id) > 1
+               else dict.fromkeys(by_id, False))  # one batch is one run's kind either way
     groups = {}
     for i, seq in enumerate(seqs):
         groups.setdefault((stack_key(seq), with_ix[id(batches[i])]), []).append(i)
