@@ -145,7 +145,7 @@ def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray
     batches = draws if isinstance(draws, list) else [draws] * len(seqs)
     by_id = {id(b): b for b in batches}
     with_ix = ({i: bool(np.any(b.delta_ix)) for i, b in by_id.items()} if len(by_id) > 1
-               else dict.fromkeys(by_id, False))  # one batch is one run's kind either way
+               else dict.fromkeys(by_id, False))  # a lone batch needs no split by I_x
     groups = {}
     for i, seq in enumerate(seqs):
         groups.setdefault((stack_key(seq), with_ix[id(batches[i])]), []).append(i)
