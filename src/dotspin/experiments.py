@@ -18,7 +18,7 @@ import functools
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,8 +117,8 @@ def _distinct_rows(batches) -> tuple:
     batch its rows' indices into them in trial order. Rows are compared as
     32 bytes, so they are equal only when bit for bit (a -0.0 beside a 0.0
     stays distinct)."""
-    columns = [np.concatenate([getattr(b, f.name) for b in batches]) if len(batches) > 1
-               else getattr(batches[0], f.name) for f in fields(NoiseBatch)]
+    columns = [np.concatenate(column) for column in zip(*(
+        (b.delta_ix, b.delta_iz, b.delta_sz, b.spectator_detuned) for b in batches))]
     _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
                                   return_index=True, return_inverse=True)
     ends = list(itertools.accumulate(len(b) for b in batches))
@@ -144,8 +144,7 @@ def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray
     seqs = [build(point) for point in points]
     batches = draws if isinstance(draws, list) else [draws] * len(seqs)
     by_id = {id(b): b for b in batches}
-    with_ix = ({i: bool(np.any(b.delta_ix)) for i, b in by_id.items()} if len(by_id) > 1
-               else dict.fromkeys(by_id, False))  # a lone batch needs no split by I_x
+    with_ix = {i: bool(np.any(b.delta_ix)) for i, b in by_id.items()}
     groups = {}
     for i, seq in enumerate(seqs):
         groups.setdefault((stack_key(seq), with_ix[id(batches[i])]), []).append(i)
@@ -174,8 +173,7 @@ def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray
             for j, i in enumerate(chunk):
                 at.setdefault(id(batches[i]), []).append(j)
             for batch_id, js in at.items():
-                own = probs if len(at) == 1 else probs[js]
-                out[[chunk[j] for j in js]] = (own[:, inverses[batch_id]].sum(axis=1)
+                out[[chunk[j] for j in js]] = (probs[js][:, inverses[batch_id]].sum(axis=1)
                                                / len(by_id[batch_id]))
     return out
 
