@@ -117,12 +117,13 @@ def _distinct_rows(batches) -> tuple:
     batch its rows' indices into them in trial order. Rows are compared as
     32 bytes, so they are equal only when bit for bit (a -0.0 beside a 0.0
     stays distinct)."""
-    columns = [np.concatenate(column) for column in zip(*(
-        (b.delta_ix, b.delta_iz, b.delta_sz, b.spectator_detuned) for b in batches))]
-    _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
-                                  return_index=True, return_inverse=True)
+    keys = np.concatenate([  # one trial's draw as 32 bytes
+        np.stack((b.delta_ix, b.delta_iz, b.delta_sz, b.spectator_detuned), 1, dtype=float)
+        .view("V32")[:, 0] for b in batches])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    ix, iz, sz, spectator = keys[first].view(float).reshape(-1, 4).T.copy()  # as columns
     ends = list(itertools.accumulate(len(b) for b in batches))
-    return (NoiseBatch(*(column[first] for column in columns)),
+    return (NoiseBatch(ix, iz, sz, spectator != 0),
             [inverse[start:end] for start, end in zip([0] + ends, ends)])
 
 
@@ -133,48 +134,51 @@ def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray
     or (points, 4) for 'joint'.
 
     draws is one NoiseBatch for every point, or a list of one per point.
-    The points of one stack_key run as one stack, in chunks of at most
-    STACK_ROWS points x max(trials, distinct rows), against the distinct
-    rows of the chunk's batches, each row once (_distinct_rows). Batches
-    with and without I_x noise never share a run, since the engine picks a
-    run's propagators by whether any of its rows has I_x noise. Each point's
-    results are expanded back to its own batch's trial order before the sum,
-    so every point gets the means of one run_sequence on its batch, to the
-    bit."""
+    The points of one stack_key run as one stack, taken batch by batch in
+    chunks of at most STACK_ROWS points x max(trials, distinct rows), against
+    the distinct rows of the chunk's batches, each row once (_distinct_rows).
+    Batches with and without I_x noise never share a run, since the engine
+    picks a run's propagators by whether any of its rows has I_x noise. Each
+    point's results are expanded back to its own batch's trial order before
+    the sum, so every point gets the means of one run_sequence on its batch,
+    to the bit."""
     seqs = [build(point) for point in points]
     batches = draws if isinstance(draws, list) else [draws] * len(seqs)
     by_id = {id(b): b for b in batches}
-    with_ix = {i: bool(np.any(b.delta_ix)) for i, b in by_id.items()}
-    groups = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault((stack_key(seq), with_ix[id(batches[i])]), []).append(i)
+    with_ix = {i: bool(b.delta_ix.any()) for i, b in by_id.items()}
+    groups = {}  # (stack_key, I_x noise) -> batch id -> its points
+    for i, (seq, batch) in enumerate(zip(seqs, batches)):
+        groups.setdefault((stack_key(seq), with_ix[id(batch)]), {}).setdefault(
+            id(batch), []).append(i)
     unions = {}  # batch ids -> _distinct_rows of those batches
 
-    def rows_of(members):
-        ids = tuple(dict.fromkeys(id(batches[i]) for i in members))
+    def rows_of(owners):
+        ids = tuple(dict.fromkeys(owners))
         if ids not in unions:
             distinct, inverses = _distinct_rows([by_id[i] for i in ids])
             unions[ids] = distinct, dict(zip(ids, inverses))
         return unions[ids]
 
     out = np.empty((len(seqs), 4 if kind == "joint" else 2))
-    for members in groups.values():
-        trials = max(len(batches[i]) for i in members)
-        size = max(1, STACK_ROWS // max(trials, len(rows_of(members)[0])))
+    for by_batch in groups.values():
+        # batch by batch, so the points of one batch in a chunk are adjacent
+        members = [i for points in by_batch.values() for i in points]
+        owners = [b for b, points in by_batch.items() for _ in points]
+        trials = max(len(by_id[b]) for b in by_batch)
+        size = max(1, STACK_ROWS // max(trials, len(rows_of(by_batch)[0])))
         for lo in range(0, len(members), size):
-            chunk = members[lo:lo + size]
-            distinct, inverses = rows_of(chunk)
+            chunk, owned = members[lo:lo + size], owners[lo:lo + size]
+            distinct, inverses = rows_of(owned)
             res = (run_sequence(seqs[chunk[0]], params, distinct, initial_state)
                    if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
                    else run_stack([seqs[i] for i in chunk], params, distinct, initial_state))
             probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
             probs = probs.reshape(len(chunk), len(distinct), -1)
-            at = {}  # batch id -> positions in the chunk
-            for j, i in enumerate(chunk):
-                at.setdefault(id(batches[i]), []).append(j)
-            for batch_id, js in at.items():
-                out[[chunk[j] for j in js]] = (probs[js][:, inverses[batch_id]].sum(axis=1)
-                                               / len(by_id[batch_id]))
+            j = 0
+            for batch_id, inverse in inverses.items():
+                n = owned.count(batch_id)
+                out[chunk[j:j + n]] = probs[j:j + n, inverse].sum(axis=1) / len(inverse)
+                j += n
     return out
 
 

@@ -213,7 +213,9 @@ def test_sweep_chunks_hold_at_most_stack_rows(points, sizes, engine_runs):
 
 
 @pytest.mark.parametrize("trials, runs", [
-    (128, [(2, 256)] * 3),  # 512 distinct rows in all, so two points a chunk
+    # 512 distinct rows in all, so two points a chunk, taken batch by batch:
+    # points 0 and 4 on one batch's rows, 1 and 5 on another's, then 2 and 3
+    (128, [(2, 128), (2, 128), (2, 256)]),
     (300, [(1, 300)] * 6),  # 1,200: one point a run, on its own batch's rows
 ])
 def test_sweep_chunks_bound_points_times_distinct_rows_of_several_batches(
