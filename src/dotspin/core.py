@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ def sigma_from_t2(t2_us: float) -> float:
 
 def _require_finite(obj, names) -> None:
     for name in names:
-        if not np.isfinite(getattr(obj, name)):
+        if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
@@ -464,9 +465,3 @@ def partial_trace_electron(rho: np.ndarray) -> np.ndarray:
     """Trace out the electron, returning the 2x2 nuclear density matrix
     (one per leading batch index)."""
     return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-4, axis2=-2)
-
-
-def partial_trace_nucleus(rho: np.ndarray) -> np.ndarray:
-    """Trace out the nucleus, returning the 2x2 electron density matrix
-    (one per leading batch index)."""
-    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)

@@ -6,8 +6,7 @@ and with run_stack P sequences of one stack_key at once. The state is kept
 in the sequence's rotating frame (f_e_ref for the electron, f_n_ref for the
 nucleus). A pulse whose tone differs from its channel reference is
 propagated exactly in its own drive frame, with diagonal frame-change
-rotations at the pulse boundaries, applied entrywise; only chirped pulses
-require piecewise-constant discretisation.
+rotations at the pulse boundaries, applied entrywise.
 
 A run from a pure state (the default ground state, or a QuantumState built
 from a vector) carries amplitudes psi (P, N, 4) and applies each propagator
@@ -25,9 +24,9 @@ is an ESR drive (one per nuclear state) when no trial has I_x noise; both
 take the closed form of core.block_unitary. Without I_x noise a free
 evolution is diagonal and acts entrywise: psi is multiplied by a cached
 phase vector p, rho by the mask p_i p_j*. ESR pulses and free evolutions
-under I_x noise, and every chirp step, use one stacked eigh. The choice is
-one flag per run that depends on the batch alone, so a lone run and the
-same point inside a stack take the same path and agree to the bit.
+under I_x noise use one stacked eigh. The choice is one flag per run that
+depends on the batch alone, so a lone run and the same point inside a stack
+take the same path and agree to the bit.
 """
 
 from __future__ import annotations
@@ -67,17 +66,6 @@ from .sequences import (
     PulseSequence,
     Rotation,
 )
-
-#: Discretisation bound for chirped pulses: dt <= 1/(CHIRP_STEPS_PER_CYCLE * f)
-#: for both the Rabi frequency and the maximum frame detuning, bounding the
-#: piecewise-constant (Magnus) error per pulse below ~1e-4.
-CHIRP_STEPS_PER_CYCLE = 50
-
-#: Chirped pulses ramp their amplitude smoothly (sin^2) over this fraction of
-#: the duration at each end, so the adiabatic eigenstates connect to the bare
-#: states even when the sweep terminates close to resonance.
-CHIRP_EDGE_FRACTION = 0.1
-
 
 @dataclass
 class SequenceResult:
@@ -135,13 +123,13 @@ def run_sequence(
 def stack_key(seq: PulseSequence) -> tuple:
     """What the sequences of one run_stack call share: element types and
     channels, charge configs, whether each pulse is on its frame reference
-    and each free evolution non-zero, and whole charge events, measurements
-    and chirped pulses (with their frame reference)."""
+    and each free evolution non-zero, and whole charge events and
+    measurements."""
     key = [seq.initial_config, seq.qd2_frequency_offset]
     for el in seq.elements:
         if isinstance(el, Pulse):
             f_ref = seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref
-            key.append((el, f_ref) if el.chirp else (el.channel, el.frequency == f_ref))
+            key.append((el.channel, el.frequency == f_ref))
         elif isinstance(el, Rotation):
             key.append((Rotation, el.channel))
         elif isinstance(el, FreeEvolution):
@@ -188,7 +176,7 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
         if isinstance(el, Pulse):
             check_rwa(params, el.channel, max(e.rabi for e in els))
             values = _columns(els, ("frequency", "rabi", "duration", "phase"))
-            u = _pulse_unitary(el, *values, frame, h_static(config), t, diagonal)
+            u = _pulse_unitary(el.channel, *values, frame, h_static(config), t, diagonal)
             state = _apply(u, state, pure)
             t = t + values[2]
         elif isinstance(el, Rotation):
@@ -279,50 +267,19 @@ def _free_propagator(h0: np.ndarray, dt, diagonal: bool, pure: bool) -> np.ndarr
     return p if pure else _outer(p)
 
 
-def _pulse_unitary(pulse: Pulse, frequency, rabi, duration, phase, frame,
+def _pulse_unitary(channel: str, frequency, rabi, duration, phase, frame,
                    h0: np.ndarray, t0, diagonal: bool) -> np.ndarray:
-    """Propagators (per point and trial) of a pulse with the given values
-    starting at sequence time t0, given the drive-free Hamiltonians h0 of
-    the batch in the frame (f_e_ref, f_n_ref), diagonal when the batch has
-    no I_x noise."""
-    z_op = SZ if pulse.channel == "ESR" else IZ
-    f_ref = frame[0] if pulse.channel == "ESR" else frame[1]
-    rabi_mhz = rabi * 1e-3
-
-    if pulse.chirp is None:
-        df = frequency - f_ref
-        h_d = h0 - _lift(df, 2) * z_op + _lift(rabi_mhz / 2, 2) * drive_operator(
-            pulse.channel, _lift(phase, 2))
-        # I_x noise couples only the ESR blocks
-        blocks = NMR_BLOCKS if pulse.channel == "NMR" else ESR_BLOCKS if diagonal else None
-        return _in_drive_frame(unitary(h_d, _lift(duration, 1), blocks),
-                               z_op, df, t0, duration)
-
-    # Linear chirp: frame at the sweep centre, drive phase accumulates the
-    # instantaneous detuning integral; piecewise-constant stepping.
-    f_start, f_stop = pulse.chirp
-    f_c = (f_start + f_stop) / 2
-    df_c = f_c - f_ref
-    span = abs(f_stop - f_start)
-    max_rate = max(rabi_mhz, span / 2, 1e-9)
-    n_steps = max(1, int(np.ceil(duration * max_rate * CHIRP_STEPS_PER_CYCLE)))
-    dt = duration / n_steps
-    rate = (f_stop - f_start) / duration  # MHz per us
-
-    h_base = h0 - _lift(df_c, 2) * z_op
-    t_edge = CHIRP_EDGE_FRACTION * duration
-    u_total = IDENT4
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        # accumulated phase of the tone relative to the sweep-centre frame
-        theta = phase + 360.0 * ((f_start - f_c) * t_mid + 0.5 * rate * t_mid**2)
-        ramp = min(t_mid, duration - t_mid)
-        amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
-        h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
-        # eigh, not the 2x2 blocks: over thousands of steps the two forms'
-        # round-off would part by about 1e-12
-        u_total = unitary(h_k, dt) @ u_total
-    return _in_drive_frame(u_total, z_op, df_c, t0, duration)
+    """Propagators (per point and trial) of a pulse on the channel with the
+    given values starting at sequence time t0, given the drive-free
+    Hamiltonians h0 of the batch in the frame (f_e_ref, f_n_ref), diagonal
+    when the batch has no I_x noise."""
+    z_op = SZ if channel == "ESR" else IZ
+    df = frequency - (frame[0] if channel == "ESR" else frame[1])
+    h_d = h0 - _lift(df, 2) * z_op + _lift(rabi * 1e-3 / 2, 2) * drive_operator(
+        channel, _lift(phase, 2))
+    # I_x noise couples only the ESR blocks
+    blocks = NMR_BLOCKS if channel == "NMR" else ESR_BLOCKS if diagonal else None
+    return _in_drive_frame(unitary(h_d, _lift(duration, 1), blocks), z_op, df, t0, duration)
 
 
 def _in_drive_frame(u, z_op, df, t0, duration) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .core import SpinSystemParams, transition_frequencies
+from .core import SpinSystemParams, _require_finite, transition_frequencies
 
 LOADED_CONFIGS = ("qd1", "qd2")
 CHARGE_CONFIGS = ("unloaded",) + LOADED_CONFIGS
@@ -34,26 +34,22 @@ _EVENT_TRANSITIONS = {
 
 @dataclass(frozen=True)
 class Pulse:
-    """Drive pulse. Optional linear chirp sweeps frequency f_start -> f_stop
-    over the pulse duration (the `frequency` field then sets the frame
-    centre and is ignored for the instantaneous tone)."""
+    """Drive pulse at a fixed tone."""
 
     channel: str  # 'ESR' | 'NMR'
     frequency: float
     rabi: float
     duration: float
     phase: float = 0.0
-    chirp: tuple | None = None  # (f_start, f_stop) in MHz
 
     def __post_init__(self):
         if self.channel not in ("ESR", "NMR"):
             raise ValueError("channel must be 'ESR' or 'NMR'")
+        _require_finite(self, ("frequency", "rabi", "duration", "phase"))
         if self.duration <= 0:
             raise ValueError("pulse duration must be positive")
         if self.rabi < 0:
             raise ValueError("rabi must be >= 0")
-        if self.chirp is not None:
-            object.__setattr__(self, "chirp", tuple(self.chirp))
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,7 @@ class Rotation:
     def __post_init__(self):
         if self.channel not in ("ESR", "NMR"):
             raise ValueError("channel must be 'ESR' or 'NMR'")
+        _require_finite(self, ("angle", "phase"))
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,7 @@ class FreeEvolution:
     charge_config: str = "unloaded"
 
     def __post_init__(self):
+        _require_finite(self, ("duration",))
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
         if self.charge_config not in CHARGE_CONFIGS:
@@ -220,43 +218,10 @@ DEFAULT_NMR_RABI = 2.0  # kHz
 DEFAULT_PULSE_GAP = 0.2  # us, source-switching dead time between pulses
 BELL_NMR_RABI = 1.0  # kHz, slower conditional NMR drive used in the entangler
 
-ADIABATIC_DURATION = 650.0  # us
-ADIABATIC_RABI = 100.0  # kHz
-BROADBAND_SPAN = 2.8  # MHz
-
 
 def pi_duration(rabi_khz: float) -> float:
     """pi-pulse duration (us) from Rabi frequency (kHz): t_pi = 1/(2 Omega)."""
     return 1e3 / (2 * rabi_khz)
-
-
-def adiabatic_inversion(params: SpinSystemParams, target_line: str) -> Pulse:
-    """Chirped ESR inversion pulse.
-
-    Conditional lines sweep 350 kHz asymmetrically about the line (300 kHz
-    below to 50 kHz above for the nuclear-up line, mirrored for nuclear-down);
-    'broadband' sweeps 2.8 MHz symmetrically about the bare line, inverting
-    the electron for either nuclear state.
-    """
-    freqs = transition_frequencies(params)
-    if target_line == "f_e_nuc_up":
-        line = freqs["f_e_nuc_up"]
-        chirp = (line - 0.300, line + 0.050)
-    elif target_line == "f_e_nuc_down":
-        line = freqs["f_e_nuc_down"]
-        chirp = (line - 0.050, line + 0.300)
-    elif target_line == "broadband":
-        line = freqs["f_e0"]
-        chirp = (line - BROADBAND_SPAN / 2, line + BROADBAND_SPAN / 2)
-    else:
-        raise ValueError(f"unknown target line {target_line!r}")
-    return Pulse(
-        channel="ESR",
-        frequency=(chirp[0] + chirp[1]) / 2,
-        rabi=ADIABATIC_RABI,
-        duration=ADIABATIC_DURATION,
-        chirp=chirp,
-    )
 
 
 def _phase_pair(phase) -> tuple:

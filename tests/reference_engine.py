@@ -75,17 +75,6 @@ def average_populations(build_draws, run_one, trials: int, threads: int = 1):
     return sum(outs) / trials
 
 
-#: Discretisation bound for chirped pulses: dt <= 1/(CHIRP_STEPS_PER_CYCLE * f)
-#: for both the Rabi frequency and the maximum frame detuning, bounding the
-#: piecewise-constant (Magnus) error per pulse below ~1e-4.
-CHIRP_STEPS_PER_CYCLE = 50
-
-#: Chirped pulses ramp their amplitude smoothly (sin^2) over this fraction of
-#: the duration at each end, so the adiabatic eigenstates connect to the bare
-#: states even when the sweep terminates close to resonance.
-CHIRP_EDGE_FRACTION = 0.1
-
-
 @dataclass
 class SequenceResult:
     """Final state plus the Born probabilities recorded at measurement
@@ -204,48 +193,15 @@ def _apply_pulse(
     h0 = _static_hamiltonian(seq, params, noise, config)
     z_op = SZ if pulse.channel == "ESR" else IZ
     f_ref = seq.f_e_ref if pulse.channel == "ESR" else seq.f_n_ref
-    rabi_mhz = pulse.rabi * 1e-3
-
-    if pulse.chirp is None:
-        df = pulse.frequency - f_ref
-        h_d = h0 - df * z_op + (rabi_mhz / 2) * drive_operator(pulse.channel, pulse.phase)
-        u = unitary(h_d, pulse.duration)
-        if df != 0.0:
-            # exact frame change into / out of the drive frame at frequency f
-            w_in = _frame_rotation(z_op, df, t0)
-            w_out = _frame_rotation(z_op, df, t0 + pulse.duration).conj().T
-            u = w_out @ u @ w_in
-        return u @ rho @ u.conj().T
-
-    # Linear chirp: frame at the sweep centre, drive phase accumulates the
-    # instantaneous detuning integral; piecewise-constant stepping.
-    f_start, f_stop = pulse.chirp
-    f_c = (f_start + f_stop) / 2
-    df_c = f_c - f_ref
-    span = abs(f_stop - f_start)
-    max_rate = max(rabi_mhz, span / 2, 1e-9)
-    n_steps = max(1, int(np.ceil(pulse.duration * max_rate * CHIRP_STEPS_PER_CYCLE)))
-    dt = pulse.duration / n_steps
-    rate = (f_stop - f_start) / pulse.duration  # MHz per us
-
-    h_base = h0 - df_c * z_op
-    t_edge = CHIRP_EDGE_FRACTION * pulse.duration
-    u_total = IDENT4
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        # accumulated phase of the tone relative to the sweep-centre frame
-        theta = pulse.phase + 360.0 * (
-            (f_start - f_c) * t_mid + 0.5 * rate * t_mid**2
-        )
-        ramp = min(t_mid, pulse.duration - t_mid)
-        amp = np.sin(0.5 * np.pi * ramp / t_edge) ** 2 if ramp < t_edge else 1.0
-        h_k = h_base + (amp * rabi_mhz / 2) * drive_operator(pulse.channel, theta)
-        u_total = unitary(h_k, dt) @ u_total
-    if df_c != 0.0:
-        w_in = _frame_rotation(z_op, df_c, t0)
-        w_out = _frame_rotation(z_op, df_c, t0 + pulse.duration).conj().T
-        u_total = w_out @ u_total @ w_in
-    return u_total @ rho @ u_total.conj().T
+    df = pulse.frequency - f_ref
+    h_d = h0 - df * z_op + (pulse.rabi * 1e-3 / 2) * drive_operator(pulse.channel, pulse.phase)
+    u = unitary(h_d, pulse.duration)
+    if df != 0.0:
+        # exact frame change into / out of the drive frame at frequency f
+        w_in = _frame_rotation(z_op, df, t0)
+        w_out = _frame_rotation(z_op, df, t0 + pulse.duration).conj().T
+        u = w_out @ u @ w_in
+    return u @ rho @ u.conj().T
 
 
 def _frame_rotation(z_op: np.ndarray, df: float, t: float) -> np.ndarray:

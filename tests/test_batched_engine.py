@@ -1,5 +1,7 @@
 """The batched engine against the per-trial reference executor it replaced."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,7 +35,6 @@ from dotspin.sequences import (
     Pulse,
     PulseSequence,
     Rotation,
-    adiabatic_inversion,
     bell_circuit,
     ramsey_sequence,
     repeated_load_sequence,
@@ -55,18 +56,17 @@ _AFTER = {"load_down": "qd1", "load_up": "qd1", "unload": "unloaded",
 @st.composite
 def sequences(draw, max_elements=8):
     """Random valid timelines: off-frame NMR/ESR pulses, ideal rotations,
-    free evolution, charge events with electron or nuclear dephasing,
-    measurements, and at most one chirped adiabatic inversion."""
+    free evolution, charge events with electron or nuclear dephasing and
+    measurements."""
     config = draw(st.sampled_from(("unloaded", "qd1", "qd2")))
     initial_config = config
-    chirp_left = draw(st.booleans())
     phase = st.floats(0.0, 360.0)
     elements = []
     for _ in range(draw(st.integers(1, max_elements))):
         loaded = config != "unloaded"
         kinds = ["nmr", "rotation", "free", "charge", "measure"]
         if loaded:
-            kinds += ["esr"] + (["chirp"] if chirp_left else [])
+            kinds.append("esr")
         kind = draw(st.sampled_from(kinds))
         if kind == "nmr":
             line = draw(st.sampled_from(("f_n0", "f_n_elec_down", "f_n_elec_up")))
@@ -80,10 +80,6 @@ def sequences(draw, max_elements=8):
                 "ESR", FREQS[line] + draw(st.floats(-0.2, 0.2)),
                 draw(st.floats(20.0, 200.0)), draw(st.floats(0.5, 20.0)), draw(phase),
             ))
-        elif kind == "chirp":
-            chirp_left = False
-            line = draw(st.sampled_from(("f_e_nuc_down", "f_e_nuc_up")))
-            elements.append(adiabatic_inversion(PARAMS, line))
         elif kind == "rotation":
             channel = draw(st.sampled_from(("NMR", "ESR") if loaded else ("NMR",)))
             elements.append(Rotation(channel, draw(st.floats(0.0, 360.0)), draw(phase)))
@@ -169,7 +165,6 @@ def test_every_element_kind_matches_reference():
             Pulse("NMR", f["f_n0"] + 0.001, 2.0, 120.0, 30.0),
             ChargeEvent(kind="load_up", dephase_prob=0.2, dephase_target="nuclear"),
             Pulse("ESR", f["f_e_nuc_down"], 80.0, 3.0, 45.0),
-            adiabatic_inversion(PARAMS, "f_e_nuc_up"),
             MeasureElectron(),
             Rotation("ESR", 90.0, 10.0),
             FreeEvolution(350.0, "qd1"),
@@ -228,6 +223,24 @@ def test_ix_noise_sends_esr_pulses_through_eigh(monkeypatch):
     assert calls == [((2, 4, 4), ESR_BLOCKS), ((2, 4, 4), NMR_BLOCKS),
                      ((2, 4, 4), DIAGONAL), ((2, 4, 4), ESR_BLOCKS)]
     _assert_matches_reference(seq, draws, None)
+
+
+@given(
+    seq=sequences(),
+    draws=st.lists(noise_draws.map(lambda d: replace(d, delta_ix=0.0)), min_size=1, max_size=4),
+    init=initial_states(),
+)
+@settings(max_examples=20, deadline=None)
+def test_no_ix_noise_never_reaches_eigh(seq, draws, init):
+    # without I_x noise every pulse takes the closed-form blocks and every
+    # free evolution the diagonal phases
+    calls = []
+    unitary = engine.unitary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "unitary", lambda h, dt, blocks=None: calls.append(
+            blocks) or unitary(h, dt, blocks))
+        run_sequence(seq, PARAMS, NoiseBatch.stack(draws), init)
+    assert all(blocks is not None for blocks in calls)
 
 
 def _ref_ramsey(taus, noise, trials, seed):

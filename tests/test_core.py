@@ -21,7 +21,6 @@ from dotspin.core import (
     block_unitary,
     marginal,
     partial_trace_electron,
-    partial_trace_nucleus,
     rng_for,
     rotating_frame_hamiltonian,
     sample_noise,
@@ -246,4 +245,3 @@ class TestStatesAndChannels:
         vec = np.array([0.5, 0.5, 0.5, 0.5])
         rho = QuantumState(vector=vec).density_matrix()
         assert np.trace(partial_trace_electron(rho)).real == pytest.approx(1.0)
-        assert np.trace(partial_trace_nucleus(rho)).real == pytest.approx(1.0)

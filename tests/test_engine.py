@@ -8,7 +8,6 @@ import reference_engine as ref
 from dotspin.core import (
     NoiseDraw,
     NoiseModel,
-    QuantumState,
     SpinSystemParams,
     sample_noise,
     sigma_from_t2,
@@ -24,7 +23,6 @@ from dotspin.sequences import (
     Pulse,
     PulseSequence,
     Rotation,
-    adiabatic_inversion,
     hahn_sequence,
     pi_duration,
     ramsey_sequence,
@@ -94,33 +92,6 @@ class TestIdealCurves:
             p_up = run_sequence(seq, PARAMS).last("nuclear")[1]
             expected = np.cos(np.pi * det * 1e-3 * tau) ** 2
             assert p_up == pytest.approx(expected, abs=1e-9)
-
-    def test_adiabatic_inversion_conditional(self):
-        # the chirped pulse inverts its addressed manifold only
-        seq_elements = (
-            ChargeEvent(kind="load_down"),
-            adiabatic_inversion(PARAMS, "f_e_nuc_down"),
-            MeasureElectron(),
-        )
-        seq = PulseSequence(
-            elements=seq_elements,
-            f_e_ref=FREQS["f_e0"],
-            f_n_ref=FREQS["f_n0"],
-            initial_config="unloaded",
-        )
-        res = run_sequence(seq, PARAMS)
-        assert res.last("electron")[1] > 0.99
-        # nuclear-up manifold: same pulse, electron stays put
-        init = QuantumState.basis("down", "up")
-        seq2 = PulseSequence(
-            elements=(adiabatic_inversion(PARAMS, "f_e_nuc_down"),
-                      MeasureElectron()),
-            f_e_ref=FREQS["f_e0"],
-            f_n_ref=FREQS["f_n0"],
-            initial_config="qd1",
-        )
-        res2 = run_sequence(seq2, PARAMS, initial_state=init)
-        assert res2.last("electron")[1] < 0.05
 
 
 class TestRefocusingAndNoise:

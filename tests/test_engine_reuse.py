@@ -53,7 +53,7 @@ def stacks(draw):
     for _ in range(draw(st.integers(0, 3))):
         elements = []
         for el in base.elements:
-            if isinstance(el, Pulse) and el.chirp is None:
+            if isinstance(el, Pulse):
                 el = replace(el, frequency=moved(el.frequency, -1e-3, 1e-3),
                              rabi=moved(el.rabi, 0.0, 0.4),
                              duration=moved(el.duration, 0.0, 5.0),
@@ -108,8 +108,7 @@ def point_batches(draw, points):
        kind=st.sampled_from(("nuclear", "electron", "joint")))
 @settings(max_examples=25, deadline=None)
 def test_sweep_on_per_point_batches_equals_per_point_runs(data, init, kind):
-    seqs = data.draw(stacks().filter(  # a chirp adds seconds and nothing here
-        lambda seqs: not any(isinstance(el, Pulse) and el.chirp for el in seqs[0].elements)))
+    seqs = data.draw(stacks())
     seqs = [replace(s, elements=s.elements + (MeasureElectron(),)) for s in seqs]
     seqs = seqs * data.draw(st.integers(1, 2))  # a point may repeat on another batch
     batches = data.draw(point_batches(len(seqs)))

@@ -122,6 +122,17 @@ class TestSweeps:
             run_ramsey([], trials=1)
 
 
+    def test_non_finite_delay_refused(self):
+        # NaN passes the duration >= 0 check, and the engine would skip the delay
+        with pytest.raises(ValueError, match="duration must be finite"):
+            run_ramsey([float("nan")], trials=2)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_refused_by_name(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_ramsey([10.0], trials=trials)
+
+
 class TestBell:
     @pytest.mark.parametrize("field, value", [
         ("t2_star_e_us", -15.0),

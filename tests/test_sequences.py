@@ -11,7 +11,6 @@ from dotspin.sequences import (
     Pulse,
     PulseSequence,
     Rotation,
-    adiabatic_inversion,
     bell_circuit,
     electron_shuttle_ramsey,
     hahn_sequence,
@@ -33,6 +32,20 @@ class TestElements:
             Pulse("NMR", 12.0, 2.0, -1.0)
         with pytest.raises(ValueError):
             Pulse("NMR", 12.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: Pulse("NMR", v, 2.0, 100.0), "frequency"),
+        (lambda v: Pulse("NMR", 12.0, v, 100.0), "rabi"),
+        (lambda v: Pulse("NMR", 12.0, 2.0, v), "duration"),
+        (lambda v: Pulse("NMR", 12.0, 2.0, 100.0, v), "phase"),
+        (lambda v: Rotation("NMR", v), "angle"),
+        (lambda v: Rotation("NMR", 90.0, v), "phase"),
+        (lambda v: FreeEvolution(v), "duration"),
+    ])
+    def test_elements_refuse_non_finite_values_by_name(self, build, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(value)
 
     def test_charge_event_validation(self):
         with pytest.raises(ValueError):
@@ -88,18 +101,6 @@ class TestBuilders:
             assert cycles == pytest.approx(k, rel=1e-12)
         with pytest.raises(ValueError):
             synchronized_esr_rabi(PARAMS, 0)
-
-    def test_adiabatic_inversion_spans(self):
-        f = transition_frequencies(PARAMS)
-        up = adiabatic_inversion(PARAMS, "f_e_nuc_up")
-        assert up.chirp == pytest.approx(
-            (f["f_e_nuc_up"] - 0.300, f["f_e_nuc_up"] + 0.050)
-        )
-        assert up.duration == 650.0 and up.rabi == 100.0
-        broad = adiabatic_inversion(PARAMS, "broadband")
-        assert broad.chirp[1] - broad.chirp[0] == pytest.approx(2.8)
-        with pytest.raises(ValueError):
-            adiabatic_inversion(PARAMS, "f_x")
 
     def test_bell_circuit_structure(self):
         seq = bell_circuit(PARAMS)
