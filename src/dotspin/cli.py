@@ -38,7 +38,7 @@ from .experiments import (
     write_csv,
 )
 from . import fitting, hyperfine, vanvleck
-from .readout import NuclearReadoutConfig, fidelity_curve, optimize_shots
+from .readout import NuclearReadoutConfig, _best_shots, fidelity_curve
 
 FIGURE_IDS = ("2e", "2f", "2gj", "3ce", "4b", "4d", "4f", "ext1", "s1", "s2")
 
@@ -384,7 +384,7 @@ def _run_readout_fidelity(config, trials, seed):
     cfg = NuclearReadoutConfig(**config)
     rows = fidelity_curve(cfg, m_max)
     table = dict(zip(("m", "f_t1", "f_shot", "f_n"), np.array(rows, dtype=float).T))
-    table["m_opt"] = np.full(len(rows), float(optimize_shots(cfg, m_max)))
+    table["m_opt"] = np.full(len(rows), float(_best_shots(rows)))
     return table
 
 

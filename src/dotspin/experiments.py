@@ -18,6 +18,7 @@ import functools
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,6 +104,8 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     keyed on (seed, "noise", *label). The "noise" part keeps the stream apart
     from rng_for(seed), the s1 record's; the key holds neither the thread
     count nor the sweep order, so neither moves a draw."""
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
+        raise TypeError(f"trials: expected int, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     return sample_noise(noise, rng_for(seed, "noise", *label), trials)

@@ -4,6 +4,7 @@ the analytic nuclear readout fidelity model, and confusion-matrix correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,12 +158,15 @@ def nuclear_fidelity_model(config: NuclearReadoutConfig) -> dict:
     m = config.m_shots
     f = config.f_e_avg
     f_t1 = float(np.exp(-2.0 * m * config.t_shot_ms * 1e-3 / (config.t1_n_hours * 3600.0)))
-    # P(#errors <= M) over 2M reads with per-read error rate (1 - f): the
-    # ufunc that scipy.stats.binom.cdf evaluates (binom_gen._cdf), called
-    # directly so that the readout model does not import scipy.stats
-    from scipy.special._ufuncs import _binom_cdf
-
-    f_shot = float(_binom_cdf(m, 2 * m, 1.0 - f))
+    # P(#errors <= M) over 2M reads with per-read error rate (1 - f), exactly:
+    # with f = a/b the sum is a^M sum_k C(2M, k) (b-a)^k a^(M-k) over b^(2M),
+    # integers, so int / int rounds it once; the inner sum by Horner's rule
+    a, b = float(f).as_integer_ratio()
+    s, c_k = 0, 1
+    for k in range(m + 1):
+        s = s * a + math.comb(2 * m, k) * c_k
+        c_k *= b - a
+    f_shot = s * a**m / b ** (2 * m)
     f_n = f_t1 * f_shot + (1.0 - f_t1) * (1.0 - f_shot)
     return {"f_t1": f_t1, "f_shot": f_shot, "f_n": f_n}
 
@@ -170,10 +174,14 @@ def nuclear_fidelity_model(config: NuclearReadoutConfig) -> dict:
 def optimize_shots(config: NuclearReadoutConfig, m_max: int = 100) -> int:
     """Shot count maximising the analytic nuclear readout fidelity over
     M in [1, m_max]; ties resolve to the smallest M."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    return _best_shots(fidelity_curve(config, m_max))
+
+
+def _best_shots(rows) -> int:
+    """The M of the largest f_n among fidelity_curve rows; an f_n within
+    1e-15 of the best so far is a tie, which the smaller M wins."""
     best_m, best_f = 1, -np.inf
-    for m, _, _, f_n in fidelity_curve(config, m_max):
+    for m, _, _, f_n in rows:
         if f_n > best_f + 1e-15:
             best_m, best_f = m, f_n
     return best_m
@@ -181,6 +189,8 @@ def optimize_shots(config: NuclearReadoutConfig, m_max: int = 100) -> int:
 
 def fidelity_curve(config: NuclearReadoutConfig, m_max: int = 50) -> list:
     """Rows of (M, f_t1, f_shot, f_n) for M in [1, m_max]."""
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     rows = []
     for m in range(1, m_max + 1):
         r = nuclear_fidelity_model(replace(config, m_shots=m))

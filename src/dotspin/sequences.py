@@ -133,6 +133,7 @@ class PulseSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
+        _require_finite(self, ("f_e_ref", "f_n_ref", "qd2_frequency_offset"))
         if self.initial_config not in CHARGE_CONFIGS:
             raise ValueError(f"unknown charge config {self.initial_config!r}")
         validate_sequence(self)

@@ -396,6 +396,26 @@ class TestReadoutScan:
         assert data["m_opt"][0] == 26.0
         assert data["m"][np.argmax(data["f_n"])] == 26.0
 
+    @pytest.mark.parametrize("f_e_avg", [0.6, 0.765, 0.9])
+    def test_scan_builds_the_curve_once(self, capsys, tmp_path, monkeypatch, f_e_avg):
+        # m_opt is read off the scanned rows, with optimize_shots' tie rule
+        from dotspin import readout
+
+        calls = []
+        model = readout.nuclear_fidelity_model
+        monkeypatch.setattr(readout, "nuclear_fidelity_model",
+                            lambda c: calls.append(c.m_shots) or model(c))
+        cfg = tmp_path / "r.json"
+        cfg.write_text(json.dumps({"f_e_avg": f_e_avg}))
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(capsys, "readout-fidelity", "--config", str(cfg),
+                             "--scan-m", "1..40", "--out", str(out))
+        assert code == 0
+        assert calls == list(range(1, 41))
+        data = np.genfromtxt(out, delimiter=",", names=True)
+        expected = readout.optimize_shots(readout.NuclearReadoutConfig(f_e_avg=f_e_avg), 40)
+        assert np.all(data["m_opt"] == expected)
+
     def test_scan_m_bare_hi_matches_full_spec(self, capsys):
         code, full, _ = run_cli(capsys, "readout-fidelity", "--scan-m", "1..50")
         assert code == 0
@@ -572,7 +592,7 @@ class TestColdStart:
     @pytest.mark.parametrize("figure", FIGURE_IDS)
     def test_reproduce_loads_no_scipy(self, figure, tmp_path):
         # the lattice layers' integrals, the Airy function and the fitters
-        # are numpy; only readout-fidelity's binomial CDF imports scipy
+        # are numpy
         src = os.path.dirname(os.path.dirname(dotspin.__file__))
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -585,3 +605,18 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0 []"
         assert os.listdir(tmp_path)
+
+    def test_readout_fidelity_loads_no_scipy(self, tmp_path):
+        # the binomial CDF is an exact integer sum, not scipy's
+        src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dotspin.cli import main; "
+             "code = main(['readout-fidelity', '--scan-m', '1..50', '--out', 'rf.csv']); "
+             "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"],
+            env={**os.environ, "PYTHONPATH": src, "DOTSPIN_OUTDIR": str(tmp_path)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+        assert (tmp_path / "rf.csv").read_text().count("\n") == 51

@@ -127,6 +127,20 @@ class TestSweeps:
         with pytest.raises(ValueError, match="duration must be finite"):
             run_ramsey([float("nan")], trials=2)
 
+    def test_non_finite_detuning_refused_by_name(self):
+        # the detuning moves the frame reference, which the engine would
+        # carry into NaN probabilities with only a RuntimeWarning
+        with pytest.raises(ValueError, match="f_n_ref must be finite"):
+            run_ramsey([10.0], detuning_khz=float("nan"), trials=2)
+
+    @pytest.mark.parametrize("trials", [2.5, 2.0, True, "2"])
+    def test_non_integral_trials_refused_by_name(self, trials):
+        with pytest.raises(TypeError, match=r"trials: expected int, got"):
+            run_ramsey([10.0], trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        assert run_ramsey([10.0], trials=np.int64(2)).columns["p_up"].shape == (1,)
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_refused_by_name(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):

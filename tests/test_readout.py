@@ -1,5 +1,8 @@
 """Electron single-shot, repetitive nuclear readout and confusion correction."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,21 @@ from dotspin.readout import (
 )
 
 BELL_VEC = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def exact_fshot(m: int, f: float) -> Fraction:
+    """P(at most m of 2m reads err) at per-read error rate 1 - f, exactly."""
+    p = Fraction(f)
+    return sum(comb(2 * m, k) * (1 - p) ** k * p ** (2 * m - k) for k in range(m + 1))
+
+
+def check_fshot(m: int, f: float) -> None:
+    """f_shot is the exact sum rounded once, and agrees with scipy's binom.cdf
+    to 1e-12 relative; the 1e-12 absolute floor is for tiny f_shot, where
+    scipy loses relative accuracy (6e-7 at f = 4.4e-11, M = 1)."""
+    f_shot = nuclear_fidelity_model(NuclearReadoutConfig(m_shots=m, f_e_avg=f))["f_shot"]
+    assert f_shot == float(exact_fshot(m, f))
+    assert f_shot == pytest.approx(float(binom.cdf(m, 2 * m, 1.0 - f)), rel=1e-12, abs=1e-12)
 
 
 class TestSingleShot:
@@ -85,11 +103,14 @@ class TestFidelityModel:
             NuclearReadoutConfig(f_e_avg=f)
 
     @pytest.mark.parametrize("f", [0.0, 0.5, 0.765, 0.99, 1.0])
-    def test_fshot_is_binom_cdf_bit_for_bit(self, f):
-        # the model calls the ufunc behind binom.cdf, not binom itself
+    def test_fshot_is_exact_sum_rounded_once(self, f):
         for m in range(1, 101):
-            r = nuclear_fidelity_model(NuclearReadoutConfig(m_shots=m, f_e_avg=f))
-            assert r["f_shot"] == float(binom.cdf(m, 2 * m, 1.0 - f))
+            check_fshot(m, f)
+
+    @given(st.integers(1, 60), st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_fshot_is_exact_sum_rounded_once_property(self, m, f):
+        check_fshot(m, f)
 
     def test_fshot_single_shot_enumeration(self):
         # M=1: two reads, majority (ties succeed) fails only when both err

@@ -47,6 +47,13 @@ class TestElements:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             build(value)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["f_e_ref", "f_n_ref", "qd2_frequency_offset"])
+    def test_sequence_refuses_non_finite_frame_by_name(self, field, value):
+        frame = {"f_e_ref": 18.0e3, "f_n_ref": 12.0, "qd2_frequency_offset": 0.0}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PulseSequence((FreeEvolution(1.0),), **{**frame, field: value})
+
     def test_charge_event_validation(self):
         with pytest.raises(ValueError):
             ChargeEvent(kind="teleport")
