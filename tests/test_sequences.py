@@ -42,17 +42,14 @@ class TestElements:
         (lambda v: Rotation("NMR", v), "angle"),
         (lambda v: Rotation("NMR", 90.0, v), "phase"),
         (lambda v: FreeEvolution(v), "duration"),
+        (lambda v: PulseSequence((), v, 12.0), "f_e_ref"),
+        (lambda v: PulseSequence((), 18.0e3, v), "f_n_ref"),
+        (lambda v: PulseSequence((), 18.0e3, 12.0, qd2_frequency_offset=v),
+         "qd2_frequency_offset"),
     ])
     def test_elements_refuse_non_finite_values_by_name(self, build, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             build(value)
-
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["f_e_ref", "f_n_ref", "qd2_frequency_offset"])
-    def test_sequence_refuses_non_finite_frame_by_name(self, field, value):
-        frame = {"f_e_ref": 18.0e3, "f_n_ref": 12.0, "qd2_frequency_offset": 0.0}
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            PulseSequence((FreeEvolution(1.0),), **{**frame, field: value})
 
     def test_charge_event_validation(self):
         with pytest.raises(ValueError):
