@@ -2,13 +2,12 @@
 and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
 
-Each experiment draws its per-trial noise once, as one NoiseBatch (the
-repeated shuttle one per final phase), and runs its sweep through _sweep: the
-sweep points whose sequences share one structure (engine.stack_key) run
-together as one stack, and the engine sees only the distinct draws of the
-stack's batches. Every point's result is expanded back to its own batch's
-trial order before the same trial-order sum, so the means are those of one
-engine call per point on every trial of its batch, to the bit.
+Each experiment draws its per-trial noise once, as one NoiseBatch, and runs
+its sweep through _sweep: the sweep points whose sequences share one
+structure (engine.stack_key) run together as one stack, and the engine sees
+only the batch's distinct draws. Every point's result is expanded back to
+trial order before the trial-order sum, so the means are those of one engine
+call per point on every trial of the batch, to the bit.
 """
 
 from __future__ import annotations
@@ -111,79 +110,48 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     return sample_noise(noise, rng_for(seed, "noise", *label), trials)
 
 
-#: Most sweep points x max(trials, distinct draw rows) one engine run holds
-#: (at least one point), so neither its states nor the trial-order expansion
-#: grow with the sweep.
+#: Most sweep points x trials one engine run holds (at least one point), so
+#: neither its states nor the trial-order expansion grow with the sweep.
 STACK_ROWS = 1024
 
 
-def _distinct_rows(batches) -> tuple:
-    """The distinct draw rows of the given batches together, and for each
-    batch its rows' indices into them in trial order. Rows are compared as
-    32 bytes, so they are equal only when bit for bit (a -0.0 beside a 0.0
-    stays distinct)."""
-    keys = np.concatenate([  # one trial's draw as 32 bytes
-        np.stack((b.delta_ix, b.delta_iz, b.delta_sz, b.spectator_detuned), 1, dtype=float)
-        .view("V32")[:, 0] for b in batches])
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    ix, iz, sz, spectator = keys[first].view(float).reshape(-1, 4).T.copy()  # as columns
-    ends = list(itertools.accumulate(len(b) for b in batches))
-    return (NoiseBatch(ix, iz, sz, spectator != 0),
-            [inverse[start:end] for start, end in zip([0] + ends, ends)])
+def _distinct_rows(batch: NoiseBatch) -> tuple:
+    """The batch's distinct draw rows, and each trial's index into them.
+    Rows are compared as 32 bytes, so they are equal only when bit for bit
+    (a -0.0 beside a 0.0 stays distinct)."""
+    columns = (batch.delta_ix, batch.delta_iz, batch.delta_sz, batch.spectator_detuned)
+    _, first, inverse = np.unique(np.stack(columns, 1, dtype=float).view("V32")[:, 0],
+                                  return_index=True, return_inverse=True)
+    return NoiseBatch(*(column[first] for column in columns)), inverse
 
 
 def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
     """Probabilities of one measurement kind ('nuclear', 'electron', or
     'joint' for the final joint populations) of the sequence build(point) at
-    each point, averaged over the trials in trial order: shape (points, 2),
-    or (points, 4) for 'joint'.
+    each point, averaged over the trials of the one NoiseBatch draws in trial
+    order: shape (points, 2), or (points, 4) for 'joint'.
 
-    draws is one NoiseBatch for every point, or a list of one per point.
-    The points of one stack_key run as one stack, taken batch by batch in
-    chunks of at most STACK_ROWS points x max(trials, distinct rows), against
-    the distinct rows of the chunk's batches, each row once (_distinct_rows).
-    Batches with and without I_x noise never share a run, since the engine
-    picks a run's propagators by whether any of its rows has I_x noise. Each
-    point's results are expanded back to its own batch's trial order before
-    the sum, so every point gets the means of one run_sequence on its batch,
-    to the bit."""
+    The points of one stack_key run as one stack, in chunks of at most
+    STACK_ROWS points x trials, against the batch's distinct rows, each row
+    once (_distinct_rows). Results are expanded back to trial order before
+    the sum, so every point gets the means of one run_sequence on the whole
+    batch, to the bit."""
     seqs = [build(point) for point in points]
-    batches = draws if isinstance(draws, list) else [draws] * len(seqs)
-    by_id = {id(b): b for b in batches}
-    with_ix = {i: bool(b.delta_ix.any()) for i, b in by_id.items()}
-    groups = {}  # (stack_key, I_x noise) -> batch id -> its points
-    for i, (seq, batch) in enumerate(zip(seqs, batches)):
-        groups.setdefault((stack_key(seq), with_ix[id(batch)]), {}).setdefault(
-            id(batch), []).append(i)
-    unions = {}  # batch ids -> _distinct_rows of those batches
-
-    def rows_of(owners):
-        ids = tuple(dict.fromkeys(owners))
-        if ids not in unions:
-            distinct, inverses = _distinct_rows([by_id[i] for i in ids])
-            unions[ids] = distinct, dict(zip(ids, inverses))
-        return unions[ids]
-
+    distinct, inverse = _distinct_rows(draws)
+    groups = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(stack_key(seq), []).append(i)
     out = np.empty((len(seqs), 4 if kind == "joint" else 2))
-    for by_batch in groups.values():
-        # batch by batch, so the points of one batch in a chunk are adjacent
-        members = [i for points in by_batch.values() for i in points]
-        owners = [b for b, points in by_batch.items() for _ in points]
-        trials = max(len(by_id[b]) for b in by_batch)
-        size = max(1, STACK_ROWS // max(trials, len(rows_of(by_batch)[0])))
+    size = max(1, STACK_ROWS // len(draws))
+    for members in groups.values():
         for lo in range(0, len(members), size):
-            chunk, owned = members[lo:lo + size], owners[lo:lo + size]
-            distinct, inverses = rows_of(owned)
+            chunk = members[lo:lo + size]
             res = (run_sequence(seqs[chunk[0]], params, distinct, initial_state)
                    if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
                    else run_stack([seqs[i] for i in chunk], params, distinct, initial_state))
             probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
             probs = probs.reshape(len(chunk), len(distinct), -1)
-            j = 0
-            for batch_id, inverse in inverses.items():
-                n = owned.count(batch_id)
-                out[chunk[j:j + n]] = probs[j:j + n, inverse].sum(axis=1) / len(inverse)
-                j += n
+            out[chunk] = probs[:, inverse].sum(axis=1) / len(draws)
     return out
 
 
@@ -635,8 +603,9 @@ def run_shuttle_experiments(
     variant 'repeated': sweep = load/unload cycle counts k, whole numbers;
     emits the four-phase probabilities and the coherence C(k), with
     per-cycle dephasing probability p_err. All (phase, k) points run as one
-    sweep, each phase on its own draw batch, so the four phases of one k
-    are one stack that runs the cycles once.
+    sweep on one draw batch, so the four phases of one k are one stack (up
+    to STACK_ROWS // 4 trials) that runs the cycles once, and they project
+    one state: C <= 1.
     variant 'electron': sweep = final Ramsey phase (deg) for the
     electron-coherence shuttle transfer, with transfer dephasing p_transfer.
     """
@@ -654,14 +623,13 @@ def run_shuttle_experiments(
             raise ValueError(f"cycle counts must be whole numbers, got "
                              f"{float(sweep[~whole][0])!r}")
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
-        # every (phase, k) point in one sweep: the four phases of one k share
-        # a stack_key, so their cycles run once and branch at the last
-        # rotation; each phase keeps its own draw batch
+        # every (phase, k) point in one sweep on one batch: the four phases
+        # of one k share a stack_key, so their cycles run once and branch at
+        # the last rotation
         points = [(name, int(k)) for name in phases for k in sweep]
-        batches = {name: _draws(noise, seed, trials, name) for name in phases}
         p = _sweep(lambda point: repeated_load_sequence(
                        params, point[1], tau_0, p_err=p_err, final_phase=phases[point[0]]),
-                   points, params, [batches[name] for name, _ in points], "nuclear")[:, 1]
+                   points, params, _draws(noise, seed, trials), "nuclear")[:, 1]
         columns = {"k_cycles": sweep,
                    **dict(zip(phases, p.reshape(len(phases), len(sweep))))}
         columns["coherence"] = np.array([

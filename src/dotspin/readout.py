@@ -1,4 +1,4 @@
-"""Single-shot electron readout, repetitive majority-vote nuclear readout,
+"""Electron readout fidelities, repetitive majority-vote nuclear readout,
 the analytic nuclear readout fidelity model, and confusion-matrix correction.
 """
 
@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .core import QuantumState, marginal
 
 
 @dataclass(frozen=True)
@@ -68,29 +66,6 @@ class NuclearReadoutConfig:
         # a probability; the comparison also refuses NaN
         if not 0 <= self.f_e_avg <= 1:
             raise ValueError(f"f_e_avg must be in [0, 1], got {self.f_e_avg!r}")
-
-
-def single_shot_electron(
-    state: QuantumState, fidelities: ReadoutFidelities, rng: np.random.Generator
-):
-    """Sample one electron readout.
-
-    The true outcome is drawn from the Born probabilities; the reported
-    outcome flips with error rate (1 - f). Returns (reported, collapsed
-    state), where the state collapses onto the true outcome.
-    """
-    rho = state.density_matrix()
-    p_down, p_up = marginal(rho, "electron")
-    total = p_down + p_up
-    true_up = rng.random() < p_up / total
-    if true_up:
-        reported_up = rng.random() < fidelities.f_up
-    else:
-        reported_up = rng.random() >= fidelities.f_down
-    proj = np.diag([0.0, 0.0, 1.0, 1.0]) if true_up else np.diag([1.0, 1.0, 0.0, 0.0])
-    collapsed = proj @ rho @ proj
-    collapsed = collapsed / np.trace(collapsed).real
-    return ("up" if reported_up else "down"), QuantumState(matrix=collapsed)
 
 
 def repetitive_nuclear_readout(

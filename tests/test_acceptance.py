@@ -122,8 +122,11 @@ def test_acceptance_4_shuttle_physics():
         "repeated", k, PARAMS, noise=noise, trials=100, seed=0, p_err=0.0045
     )
     fit = fit_coherence_decay(k, res.columns["coherence"])
-    p, s = fit.value("p_err"), fit.sigma("p_err")
-    assert abs(p - 0.0045) <= 1.96 * s  # 95% CI covers the injected value
+    p = fit.value("p_err")
+    # the four phases project one state and every k precesses for tau_0, so
+    # the quasi-static dephasing folds into C0 and C is exactly C0 (1 - p)^k:
+    # the fit recovers p to round-off (its sigma is round-off too)
+    assert abs(p - 0.0045) <= 1e-12
     assert abs(p - 0.0045) <= 0.0029  # and sits inside the archival band
     _report(4, "electron shuttle physics")
 

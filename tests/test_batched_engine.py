@@ -264,11 +264,11 @@ def test_drivers_match_per_trial_reference():
     res = run_ramsey(taus, noise=noise, trials=12, seed=4)
     assert np.max(np.abs(res.columns["p_up"] - _ref_ramsey(taus, noise, 12, 4))) < TOL
 
-    # label-keyed draws: the four final phases of the repeated-load variant
+    # the four final phases of the repeated-load variant, on one batch
     res = run_shuttle_experiments("repeated", [0, 3], PARAMS, noise=noise,
                                   trials=5, seed=2, p_err=0.1)
+    draws = experiments._draws(noise, 2, 5)
     for name, phi in (("p_x", 0.0), ("p_mx", 180.0), ("p_y", 90.0), ("p_my", 270.0)):
-        draws = experiments._draws(noise, 2, 5, name)
         for row, k in enumerate((0, 3)):
             seq = repeated_load_sequence(PARAMS, k, 500.0, p_err=0.1, final_phase=phi)
             expected = ref.average_populations(

@@ -1,7 +1,10 @@
 """Experiment drivers: sweeps, Bell tomography, error budget, shuttles."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dotspin.core import NoiseModel, SpinSystemParams, transition_frequencies
 from dotspin.experiments import (
@@ -236,6 +239,20 @@ class TestShuttle:
         c = res.columns["coherence"]
         assert c[0] > 0.99
         assert c[0] > c[1] > c[2]
+
+    @given(seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 5),
+           p_err=st.sampled_from((0.0, 0.1)))
+    @example(seed=9, trials=1, p_err=0.0)  # C = 1.208 with a batch per phase
+    @settings(max_examples=20, deadline=None)
+    def test_repeated_variant_coherence_is_at_most_one(self, seed, trials, p_err):
+        # the four final phases project one state, however few the trials
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_shuttle_experiments(
+                "repeated", [0, 50, 100], PARAMS, noise=NoiseModel(sigma_iz=1.0),
+                trials=trials, seed=seed, tau_0=50.0, p_err=p_err,
+            )
+        assert np.all(res.columns["coherence"] <= 1 + 1e-9)
 
     @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
     def test_repeated_variant_refuses_non_integral_cycle_counts(self, bad):

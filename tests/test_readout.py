@@ -1,4 +1,4 @@
-"""Electron single-shot, repetitive nuclear readout and confusion correction."""
+"""Electron readout fidelities, repetitive nuclear readout and confusion correction."""
 
 from fractions import Fraction
 from math import comb
@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from dotspin.core import QuantumState, marginal
 from dotspin.readout import (
     IDEAL_FIDELITIES,
     NuclearReadoutConfig,
@@ -19,7 +18,6 @@ from dotspin.readout import (
     nuclear_fidelity_model,
     optimize_shots,
     repetitive_nuclear_readout,
-    single_shot_electron,
 )
 
 BELL_VEC = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -41,40 +39,6 @@ def check_fshot(m: int, f: float) -> None:
 
 
 class TestSingleShot:
-    def test_pure_down_ideal(self):
-        state = QuantumState.basis("down", "down")
-        rng = np.random.default_rng(0)
-        fid = ReadoutFidelities(f_down=1.0, f_up=0.8)
-        for _ in range(50):
-            outcome, _ = single_shot_electron(state, fid, rng)
-            assert outcome == "down"
-
-    def test_reported_rate_matches_fidelity(self):
-        state = QuantumState.basis("up", "down")
-        fid = ReadoutFidelities(f_down=0.884, f_up=0.733)
-        rng = np.random.default_rng(1)
-        hits = sum(
-            single_shot_electron(state, fid, rng)[0] == "up"
-            for _ in range(10_000)
-        )
-        assert hits / 10_000 == pytest.approx(0.733, abs=0.013)
-
-    def test_superposition_born_rule(self):
-        state = QuantumState(vector=np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2))
-        rng = np.random.default_rng(2)
-        ups = sum(
-            single_shot_electron(state, IDEAL_FIDELITIES, rng)[0] == "up"
-            for _ in range(10_000)
-        )
-        assert ups / 10_000 == pytest.approx(0.5, abs=0.015)
-
-    def test_state_collapses(self):
-        state = QuantumState(vector=np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2))
-        rng = np.random.default_rng(3)
-        _, collapsed = single_shot_electron(state, IDEAL_FIDELITIES, rng)
-        p = marginal(collapsed.density_matrix(), "electron")
-        assert max(p) == pytest.approx(1.0)
-
     def test_fidelity_range_guard(self):
         with pytest.raises(ValueError):
             ReadoutFidelities(f_down=0.4, f_up=0.9)
