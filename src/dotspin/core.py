@@ -57,9 +57,16 @@ def sigma_from_t2(t2_us: float) -> float:
 
 
 def _require_finite(obj, names) -> None:
+    """Refuse NaN and +-inf in the named fields of obj, naming the field. A
+    tuple or list field is checked entry by entry."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(obj, name)!r}")
+        value = getattr(obj, name)
+        try:
+            finite = math.isfinite(value)
+        except TypeError:  # a tuple or list field
+            finite = all(map(math.isfinite, value))
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import rng_for
+from .core import _require_finite, rng_for
 from .quadrature import panel_rule
 
 SI_LATTICE_CONSTANT = 0.543  # nm, unstrained silicon
@@ -86,6 +86,8 @@ class WavefunctionParams:
     region: tuple = None  # (lx, ly, lz) nm; None -> auto-sized
 
     def __post_init__(self):
+        _require_finite(self, ("dot_diameter", "f_z", "valley_phase",
+                               "lattice_constant"))
         if self.dot_diameter <= 0:
             raise ValueError("dot_diameter must be positive")
         if self.f_z <= 0:
@@ -94,6 +96,7 @@ class WavefunctionParams:
             object.__setattr__(
                 self, "region", default_region(self.dot_diameter, self.f_z)
             )
+        _require_finite(self, ("region",))
         if enclosed_probability(self) < 0.999:
             raise ValueError("region too small: enclosed probability < 0.999")
 
@@ -391,6 +394,9 @@ def probability_curves(
     thresholds = np.asarray(thresholds, dtype=float)
     if thresholds.size == 0:
         raise ValueError("thresholds must be non-empty")
+    for name, values in (("diameter_range", diameter_range), ("thresholds", thresholds)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
     p_occ = ppm * 1e-6
 
     rows = {k: [] for k in

@@ -5,9 +5,12 @@ the analytic nuclear readout fidelity model, and confusion-matrix correction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .core import _require_finite
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,15 @@ class NuclearReadoutConfig:
     f_e_avg: float = 0.765
 
     def __post_init__(self):
+        if not isinstance(self.m_shots, numbers.Integral) or isinstance(self.m_shots, bool):
+            raise TypeError(f"m_shots: expected int, got {self.m_shots!r}")
+        _require_finite(self, ("t_shot_ms", "t1_n_hours"))
         if self.m_shots < 1:
             raise ValueError(f"m_shots must be >= 1, got {self.m_shots!r}")
         for name in ("t_shot_ms", "t1_n_hours"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        # a probability; the comparison also refuses NaN
+        # a probability; the comparison also refuses NaN and +-inf
         if not 0 <= self.f_e_avg <= 1:
             raise ValueError(f"f_e_avg must be in [0, 1], got {self.f_e_avg!r}")
 

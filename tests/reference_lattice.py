@@ -7,9 +7,10 @@ run the package's quadrature rule afresh for every WavefunctionParams (the
 rule itself is checked against scipy's quad), the diamond lattice is built
 from meshgrid copies of the cell indices, the hyperfine density evaluates
 the envelope at every lattice site, the Van Vleck sum builds full meshgrid
-copies of each block of layers, and the repetitive readout draws one scalar
-per electron read and per flip test. The fast paths must reproduce them bit
-for bit and draw for draw.
+copies of each block of layers, the Van Vleck far field integrates each box
+by a 3-D tensor rule, and the repetitive readout draws one scalar per
+electron read and per flip test. The fast paths must reproduce them bit for
+bit and draw for draw, and the far field to within its quadrature error.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from dotspin.hyperfine import (
     _vertical_integral,
     _vertical_profile,
 )
+from dotspin import vanvleck
 from dotspin.readout import NuclearReadoutConfig
 from dotspin.vanvleck import (
     GAMMA_AL,
     GAMMA_SI,
     SPIN_AL,
     ElectrodeGeometry,
+    _axis_rule,
     _moment_prefactor,
 )
 
@@ -137,6 +140,29 @@ def second_moment_sum(
             )
             total += _angular_sum_chunk(gx, gy, gz)
     return _moment_prefactor(gamma_n, gamma_bath, spin_bath) * total
+
+
+def angular_term(x2, y2, z2):
+    """(1 - 3 z^2/r^2)^2 / r^6, the Van Vleck sum's term, from x^2, y^2, z^2."""
+    r2 = x2 + y2 + z2
+    return (1.0 - 3.0 * z2 / r2) ** 2 / r2**3
+
+
+def angular_laplacian(x2, y2, z2):
+    """Laplacian of angular_term: 18 (5 z^4 - 2 z^2 r^2 + r^4) / r^12. The
+    term is (4/r^6) (18/35 P_4 + 2/7 P_2 + 1/5) in the Legendre polynomials
+    of cos theta, and the Laplacian of r^-6 P_l is (30 - l(l + 1)) r^-8 P_l."""
+    r2 = x2 + y2 + z2
+    return 18.0 * (5.0 * z2 * z2 - 2.0 * z2 * r2 + r2 * r2) / r2**6
+
+
+def box_integral(box, term=angular_term) -> float:
+    """Integral of term over an axis-aligned box that keeps clear of the
+    nucleus, by the tensor product of the far field's axis rules."""
+    (x, wx), (y, wy), (z, wz) = (_axis_rule(lo, hi, vanvleck.NEAR_FIELD_NM)
+                                 for lo, hi in box)
+    x2, y2, z2 = x[:, None, None] ** 2, y[None, :, None] ** 2, z[None, None, :] ** 2
+    return float(np.einsum("ijk,i,j,k->", term(x2, y2, z2), wx, wy, wz))
 
 
 def repetitive_nuclear_readout(

@@ -101,6 +101,15 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             WavefunctionParams(dot_diameter=8.0, f_z=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["dot_diameter", "f_z", "valley_phase",
+                                       "lattice_constant", "region"])
+    def test_non_finite_params_refused_by_name(self, field, value):
+        # region=(nan, ...) passed the enclosed-probability check
+        kwargs = {field: (40.0, 40.0, value) if field == "region" else value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            WavefunctionParams(**kwargs)
+
 
 class TestLattice:
     def test_eight_sites_per_conventional_cell(self):
@@ -194,6 +203,15 @@ class TestProbabilityCurves:
         # out-of-range ppm gave curves of all 0 or all 1
         with pytest.raises(ValueError, match=message):
             probability_curves([8.0], thresholds, ppm=ppm, draws=100)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["diameter_range", "thresholds"])
+    def test_non_finite_inputs_refused_by_name(self, field, value):
+        # a NaN threshold gave probability 0
+        args = {"diameter_range": [8.0], "thresholds": [100.0]}
+        args[field] = args[field] + [value]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            probability_curves(**args, draws=100)
 
     def test_export_csv(self, tmp_path):
         table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}

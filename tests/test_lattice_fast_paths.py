@@ -200,6 +200,79 @@ def test_near_field_split_matches_whole_electrode_sum(standoff, monkeypatch):
     assert abs(split - exact) <= 1e-6 * exact
 
 
+@pytest.mark.parametrize("standoff", [4 * AL_LATTICE_CONSTANT, 2.0, 4.0, 6.0, 8.0, 10.0])
+def test_near_field_split_second_order(standoff, monkeypatch):
+    # with the a^2 face-flux term the far field's error is O(a^4)
+    geometry = ElectrodeGeometry(standoff=standoff)
+    split = second_moment_sum(geometry)
+    monkeypatch.setattr(vanvleck, "NEAR_FIELD_NM", math.inf)
+    exact = second_moment_sum(geometry)
+    assert abs(split - exact) <= 1e-7 * exact
+
+
+@pytest.mark.parametrize("lateral, thickness", [((12.0, 48.0), 24.0),
+                                                ((48.0, 12.0), 6.0),
+                                                ((40.0, 40.0), 8.0)])
+def test_near_field_split_second_order_on_partly_covered_gates(lateral, thickness,
+                                                               monkeypatch):
+    # the near box spans the gate along some axes, so the far region's faces
+    # there are the slab's faces less the near box's share
+    geometry = ElectrodeGeometry(standoff=3.0, thickness=thickness, lateral=lateral)
+    split = second_moment_sum(geometry)
+    monkeypatch.setattr(vanvleck, "NEAR_FIELD_NM", math.inf)
+    exact = second_moment_sum(geometry)
+    assert split != exact
+    assert abs(split - exact) <= 1e-7 * exact
+
+
+def _far_field_calls(monkeypatch, name, standoff):
+    """(positional arguments, result) of each call that second_moment_sum on
+    the default gate makes to vanvleck.<name>."""
+    calls = []
+    inner = getattr(vanvleck, name)
+
+    def record(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(vanvleck, name, record)
+    second_moment_sum(ElectrodeGeometry(standoff=standoff))
+    return calls
+
+
+@pytest.mark.parametrize("standoff", [4 * AL_LATTICE_CONSTANT, 2.0, 6.0, 10.0])
+def test_far_field_boxes_match_tensor_rule(standoff, monkeypatch):
+    # the closed-form axis in place of the 3-D tensor rule's third axis
+    calls = _far_field_calls(monkeypatch, "_box_integral", standoff)
+    assert len(calls) == 4 * 5  # per FCC sublattice: two x sides, two y sides, the top
+    for (box,), integral in calls:
+        assert integral == pytest.approx(ref.box_integral(box), rel=1e-10)
+
+
+@pytest.mark.parametrize("standoff", [4 * AL_LATTICE_CONSTANT, 2.0, 6.0, 10.0])
+def test_face_flux_matches_laplacian_integral(standoff, monkeypatch):
+    # divergence theorem: the flux of grad f out of the far region is the
+    # integral of its Laplacian over the region's boxes
+    calls = _far_field_calls(monkeypatch, "_shell_flux", standoff)
+    assert len(calls) == 4  # one per FCC sublattice
+    for (outer, inner), flux in calls:
+        expected = sum(ref.box_integral(box, ref.angular_laplacian)
+                       for _, box in vanvleck._shell_boxes(outer, inner))
+        assert flux == pytest.approx(expected, rel=1e-10)
+
+
+def test_angular_laplacian_matches_finite_differences():
+    h = 1e-3
+    for point in ([3.0, -4.0, 2.0], [10.0, 1.0, 7.0], [-0.5, 0.2, 12.0]):
+        p = np.array(point)
+        second = 0.0
+        for step in np.eye(3) * h:
+            f = [ref.angular_term(*(q * q)) for q in (p - step, p, p + step)]
+            second += (f[0] - 2.0 * f[1] + f[2]) / (h * h)
+        assert ref.angular_laplacian(*(p * p)) == pytest.approx(second, rel=1e-6)
+
+
 @given(
     m_shots=st.integers(1, 60),
     f_e_avg=st.floats(0.0, 1.0),

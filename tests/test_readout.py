@@ -66,6 +66,18 @@ class TestFidelityModel:
         with pytest.raises(ValueError, match=r"f_e_avg must be in \[0, 1\]"):
             NuclearReadoutConfig(f_e_avg=f)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["t_shot_ms", "t1_n_hours", "f_e_avg"])
+    def test_non_finite_fields_refused_by_name(self, field, value):
+        # t_shot_ms=inf gave f_n = 8.4e-6
+        with pytest.raises(ValueError, match=field):
+            NuclearReadoutConfig(**{field: value})
+
+    @pytest.mark.parametrize("m", [2.5, 26.0, True, "26"])
+    def test_non_integral_m_shots_refused_by_name(self, m):
+        with pytest.raises(TypeError, match="m_shots: expected int"):
+            NuclearReadoutConfig(m_shots=m)
+
     @pytest.mark.parametrize("f", [0.0, 0.5, 0.765, 0.99, 1.0])
     def test_fshot_is_exact_sum_rounded_once(self, f):
         for m in range(1, 101):

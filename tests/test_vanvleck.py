@@ -28,6 +28,20 @@ class TestGeometry:
         with pytest.raises(ValueError, match="exactly two entries"):
             ElectrodeGeometry(standoff=2.0, lateral=(100.0,))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field, build", [
+        ("standoff", lambda v: ElectrodeGeometry(standoff=v)),
+        ("thickness", lambda v: ElectrodeGeometry(standoff=2.0, thickness=v)),
+        ("lateral", lambda v: ElectrodeGeometry(standoff=2.0, lateral=(v, 100.0))),
+        ("lateral", lambda v: ElectrodeGeometry(standoff=2.0, lateral=(300.0, v))),
+        ("al_lattice_constant",
+         lambda v: ElectrodeGeometry(standoff=2.0, al_lattice_constant=v)),
+    ])
+    def test_non_finite_fields_refused_by_name(self, field, build, value):
+        # NaN passed every sign check: standoff=nan ended in an IndexError
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build(value)
+
     def test_fcc_site_density(self):
         geo = ElectrodeGeometry(standoff=2.0)
         assert geo.site_density_nm3 == pytest.approx(4.0 / AL_LATTICE_CONSTANT**3)
