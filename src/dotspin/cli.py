@@ -391,7 +391,7 @@ def _run_readout_fidelity(config, trials, seed):
 def _run_hyperfine(config, trials, seed):
     diameters = _linspace(config, "diameter", 3.0, 15.0, 13)
     return hyperfine.probability_curves(
-        diameters, config.get("thresholds", [100.0, 200.0, 500.0]), seed=seed,
+        diameters, config.get("thresholds", [100.0, 200.0, 500.0]),
         **_given(config, "ppm", "draws", "f_z"),
     )
 

@@ -1,5 +1,6 @@
-"""Monte Carlo distribution of contact hyperfine couplings for randomly
-placed spin-carrying isotopes inside a quantum-dot electron wavefunction.
+"""Contact hyperfine couplings of spin-carrying isotopes on the lattice
+sites inside a quantum-dot electron wavefunction, and the exact chance that
+a randomly placed isotope lands where the coupling clears a threshold.
 
 The envelope is an Airy function vertically (triangular well set by the
 confining electric field), a Gaussian laterally, modulated by the fast
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _require_finite, rng_for
+from .core import _require_finite
 from .quadrature import panel_rule
 
 SI_LATTICE_CONSTANT = 0.543  # nm, unstrained silicon
@@ -55,7 +56,7 @@ _VERTICAL_POINTS = 12
 DEFAULT_F_Z = 25.0  # MV/m, mid-range vertical field
 CALIBRATION_DIAMETER = 7.0  # nm
 CALIBRATION_MAX_A = 450.0  # kHz
-MIN_DRAWS = 100  # placement draws per diameter in probability_curves
+MIN_DRAWS = 100  # placement draws behind probability_curves' stderr
 
 
 def airy_length(f_z: float) -> float:
@@ -288,25 +289,75 @@ def generate_lattice(region, lattice_constant: float = SI_LATTICE_CONSTANT):
     return np.empty((0, 3)) if axes is None else _sites(*axes)
 
 
-def _lattice_density(params: WavefunctionParams):
-    """|psi|^2 at each site of params' lattice, in generate_lattice's order
-    and bitwise equal to wavefunction_density(sites, params).
-
-    The envelope is separable: the Gaussian is evaluated once per (x, y)
-    column of sites and the vertical profile once per atomic layer, and
-    their product is broadcast over the lattice. The site positions are
-    never built.
+def _envelope(params: WavefunctionParams):
+    """The separable factors of |psi|^2 on params' lattice: the lateral
+    factor _density_norm * exp(-4 r^2 / d^2) as an (nx * ny, 8) array, one
+    row per (x, y) column of cells, and the vertical profile as an (nz, 8)
+    array, one row per layer of cells. Site (ix, iy, iz, k) has the density
+    lateral[ix * ny + iy, k] * vertical[iz, k]. None if no whole cell fits.
     """
     axes = _lattice_axes(params.region, params.lattice_constant)
     if axes is None:
-        return np.empty(0)
+        return None
     x, y, z = axes
     r_perp_sq = x[:, None, :] ** 2 + y[None, :, :] ** 2
     lateral = _density_norm(params) * np.exp(
         -4.0 * r_perp_sq / params.dot_diameter**2
     )
-    density = lateral[:, :, None, :] * _vertical_profile(z, params)
-    return density.reshape(-1)
+    return lateral.reshape(-1, 8), _vertical_profile(z, params)
+
+
+def _lattice_density(params: WavefunctionParams):
+    """|psi|^2 at each site of params' lattice, in generate_lattice's order
+    and bitwise equal to wavefunction_density(sites, params): the envelope
+    factors broadcast over the lattice. The site positions are never built.
+    """
+    envelope = _envelope(params)
+    if envelope is None:
+        return np.empty(0)
+    lateral, vertical = envelope
+    return (lateral[:, None, :] * vertical).reshape(-1)
+
+
+def _peak_density(lateral, vertical):
+    """The largest lateral * vertical product over the lattice. Both factors
+    are >= 0 and rounding is monotone, so it pairs the largest factors of one
+    basis site and equals np.max(_lattice_density(params)) bit for bit."""
+    return np.max(lateral.max(axis=0) * vertical.max(axis=0))
+
+
+def _count_at_least(lateral, vertical, k_hf: float, thresholds) -> np.ndarray:
+    """Number of sites with k_hf * (lateral * vertical) >= each threshold.
+
+    The product rises with the lateral factor, so on each basis site's
+    sorted lateral column the sites that clear a threshold within one layer
+    form a suffix. One vectorised bisection per (threshold, layer, basis
+    site) lane finds where it starts, testing the coupling exactly as
+    site_couplings computes it.
+    """
+    columns = np.sort(lateral, axis=0)
+    n = len(columns)
+    basis = np.arange(columns.shape[1])
+    theta = np.asarray(thresholds, dtype=float)[:, None, None]
+    lo = np.zeros((theta.shape[0],) + vertical.shape, dtype=np.intp)
+    hi = np.full_like(lo, n)  # the first clearing index lies in [lo, hi]
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        clears = k_hf * (columns[np.minimum(mid, n - 1), basis] * vertical) >= theta
+        clears |= lo >= hi  # a settled lane keeps its bounds
+        hi = np.where(clears, mid, hi)
+        lo = np.where(clears, lo, mid + 1)
+    return (n - lo).sum(axis=(1, 2))
+
+
+def _lattice_counts(params: WavefunctionParams, k_hf: float, thresholds=()):
+    """(number of sites with |A| >= each threshold, peak |A| in kHz) over
+    params' lattice, from the envelope factors without a per-site array."""
+    envelope = _envelope(params)
+    if envelope is None:
+        return np.zeros(len(thresholds), dtype=int), 0.0
+    counts = _count_at_least(*envelope, k_hf, thresholds)
+    return counts, float(k_hf * _peak_density(*envelope))
 
 
 @lru_cache(maxsize=16)
@@ -318,8 +369,10 @@ def calibrate_k_hf(
     """Contact prefactor K_hf (kHz nm^3) fixed so a dot of the given
     diameter supports max_a as the peak coupling attainable at an actual
     lattice site (the best-placed nucleus the device could host)."""
-    params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
-    return max_a / np.max(_lattice_density(params))
+    envelope = _envelope(WavefunctionParams(dot_diameter=diameter, f_z=f_z))
+    if envelope is None:
+        raise ValueError(f"no lattice site fits the box of a {diameter} nm dot")
+    return max_a / _peak_density(*envelope)
 
 
 @dataclass
@@ -335,18 +388,22 @@ class HyperfineSample:
         return int(np.sum(self.a_values >= threshold_khz))
 
 
-def _couplings(params: WavefunctionParams, k_hf: float | None = None):
-    """|A| in kHz at every lattice site, occupied or not, in
-    generate_lattice's order."""
+def _k_hf(k_hf: float | None) -> float:
+    """The contact prefactor to use: the calibrated one for None, else the
+    caller's, refused unless finite and positive (the site counts rely on
+    the coupling rising with the density)."""
     if k_hf is None:
-        k_hf = calibrate_k_hf()
-    return k_hf * _lattice_density(params)
+        return calibrate_k_hf()
+    if not (math.isfinite(k_hf) and k_hf > 0):
+        raise ValueError(f"k_hf must be finite and positive, got {k_hf!r}")
+    return k_hf
 
 
 def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
     """Lattice positions and their |A| in kHz (every site, occupied or not)."""
+    k_hf = _k_hf(k_hf)
     sites = generate_lattice(params.region, params.lattice_constant)
-    return sites, _couplings(params, k_hf)
+    return sites, k_hf * _lattice_density(params)
 
 
 def check_ppm(ppm: float) -> None:
@@ -372,16 +429,31 @@ def sample_hyperfine(
     )
 
 
+def _any_occupied(count: int, p_occ: float) -> float:
+    """P(at least one of count sites holds the isotope), each independently
+    with probability p_occ: 1 - (1 - p_occ)^count."""
+    if count == 0 or p_occ == 0.0:  # -expm1(0.0) would be -0.0
+        return 0.0
+    if p_occ == 1.0:  # math.log1p(-1.0) raises
+        return 1.0
+    return -math.expm1(count * math.log1p(-p_occ))
+
+
 def probability_curves(
     diameter_range,
     thresholds,
     ppm: float = 800.0,
     draws: int = 1000,
     f_z: float = DEFAULT_F_Z,
-    seed: int = 0,
     k_hf: float | None = None,
 ) -> dict:
-    """P(at least one site with |A| >= threshold) vs dot diameter.
+    """P(at least one occupied site with |A| >= threshold) vs dot diameter.
+
+    Sites hold the isotope independently with probability ppm x 1e-6, so the
+    probability is exactly 1 - (1 - ppm x 1e-6)^N, with N the number of
+    lattice sites whose coupling clears the threshold. The stderr column is
+    the binomial standard error sqrt(p (1 - p) / draws) of an experiment of
+    `draws` independent placements.
 
     Returns {'diameter_nm', 'threshold_khz', 'probability', 'stderr',
     'max_coupling_khz'} as flat equal-length arrays (rows = diameter x
@@ -397,6 +469,7 @@ def probability_curves(
     for name, values in (("diameter_range", diameter_range), ("thresholds", thresholds)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
+    k_hf = _k_hf(k_hf)
     p_occ = ppm * 1e-6
 
     rows = {k: [] for k in
@@ -404,38 +477,25 @@ def probability_curves(
              "max_coupling_khz")}
     for d in diameter_range:
         params = WavefunctionParams(dot_diameter=d, f_z=f_z)
-        couplings = _couplings(params, k_hf)
-        max_a = float(np.max(couplings)) if couplings.size else 0.0
-        # only sites that can clear the smallest threshold matter
-        floor = float(np.min(thresholds))
-        eligible = couplings[couplings >= floor]
-        order = np.sort(eligible)
-        rng = rng_for(seed, int(d * 1e6))
-        hits = np.zeros(len(thresholds))
-        for _ in range(draws):
-            occupied = order[rng.random(len(order)) < p_occ]
-            best = occupied[-1] if occupied.size else -np.inf
-            hits += best >= thresholds
-        p = hits / draws
-        for t, pi in zip(thresholds, p):
+        counts, max_a = _lattice_counts(params, k_hf, thresholds)
+        for t, n in zip(thresholds, counts):
+            p = _any_occupied(int(n), p_occ)
             rows["diameter_nm"].append(d)
             rows["threshold_khz"].append(t)
-            rows["probability"].append(pi)
-            rows["stderr"].append(np.sqrt(pi * (1 - pi) / draws))
+            rows["probability"].append(p)
+            rows["stderr"].append(np.sqrt(p * (1 - p) / draws))
             rows["max_coupling_khz"].append(max_a)
     return {k: np.array(v) for k, v in rows.items()}
 
 
 def max_coupling_surface(diameter_range, f_z_range, k_hf: float | None = None):
     """Peak attainable |A| (kHz) over the lattice vs (diameter, F_z)."""
+    k_hf = _k_hf(k_hf)
     rows = {"diameter_nm": [], "f_z_mv_m": [], "max_coupling_khz": []}
     for d in np.asarray(diameter_range, dtype=float):
         for fz in np.asarray(f_z_range, dtype=float):
             params = WavefunctionParams(dot_diameter=d, f_z=fz)
-            couplings = _couplings(params, k_hf)
             rows["diameter_nm"].append(d)
             rows["f_z_mv_m"].append(fz)
-            rows["max_coupling_khz"].append(
-                float(np.max(couplings)) if couplings.size else 0.0
-            )
+            rows["max_coupling_khz"].append(_lattice_counts(params, k_hf)[1])
     return {k: np.array(v) for k, v in rows.items()}

@@ -6,11 +6,13 @@ These are the package's original implementations: the vertical integrals
 run the package's quadrature rule afresh for every WavefunctionParams (the
 rule itself is checked against scipy's quad), the diamond lattice is built
 from meshgrid copies of the cell indices, the hyperfine density evaluates
-the envelope at every lattice site, the Van Vleck sum builds full meshgrid
+the envelope at every lattice site, the ext1 probability curves place the
+isotope at random draw by draw, the Van Vleck sum builds full meshgrid
 copies of each block of layers, the Van Vleck far field integrates each box
 by a 3-D tensor rule, and the repetitive readout draws one scalar per
 electron read and per flip test. The fast paths must reproduce them bit for
-bit and draw for draw, and the far field to within its quadrature error.
+bit and draw for draw, the far field to within its quadrature error, and
+the Monte Carlo curves to within their standard error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 
 import numpy as np
 
+from dotspin import hyperfine
+from dotspin.core import rng_for
 from dotspin.hyperfine import (
     WavefunctionParams,
     _profile_integral,
@@ -103,6 +107,35 @@ def calibrate_k_hf(diameter: float, f_z: float, max_a: float) -> float:
     params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
     sites = generate_lattice(params.region, params.lattice_constant)
     return max_a / np.max(wavefunction_density(sites, params))
+
+
+def monte_carlo_curves(diameters, thresholds, ppm: float, draws: int,
+                       f_z: float, k_hf: float, seed: int = 0) -> dict:
+    """P(at least one occupied site with |A| >= threshold) by draws: each draw
+    occupies every site independently with probability ppm x 1e-6, on one
+    generator per diameter d keyed (seed, int(d * 1e6)). Returns the
+    'probability' and 'stderr' estimates, the number of sites at or above
+    each threshold as 'count', and the 'max_coupling_khz', each a
+    (diameter, threshold) array. The couplings come from the package's
+    site_couplings, which the tests hold to this module's per-site form."""
+    thresholds = np.asarray(thresholds, dtype=float)
+    out = {k: [] for k in ("probability", "stderr", "count", "max_coupling_khz")}
+    for d in diameters:
+        params = WavefunctionParams(dot_diameter=d, f_z=f_z)
+        couplings = hyperfine.site_couplings(params, k_hf)[1]
+        order = np.sort(couplings[couplings >= thresholds.min()])
+        rng = rng_for(seed, int(d * 1e6))
+        hits = np.zeros(len(thresholds))
+        for _ in range(draws):
+            occupied = order[rng.random(len(order)) < ppm * 1e-6]
+            best = occupied[-1] if occupied.size else -np.inf
+            hits += best >= thresholds
+        p = hits / draws
+        out["probability"].append(p)
+        out["stderr"].append(np.sqrt(p * (1 - p) / draws))
+        out["count"].append([np.count_nonzero(couplings >= t) for t in thresholds])
+        out["max_coupling_khz"].append(np.full(len(thresholds), couplings.max()))
+    return {k: np.array(v) for k, v in out.items()}
 
 
 def _angular_sum_chunk(x, y, z):

@@ -151,7 +151,6 @@ def test_acceptance_5_hyperfine_monte_carlo():
         [100.0, 200.0, 500.0],
         ppm=800.0,
         draws=1000,
-        seed=0,
     )
     p = table["probability"].reshape(7, 3)
     assert np.all(p[:, 0] >= p[:, 1]) and np.all(p[:, 1] >= p[:, 2])

@@ -557,6 +557,20 @@ class TestOutputs:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_hyperfine_curves_do_not_depend_on_the_seed(self, capsys, tmp_path):
+        # the probabilities are exact, so no random draw reaches the file
+        cfg = tmp_path / "h.json"
+        cfg.write_text(json.dumps({"diameter_start": 4.0, "diameter_stop": 8.0,
+                                   "diameter_points": 2, "draws": 100}))
+        outs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"seed{seed}.csv"
+            code, _, _ = run_cli(capsys, "hyperfine-mc", "--config", str(cfg),
+                                 "--seed", seed, "--out", str(out))
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestReproduce:
     def test_loaded_resonance_map_peaks_on_conditional_lines(self, capsys, tmp_path, monkeypatch):

@@ -110,8 +110,8 @@ class TestNoise:
     @given(seed=st.integers(0, 2**64), k=st.integers(0, 2**40))
     @settings(max_examples=50, deadline=None)
     def test_rng_for_keeps_the_default_rng_streams(self, seed, k):
-        # the streams of hyperfine.probability_curves (seed, int(d * 1e6))
-        # and of the CLI's s1 statistics (seed,)
+        # the streams of the Monte Carlo oracle of the hyperfine curves
+        # (seed, int(d * 1e6)) and of the CLI's s1 statistics (seed,)
         assert experiments.rng_for is rng_for
         assert np.array_equal(
             rng_for(seed).random(8), np.random.default_rng(seed).random(8)

@@ -144,11 +144,31 @@ class TestCalibration:
             peaks.append(np.max(c))
         assert peaks[0] > peaks[1] > peaks[2]
 
+    def test_dot_too_small_for_one_cell_refused(self):
+        # its box rounds to no whole cell, so no site can set the peak
+        with pytest.raises(ValueError, match="no lattice site fits the box"):
+            calibrate_k_hf(0.01)
+
     def test_surface_orders_in_both_axes(self):
         table = max_coupling_surface([7.0, 10.0], [15.0, 35.0])
         m = table["max_coupling_khz"].reshape(2, 2)
         assert np.all(m[0] > m[1])  # smaller dot -> stronger coupling
         assert np.all(m[:, 1] > m[:, 0])  # stronger field -> stronger coupling
+
+
+@pytest.mark.parametrize("k_hf", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["probability_curves", "max_coupling_surface",
+                                   "site_couplings"])
+def test_bad_k_hf_refused_by_name(entry, k_hf):
+    # the site counts take the coupling to rise with the density
+    call = {
+        "probability_curves": lambda: probability_curves([8.0], [100.0], draws=100,
+                                                         k_hf=k_hf),
+        "max_coupling_surface": lambda: max_coupling_surface([8.0], [25.0], k_hf=k_hf),
+        "site_couplings": lambda: site_couplings(WavefunctionParams(), k_hf=k_hf),
+    }[entry]
+    with pytest.raises(ValueError, match="k_hf must be finite and positive, got"):
+        call()
 
 
 class TestSampling:
@@ -180,13 +200,13 @@ class TestSampling:
 class TestProbabilityCurves:
     def test_curves_nested_and_deterministic(self):
         table = probability_curves(
-            [6.0, 8.0, 10.0], [100.0, 300.0], ppm=800.0, draws=150, seed=0
+            [6.0, 8.0, 10.0], [100.0, 300.0], ppm=800.0, draws=150
         )
         p = table["probability"].reshape(3, 2)
         # a stricter threshold can never be more likely
         assert np.all(p[:, 0] >= p[:, 1])
         again = probability_curves(
-            [6.0, 8.0, 10.0], [100.0, 300.0], ppm=800.0, draws=150, seed=0
+            [6.0, 8.0, 10.0], [100.0, 300.0], ppm=800.0, draws=150
         )
         assert np.array_equal(table["probability"], again["probability"])
 
@@ -212,6 +232,19 @@ class TestProbabilityCurves:
         args[field] = args[field] + [value]
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             probability_curves(**args, draws=100)
+
+    def test_ppm_edges_are_exact(self):
+        # at 1e6 ppm every site is occupied, so a threshold that some site
+        # clears is certain and one above the peak impossible; at 0 ppm
+        # nothing is occupied
+        thresholds = [100.0, 1e6]
+        full = probability_curves([6.0, 8.0], thresholds, ppm=1e6, draws=100)
+        assert full["probability"].tolist() == [1.0, 0.0, 1.0, 0.0]
+        empty = probability_curves([6.0, 8.0], thresholds, ppm=0.0, draws=100)
+        assert empty["probability"].tolist() == [0.0] * 4
+        for table in (full, empty):
+            assert not np.any(np.signbit(table["probability"]))
+            assert table["stderr"].tolist() == [0.0] * 4
 
     def test_export_csv(self, tmp_path):
         table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}

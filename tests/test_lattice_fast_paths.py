@@ -82,36 +82,58 @@ def test_vertical_integrals_keyed_on_every_vertical_field(
     assert hyperfine._vertical_integrals.cache_info().misses == 2
 
 
-def _via_site_couplings(params, k_hf=None):
-    """The couplings through the per-site reference, which builds every
-    site position."""
-    return ref.site_couplings(params, calibrate_k_hf() if k_hf is None else k_hf)[1]
+@given(
+    diameter=st.floats(1.5, 9.0),
+    f_z=st.floats(8.0, 60.0),
+    valley_phase=st.floats(0.0, 2 * np.pi),
+    k_hf=st.floats(1.0, 1e5),
+    picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([-1, 0, 1])),
+                   min_size=1, max_size=12),
+)
+@settings(max_examples=20, deadline=None)
+def test_site_counts_and_peak_match_per_site_reference(diameter, f_z, valley_phase,
+                                                       k_hf, picks):
+    # thresholds on site values and one ulp either side, where the rounding
+    # of k_hf * (lateral * vertical) decides the count
+    params = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
+                                valley_phase=valley_phase)
+    couplings = np.sort(ref.site_couplings(params, k_hf)[1])
+    thresholds = [np.nextafter(value, value + step) if step else value
+                  for value, step in ((couplings[int(q * (len(couplings) - 1))], step)
+                                      for q, step in picks)]
+    counts, peak = hyperfine._lattice_counts(params, k_hf, thresholds)
+    assert counts.tolist() == [np.count_nonzero(couplings >= t) for t in thresholds]
+    assert peak == couplings[-1]
 
 
-@pytest.mark.parametrize("k_hf", [None, 3e4])
-def test_sweeps_match_the_loop_through_site_couplings(k_hf, monkeypatch):
-    diameters, f_zs = [3.0, 6.5, 9.0], [15.0, 40.0]
-    thresholds = [50.0, 200.0, 500.0]
-    fast = probability_curves(diameters, thresholds, ppm=5e4, draws=100,
-                              seed=3, k_hf=k_hf)
-    surface = max_coupling_surface(diameters, f_zs, k_hf=k_hf)
-    monkeypatch.setattr(hyperfine, "_couplings", _via_site_couplings)
-    slow = probability_curves(diameters, thresholds, ppm=5e4, draws=100,
-                              seed=3, k_hf=k_hf)
-    assert fast.keys() == slow.keys()
-    for key in fast:
-        assert np.array_equal(fast[key], slow[key])
-    assert 0 < np.mean(fast["probability"]) < 1
-    slow_surface = max_coupling_surface(diameters, f_zs, k_hf=k_hf)
-    for key in surface:
-        assert np.array_equal(surface[key], slow_surface[key])
+@pytest.mark.parametrize("diameters, thresholds, draws", [
+    (np.linspace(3.0, 15.0, 13), [100.0, 200.0, 500.0], 200),  # ext1's config
+    ([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], [100.0, 200.0, 500.0], 1000),
+])
+def test_exact_curves_match_monte_carlo(diameters, thresholds, draws):
+    k_hf = calibrate_k_hf()
+    table = probability_curves(diameters, thresholds, ppm=800.0, draws=draws)
+    mc = ref.monte_carlo_curves(diameters, thresholds, ppm=800.0, draws=draws,
+                                f_z=DEFAULT_F_Z, k_hf=k_hf)
+    exact = table["probability"]
+    assert exact.tolist() == [-math.expm1(n * math.log1p(-800.0 * 1e-6))
+                              for n in mc["count"].ravel()]
+    assert np.array_equal(table["max_coupling_khz"], mc["max_coupling_khz"].ravel())
+    assert np.array_equal(table["stderr"], np.sqrt(exact * (1 - exact) / draws))
+    se = np.maximum(table["stderr"], mc["stderr"].ravel())
+    assert np.all(np.abs(exact - mc["probability"].ravel()) <= 5 * se)
+    surface = max_coupling_surface(diameters, [DEFAULT_F_Z], k_hf=k_hf)
+    assert np.array_equal(surface["max_coupling_khz"], mc["max_coupling_khz"][:, 0])
 
 
 def test_sweeps_build_no_site_positions(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("site positions built")
+    def refuse(what):
+        def call(*args):
+            raise AssertionError(f"{what} built")
+        return call
 
-    monkeypatch.setattr(hyperfine, "_sites", refuse)
+    monkeypatch.setattr(hyperfine, "_sites", refuse("site positions"))
+    monkeypatch.setattr(hyperfine, "_lattice_density", refuse("per-site density"))
     probability_curves([4.0, 8.0], [100.0, 300.0], draws=100)
     max_coupling_surface([4.0], [20.0, 30.0])
     calibrate_k_hf.__wrapped__(5.0, 30.0, 400.0)
