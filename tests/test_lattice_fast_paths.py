@@ -106,6 +106,36 @@ def test_site_counts_and_peak_match_per_site_reference(diameter, f_z, valley_pha
     assert peak == couplings[-1]
 
 
+@pytest.mark.parametrize("k_hf", [None, 3e4])
+def test_sweeps_match_the_loop_through_site_couplings(k_hf):
+    # both sweeps against a loop over the per-site reference couplings,
+    # which builds every site position
+    diameters, f_zs = [3.0, 6.5, 9.0], [15.0, 40.0]
+    thresholds = [50.0, 200.0, 500.0]
+    ppm = 5e4
+    k = calibrate_k_hf() if k_hf is None else k_hf
+    fast = probability_curves(diameters, thresholds, ppm=ppm, draws=100, k_hf=k_hf)
+    slow = {key: [] for key in fast}
+    for d in diameters:
+        couplings = ref.site_couplings(
+            WavefunctionParams(dot_diameter=d, f_z=DEFAULT_F_Z), k)[1]
+        for t in thresholds:
+            n = np.count_nonzero(couplings >= t)
+            p = -math.expm1(n * math.log1p(-ppm * 1e-6))
+            slow["diameter_nm"].append(d)
+            slow["threshold_khz"].append(t)
+            slow["probability"].append(p)
+            slow["stderr"].append(np.sqrt(p * (1 - p) / 100))
+            slow["max_coupling_khz"].append(couplings.max())
+    for key in fast:
+        assert np.array_equal(fast[key], np.array(slow[key])), key
+    assert 0 < np.mean(fast["probability"]) < 1
+    surface = max_coupling_surface(diameters, f_zs, k_hf=k_hf)
+    slow_peaks = [ref.site_couplings(WavefunctionParams(dot_diameter=d, f_z=fz), k)[1].max()
+                  for d in diameters for fz in f_zs]
+    assert np.array_equal(surface["max_coupling_khz"], np.array(slow_peaks))
+
+
 @pytest.mark.parametrize("diameters, thresholds, draws", [
     (np.linspace(3.0, 15.0, 13), [100.0, 200.0, 500.0], 200),  # ext1's config
     ([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], [100.0, 200.0, 500.0], 1000),
