@@ -10,9 +10,9 @@ Exit codes: 0 success, 1 config/validation or file error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import sys
@@ -35,7 +35,6 @@ from .experiments import (
     run_rabi,
     run_ramsey,
     run_shuttle_experiments,
-    write_csv,
 )
 from . import fitting, hyperfine, vanvleck
 from .readout import NuclearReadoutConfig, _best_shots, fidelity_curve
@@ -402,19 +401,35 @@ def _run_vanvleck(config, trials, seed):
 
 
 def _run_fit(config, trials, seed):
-    import csv as _csv
-
     path = config["input"]
     with open(path) as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ConfigError(f"fit.input: no data rows in {path}")
-    x_col = config.get("x_column") or list(rows[0])[0]
-    y_col = config.get("y_column") or list(rows[0])[1]
-    x = np.array([float(r[x_col]) for r in rows])
-    y = np.array([float(r[y_col]) for r in rows])
+    names = list(rows[0])
+    if len(names) < 2 and not config.get("y_column"):
+        raise ConfigError(f"fit.input: {path} has one column; a fit needs x and y")
+    x, y = (_fit_column(rows, key, config.get(key) or names[i], path)
+            for i, key in enumerate(("x_column", "y_column")))
     # looked up at call time, so a replaced fitting.fit_<model> runs
     return dataclasses.asdict(getattr(fitting, f"fit_{config['model']}")(x, y))
+
+
+def _fit_column(rows: list, key: str, name: str, path: str) -> np.ndarray:
+    """The column name of a fit.input file's rows as numbers, refused by key
+    path when the file lacks it or a row holds no finite number there."""
+    if name not in rows[0]:
+        raise ConfigError(f"fit.{key}: no column {name!r} in {path}")
+    values = []
+    for i, row in enumerate(rows, start=1):
+        try:
+            values.append(float(row[name]))
+        except (TypeError, ValueError):  # a short row gives None
+            values.append(np.nan)
+        if not np.isfinite(values[-1]):
+            raise ConfigError(f"fit.input: {path} data row {i}: expected a finite "
+                              f"number in column {name!r}, got {row[name]!r}")
+    return np.array(values)
 
 
 def _run_s1_stats(config, trials, seed):
@@ -482,7 +497,7 @@ def _write_table(table, out, fmt: str, meta: dict, seed, trials) -> None:
     if isinstance(table, ExperimentResult):
         table = table.columns
     if fmt == "csv":
-        return _write_csv(table, out)
+        return write_csv(table, out)
     payload = {
         "result": _jsonable(table),
         "provenance": provenance_block(meta, seed, trials),
@@ -495,15 +510,18 @@ def _write_table(table, out, fmt: str, meta: dict, seed, trials) -> None:
             fh.write(text)
 
 
-def _write_csv(columns: dict, out) -> None:
-    """CSV rows end in CRLF in a file and in LF on stdout."""
-    if out != "-":
-        with open(out, "w", newline="") as fh:
-            write_csv(columns, fh)
+def write_csv(columns: dict, out) -> None:
+    """Write named equal-length columns as CSV to the path out, or to stdout
+    for "-": a header row, then one row per index with each value as
+    repr(float(v)). Rows end in CRLF in a file, as the csv module writes
+    them, and in LF on stdout."""
+    rows = [list(columns)]
+    rows += ([repr(float(v)) for v in row] for row in zip(*columns.values()))
+    if out == "-":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return
-    buf = io.StringIO(newline=None)
-    write_csv(columns, buf)
-    sys.stdout.write(buf.getvalue())
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _jsonable(obj):

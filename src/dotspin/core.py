@@ -423,13 +423,9 @@ def populations(rho: np.ndarray) -> np.ndarray:
     return np.real(np.diagonal(rho, axis1=-2, axis2=-1)).clip(0.0)
 
 
-def marginal(rho: np.ndarray, subsystem: str) -> np.ndarray:
-    """(down, up) populations of the 'electron' or 'nuclear' subsystem."""
-    return marginal_of_populations(populations(rho), subsystem)
-
-
 def marginal_of_populations(p: np.ndarray, subsystem: str) -> np.ndarray:
-    """marginal from the four joint populations (..., 4) instead of rho."""
+    """(down, up) populations of the 'electron' or 'nuclear' subsystem, from
+    the four joint populations (..., 4)."""
     p = p.reshape(p.shape[:-1] + (2, 2))  # [..., electron, nucleus]
     if subsystem == "electron":
         return p[..., 0] + p[..., 1]

@@ -12,7 +12,6 @@ call per point on every trial of the batch, to the bit.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import itertools
@@ -36,7 +35,7 @@ from .core import (
 )
 from .engine import run_sequence, run_stack, stack_key
 from .fitting import coherence_metric
-from .readout import ReadoutFidelities, confuse_readout, correct_readout
+from .readout import confuse_readout, correct_readout
 from .sequences import (
     DEFAULT_NMR_RABI,
     PulseSequence,
@@ -70,18 +69,6 @@ class ExperimentResult:
                 if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
                     raise ValueError(f"column {name} has probabilities outside [0, 1]")
             self.columns[name] = arr
-
-
-def write_csv(columns: dict, stream) -> None:
-    """Write named equal-length columns to a text stream as CSV: a header
-    row, then one row per index with each value as repr(float(v)). Rows end
-    in CRLF, as the csv module writes them; a stream that translates
-    newlines (io.StringIO(newline=None)) turns them into LF."""
-    writer = csv.writer(stream)
-    writer.writerow(columns)
-    writer.writerows(
-        [repr(float(v)) for v in row] for row in zip(*columns.values())
-    )
 
 
 def provenance_block(meta: dict, seed: int, trials: int) -> dict:
@@ -333,10 +320,13 @@ def _parity(probs: np.ndarray):
     return probs[..., 0] + probs[..., 3] - probs[..., 1] - probs[..., 2]
 
 
+#: Coordinate-wise sweeps of the projection-phase calibration.
+CALIBRATION_SWEEPS = 3
+
+
 def calibrate_bell_projection(
     params: SpinSystemParams,
     duration_scale: float = 1.0,
-    sweeps: int = 3,
 ) -> dict:
     """Calibrate the four conditional projection-pulse phases on a noiseless
     circuit, absorbing the deterministic AC Stark and free-precession phase
@@ -344,17 +334,17 @@ def calibrate_bell_projection(
 
     Coordinate-wise: the parity is sinusoidal in each phase, so each sweep
     samples four quadrature points, extracts the maximising phase and moves
-    on; a few sweeps converge to the joint optimum.
+    on; CALIBRATION_SWEEPS sweeps converge to the joint optimum.
 
     Returns {'phi_e': (a, b), 'phi_n': (a, b), 'parity': best}, a fresh dict
     on each call; the calibration itself runs once per (params,
-    duration_scale, sweeps).
+    duration_scale).
     """
-    return dict(_calibrated_projection(params, duration_scale, sweeps))
+    return dict(_calibrated_projection(params, duration_scale))
 
 
 @functools.lru_cache(maxsize=64)
-def _calibrated_projection(params, duration_scale, sweeps) -> dict:
+def _calibrated_projection(params, duration_scale) -> dict:
     phases = np.zeros(4)  # (phi_e_up, phi_e_down, phi_n_down, phi_n_up)
 
     def circuit(ph):
@@ -365,7 +355,7 @@ def _calibrated_projection(params, duration_scale, sweeps) -> dict:
         return _parity(_sweep(circuit, phase_sets, params, NoiseBatch.of(ZERO_DRAW), "joint"))
 
     (best,) = parity_at(phases)
-    for _ in range(sweeps):
+    for _ in range(CALIBRATION_SWEEPS):
         for i in range(4):
             candidates = [phases.copy() for _ in range(4)]
             for candidate, offset in zip(candidates, (0.0, 90.0, 180.0, 270.0)):
@@ -594,7 +584,6 @@ def run_shuttle_experiments(
     tau_0: float = DEFAULT_SHUTTLE_TAU_0,
     p_err: float = 0.0,
     p_transfer: float = 0.0,
-    qd2_frequency_offset: float = 2.0,
 ) -> ExperimentResult:
     """The three electron-transfer experiments.
 
@@ -643,8 +632,7 @@ def run_shuttle_experiments(
         "phase": ("t_load_us", "nuclear", lambda t_load: shuttle_ramsey_sequence(
             params, t_load, tau_0, p_err=p_err)),
         "electron": ("phi_deg", "electron", lambda phi: electron_shuttle_ramsey(
-            params, final_phase=phi, p_transfer=p_transfer,
-            qd2_frequency_offset=qd2_frequency_offset)),
+            params, final_phase=phi, p_transfer=p_transfer)),
     }
     if variant not in builders:
         raise ValueError(f"unknown shuttle variant {variant!r}")

@@ -172,7 +172,7 @@ def _covariance(jac, cost: float, absolute_sigma: bool):
     return cov if absolute_sigma else cov * (cost / (m - n))
 
 
-def _frequency_grid(x, y, n_grid: int = 10):
+def _frequency_grid(x, y):
     """Candidate frequencies: FFT peak plus a log-spaced sweep up to Nyquist."""
     x = np.asarray(x, dtype=float)
     dx = np.median(np.diff(np.sort(x)))
@@ -181,7 +181,7 @@ def _frequency_grid(x, y, n_grid: int = 10):
     spectrum = np.abs(np.fft.rfft(yc))
     freqs = np.fft.rfftfreq(len(x), d=dx)
     candidates = [freqs[np.argmax(spectrum[1:]) + 1]] if len(freqs) > 1 else []
-    candidates += list(np.geomspace(nyquist / 200, nyquist, n_grid))
+    candidates += list(np.geomspace(nyquist / 200, nyquist, 10))
     return [f for f in candidates if 0 < f <= nyquist], nyquist
 
 
@@ -317,18 +317,17 @@ def fit_hahn(tau, p) -> FitResult:
     return res
 
 
-def fit_flip_intervals(intervals, bins=None) -> FitResult:
+def fit_flip_intervals(intervals) -> FitResult:
     """Characteristic lifetime from waiting intervals between flips: an
     exponential fit to the interval histogram, cross-checked by the
     maximum-likelihood mean (reported in flags)."""
     intervals = np.asarray(intervals, dtype=float)
     if len(intervals) < 10:
         raise ValueError("need at least 10 intervals to fit a lifetime")
-    if bins is None:
-        # Freedman-Diaconis, floor of 5 bins
-        iqr = np.subtract(*np.percentile(intervals, [75, 25]))
-        width = 2 * iqr / len(intervals) ** (1 / 3)
-        bins = max(int(np.ceil(np.ptp(intervals) / width)) if width > 0 else 5, 5)
+    # Freedman-Diaconis, floor of 5 bins
+    iqr = np.subtract(*np.percentile(intervals, [75, 25]))
+    width = 2 * iqr / len(intervals) ** (1 / 3)
+    bins = max(int(np.ceil(np.ptp(intervals) / width)) if width > 0 else 5, 5)
     counts, edges = np.histogram(intervals, bins=bins)
     centers = (edges[:-1] + edges[1:]) / 2
 
@@ -411,6 +410,8 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     hi_half = frequencies[frequencies > f0_guess]
     a2_guess = float(np.std(hi_half)) if len(hi_half) > 10 else spread / 4
     h0 = float(np.max(counts))
+    names = ["f0", "a1", "a2", "sigma", "h1", "h2", "h3", "h4"]
+    bounds = ([-np.inf, 0, 0, bin_width / 4, 0, 0, 0, 0], [np.inf] * 8)
     best = None
     # Poisson uncertainty per bin; absolute so the parameter errors reflect
     # the counting statistics rather than a rescaled residual variance
@@ -418,22 +419,17 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     for a2_0 in (a2_guess, spread / 8, spread / 3):
         res = _fit(
             model, jac, centers, counts.astype(float),
-            [f0_guess, a1_guess, a2_0, bin_width * 2, h0, h0, h0, h0],
-            ([-np.inf, 0, 0, bin_width / 4, 0, 0, 0, 0],
-             [np.inf, np.inf, np.inf, np.inf, np.inf, np.inf, np.inf, np.inf]),
-            ["f0", "a1", "a2", "sigma", "h1", "h2", "h3", "h4"],
-            "esr_histogram", sigma=weights, absolute_sigma=True,
+            [f0_guess, a1_guess, a2_0, bin_width * 2, h0, h0, h0, h0], bounds,
+            names, "esr_histogram", sigma=weights, absolute_sigma=True,
         )
         if best is None or res.residual_norm < best.residual_norm:
             best = res
     # refinement pass weighted by the model prediction: observed-count
     # weights overweight downward fluctuations and bias the width low
-    names = ["f0", "a1", "a2", "sigma", "h1", "h2", "h3", "h4"]
     p_best = [best.parameters[n] for n in names]
     weights = np.sqrt(np.clip(model(centers, *p_best), 1, None))
     refined = _fit(
-        model, jac, centers, counts.astype(float), p_best,
-        ([-np.inf, 0, 0, bin_width / 4, 0, 0, 0, 0], [np.inf] * 8),
+        model, jac, centers, counts.astype(float), p_best, bounds,
         names, "esr_histogram", sigma=weights, absolute_sigma=True,
     )
     if refined.converged:

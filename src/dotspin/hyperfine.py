@@ -350,7 +350,7 @@ def _count_at_least(lateral, vertical, k_hf: float, thresholds) -> np.ndarray:
     return (n - lo).sum(axis=(1, 2))
 
 
-def _lattice_counts(params: WavefunctionParams, k_hf: float, thresholds=()):
+def _lattice_counts(params: WavefunctionParams, k_hf: float, thresholds):
     """(number of sites with |A| >= each threshold, peak |A| in kHz) over
     params' lattice, from the envelope factors without a per-site array."""
     envelope = _envelope(params)
@@ -375,19 +375,6 @@ def calibrate_k_hf(
     return max_a / _peak_density(*envelope)
 
 
-@dataclass
-class HyperfineSample:
-    """One isotope-placement draw: positions (nm) and coupling magnitudes
-    (kHz) of the occupied sites."""
-
-    positions: np.ndarray
-    a_values: np.ndarray
-    ppm: float
-
-    def count_above(self, threshold_khz: float) -> int:
-        return int(np.sum(self.a_values >= threshold_khz))
-
-
 def _k_hf(k_hf: float | None) -> float:
     """The contact prefactor to use: the calibrated one for None, else the
     caller's, refused unless finite and positive (the site counts rely on
@@ -410,23 +397,6 @@ def check_ppm(ppm: float) -> None:
     """Refuse an isotope concentration outside [0, 1e6] ppm."""
     if not 0 <= ppm <= 1e6:
         raise ValueError("ppm must be within [0, 1e6]")
-
-
-def sample_hyperfine(
-    params: WavefunctionParams,
-    ppm: float,
-    rng: np.random.Generator,
-    k_hf: float | None = None,
-) -> HyperfineSample:
-    """Place the isotope independently at each lattice site with probability
-    ppm x 1e-6, drawn from the caller's rng, and evaluate the contact
-    coupling there."""
-    check_ppm(ppm)
-    sites, couplings = site_couplings(params, k_hf)
-    mask = rng.random(len(sites)) < ppm * 1e-6
-    return HyperfineSample(
-        positions=sites[mask], a_values=couplings[mask], ppm=ppm
-    )
 
 
 def _any_occupied(count: int, p_occ: float) -> float:
@@ -485,17 +455,4 @@ def probability_curves(
             rows["probability"].append(p)
             rows["stderr"].append(np.sqrt(p * (1 - p) / draws))
             rows["max_coupling_khz"].append(max_a)
-    return {k: np.array(v) for k, v in rows.items()}
-
-
-def max_coupling_surface(diameter_range, f_z_range, k_hf: float | None = None):
-    """Peak attainable |A| (kHz) over the lattice vs (diameter, F_z)."""
-    k_hf = _k_hf(k_hf)
-    rows = {"diameter_nm": [], "f_z_mv_m": [], "max_coupling_khz": []}
-    for d in np.asarray(diameter_range, dtype=float):
-        for fz in np.asarray(f_z_range, dtype=float):
-            params = WavefunctionParams(dot_diameter=d, f_z=fz)
-            rows["diameter_nm"].append(d)
-            rows["f_z_mv_m"].append(fz)
-            rows["max_coupling_khz"].append(_lattice_counts(params, k_hf)[1])
     return {k: np.array(v) for k, v in rows.items()}

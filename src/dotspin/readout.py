@@ -28,10 +28,6 @@ class ReadoutFidelities:
             if not 0.5 < f <= 1.0:
                 raise ValueError("readout fidelities must be in (0.5, 1]")
 
-    @property
-    def average(self) -> float:
-        return (self.f_down + self.f_up) / 2
-
     def confusion_matrix(self) -> np.ndarray:
         """2x2 map from true to reported electron-state probabilities,
         column = true state (down, up)."""
@@ -41,9 +37,6 @@ class ReadoutFidelities:
                 [1.0 - self.f_down, self.f_up],
             ]
         )
-
-
-IDEAL_FIDELITIES = ReadoutFidelities(f_down=1.0, f_up=1.0)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ dot, hyperfine off, ESR shifted by the inter-dot g-factor difference).
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,17 +108,6 @@ class MeasureNuclear:
     pass
 
 
-_ELEMENT_TYPES = {
-    "pulse": Pulse,
-    "rotation": Rotation,
-    "free": FreeEvolution,
-    "charge": ChargeEvent,
-    "measure_electron": MeasureElectron,
-    "measure_nuclear": MeasureNuclear,
-}
-_TYPE_NAMES = {cls: name for name, cls in _ELEMENT_TYPES.items()}
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     """Ordered control timeline plus the per-channel rotating-frame
@@ -137,50 +125,6 @@ class PulseSequence:
         if self.initial_config not in CHARGE_CONFIGS:
             raise ValueError(f"unknown charge config {self.initial_config!r}")
         validate_sequence(self)
-
-    @property
-    def total_duration(self) -> float:
-        """Sum of element durations, exactly (charge events and ideal
-        rotations are instantaneous)."""
-        total = 0.0
-        for el in self.elements:
-            if isinstance(el, (Pulse, FreeEvolution)):
-                total += el.duration
-        return total
-
-    # -- serialization ----------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "f_e_ref": self.f_e_ref,
-            "f_n_ref": self.f_n_ref,
-            "initial_config": self.initial_config,
-            "qd2_frequency_offset": self.qd2_frequency_offset,
-            "elements": [
-                {"type": _TYPE_NAMES[type(el)], **asdict(el)} for el in self.elements
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PulseSequence":
-        elements = []
-        for spec in data["elements"]:
-            spec = dict(spec)
-            cls_ = _ELEMENT_TYPES[spec.pop("type")]
-            elements.append(cls_(**spec))
-        return cls(
-            elements=tuple(elements),
-            f_e_ref=data["f_e_ref"],
-            f_n_ref=data["f_n_ref"],
-            initial_config=data.get("initial_config", "unloaded"),
-            qd2_frequency_offset=data.get("qd2_frequency_offset", 0.0),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PulseSequence":
-        return cls.from_dict(json.loads(text))
 
 
 def validate_sequence(seq: PulseSequence) -> None:
@@ -214,10 +158,10 @@ def validate_sequence(seq: PulseSequence) -> None:
 # Builders
 
 #: Default drive strengths for the built-in protocols.
-DEFAULT_ESR_RABI = 100.0  # kHz
 DEFAULT_NMR_RABI = 2.0  # kHz
 DEFAULT_PULSE_GAP = 0.2  # us, source-switching dead time between pulses
 BELL_NMR_RABI = 1.0  # kHz, slower conditional NMR drive used in the entangler
+QD2_FREQUENCY_OFFSET = 2.0  # MHz, ESR shift on QD2 from the g-factor difference
 
 
 def pi_duration(rabi_khz: float) -> float:
@@ -246,10 +190,7 @@ def synchronized_esr_rabi(params: SpinSystemParams, k: int = 3) -> float:
 def bell_circuit(
     params: SpinSystemParams,
     projection: tuple | None = None,
-    esr_rabi: float | None = None,
-    nmr_rabi: float = BELL_NMR_RABI,
     duration_scale: float = 1.0,
-    gap: float = DEFAULT_PULSE_GAP,
 ) -> PulseSequence:
     """Entangling circuit preparing (|down,Down> + |up,Up>)/sqrt(2) from
     |down,Down>, with optional X-Y-plane projection pulses.
@@ -264,36 +205,36 @@ def bell_circuit(
     nuclear one so that the electron spends the least possible time in a
     superposition.
 
-    esr_rabi defaults to the splitting-synchronised value, which suppresses
-    off-resonant driving of the spectator ESR line. duration_scale
-    multiplies every pulse duration (models pulse-length calibration error).
-    gap is the dead time between consecutive pulses from the source
-    switching; the joint two-qubit coherence is exposed to electron
-    dephasing during these idle windows.
+    The ESR Rabi frequency is the splitting-synchronised value, which
+    suppresses off-resonant driving of the spectator ESR line; the NMR one
+    is BELL_NMR_RABI. duration_scale multiplies every pulse duration (models
+    pulse-length calibration error). Idle windows of DEFAULT_PULSE_GAP, the
+    dead time of the source switching, separate the NMR and ESR pulse
+    groups; the joint two-qubit coherence is exposed to electron dephasing
+    during them.
     """
     f = transition_frequencies(params)
-    if esr_rabi is None:
-        esr_rabi = synchronized_esr_rabi(params)
+    esr_rabi, nmr_rabi = synchronized_esr_rabi(params), BELL_NMR_RABI
     t_pi_e = pi_duration(esr_rabi) * duration_scale
     t_pi_n = pi_duration(nmr_rabi) * duration_scale
-    idle = [FreeEvolution(gap, "qd1")] if gap > 0 else []
+    idle = FreeEvolution(DEFAULT_PULSE_GAP, "qd1")
 
     elements = [
         ChargeEvent(kind="load_down"),
         # Conditional NMR pi/2 on the electron-down line: nuclear superposition.
         Pulse("NMR", f["f_n_elec_down"], nmr_rabi, t_pi_n / 2),
-        *idle,
+        idle,
         # Conditional ESR pi on the nuclear-up line: entangler.
         Pulse("ESR", f["f_e_nuc_up"], esr_rabi, t_pi_e),
     ]
     if projection is not None:
         phi_n, phi_e = (_phase_pair(p) for p in projection)
         elements += [
-            *idle,
+            idle,
             # Unconditional electron pi/2 from two conditional pi/2 pulses.
             Pulse("ESR", f["f_e_nuc_up"], esr_rabi, t_pi_e / 2, phase=phi_e[0]),
             Pulse("ESR", f["f_e_nuc_down"], esr_rabi, t_pi_e / 2, phase=phi_e[1]),
-            *idle,
+            idle,
             # Unconditional nuclear pi/2 from two conditional pi/2 pulses.
             Pulse("NMR", f["f_n_elec_down"], nmr_rabi, t_pi_n / 2, phase=phi_n[0]),
             Pulse("NMR", f["f_n_elec_up"], nmr_rabi, t_pi_n / 2, phase=phi_n[1]),
@@ -314,7 +255,6 @@ def ramsey_sequence(
     final_phase: float = 0.0,
     charge_config: str = "unloaded",
     ideal_pulses: bool = True,
-    nmr_rabi: float = DEFAULT_NMR_RABI,
 ) -> PulseSequence:
     """Nuclear Ramsey: pi/2 - free(tau) - pi/2(phase) - measure.
 
@@ -322,7 +262,7 @@ def ramsey_sequence(
     the coherence precesses at `detuning_khz` during free evolution.
     """
     return _free_precession(params, tau, detuning_khz, final_phase,
-                            charge_config, ideal_pulses, nmr_rabi, echo=False)
+                            charge_config, ideal_pulses, echo=False)
 
 
 def hahn_sequence(
@@ -332,18 +272,17 @@ def hahn_sequence(
     final_phase: float = 0.0,
     charge_config: str = "unloaded",
     ideal_pulses: bool = True,
-    nmr_rabi: float = DEFAULT_NMR_RABI,
 ) -> PulseSequence:
     """Nuclear Hahn echo: pi/2 - tau - pi - tau - pi/2(phase) - measure.
 
     tau is the half-interval (total free evolution 2*tau).
     """
     return _free_precession(params, tau, detuning_khz, final_phase,
-                            charge_config, ideal_pulses, nmr_rabi, echo=True)
+                            charge_config, ideal_pulses, echo=True)
 
 
 def _free_precession(params, tau, detuning_khz, final_phase, charge_config,
-                     ideal_pulses, nmr_rabi, echo: bool) -> PulseSequence:
+                     ideal_pulses, echo: bool) -> PulseSequence:
     """Ramsey, or with echo=True Hahn (a refocusing pi and a second wait),
     on the bare nuclear line ('unloaded') or, with a spin-down electron
     loaded first, on its electron-down line ('qd1')."""
@@ -356,9 +295,9 @@ def _free_precession(params, tau, detuning_khz, final_phase, charge_config,
     if ideal_pulses:
         half_pi, pi = Rotation("NMR", 90.0), Rotation("NMR", 180.0)
     else:
-        t_pi = pi_duration(nmr_rabi)
-        half_pi = Pulse("NMR", line, nmr_rabi, t_pi / 2)
-        pi = Pulse("NMR", line, nmr_rabi, t_pi)
+        t_pi = pi_duration(DEFAULT_NMR_RABI)
+        half_pi = Pulse("NMR", line, DEFAULT_NMR_RABI, t_pi / 2)
+        pi = Pulse("NMR", line, DEFAULT_NMR_RABI, t_pi)
     wait = FreeEvolution(tau, charge_config)
     elements = [ChargeEvent(kind="load_down")] if charge_config == "qd1" else []
     elements += [half_pi, *([wait, pi, wait] if echo else [wait]),
@@ -445,34 +384,23 @@ def electron_shuttle_ramsey(
     params: SpinSystemParams,
     final_phase: float = 0.0,
     p_transfer: float = 0.0,
-    qd2_frequency_offset: float = 2.0,
-    esr_rabi: float = DEFAULT_ESR_RABI,
-    ideal_pulses: bool = True,
 ) -> PulseSequence:
     """Electron Ramsey across a shuttle: first pi/2 with the electron on QD1,
-    second pi/2 at the (g-factor shifted) QD2 frequency after the transfer.
+    second pi/2 at the (g-factor shifted) QD2 frequency after the transfer,
+    both ideal rotations.
 
     p_transfer is the electron dephasing probability of the shuttle, the
     knob that sets the fringe visibility.
     """
     f = transition_frequencies(params)
-    if ideal_pulses:
-        first = Rotation("ESR", 90.0)
-        second = Rotation("ESR", 90.0, phase=final_phase)
-    else:
-        t_half = pi_duration(esr_rabi) / 2
-        first = Pulse("ESR", f["f_e_nuc_down"], esr_rabi, t_half)
-        second = Pulse(
-            "ESR", f["f_e0"] + qd2_frequency_offset, esr_rabi, t_half, phase=final_phase
-        )
     elements = [
-        first,
+        Rotation("ESR", 90.0),
         ChargeEvent(
             kind="shuttle_1_to_2",
             dephase_prob=p_transfer,
             dephase_target="electron",
         ),
-        second,
+        Rotation("ESR", 90.0, phase=final_phase),
         MeasureElectron(),
     ]
     return PulseSequence(
@@ -480,5 +408,5 @@ def electron_shuttle_ramsey(
         f_e_ref=f["f_e_nuc_down"],
         f_n_ref=f["f_n0"],
         initial_config="qd1",
-        qd2_frequency_offset=qd2_frequency_offset,
+        qd2_frequency_offset=QD2_FREQUENCY_OFFSET,
     )

@@ -97,12 +97,7 @@ _FCC_BASIS = np.array(
 _GAUSS_POINTS = 8
 
 
-def second_moment_sum(
-    geometry: ElectrodeGeometry,
-    gamma_n: float = GAMMA_SI,
-    gamma_bath: float = GAMMA_AL,
-    spin_bath: float = SPIN_AL,
-) -> float:
+def second_moment_sum(geometry: ElectrodeGeometry) -> float:
     """Lattice sum of M2 (rad^2/s^2) over the FCC sites of the electrode:
     exact over the sites of the near box around the nucleus, plus the
     continuum integral and its a^2 correction over the rest of the slab (the
@@ -129,7 +124,7 @@ def second_moment_sum(
         slab[2][slab[2] <= geometry.standoff + NEAR_FIELD_NM],
     )
     total = _near_sum(*near, a) + _far_integral(slab, near, a) * 1e54
-    return _moment_prefactor(gamma_n, gamma_bath, spin_bath) * total
+    return _moment_prefactor(GAMMA_SI, GAMMA_AL, SPIN_AL) * total
 
 
 def _near_sum(xs, ys, zs, a: float) -> float:
@@ -309,12 +304,7 @@ def _axis_rule(lo: float, hi: float, closest: float) -> tuple:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def second_moment_cylinder_integral(
-    geometry: ElectrodeGeometry,
-    gamma_n: float = GAMMA_SI,
-    gamma_bath: float = GAMMA_AL,
-    spin_bath: float = SPIN_AL,
-) -> float:
+def second_moment_cylinder_integral(geometry: ElectrodeGeometry) -> float:
     """Continuum M2: the lattice sum replaced by site-density times the
     integral over a coaxial cylinder of equal cross-sectional area, in
     closed form (_cylinder_antiderivative).
@@ -334,7 +324,7 @@ def second_moment_cylinder_integral(
                         - _cylinder_antiderivative(z_lo, radius))
     density = geometry.site_density_nm3  # nm^-3
     # density (nm^-3) * integral (nm^-3) = nm^-6; convert to m^-6
-    return _moment_prefactor(gamma_n, gamma_bath, spin_bath) * density * integral * 1e54
+    return _moment_prefactor(GAMMA_SI, GAMMA_AL, SPIN_AL) * density * integral * 1e54
 
 
 def _cylinder_antiderivative(z: float, radius: float) -> float:

@@ -540,6 +540,24 @@ class TestOutputs:
         assert code == 1
         assert "spline" in err
 
+    @pytest.mark.parametrize("text, config, message", [
+        ("x\n0\n1\n", {}, "fit.input: {path} has one column"),
+        ("x,y\n0,1\n1,2\n", {"y_column": "z"}, "fit.y_column: no column 'z' in {path}"),
+        ("x,y\n0,1\n1\n", {}, "fit.input: {path} data row 2: expected a finite "
+                                "number in column 'y', got None"),
+        ("x,y\n0,1\n1,nan\n", {}, "fit.input: {path} data row 2: expected a finite "
+                                   "number in column 'y', got 'nan'"),
+    ], ids=["one-column", "unknown-y-column", "short-row", "nan-value"])
+    def test_bad_fit_input_refused_by_key_path(self, capsys, tmp_path, text, config,
+                                               message):
+        data = tmp_path / "trace.csv"
+        data.write_text(text)
+        cfg = tmp_path / "fit.json"
+        cfg.write_text(json.dumps({"model": "sinusoid", "input": str(data), **config}))
+        code, _, err = run_cli(capsys, "fit", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: " + message.format(path=data))
+
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
         cfg = tmp_path / "r.json"
         cfg.write_text(json.dumps({
@@ -589,8 +607,7 @@ class TestReproduce:
 
 class TestColdStart:
     def test_import_loads_no_scipy(self):
-        # scipy is imported inside the functions that use it, so runs that
-        # never call it do not pay for its import
+        # no dotspin module imports scipy, which is a test dependency only
         src = os.path.dirname(os.path.dirname(dotspin.__file__))
         # (numpy.polynomial, which the quadrature rules use, neither)
         proc = subprocess.run(

@@ -19,7 +19,7 @@ from dotspin.core import (
     SpinSystemParams,
     apply_dephasing_channel,
     block_unitary,
-    marginal,
+    marginal_of_populations,
     partial_trace_electron,
     rng_for,
     rotating_frame_hamiltonian,
@@ -192,7 +192,7 @@ class TestPropagation:
         t_pi = 1e3 / (2 * rabi)
         state = self._one_pulse(Pulse("ESR", f["f_e_nuc_down"], rabi, t_pi),
                                 QuantumState.basis("down", "down"))
-        assert marginal(state.density_matrix(), "electron")[1] > 0.99
+        assert marginal_of_populations(state.populations(), "electron")[1] > 0.99
 
     def test_detuned_line_barely_driven(self):
         # the same pulse leaves the opposite nuclear manifold nearly untouched
@@ -203,7 +203,7 @@ class TestPropagation:
                                 QuantumState.basis("down", "up"))
         # Rabi formula bound: max transfer = Omega^2 / (Omega^2 + Delta^2)
         bound = rabi**2 / (rabi**2 + 448.5**2)
-        assert marginal(state.density_matrix(), "electron")[1] < 1.5 * bound
+        assert marginal_of_populations(state.populations(), "electron")[1] < 1.5 * bound
 
     def test_rwa_guard_on_excessive_rabi(self):
         # the engine builds its own drive term, so the guard must sit on its path
@@ -222,8 +222,8 @@ class TestStatesAndChannels:
     def test_basis_populations(self):
         s = QuantumState.basis("up", "down")
         assert s.populations()[2] == 1.0
-        assert marginal(s.density_matrix(), "electron")[1] == 1.0
-        assert marginal(s.density_matrix(), "nuclear")[0] == 1.0
+        assert marginal_of_populations(s.populations(), "electron")[1] == 1.0
+        assert marginal_of_populations(s.populations(), "nuclear")[0] == 1.0
 
     @given(p=st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)

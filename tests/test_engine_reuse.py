@@ -225,11 +225,11 @@ def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):
 
 
 def test_calibration_runs_each_coordinate_as_one_stack(engine_runs, monkeypatch):
-    got = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05, 3)
+    got = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05)
     assert len(engine_runs) == 16
     assert engine_runs.count((4, 1)) == 12
     monkeypatch.setattr(experiments, "_sweep", _per_point_sweep)
-    assert experiments._calibrated_projection.__wrapped__(PARAMS, 1.05, 3) == got
+    assert experiments._calibrated_projection.__wrapped__(PARAMS, 1.05) == got
 
 
 @given(
@@ -261,5 +261,5 @@ def test_cached_calibration_returns_equal_distinct_dicts():
     a["phi_e"] = None
     assert experiments.calibrate_bell_projection(PARAMS, 1.05) == b
     # the cache holds exactly what an uncached calibration computes
-    uncached = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05, 3)
+    uncached = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05)
     assert uncached == b

@@ -22,8 +22,8 @@ from dotspin.experiments import (
     run_rabi,
     run_ramsey,
     run_shuttle_experiments,
-    write_csv,
 )
+from dotspin.cli import write_csv
 from dotspin.fitting import fit_sinusoid
 from dotspin.readout import ReadoutFidelities
 from dotspin.sequences import pi_duration
@@ -43,8 +43,7 @@ class TestResultContainer:
             columns={"x": np.array([0.5, 1.5]), "y": np.array([0.25, 0.75])}
         )
         path = tmp_path / "out.csv"
-        with open(path, "w", newline="") as fh:
-            write_csv(res.columns, fh)
+        write_csv(res.columns, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y"
         data = np.loadtxt(lines[1:], delimiter=",")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dotspin.experiments import write_csv
+from dotspin.cli import write_csv
 from dotspin.hyperfine import (
     AIRY_A1,
     CALIBRATION_DIAMETER,
@@ -19,9 +19,7 @@ from dotspin.hyperfine import (
     default_region,
     enclosed_probability,
     generate_lattice,
-    max_coupling_surface,
     probability_curves,
-    sample_hyperfine,
     site_couplings,
     wavefunction_density,
 )
@@ -150,51 +148,25 @@ class TestCalibration:
             calibrate_k_hf(0.01)
 
     def test_surface_orders_in_both_axes(self):
-        table = max_coupling_surface([7.0, 10.0], [15.0, 35.0])
-        m = table["max_coupling_khz"].reshape(2, 2)
+        m = np.transpose([  # (diameter, F_z)
+            probability_curves([7.0, 10.0], [100.0], draws=100, f_z=f_z)["max_coupling_khz"]
+            for f_z in (15.0, 35.0)
+        ])
         assert np.all(m[0] > m[1])  # smaller dot -> stronger coupling
         assert np.all(m[:, 1] > m[:, 0])  # stronger field -> stronger coupling
 
 
 @pytest.mark.parametrize("k_hf", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
-@pytest.mark.parametrize("entry", ["probability_curves", "max_coupling_surface",
-                                   "site_couplings"])
+@pytest.mark.parametrize("entry", ["probability_curves", "site_couplings"])
 def test_bad_k_hf_refused_by_name(entry, k_hf):
     # the site counts take the coupling to rise with the density
     call = {
         "probability_curves": lambda: probability_curves([8.0], [100.0], draws=100,
                                                          k_hf=k_hf),
-        "max_coupling_surface": lambda: max_coupling_surface([8.0], [25.0], k_hf=k_hf),
         "site_couplings": lambda: site_couplings(WavefunctionParams(), k_hf=k_hf),
     }[entry]
     with pytest.raises(ValueError, match="k_hf must be finite and positive, got"):
         call()
-
-
-class TestSampling:
-    def test_occupancy_statistics(self):
-        params = WavefunctionParams(dot_diameter=8.0)
-        n_sites = len(site_couplings(params)[0])
-        ppm = 800.0
-        rng = np.random.default_rng(0)
-        counts = [len(sample_hyperfine(params, ppm, rng).a_values) for _ in range(60)]
-        expected = n_sites * ppm * 1e-6
-        se = np.sqrt(expected / 60)
-        assert abs(np.mean(counts) - expected) < 4 * se
-
-    def test_ppm_bounds(self):
-        params = WavefunctionParams(dot_diameter=8.0)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_hyperfine(params, -1.0, rng)
-        with pytest.raises(ValueError):
-            sample_hyperfine(params, 2e6, rng)
-
-    def test_count_above_threshold(self):
-        params = WavefunctionParams(dot_diameter=8.0)
-        s = sample_hyperfine(params, 800.0, np.random.default_rng(1))
-        assert s.count_above(0.0) == len(s.a_values)
-        assert s.count_above(1e9) == 0
 
 
 class TestProbabilityCurves:
@@ -249,8 +221,7 @@ class TestProbabilityCurves:
     def test_export_csv(self, tmp_path):
         table = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])}
         path = tmp_path / "t.csv"
-        with open(path, "w", newline="") as fh:
-            write_csv(table, fh)
+        write_csv(table, str(path))
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data, np.array([[1.0, 3.0], [2.0, 4.0]]))
 

@@ -21,7 +21,6 @@ from dotspin.hyperfine import (
     default_region,
     enclosed_probability,
     generate_lattice,
-    max_coupling_surface,
     probability_curves,
     site_couplings,
 )
@@ -130,10 +129,11 @@ def test_sweeps_match_the_loop_through_site_couplings(k_hf):
     for key in fast:
         assert np.array_equal(fast[key], np.array(slow[key])), key
     assert 0 < np.mean(fast["probability"]) < 1
-    surface = max_coupling_surface(diameters, f_zs, k_hf=k_hf)
-    slow_peaks = [ref.site_couplings(WavefunctionParams(dot_diameter=d, f_z=fz), k)[1].max()
-                  for d in diameters for fz in f_zs]
-    assert np.array_equal(surface["max_coupling_khz"], np.array(slow_peaks))
+    for f_z in f_zs:  # the peak away from the default F_z
+        peaks = probability_curves(diameters, [100.0], draws=100, f_z=f_z, k_hf=k_hf)
+        slow_peaks = [ref.site_couplings(WavefunctionParams(dot_diameter=d, f_z=f_z), k)[1].max()
+                      for d in diameters]
+        assert np.array_equal(peaks["max_coupling_khz"], np.array(slow_peaks))
 
 
 @pytest.mark.parametrize("diameters, thresholds, draws", [
@@ -152,8 +152,6 @@ def test_exact_curves_match_monte_carlo(diameters, thresholds, draws):
     assert np.array_equal(table["stderr"], np.sqrt(exact * (1 - exact) / draws))
     se = np.maximum(table["stderr"], mc["stderr"].ravel())
     assert np.all(np.abs(exact - mc["probability"].ravel()) <= 5 * se)
-    surface = max_coupling_surface(diameters, [DEFAULT_F_Z], k_hf=k_hf)
-    assert np.array_equal(surface["max_coupling_khz"], mc["max_coupling_khz"][:, 0])
 
 
 def test_sweeps_build_no_site_positions(monkeypatch):
@@ -165,7 +163,6 @@ def test_sweeps_build_no_site_positions(monkeypatch):
     monkeypatch.setattr(hyperfine, "_sites", refuse("site positions"))
     monkeypatch.setattr(hyperfine, "_lattice_density", refuse("per-site density"))
     probability_curves([4.0, 8.0], [100.0, 300.0], draws=100)
-    max_coupling_surface([4.0], [20.0, 30.0])
     calibrate_k_hf.__wrapped__(5.0, 30.0, 400.0)
     with pytest.raises(AssertionError, match="site positions built"):
         site_couplings(WavefunctionParams(dot_diameter=4.0))

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
 from dotspin.readout import (
-    IDEAL_FIDELITIES,
     NuclearReadoutConfig,
     ReadoutFidelities,
     confuse_readout,
@@ -170,7 +169,7 @@ class TestRepetitiveReadout:
 class TestConfusionCorrection:
     def test_ideal_is_identity(self):
         p = np.array([0.1, 0.2, 0.3, 0.4])
-        out = correct_readout(p, IDEAL_FIDELITIES)
+        out = correct_readout(p, ReadoutFidelities(f_down=1.0, f_up=1.0))
         assert np.allclose(out["probabilities"], p)
         assert not out["clamped"]
 

@@ -1,4 +1,4 @@
-"""Timeline construction, validation and serialization."""
+"""Timeline construction and validation."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,12 @@ from dotspin.sequences import (
 )
 
 PARAMS = SpinSystemParams()
+
+
+def total_duration(seq: PulseSequence) -> float:
+    """Sum of the element durations (charge events and ideal rotations are
+    instantaneous)."""
+    return sum(el.duration for el in seq.elements if isinstance(el, (Pulse, FreeEvolution)))
 
 
 class TestElements:
@@ -133,7 +139,7 @@ class TestBuilders:
     def test_bell_duration_scale(self):
         base = bell_circuit(PARAMS)
         scaled = bell_circuit(PARAMS, duration_scale=1.05)
-        assert scaled.total_duration > base.total_duration
+        assert total_duration(scaled) > total_duration(base)
 
     def test_ramsey_frame_detuning(self):
         seq = ramsey_sequence(PARAMS, tau=100.0, detuning_khz=2.0)
@@ -148,7 +154,7 @@ class TestBuilders:
 
     def test_shuttle_ramsey_time_budget(self):
         seq = shuttle_ramsey_sequence(PARAMS, t_load=120.0, tau_0=500.0)
-        assert seq.total_duration == pytest.approx(500.0)
+        assert total_duration(seq) == pytest.approx(500.0)
         configs = [el.charge_config for el in seq.elements
                    if isinstance(el, FreeEvolution)]
         assert configs == ["qd2", "qd1", "qd2"]
@@ -161,7 +167,7 @@ class TestBuilders:
         assert len(events) == 10
         unloads = [e for e in events if e.kind == "shuttle_1_to_2"]
         assert all(e.dephase_prob == 0.1 for e in unloads)
-        assert seq.total_duration == pytest.approx(500.0)
+        assert total_duration(seq) == pytest.approx(500.0)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_repeated_load_equals_an_element_by_element_build(self, k):
@@ -187,16 +193,3 @@ class TestBuilders:
         assert event.dephase_target == "electron"
         assert event.dephase_prob == 0.3
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("build", [
-        lambda: bell_circuit(PARAMS, projection=((10.0, 20.0), (30.0, 40.0))),
-        lambda: ramsey_sequence(PARAMS, 100.0, 2.0, charge_config="qd1"),
-        lambda: hahn_sequence(PARAMS, 500.0, ideal_pulses=False),
-        lambda: shuttle_ramsey_sequence(PARAMS, 50.0, 500.0, p_err=0.01),
-        lambda: electron_shuttle_ramsey(PARAMS, 45.0, p_transfer=0.2),
-    ])
-    def test_json_round_trip_lossless(self, build):
-        seq = build()
-        restored = PulseSequence.from_json(seq.to_json())
-        assert restored == seq
