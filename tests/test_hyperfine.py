@@ -16,6 +16,7 @@ from dotspin.hyperfine import (
     _vertical_profile,
     airy_length,
     calibrate_k_hf,
+    check_ppm,
     default_region,
     enclosed_probability,
     generate_lattice,
@@ -167,6 +168,17 @@ def test_bad_k_hf_refused_by_name(entry, k_hf):
     }[entry]
     with pytest.raises(ValueError, match="k_hf must be finite and positive, got"):
         call()
+
+
+class TestSampling:
+    def test_ppm_bounds(self):
+        # the isotope concentration is a fraction of sites, 0 to 1e6 ppm
+        with pytest.raises(ValueError, match="ppm must be within"):
+            check_ppm(-1.0)
+        with pytest.raises(ValueError, match="ppm must be within"):
+            check_ppm(2e6)
+        for ppm in (0.0, 800.0, 1e6):
+            check_ppm(ppm)
 
 
 class TestProbabilityCurves:
