@@ -65,6 +65,12 @@ class NuclearReadoutConfig:
         # a probability; the comparison also refuses NaN and +-inf
         if not 0 <= self.f_e_avg <= 1:
             raise ValueError(f"f_e_avg must be in [0, 1], got {self.f_e_avg!r}")
+        # repetitive_nuclear_readout's per-draw thresholds, built once per
+        # config: two reads, then the per-shot flip probability
+        hazard = 2.0 * self.t_shot_ms * 1e-3 / (self.t1_n_hours * 3600.0)
+        thresholds = np.array([self.f_e_avg, self.f_e_avg, -math.expm1(-hazard)])
+        thresholds.flags.writeable = False
+        object.__setattr__(self, "_thresholds", thresholds)
 
 
 def repetitive_nuclear_readout(
@@ -85,22 +91,22 @@ def repetitive_nuclear_readout(
     """
     if previous_reported is None:
         previous_reported = nuclear_up
-    hazard = 2.0 * config.t_shot_ms * 1e-3 / (config.t1_n_hours * 3600.0)
-    p_flip = -np.expm1(-hazard)  # per-shot flip probability
-    # per shot, in stream order: two reads, then the flip draw
-    draws = rng.random((config.m_shots, 3))
-    flips = draws[:, 2] < p_flip
-    wrong = draws[:, :2] >= config.f_e_avg
-    if flips.any():
-        # the nucleus during shot i has flipped once per earlier shot's flip
-        flipped = (np.cumsum(flips) - flips) % 2 == 1
-        state = flipped != bool(nuclear_up)
-        votes_up = int(np.count_nonzero(state[:, None] != wrong))
-    else:
+    m = config.m_shots
+    # per shot, in stream order: two reads, then the flip draw; one byte per
+    # draw, 1 for a correct read and 1 for a flip
+    hits = (rng.random((m, 3)) < config._thresholds).tobytes()
+    if 1 not in hits[2::3]:
         # the usual case at T1 >> M t_shot: every read sees the initial state
-        n_wrong = int(np.count_nonzero(wrong))
-        votes_up = 2 * config.m_shots - n_wrong if nuclear_up else n_wrong
-    votes_down = 2 * config.m_shots - votes_up
+        n_correct = hits.count(1)
+        votes_up = n_correct if nuclear_up else 2 * m - n_correct
+    else:
+        state, votes_up = nuclear_up, 0
+        for i in range(0, 3 * m, 3):
+            n_correct = hits[i] + hits[i + 1]
+            votes_up += n_correct if state else 2 - n_correct
+            if hits[i + 2]:
+                state = not state
+    votes_down = 2 * m - votes_up
     if votes_up > votes_down:
         reported = True
     elif votes_up < votes_down:

@@ -161,7 +161,6 @@ def validate_sequence(seq: PulseSequence) -> None:
 DEFAULT_NMR_RABI = 2.0  # kHz
 DEFAULT_PULSE_GAP = 0.2  # us, source-switching dead time between pulses
 BELL_NMR_RABI = 1.0  # kHz, slower conditional NMR drive used in the entangler
-QD2_FREQUENCY_OFFSET = 2.0  # MHz, ESR shift on QD2 from the g-factor difference
 
 
 def pi_duration(rabi_khz: float) -> float:
@@ -386,8 +385,8 @@ def electron_shuttle_ramsey(
     p_transfer: float = 0.0,
 ) -> PulseSequence:
     """Electron Ramsey across a shuttle: first pi/2 with the electron on QD1,
-    second pi/2 at the (g-factor shifted) QD2 frequency after the transfer,
-    both ideal rotations.
+    second pi/2 after the transfer to QD2, both ideal rotations. Nothing
+    evolves freely on QD2, so no QD2 g-factor shift is modelled.
 
     p_transfer is the electron dephasing probability of the shuttle, the
     knob that sets the fringe visibility.
@@ -408,5 +407,4 @@ def electron_shuttle_ramsey(
         f_e_ref=f["f_e_nuc_down"],
         f_n_ref=f["f_n0"],
         initial_config="qd1",
-        qd2_frequency_offset=QD2_FREQUENCY_OFFSET,
     )

@@ -337,6 +337,21 @@ def test_angular_laplacian_matches_finite_differences():
          previous_reported=None, seed=0)
 @example(m_shots=26, f_e_avg=0.765, t1_n_hours=1e-7, nuclear_up=False,
          previous_reported=True, seed=0)
+# the edges of the flip loop. At T1 = 1e-4 h a shot flips with probability
+# 0.0435; searched over seeds 0.., the first call of seed 43 flips in its
+# first shot only and that of seed 26 in its last shot only (M = 26), and
+# with M = 1 seed 0 flips in its one shot. All reads are wrong at
+# f_e_avg = 0 and all are correct at f_e_avg = 1.
+@example(m_shots=26, f_e_avg=0.765, t1_n_hours=1e-4, nuclear_up=True,
+         previous_reported=None, seed=43)
+@example(m_shots=26, f_e_avg=0.765, t1_n_hours=1e-4, nuclear_up=False,
+         previous_reported=None, seed=26)
+@example(m_shots=1, f_e_avg=0.765, t1_n_hours=1e-4, nuclear_up=True,
+         previous_reported=False, seed=0)
+@example(m_shots=26, f_e_avg=0.0, t1_n_hours=1.0, nuclear_up=True,
+         previous_reported=None, seed=0)
+@example(m_shots=26, f_e_avg=1.0, t1_n_hours=1e-4, nuclear_up=False,
+         previous_reported=None, seed=43)
 def test_readout_matches_scalar_draw_loop(m_shots, f_e_avg, t1_n_hours,
                                           nuclear_up, previous_reported, seed):
     config = NuclearReadoutConfig(m_shots=m_shots, f_e_avg=f_e_avg,
@@ -348,4 +363,7 @@ def test_readout_matches_scalar_draw_loop(m_shots, f_e_avg, t1_n_hours,
             nuclear_up, config, ref_rng, previous_reported)
         assert out == expected
         assert type(out["votes_up"]) is int
+        assert type(out["votes_down"]) is int
+        if previous_reported is None:
+            assert type(out["reported"]) is bool
         assert rng.bit_generator.state == ref_rng.bit_generator.state
