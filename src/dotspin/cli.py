@@ -38,6 +38,7 @@ from .experiments import (
 )
 from . import fitting, hyperfine, vanvleck
 from .readout import NuclearReadoutConfig, _best_shots, fidelity_curve
+from .sequences import nmr_line
 
 FIGURE_IDS = ("2e", "2f", "2gj", "3ce", "4b", "4d", "4f", "ext1", "s1", "s2")
 
@@ -306,8 +307,7 @@ def _run_spectrum(config, trials, seed):
 
 def _run_chevron(config, trials, seed):
     params = _build_params(config)
-    f = transition_frequencies(params)
-    centre = f["f_n_elec_down"] if config.get("charge_config") == "qd1" else f["f_n0"]
+    centre = nmr_line(params, **_given(config, "charge_config", "electron_spin"))
     freqs = _linspace(config, "freq", centre - 0.01, centre + 0.01, 21)
     durs = _linspace(config, "dur", 25.0, 1000.0, 21)
     return run_nmr_chevron(

@@ -318,7 +318,6 @@ def rotating_frame_hamiltonian(
     noise_draw: NoiseDraw | NoiseBatch = ZERO_DRAW,
     frame: tuple | None = None,
     charge_config: str = "qd1",
-    qd2_frequency_offset: float = 0.0,
 ) -> np.ndarray:
     """Drive-free secular Hamiltonian in the frame rotating at (f_e_ref, f_n_ref).
 
@@ -326,7 +325,8 @@ def rotating_frame_hamiltonian(
     'qd1', the quasi-static noise offsets on I_z / S_z, the additive I_x
     drive-amplitude noise, and the spectator detuning on the ESR line. The
     sequence engine adds the co-rotating drive terms; frame=(0, 0) gives the
-    lab-frame Zeeman + secular hyperfine Hamiltonian.
+    lab-frame Zeeman + secular hyperfine Hamiltonian. 'qd2' and 'unloaded'
+    give the same matrix: no hyperfine term, and no QD2 g-factor shift.
 
     A NoiseDraw gives a 4x4 matrix; a NoiseBatch of N draws gives (N, 4, 4),
     Hermitian by construction (real coefficients times Hermitian operators);
@@ -334,8 +334,6 @@ def rotating_frame_hamiltonian(
     """
     alpha = -params.b_ext * params.gamma_e * 1e3
     beta = -params.b_ext * params.gamma_n
-    if charge_config == "qd2":
-        alpha = alpha + qd2_frequency_offset
     alpha = alpha + np.where(
         noise_draw.spectator_detuned, abs(params.a_spectator) * 1e-3, 0.0
     )

@@ -125,7 +125,7 @@ def stack_key(seq: PulseSequence) -> tuple:
     channels, charge configs, whether each pulse is on its frame reference
     and each free evolution non-zero, and whole charge events and
     measurements."""
-    key = [seq.initial_config, seq.qd2_frequency_offset]
+    key = [seq.initial_config]
     for el in seq.elements:
         if isinstance(el, Pulse):
             f_ref = seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref
@@ -153,11 +153,11 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     load_keeps_pure = pure and not psi0[2:].any()
     state0 = psi0 if pure else initial_state.density_matrix()
     state = np.repeat(state0[None], len(batch), axis=0)
-    head, frame = seqs[0], _columns(seqs, ("f_e_ref", "f_n_ref"))
+    frame = _columns(seqs, ("f_e_ref", "f_n_ref"))
     # with no I_x noise every drive-free Hamiltonian is diagonal; a property
     # of the batch alone, so a lone run and a stacked run take the same path
     diagonal = not np.any(batch.delta_ix)
-    config = head.initial_config
+    config = seqs[0].initial_config
     t = 0.0  # absolute sequence time, us
     records = []
     static = {}  # charge config -> drive-free Hamiltonians of the batch
@@ -165,10 +165,7 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
 
     def h_static(config):
         if config not in static:
-            static[config] = rotating_frame_hamiltonian(
-                params, noise_draw=batch, frame=frame, charge_config=config,
-                qd2_frequency_offset=head.qd2_frequency_offset,
-            )
+            static[config] = rotating_frame_hamiltonian(params, batch, frame, config)
         return static[config]
 
     for els in zip(*(seq.elements for seq in seqs), strict=True):

@@ -45,6 +45,7 @@ from .sequences import (
     bell_circuit,
     electron_shuttle_ramsey,
     hahn_sequence,
+    nmr_line,
     ramsey_sequence,
     repeated_load_sequence,
     shuttle_ramsey_sequence,
@@ -192,9 +193,10 @@ def run_nmr_chevron(
 
 
 def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResult:
-    """Resonant Rabi oscillation: a single-frequency chevron slice."""
+    """Rabi oscillation: a single-frequency chevron slice, resonant by default."""
     if frequency is None:
-        frequency = transition_frequencies(params)["f_n0"]
+        frequency = nmr_line(params, kwargs.get("charge_config", "unloaded"),
+                             kwargs.get("electron_spin", "down"))
     return run_nmr_chevron([frequency], duration_range, params, **kwargs)
 
 
@@ -203,15 +205,14 @@ def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResu
 
 
 def _run_free_precession(kind, tau_range, detuning_khz, params, noise, trials,
-                         seed, charge_config, ideal_pulses) -> ExperimentResult:
+                         seed, charge_config) -> ExperimentResult:
     tau_range = np.asarray(tau_range, dtype=float)
     if tau_range.size == 0 or np.any(tau_range < 0):
         raise ValueError("tau_range must be non-empty and non-negative")
     make = ramsey_sequence if kind == "ramsey" else hahn_sequence
 
     def build(tau):
-        return make(params, tau, detuning_khz=detuning_khz,
-                       charge_config=charge_config, ideal_pulses=ideal_pulses)
+        return make(params, tau, detuning_khz=detuning_khz, charge_config=charge_config)
 
     p = _sweep(build, tau_range, params, _draws(noise, seed, trials), "nuclear")[:, 1]
     return ExperimentResult(columns={
@@ -227,13 +228,12 @@ def run_ramsey(
     trials: int = 2000,
     seed: int = 0,
     charge_config: str = "unloaded",
-    ideal_pulses: bool = True,
 ) -> ExperimentResult:
     """Detuned nuclear Ramsey decay. The default 2 kHz detuning gives at
     least ten fringes within the unloaded dephasing time."""
     return _run_free_precession(
         "ramsey", tau_range, detuning_khz, params or SpinSystemParams(),
-        noise or NoiseModel(), trials, seed, charge_config, ideal_pulses
+        noise or NoiseModel(), trials, seed, charge_config
     )
 
 
@@ -245,13 +245,12 @@ def run_hahn(
     trials: int = 2000,
     seed: int = 0,
     charge_config: str = "unloaded",
-    ideal_pulses: bool = True,
 ) -> ExperimentResult:
     """Nuclear Hahn echo; tau is the half-interval. Pure quasi-static
     detuning noise is refocused exactly."""
     return _run_free_precession(
         "hahn", tau_range, detuning_khz, params or SpinSystemParams(),
-        noise or NoiseModel(), trials, seed, charge_config, ideal_pulses
+        noise or NoiseModel(), trials, seed, charge_config
     )
 
 
@@ -407,9 +406,6 @@ class BellTomographyResult:
     fidelity: float
     components: dict  # f_zz, f_xx, f_yy
     calibration: dict
-    initial_nuclear: str
-    trials: int
-    seed: int
     correction_clamped: bool = False
 
 
@@ -474,8 +470,7 @@ def run_bell_tomography(
     return BellTomographyResult(
         probabilities=corrected, raw_probabilities=raw, fidelity=float(fidelity),
         components={"f_zz": f_zz, "f_xx": f_xx, "f_yy": f_yy},
-        calibration=calibration, initial_nuclear=initial_nuclear, trials=trials,
-        seed=seed, correction_clamped=clamped,
+        calibration=calibration, correction_clamped=clamped,
     )
 
 

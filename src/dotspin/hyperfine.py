@@ -360,37 +360,19 @@ def _lattice_counts(params: WavefunctionParams, k_hf: float, thresholds):
     return counts, float(k_hf * _peak_density(*envelope))
 
 
-@lru_cache(maxsize=16)
-def calibrate_k_hf(
-    diameter: float = CALIBRATION_DIAMETER,
-    f_z: float = DEFAULT_F_Z,
-    max_a: float = CALIBRATION_MAX_A,
-) -> float:
-    """Contact prefactor K_hf (kHz nm^3) fixed so a dot of the given
-    diameter supports max_a as the peak coupling attainable at an actual
-    lattice site (the best-placed nucleus the device could host)."""
-    envelope = _envelope(WavefunctionParams(dot_diameter=diameter, f_z=f_z))
-    if envelope is None:
-        raise ValueError(f"no lattice site fits the box of a {diameter} nm dot")
-    return max_a / _peak_density(*envelope)
+@lru_cache(maxsize=1)
+def calibrate_k_hf() -> float:
+    """Contact prefactor K_hf (kHz nm^3) fixed so a CALIBRATION_DIAMETER dot at
+    DEFAULT_F_Z supports CALIBRATION_MAX_A as the peak coupling attainable at
+    an actual lattice site (the best-placed nucleus the device could host)."""
+    envelope = _envelope(WavefunctionParams(dot_diameter=CALIBRATION_DIAMETER))
+    return CALIBRATION_MAX_A / _peak_density(*envelope)
 
 
-def _k_hf(k_hf: float | None) -> float:
-    """The contact prefactor to use: the calibrated one for None, else the
-    caller's, refused unless finite and positive (the site counts rely on
-    the coupling rising with the density)."""
-    if k_hf is None:
-        return calibrate_k_hf()
-    if not (math.isfinite(k_hf) and k_hf > 0):
-        raise ValueError(f"k_hf must be finite and positive, got {k_hf!r}")
-    return k_hf
-
-
-def site_couplings(params: WavefunctionParams, k_hf: float | None = None):
+def site_couplings(params: WavefunctionParams):
     """Lattice positions and their |A| in kHz (every site, occupied or not)."""
-    k_hf = _k_hf(k_hf)
     sites = generate_lattice(params.region, params.lattice_constant)
-    return sites, k_hf * _lattice_density(params)
+    return sites, calibrate_k_hf() * _lattice_density(params)
 
 
 def check_ppm(ppm: float) -> None:
@@ -415,7 +397,6 @@ def probability_curves(
     ppm: float = 800.0,
     draws: int = 1000,
     f_z: float = DEFAULT_F_Z,
-    k_hf: float | None = None,
 ) -> dict:
     """P(at least one occupied site with |A| >= threshold) vs dot diameter.
 
@@ -439,7 +420,7 @@ def probability_curves(
     for name, values in (("diameter_range", diameter_range), ("thresholds", thresholds)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
-    k_hf = _k_hf(k_hf)
+    k_hf = calibrate_k_hf()
     p_occ = ppm * 1e-6
 
     rows = {k: [] for k in

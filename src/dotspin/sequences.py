@@ -7,12 +7,13 @@ phases in degrees.
 
 Charge configurations: 'unloaded' (no electron), 'qd1' (electron on the dot
 hosting the nucleus, hyperfine active), 'qd2' (electron on the neighbouring
-dot, hyperfine off, ESR shifted by the inter-dot g-factor difference).
+dot, hyperfine off). 'qd2' evolves freely as 'unloaded' does, but its
+electron is loaded: ESR is allowed and the shuttle events apply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -117,11 +118,10 @@ class PulseSequence:
     f_e_ref: float
     f_n_ref: float
     initial_config: str = "unloaded"
-    qd2_frequency_offset: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        _require_finite(self, ("f_e_ref", "f_n_ref", "qd2_frequency_offset"))
+        _require_finite(self, ("f_e_ref", "f_n_ref"))
         if self.initial_config not in CHARGE_CONFIGS:
             raise ValueError(f"unknown charge config {self.initial_config!r}")
         validate_sequence(self)
@@ -247,41 +247,42 @@ def bell_circuit(
     )
 
 
+def nmr_line(params: SpinSystemParams, charge_config: str = "unloaded",
+             electron_spin: str = "down") -> float:
+    """The NMR line (MHz) a charge config drives: f_n0 with no electron on
+    the nucleus's dot, and in 'qd1' f_n_elec_down or f_n_elec_up."""
+    if electron_spin not in ("down", "up"):
+        raise ValueError(f"electron_spin must be 'down' or 'up', got {electron_spin!r}")
+    f = transition_frequencies(params)
+    return f[f"f_n_elec_{electron_spin}"] if charge_config == "qd1" else f["f_n0"]
+
+
 def ramsey_sequence(
     params: SpinSystemParams,
     tau: float,
     detuning_khz: float = 0.0,
-    final_phase: float = 0.0,
     charge_config: str = "unloaded",
-    ideal_pulses: bool = True,
 ) -> PulseSequence:
-    """Nuclear Ramsey: pi/2 - free(tau) - pi/2(phase) - measure.
+    """Nuclear Ramsey: pi/2 - free(tau) - pi/2 - measure, ideal rotations.
 
     The detuning is implemented by offsetting the nuclear frame reference, so
     the coherence precesses at `detuning_khz` during free evolution.
     """
-    return _free_precession(params, tau, detuning_khz, final_phase,
-                            charge_config, ideal_pulses, echo=False)
+    return _free_precession(params, tau, detuning_khz, charge_config, echo=False)
 
 
 def hahn_sequence(
     params: SpinSystemParams,
     tau: float,
     detuning_khz: float = 0.0,
-    final_phase: float = 0.0,
     charge_config: str = "unloaded",
-    ideal_pulses: bool = True,
 ) -> PulseSequence:
-    """Nuclear Hahn echo: pi/2 - tau - pi - tau - pi/2(phase) - measure.
-
-    tau is the half-interval (total free evolution 2*tau).
-    """
-    return _free_precession(params, tau, detuning_khz, final_phase,
-                            charge_config, ideal_pulses, echo=True)
+    """Nuclear Hahn echo: pi/2 - tau - pi - tau - pi/2 - measure, ideal
+    rotations; tau is the half-interval (total free evolution 2*tau)."""
+    return _free_precession(params, tau, detuning_khz, charge_config, echo=True)
 
 
-def _free_precession(params, tau, detuning_khz, final_phase, charge_config,
-                     ideal_pulses, echo: bool) -> PulseSequence:
+def _free_precession(params, tau, detuning_khz, charge_config, echo) -> PulseSequence:
     """Ramsey, or with echo=True Hahn (a refocusing pi and a second wait),
     on the bare nuclear line ('unloaded') or, with a spin-down electron
     loaded first, on its electron-down line ('qd1')."""
@@ -289,22 +290,15 @@ def _free_precession(params, tau, detuning_khz, final_phase, charge_config,
         raise ValueError(
             f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}"
         )
-    f = transition_frequencies(params)
-    line = f["f_n_elec_down"] if charge_config == "qd1" else f["f_n0"]
-    if ideal_pulses:
-        half_pi, pi = Rotation("NMR", 90.0), Rotation("NMR", 180.0)
-    else:
-        t_pi = pi_duration(DEFAULT_NMR_RABI)
-        half_pi = Pulse("NMR", line, DEFAULT_NMR_RABI, t_pi / 2)
-        pi = Pulse("NMR", line, DEFAULT_NMR_RABI, t_pi)
+    half_pi, pi = Rotation("NMR", 90.0), Rotation("NMR", 180.0)
     wait = FreeEvolution(tau, charge_config)
     elements = [ChargeEvent(kind="load_down")] if charge_config == "qd1" else []
     elements += [half_pi, *([wait, pi, wait] if echo else [wait]),
-                 replace(half_pi, phase=final_phase), MeasureNuclear()]
+                 half_pi, MeasureNuclear()]
     return PulseSequence(
         elements=tuple(elements),
-        f_e_ref=f["f_e0"],
-        f_n_ref=line - detuning_khz * 1e-3,
+        f_e_ref=transition_frequencies(params)["f_e0"],
+        f_n_ref=nmr_line(params, charge_config) - detuning_khz * 1e-3,
         initial_config="unloaded",
     )
 
@@ -314,7 +308,6 @@ def shuttle_ramsey_sequence(
     t_load: float,
     tau_0: float,
     p_err: float = 0.0,
-    final_phase: float = 0.0,
 ) -> PulseSequence:
     """Nuclear Ramsey with the electron moved onto the nucleus's dot for
     t_load out of a fixed total precession time tau_0.
@@ -335,7 +328,7 @@ def shuttle_ramsey_sequence(
         FreeEvolution(t_load, "qd1"),
         ChargeEvent(kind="shuttle_1_to_2", dephase_prob=p_err),
         FreeEvolution(t_side, "qd2"),
-        Rotation("NMR", 90.0, phase=final_phase),
+        Rotation("NMR", 90.0),
         MeasureNuclear(),
     ]
     return PulseSequence(

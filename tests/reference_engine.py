@@ -162,8 +162,6 @@ def _static_hamiltonian(
     """Drive-free rotating-frame Hamiltonian for the current charge config."""
     alpha = -params.b_ext * params.gamma_e * 1e3
     beta = -params.b_ext * params.gamma_n
-    if config == "qd2":
-        alpha = alpha + seq.qd2_frequency_offset
     if noise.spectator_detuned:
         alpha = alpha + abs(params.a_spectator) * 1e-3
     h = (alpha - seq.f_e_ref) * SZ + (beta - seq.f_n_ref) * IZ

@@ -110,7 +110,7 @@ def calibrate_k_hf(diameter: float, f_z: float, max_a: float) -> float:
 
 
 def monte_carlo_curves(diameters, thresholds, ppm: float, draws: int,
-                       f_z: float, k_hf: float, seed: int = 0) -> dict:
+                       f_z: float, seed: int = 0) -> dict:
     """P(at least one occupied site with |A| >= threshold) by draws: each draw
     occupies every site independently with probability ppm x 1e-6, on one
     generator per diameter d keyed (seed, int(d * 1e6)). Returns the
@@ -122,7 +122,7 @@ def monte_carlo_curves(diameters, thresholds, ppm: float, draws: int,
     out = {k: [] for k in ("probability", "stderr", "count", "max_coupling_khz")}
     for d in diameters:
         params = WavefunctionParams(dot_diameter=d, f_z=f_z)
-        couplings = hyperfine.site_couplings(params, k_hf)[1]
+        couplings = hyperfine.site_couplings(params)[1]
         order = np.sort(couplings[couplings >= thresholds.min()])
         rng = rng_for(seed, int(d * 1e6))
         hits = np.zeros(len(thresholds))

@@ -101,7 +101,6 @@ def sequences(draw, max_elements=8):
         f_e_ref=FREQS["f_e0"] + draw(st.floats(-0.3, 0.3)),
         f_n_ref=FREQS["f_n0"] + draw(st.floats(-0.3, 0.3)) * 1e-2,
         initial_config=initial_config,
-        qd2_frequency_offset=draw(st.floats(-1.0, 1.0)),
     )
 
 
@@ -179,7 +178,6 @@ def test_every_element_kind_matches_reference():
         f_e_ref=f["f_e0"],
         f_n_ref=f["f_n0"],
         initial_config="unloaded",
-        qd2_frequency_offset=0.5,
     )
     draws = [
         NoiseDraw(delta_ix=0.7, delta_iz=-1.1, delta_sz=12.0),

@@ -11,6 +11,7 @@ import pytest
 import dotspin
 from dotspin import cli
 from dotspin.cli import FIGURE_IDS, ConfigError, _write_table, main, validate_config
+from dotspin.core import SpinSystemParams, transition_frequencies
 
 
 def run_cli(capsys, *argv):
@@ -603,6 +604,28 @@ class TestReproduce:
             # strongest response at the longest pulse on the conditional line
             best = np.argmax(data["p_flip"])
             assert data["frequency_mhz"][best] == pytest.approx(line, abs=0.005)
+
+
+class TestDefaultFrequency:
+    @pytest.mark.parametrize("experiment, config, line", [
+        ("chevron", {"charge_config": "qd1", "electron_spin": "up"}, "f_n_elec_up"),
+        ("chevron", {"charge_config": "qd1"}, "f_n_elec_down"),
+        ("rabi", {"charge_config": "qd1", "electron_spin": "up"}, "f_n_elec_up"),
+    ])
+    def test_default_window_is_the_driven_line(self, capsys, tmp_path, experiment,
+                                               config, line):
+        # the default window (chevron) or frequency (rabi) is centred on the
+        # line that the loaded electron's spin selects
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, experiment, "--config", str(cfg),
+                               "--trials", "1", "--format", "json")
+        assert code == 0
+        result = json.loads(out)["result"]
+        line_mhz = transition_frequencies(SpinSystemParams())[line]
+        frequencies = np.unique(result["frequency_mhz"])
+        assert frequencies[len(frequencies) // 2] == pytest.approx(line_mhz, abs=1e-12)
+        assert max(result["p_flip"]) > 0.99
 
 
 class TestColdStart:

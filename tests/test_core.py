@@ -11,6 +11,8 @@ from dotspin.core import (
     IY,
     IZ,
     NMR_BLOCKS,
+    NoiseBatch,
+    NoiseDraw,
     SX,
     SY,
     SZ,
@@ -67,6 +69,22 @@ class TestLevelStructure:
         w_full = np.sort(np.linalg.eigvalsh(h_full))
         bound = (448.5e-3) ** 2 / (2 * PARAMS.f_e0)
         assert np.max(np.abs(w_sec - w_full)) < 2 * bound
+
+    @pytest.mark.parametrize("frame", [None, (39.76e3 + 0.3, 12.01)])
+    def test_qd2_evolves_freely_as_unloaded(self, frame):
+        # no hyperfine on the neighbouring dot and no g-factor shift there,
+        # under I_z and S_z noise and with a spectator-detuned row
+        batch = NoiseBatch.stack([
+            NoiseDraw(delta_iz=0.4, delta_sz=12.0),
+            NoiseDraw(delta_iz=-1.1, delta_sz=-30.0, spectator_detuned=True),
+            NoiseDraw(),
+        ])
+        h_qd2, h_unloaded, h_qd1 = (rotating_frame_hamiltonian(PARAMS, batch, frame, config)
+                                    for config in ("qd2", "unloaded", "qd1"))
+        assert h_qd2.shape == (3, 4, 4)
+        assert np.array_equal(h_qd2, h_unloaded)
+        assert not np.array_equal(h_qd2[1], h_qd2[2])  # the rows differ
+        assert not np.array_equal(h_qd2, h_qd1)  # the hyperfine term acts in qd1 only
 
     def test_high_field_guard(self):
         with pytest.raises(ValueError, match="high-field"):

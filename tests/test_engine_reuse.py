@@ -137,13 +137,11 @@ def test_rabi_equals_per_point_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("run", [experiments.run_ramsey, experiments.run_hahn])
-@pytest.mark.parametrize("ideal_pulses", [True, False])
 @pytest.mark.parametrize("charge_config", ["unloaded", "qd1"])
-def test_free_precession_equals_per_point_runs(run, ideal_pulses, charge_config,
-                                               monkeypatch):
+def test_free_precession_equals_per_point_runs(run, charge_config, monkeypatch):
     _assert_equals_per_point_runs(lambda: run(
         [0.0, 10.0, 500.0, 3000.0], params=PARAMS, noise=NoiseModel(sigma_iz=0.0776),
-        trials=5, seed=1, charge_config=charge_config, ideal_pulses=ideal_pulses,
+        trials=5, seed=1, charge_config=charge_config,
     ), monkeypatch)
 
 

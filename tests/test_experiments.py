@@ -97,6 +97,14 @@ class TestSweeps:
         assert np.argmax(p) == expected
         assert p[expected] > 0.999
 
+    @pytest.mark.parametrize("electron_spin", ["down", "up"])
+    def test_loaded_rabi_defaults_to_the_driven_line(self, electron_spin):
+        # with an electron loaded the bare line is |A|/2 off resonance
+        res = run_rabi(np.linspace(25.0, 2000.0, 41), PARAMS, noise=QUIET,
+                       charge_config="qd1", electron_spin=electron_spin)
+        assert res.columns["frequency_mhz"][0] == FREQS[f"f_n_elec_{electron_spin}"]
+        assert res.columns["p_flip"].max() > 0.999
+
     def test_rabi_matches_closed_form(self):
         rabi = 25.0
         t = np.linspace(0.25 * pi_duration(rabi), 2.0 * pi_duration(rabi), 8)

@@ -15,7 +15,6 @@ from dotspin.hyperfine import (
     _vertical_integrals,
     _vertical_profile,
     airy_length,
-    calibrate_k_hf,
     check_ppm,
     default_region,
     enclosed_probability,
@@ -136,17 +135,11 @@ class TestCalibration:
         assert np.max(couplings) == pytest.approx(CALIBRATION_MAX_A, rel=1e-9)
 
     def test_wider_dot_weakens_peak_coupling(self):
-        k = calibrate_k_hf()
         peaks = []
         for d in (7.0, 9.0, 12.0):
-            _, c = site_couplings(WavefunctionParams(dot_diameter=d), k_hf=k)
+            _, c = site_couplings(WavefunctionParams(dot_diameter=d))
             peaks.append(np.max(c))
         assert peaks[0] > peaks[1] > peaks[2]
-
-    def test_dot_too_small_for_one_cell_refused(self):
-        # its box rounds to no whole cell, so no site can set the peak
-        with pytest.raises(ValueError, match="no lattice site fits the box"):
-            calibrate_k_hf(0.01)
 
     def test_surface_orders_in_both_axes(self):
         m = np.transpose([  # (diameter, F_z)
@@ -155,19 +148,6 @@ class TestCalibration:
         ])
         assert np.all(m[0] > m[1])  # smaller dot -> stronger coupling
         assert np.all(m[:, 1] > m[:, 0])  # stronger field -> stronger coupling
-
-
-@pytest.mark.parametrize("k_hf", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
-@pytest.mark.parametrize("entry", ["probability_curves", "site_couplings"])
-def test_bad_k_hf_refused_by_name(entry, k_hf):
-    # the site counts take the coupling to rise with the density
-    call = {
-        "probability_curves": lambda: probability_curves([8.0], [100.0], draws=100,
-                                                         k_hf=k_hf),
-        "site_couplings": lambda: site_couplings(WavefunctionParams(), k_hf=k_hf),
-    }[entry]
-    with pytest.raises(ValueError, match="k_hf must be finite and positive, got"):
-        call()
 
 
 class TestSampling:

@@ -105,15 +105,14 @@ def test_site_counts_and_peak_match_per_site_reference(diameter, f_z, valley_pha
     assert peak == couplings[-1]
 
 
-@pytest.mark.parametrize("k_hf", [None, 3e4])
-def test_sweeps_match_the_loop_through_site_couplings(k_hf):
+def test_sweeps_match_the_loop_through_site_couplings():
     # both sweeps against a loop over the per-site reference couplings,
     # which builds every site position
     diameters, f_zs = [3.0, 6.5, 9.0], [15.0, 40.0]
     thresholds = [50.0, 200.0, 500.0]
     ppm = 5e4
-    k = calibrate_k_hf() if k_hf is None else k_hf
-    fast = probability_curves(diameters, thresholds, ppm=ppm, draws=100, k_hf=k_hf)
+    k = calibrate_k_hf()
+    fast = probability_curves(diameters, thresholds, ppm=ppm, draws=100)
     slow = {key: [] for key in fast}
     for d in diameters:
         couplings = ref.site_couplings(
@@ -130,7 +129,7 @@ def test_sweeps_match_the_loop_through_site_couplings(k_hf):
         assert np.array_equal(fast[key], np.array(slow[key])), key
     assert 0 < np.mean(fast["probability"]) < 1
     for f_z in f_zs:  # the peak away from the default F_z
-        peaks = probability_curves(diameters, [100.0], draws=100, f_z=f_z, k_hf=k_hf)
+        peaks = probability_curves(diameters, [100.0], draws=100, f_z=f_z)
         slow_peaks = [ref.site_couplings(WavefunctionParams(dot_diameter=d, f_z=f_z), k)[1].max()
                       for d in diameters]
         assert np.array_equal(peaks["max_coupling_khz"], np.array(slow_peaks))
@@ -141,10 +140,9 @@ def test_sweeps_match_the_loop_through_site_couplings(k_hf):
     ([5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], [100.0, 200.0, 500.0], 1000),
 ])
 def test_exact_curves_match_monte_carlo(diameters, thresholds, draws):
-    k_hf = calibrate_k_hf()
     table = probability_curves(diameters, thresholds, ppm=800.0, draws=draws)
     mc = ref.monte_carlo_curves(diameters, thresholds, ppm=800.0, draws=draws,
-                                f_z=DEFAULT_F_Z, k_hf=k_hf)
+                                f_z=DEFAULT_F_Z)
     exact = table["probability"]
     assert exact.tolist() == [-math.expm1(n * math.log1p(-800.0 * 1e-6))
                               for n in mc["count"].ravel()]
@@ -163,7 +161,7 @@ def test_sweeps_build_no_site_positions(monkeypatch):
     monkeypatch.setattr(hyperfine, "_sites", refuse("site positions"))
     monkeypatch.setattr(hyperfine, "_lattice_density", refuse("per-site density"))
     probability_curves([4.0, 8.0], [100.0, 300.0], draws=100)
-    calibrate_k_hf.__wrapped__(5.0, 30.0, 400.0)
+    calibrate_k_hf.__wrapped__()
     with pytest.raises(AssertionError, match="site positions built"):
         site_couplings(WavefunctionParams(dot_diameter=4.0))
 
@@ -178,9 +176,9 @@ def test_lattice_matches_meshgrid_reference(region, lattice_constant):
                           ref.generate_lattice(region, lattice_constant))
 
 
-def _assert_couplings_match(params, k_hf):
-    sites, couplings = site_couplings(params, k_hf)
-    ref_sites, ref_couplings = ref.site_couplings(params, k_hf)
+def _assert_couplings_match(params):
+    sites, couplings = site_couplings(params)
+    ref_sites, ref_couplings = ref.site_couplings(params, calibrate_k_hf())
     assert np.array_equal(sites, ref_sites)
     assert np.array_equal(couplings, ref_couplings)
 
@@ -189,13 +187,12 @@ def _assert_couplings_match(params, k_hf):
     diameter=st.floats(1.5, 9.0),
     f_z=st.floats(8.0, 60.0),
     valley_phase=st.floats(0.0, 2 * np.pi),
-    k_hf=st.floats(1.0, 1e4),
 )
 @settings(max_examples=25, deadline=None)
-def test_site_couplings_match_per_site_reference(diameter, f_z, valley_phase, k_hf):
+def test_site_couplings_match_per_site_reference(diameter, f_z, valley_phase):
     params = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
                                 valley_phase=valley_phase)
-    _assert_couplings_match(params, k_hf)
+    _assert_couplings_match(params)
 
 
 @given(
@@ -213,13 +210,12 @@ def test_site_couplings_match_over_explicit_regions(diameter, f_z, stretch,
                                     lattice_constant=lattice_constant)
     except ValueError:  # the box encloses too little of the norm
         assume(False)
-    _assert_couplings_match(params, 450.0)
+    _assert_couplings_match(params)
 
 
 def test_calibration_matches_per_site_reference():
     assert calibrate_k_hf() == ref.calibrate_k_hf(
         CALIBRATION_DIAMETER, DEFAULT_F_Z, CALIBRATION_MAX_A)
-    assert calibrate_k_hf(3.0, 40.0, 200.0) == ref.calibrate_k_hf(3.0, 40.0, 200.0)
 
 
 @given(

@@ -50,8 +50,6 @@ class TestElements:
         (lambda v: FreeEvolution(v), "duration"),
         (lambda v: PulseSequence((), v, 12.0), "f_e_ref"),
         (lambda v: PulseSequence((), 18.0e3, v), "f_n_ref"),
-        (lambda v: PulseSequence((), 18.0e3, 12.0, qd2_frequency_offset=v),
-         "qd2_frequency_offset"),
     ])
     def test_elements_refuse_non_finite_values_by_name(self, build, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
