@@ -353,7 +353,6 @@ def _calibrated_projection(params, duration_scale) -> dict:
     def parity_at(*phase_sets):  # the noiseless parities, in one engine run
         return _parity(_sweep(circuit, phase_sets, params, NoiseBatch.of(ZERO_DRAW), "joint"))
 
-    (best,) = parity_at(phases)
     for _ in range(CALIBRATION_SWEEPS):
         for i in range(4):
             candidates = [phases.copy() for _ in range(4)]
@@ -363,7 +362,7 @@ def _calibrated_projection(params, duration_scale) -> dict:
             a = (samples[0] - samples[2]) / 2
             b = (samples[1] - samples[3]) / 2
             phases[i] = (phases[i] + np.rad2deg(np.arctan2(b, a))) % 360.0
-        (best,) = parity_at(phases)
+    (best,) = parity_at(phases)
     return {
         "phi_e": (phases[0], phases[1]),
         "phi_n": (phases[2], phases[3]),

@@ -211,21 +211,6 @@ def _density_norm(params: WavefunctionParams) -> float:
     return 1.0 / (np.pi * d**2 / 4.0 * _vertical_integral(params))
 
 
-def wavefunction_density(positions, params: WavefunctionParams):
-    """|psi|^2 in nm^-3 at (..., 3) positions (x, y, z) in nm, the interface
-    at z = 0 and the dot centred on the z axis."""
-    pos = np.asarray(positions, dtype=float)
-    scalar = pos.ndim == 1
-    pos = np.atleast_2d(pos)
-    r_perp_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
-    density = (
-        _density_norm(params)
-        * np.exp(-4.0 * r_perp_sq / params.dot_diameter**2)
-        * _vertical_profile(pos[:, 2], params)
-    )
-    return float(density[0]) if scalar else density
-
-
 def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the simulation box."""
     lx, ly, _ = params.region
@@ -308,9 +293,9 @@ def _envelope(params: WavefunctionParams):
 
 
 def _lattice_density(params: WavefunctionParams):
-    """|psi|^2 at each site of params' lattice, in generate_lattice's order
-    and bitwise equal to wavefunction_density(sites, params): the envelope
-    factors broadcast over the lattice. The site positions are never built.
+    """|psi|^2 at each site of params' lattice, in generate_lattice's order:
+    the envelope factors broadcast over the lattice. The site positions are
+    never built.
     """
     envelope = _envelope(params)
     if envelope is None:

@@ -643,6 +643,25 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("module, loaded", [
+        ("dotspin", ["dotspin"]),
+        ("dotspin.readout", ["dotspin", "dotspin.core", "dotspin.readout"]),
+        ("dotspin.hyperfine",
+         ["dotspin", "dotspin.core", "dotspin.hyperfine", "dotspin.quadrature"]),
+    ])
+    def test_import_loads_only_its_own_imports(self, module, loaded):
+        # the package namespace re-exports nothing, so importing one module
+        # does not load the others
+        src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {module}; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'dotspin'))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == repr(loaded)
+
     @pytest.mark.parametrize("figure", FIGURE_IDS)
     def test_reproduce_loads_no_scipy(self, figure, tmp_path):
         # the lattice layers' integrals, the Airy function and the fitters

@@ -224,7 +224,7 @@ def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):
 
 def test_calibration_runs_each_coordinate_as_one_stack(engine_runs, monkeypatch):
     got = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05)
-    assert len(engine_runs) == 16
+    assert len(engine_runs) == 13
     assert engine_runs.count((4, 1)) == 12
     monkeypatch.setattr(experiments, "_sweep", _per_point_sweep)
     assert experiments._calibrated_projection.__wrapped__(PARAMS, 1.05) == got

