@@ -204,21 +204,34 @@ def _library_check(path: str, check, *args, **kwargs) -> None:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+#: experiment -> its top-level keys that must be positive, and those that
+#: must be >= 0. Both ends of a sweep are checked, even when it has one point.
+_POSITIVE = {
+    "chevron": ("dur_start", "dur_stop"), "rabi": ("dur_start", "dur_stop"),
+    "hyperfine-mc": ("diameter_start", "diameter_stop", "f_z"),
+    "vanvleck": ("standoff_start", "standoff_stop"),
+    "s1-stats": ("t1_a1_hours", "t1_a2_minutes", "scan_interval_s"),
+}
+_NON_NEGATIVE = {"chevron": ("rabi",), "rabi": ("rabi",), "s1-stats": ("sigma",)}
+
+
 def _check_top_level(config: dict, experiment: str) -> None:
     """The checks of a run's top-level values beyond their types."""
     for key, value in config.items():
         if key.endswith("_points") and value < 1:
             raise ConfigError(f"{experiment}.{key}: must be >= 1, got {value!r}")
+    for key in _POSITIVE.get(experiment, ()):
+        if config.get(key, 1.0) <= 0:
+            raise ConfigError(f"{experiment}.{key}: must be positive, got {config[key]!r}")
+    for key in _NON_NEGATIVE.get(experiment, ()):
+        if config.get(key, 0.0) < 0:
+            raise ConfigError(f"{experiment}.{key}: must be >= 0, got {config[key]!r}")
     if experiment == "readout-fidelity":
         settings = {k: v for k, v in config.items() if k != "m_max"}
         _library_check(experiment, NuclearReadoutConfig, **settings)
     elif experiment == "hyperfine-mc":
         if "ppm" in config:
             _library_check(experiment, hyperfine.check_ppm, config["ppm"])
-        # both sweep endpoints, even when diameter_points is 1
-        for key in ("diameter_start", "diameter_stop", "f_z"):
-            if config.get(key, 1.0) <= 0:
-                raise ConfigError(f"hyperfine-mc.{key}: must be positive, got {config[key]!r}")
         least = hyperfine.MIN_DRAWS
         if config.get("draws", least) < least:
             raise ConfigError(
@@ -229,13 +242,11 @@ def _check_top_level(config: dict, experiment: str) -> None:
             if key not in config:
                 raise ConfigError(f"fit.{key}: missing (give --{key} or set it)")
     elif experiment == "shuttle":
+        for key in ("p_err", "p_transfer"):
+            if not 0 <= config.get(key, 0.0) <= 1:
+                raise ConfigError(f"shuttle.{key}: must be within [0, 1], got {config[key]!r}")
         _check_shuttle_sweep(config)
     elif experiment == "s1-stats":
-        for key in ("t1_a1_hours", "t1_a2_minutes", "scan_interval_s"):
-            if config.get(key, 1.0) <= 0:
-                raise ConfigError(f"s1-stats.{key}: must be positive, got {config[key]!r}")
-        if config.get("sigma", 0.0) < 0:
-            raise ConfigError(f"s1-stats.sigma: must be >= 0, got {config['sigma']!r}")
         least = fitting.MIN_SPECTRUM_SAMPLES
         if config.get("n_scans", least) < least:
             raise ConfigError(

@@ -481,7 +481,6 @@ def run_bell_parity_sweep(
     trials: int = 200,
     seed: int = 0,
     initial_nuclear: str = "down",
-    calibration: dict | None = None,
 ) -> ExperimentResult:
     """Two-qubit parity vs the nuclear (or electron) projection phase."""
     if vary not in ("nuclear", "electron"):
@@ -491,9 +490,8 @@ def run_bell_parity_sweep(
     if phi_range is None:
         phi_range = np.arange(0.0, 360.0, 20.0)
     phi_range = np.asarray(phi_range, dtype=float)
-    if calibration is None:
-        calibration = calibrate_bell_projection(params, config.duration_scale())
     scale = config.duration_scale()
+    calibration = calibrate_bell_projection(params, scale)
 
     def build(phi):
         phi_n, phi_e = calibration["phi_n"], calibration["phi_e"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +27,7 @@ M_Z = 0.916 * M_ELECTRON  # longitudinal effective mass along the field axis
 HBAR = 1.054571817e-34  # J s
 E_CHARGE = 1.602176634e-19  # C
 VALLEY_K_FRACTION = 0.85  # valley wavevector as a fraction of 2*pi/a
+VALLEY_WAVEVECTOR = VALLEY_K_FRACTION * 2.0 * np.pi / SI_LATTICE_CONSTANT  # nm^-1
 
 #: First zero of the Airy function; the envelope vanishes at the interface.
 #: The value of scipy.special.ai_zeros(1), which the tests check it against.
@@ -71,57 +71,47 @@ def airy_length(f_z: float) -> float:
 def default_region(dot_diameter: float, f_z: float) -> tuple:
     """Simulation box (lx, ly, lz) in nm enclosing >= 99.9% probability."""
     lateral = 3.2 * dot_diameter
-    vertical = 12.0 * airy_length(f_z)
-    return (lateral, lateral, vertical)
+    return (lateral, lateral, _box_height(f_z))
+
+
+def _box_height(f_z: float) -> float:
+    """Height in nm of default_region's box: 12 Airy lengths."""
+    return 12.0 * airy_length(f_z)
 
 
 @dataclass(frozen=True)
 class WavefunctionParams:
-    """Envelope model. dot_diameter is the 1/e point of the transverse
-    charge distribution; z is measured upward from the interface."""
+    """Envelope model on the silicon lattice, boxed by default_region.
+    dot_diameter is the 1/e point of the transverse charge distribution; z
+    is measured upward from the interface."""
 
     dot_diameter: float = 8.0  # nm
     f_z: float = DEFAULT_F_Z  # MV/m
-    valley_phase: float = 0.0  # rad
-    lattice_constant: float = SI_LATTICE_CONSTANT  # nm
-    region: tuple = None  # (lx, ly, lz) nm; None -> auto-sized
 
     def __post_init__(self):
-        _require_finite(self, ("dot_diameter", "f_z", "valley_phase",
-                               "lattice_constant"))
+        _require_finite(self, ("dot_diameter", "f_z"))
         if self.dot_diameter <= 0:
             raise ValueError("dot_diameter must be positive")
         if self.f_z <= 0:
             raise ValueError("f_z must be positive")
-        if self.region is None:
-            object.__setattr__(
-                self, "region", default_region(self.dot_diameter, self.f_z)
-            )
-        _require_finite(self, ("region",))
+        _require_finite(self, ("region",))  # a huge diameter overflows it
         if enclosed_probability(self) < 0.999:
             raise ValueError("region too small: enclosed probability < 0.999")
 
     @property
-    def valley_wavevector(self) -> float:
-        """nm^-1, along z."""
-        return _valley_wavevector(self.lattice_constant)
+    def region(self) -> tuple:
+        """Simulation box (lx, ly, lz) in nm."""
+        return default_region(self.dot_diameter, self.f_z)
 
 
-def _valley_wavevector(lattice_constant: float) -> float:
-    """Valley wavevector in nm^-1 for a lattice constant in nm."""
-    return VALLEY_K_FRACTION * 2.0 * np.pi / lattice_constant
-
-
-def _vertical_profile(z, params):
-    """Unnormalised vertical density Ai^2(z/l + a1) * 2cos^2(k_v z + phi),
-    zero below the interface. params is a WavefunctionParams or a _Vertical;
-    only f_z, valley_phase and lattice_constant are read."""
+def _vertical_profile(z, f_z: float):
+    """Unnormalised vertical density Ai^2(z/l + a1) * 2cos^2(k_v z) at field
+    f_z, zero below the interface."""
     z = np.asarray(z, dtype=float)
-    ell = airy_length(params.f_z)
+    ell = airy_length(f_z)
     # below the interface the profile is zero; Ai is taken at a1 there
     ai = _airy_ai(np.maximum(z, 0.0) / ell + AIRY_A1)
-    k_v = _valley_wavevector(params.lattice_constant)
-    valley = 2.0 * np.cos(k_v * z + params.valley_phase) ** 2
+    valley = 2.0 * np.cos(VALLEY_WAVEVECTOR * z) ** 2
     return np.where(z >= 0, ai**2 * valley, 0.0)
 
 
@@ -166,56 +156,36 @@ def _airy_rule() -> tuple:
     return t * t, w * np.cos(t**3 / 3.0)
 
 
-class _Vertical(NamedTuple):
-    """The fields of WavefunctionParams that the vertical integrals read:
-    every field but the dot diameter and the lateral box."""
-
-    f_z: float
-    valley_phase: float
-    lattice_constant: float
-    z_max: float  # box height, region[2]
-
-
-def _vertical(params: WavefunctionParams) -> _Vertical:
-    return _Vertical(params.f_z, params.valley_phase, params.lattice_constant,
-                     params.region[2])
-
-
 @lru_cache(maxsize=64)
-def _vertical_integrals(vertical: _Vertical) -> tuple:
-    """Integrals of the vertical profile over the box height [0, z_max] and
-    over the tail [z_max, 4 z_max] above it. A sweep over dot diameters
-    shares one entry."""
-    z_max = vertical.z_max
-    return (_profile_integral(vertical, 0.0, z_max),
-            _profile_integral(vertical, z_max, 4.0 * z_max))
+def _vertical_integrals(f_z: float) -> tuple:
+    """Integrals of the vertical profile at field f_z over the box height
+    [0, z_max] and over the tail [z_max, 4 z_max] above it. A sweep over dot
+    diameters shares one entry."""
+    z_max = _box_height(f_z)
+    return (_profile_integral(f_z, 0.0, z_max),
+            _profile_integral(f_z, z_max, 4.0 * z_max))
 
 
-def _profile_integral(params, lo: float, hi: float) -> float:
+def _profile_integral(f_z: float, lo: float, hi: float) -> float:
     """Integral of the vertical profile over [lo, hi] by a Gauss-Legendre
     rule on panels one valley period long, starting at lo."""
-    period = np.pi / _valley_wavevector(params.lattice_constant)
+    period = np.pi / VALLEY_WAVEVECTOR
     z, w = panel_rule(np.append(np.arange(lo, hi, period), hi), _VERTICAL_POINTS)
-    return float(np.sum(w * _vertical_profile(z, params)))
-
-
-def _vertical_integral(params: WavefunctionParams) -> float:
-    """Integral of the vertical profile over the box height [0, region_z]."""
-    return _vertical_integrals(_vertical(params))[0]
+    return float(np.sum(w * _vertical_profile(z, f_z)))
 
 
 def _density_norm(params: WavefunctionParams) -> float:
     """N = 1 / (integral of |psi|^2 over the box), the transverse integral
     of exp(-4 r^2 / d^2) over the plane being pi d^2 / 4."""
     d = params.dot_diameter
-    return 1.0 / (np.pi * d**2 / 4.0 * _vertical_integral(params))
+    return 1.0 / (np.pi * d**2 / 4.0 * _vertical_integrals(params.f_z)[0])
 
 
 def enclosed_probability(params: WavefunctionParams) -> float:
     """Fraction of the norm inside the simulation box."""
     lx, ly, _ = params.region
     d = params.dot_diameter
-    i_in, i_tail = _vertical_integrals(_vertical(params))
+    i_in, i_tail = _vertical_integrals(params.f_z)
     i_all = i_in + i_tail
     # independent 1D Gaussian marginals exp(-4 x^2 / d^2) over [-l/2, l/2]
     return math.erf(lx / d) * math.erf(ly / d) * i_in / i_all
@@ -281,7 +251,7 @@ def _envelope(params: WavefunctionParams):
     array, one row per layer of cells. Site (ix, iy, iz, k) has the density
     lateral[ix * ny + iy, k] * vertical[iz, k]. None if no whole cell fits.
     """
-    axes = _lattice_axes(params.region, params.lattice_constant)
+    axes = _lattice_axes(params.region, SI_LATTICE_CONSTANT)
     if axes is None:
         return None
     x, y, z = axes
@@ -289,7 +259,7 @@ def _envelope(params: WavefunctionParams):
     lateral = _density_norm(params) * np.exp(
         -4.0 * r_perp_sq / params.dot_diameter**2
     )
-    return lateral.reshape(-1, 8), _vertical_profile(z, params)
+    return lateral.reshape(-1, 8), _vertical_profile(z, params.f_z)
 
 
 def _lattice_density(params: WavefunctionParams):
@@ -356,7 +326,7 @@ def calibrate_k_hf() -> float:
 
 def site_couplings(params: WavefunctionParams):
     """Lattice positions and their |A| in kHz (every site, occupied or not)."""
-    sites = generate_lattice(params.region, params.lattice_constant)
+    sites = generate_lattice(params.region)
     return sites, calibrate_k_hf() * _lattice_density(params)
 
 

@@ -24,9 +24,10 @@ import numpy as np
 from dotspin import hyperfine
 from dotspin.core import rng_for
 from dotspin.hyperfine import (
+    SI_LATTICE_CONSTANT,
     WavefunctionParams,
     _profile_integral,
-    _vertical_integral,
+    _vertical_integrals,
     _vertical_profile,
 )
 from dotspin import vanvleck
@@ -45,8 +46,8 @@ def vertical_integrals(params: WavefunctionParams) -> tuple:
     """The vertical profile's integrals over [0, region_z] and over the tail
     [region_z, 4 region_z], by a fresh quadrature for each params."""
     z_max = params.region[2]
-    return (_profile_integral(params, 0.0, z_max),
-            _profile_integral(params, z_max, z_max * 4))
+    return (_profile_integral(params.f_z, 0.0, z_max),
+            _profile_integral(params.f_z, z_max, z_max * 4))
 
 
 def enclosed_probability(params: WavefunctionParams) -> float:
@@ -89,23 +90,23 @@ def wavefunction_density(positions, params: WavefunctionParams):
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     r_perp_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
     d = params.dot_diameter
-    norm = 1.0 / (np.pi * d**2 / 4.0 * _vertical_integral(params))
+    norm = 1.0 / (np.pi * d**2 / 4.0 * _vertical_integrals(params.f_z)[0])
     return (
         norm
         * np.exp(-4.0 * r_perp_sq / d**2)
-        * _vertical_profile(pos[:, 2], params)
+        * _vertical_profile(pos[:, 2], params.f_z)
     )
 
 
 def site_couplings(params: WavefunctionParams, k_hf: float):
     """Lattice positions and k_hf |psi|^2 at each, site by site."""
-    sites = generate_lattice(params.region, params.lattice_constant)
+    sites = generate_lattice(params.region, SI_LATTICE_CONSTANT)
     return sites, k_hf * wavefunction_density(sites, params)
 
 
 def calibrate_k_hf(diameter: float, f_z: float, max_a: float) -> float:
     params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
-    sites = generate_lattice(params.region, params.lattice_constant)
+    sites = generate_lattice(params.region, SI_LATTICE_CONSTANT)
     return max_a / np.max(wavefunction_density(sites, params))
 
 

@@ -279,7 +279,7 @@ def test_drivers_match_per_trial_reference():
     cfg = BellNoiseConfig()
     cal = calibrate_bell_projection(PARAMS, cfg.duration_scale())
     res = run_bell_parity_sweep(PARAMS, cfg, phi_range=[40.0], trials=6, seed=1,
-                                initial_nuclear="up", calibration=cal)
+                                initial_nuclear="up")
     init = QuantumState.basis("down", "up")
     seq = bell_circuit(
         PARAMS,

@@ -323,6 +323,16 @@ class TestDryRun:
          "hyperfine-mc.diameter_stop: must be positive, got -2.0"),
         ("hyperfine-mc", {"f_z": 0}, "hyperfine-mc.f_z: must be positive, got 0"),
         ("hyperfine-mc", {"draws": 99}, "hyperfine-mc.draws: must be >= 100, got 99"),
+        ("vanvleck", {"standoff_start": 0}, "vanvleck.standoff_start: must be positive, got 0"),
+        ("vanvleck", {"standoff_stop": -1, "standoff_points": 1},
+         "vanvleck.standoff_stop: must be positive, got -1"),
+        ("chevron", {"dur_start": 0}, "chevron.dur_start: must be positive, got 0"),
+        ("rabi", {"dur_start": 0}, "rabi.dur_start: must be positive, got 0"),
+        ("chevron", {"rabi": -1}, "chevron.rabi: must be >= 0, got -1"),
+        ("rabi", {"rabi": -1}, "rabi.rabi: must be >= 0, got -1"),
+        ("shuttle", {"p_err": 1.5}, "shuttle.p_err: must be within [0, 1], got 1.5"),
+        ("shuttle", {"variant": "electron", "p_transfer": -0.1},
+         "shuttle.p_transfer: must be within [0, 1], got -0.1"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):

@@ -191,15 +191,12 @@ class TestBell:
 
     def test_parity_fringe_and_nuclear_init_opposition(self):
         cfg = BellNoiseConfig().none()
-        cal = calibrate_bell_projection(PARAMS)
         phi = np.arange(0.0, 360.0, 45.0)
         down = run_bell_parity_sweep(
-            PARAMS, cfg, phi_range=phi, trials=1, calibration=cal,
-            initial_nuclear="down",
+            PARAMS, cfg, phi_range=phi, trials=1, initial_nuclear="down",
         ).columns["parity"]
         up = run_bell_parity_sweep(
-            PARAMS, cfg, phi_range=phi, trials=1, calibration=cal,
-            initial_nuclear="up",
+            PARAMS, cfg, phi_range=phi, trials=1, initial_nuclear="up",
         ).columns["parity"]
         # full-contrast fringe, and the two preparations anti-correlate
         assert down.max() > 0.99 and down.min() < -0.99

@@ -10,9 +10,9 @@ from dotspin.hyperfine import (
     CALIBRATION_DIAMETER,
     CALIBRATION_MAX_A,
     SI_LATTICE_CONSTANT,
+    VALLEY_WAVEVECTOR,
     WavefunctionParams,
     _airy_ai,
-    _vertical,
     _vertical_integrals,
     _vertical_profile,
     airy_length,
@@ -47,28 +47,20 @@ class TestWavefunction:
         assert np.array_equal(_airy_ai(x[1:].reshape(8, -1)),
                               _airy_ai(x[1:]).reshape(8, -1))
 
-    @pytest.mark.parametrize("diameter, f_z, valley_phase, lattice_constant", [
-        (8.0, 25.0, 0.0, SI_LATTICE_CONSTANT),
-        (2.0, 60.0, 1.3, 0.5),
-        (12.0, 8.0, 4.0, 0.6),
-    ])
-    def test_vertical_integrals_match_quad(self, diameter, f_z, valley_phase,
-                                           lattice_constant):
+    @pytest.mark.parametrize("diameter, f_z", [(8.0, 25.0), (2.0, 60.0), (12.0, 8.0)])
+    def test_vertical_integrals_match_quad(self, diameter, f_z):
         # quad, with a breakpoint at every valley period and a 1e-13 relative
         # target, on both the box height and the tail above it: within 1e-12
         from scipy.integrate import quad
 
-        params = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
-                                    valley_phase=valley_phase,
-                                    lattice_constant=lattice_constant)
-        z_max = params.region[2]
-        period = np.pi / params.valley_wavevector
+        z_max = WavefunctionParams(dot_diameter=diameter, f_z=f_z).region[2]
+        period = np.pi / VALLEY_WAVEVECTOR
 
         def profile(z):
-            return float(_vertical_profile(z, params))
+            return float(_vertical_profile(z, f_z))
 
         for (lo, hi), value in zip([(0.0, z_max), (z_max, 4 * z_max)],
-                                   _vertical_integrals(_vertical(params))):
+                                   _vertical_integrals(f_z)):
             expected = quad(profile, lo, hi, points=np.arange(lo, hi, period)[1:],
                             limit=4000, epsabs=0.0, epsrel=1e-13)[0]
             assert abs(value - expected) <= 1e-12 * expected
@@ -89,10 +81,6 @@ class TestWavefunction:
         assert centre > 10 * edge
         assert centre > 10 * deep
 
-    def test_region_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            WavefunctionParams(dot_diameter=8.0, f_z=25.0, region=(2.0, 2.0, 1.0))
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             WavefunctionParams(dot_diameter=-1.0)
@@ -100,13 +88,15 @@ class TestWavefunction:
             WavefunctionParams(dot_diameter=8.0, f_z=0.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("field", ["dot_diameter", "f_z", "valley_phase",
-                                       "lattice_constant", "region"])
+    @pytest.mark.parametrize("field", ["dot_diameter", "f_z"])
     def test_non_finite_params_refused_by_name(self, field, value):
-        # region=(nan, ...) passed the enclosed-probability check
-        kwargs = {field: (40.0, 40.0, value) if field == "region" else value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            WavefunctionParams(**kwargs)
+            WavefunctionParams(**{field: value})
+
+    def test_overflowing_region_refused_by_name(self):
+        # the box is 3.2 diameters wide, which overflows for a finite diameter
+        with pytest.raises(ValueError, match="region must be finite"):
+            WavefunctionParams(dot_diameter=1e308)
 
 
 class TestLattice:

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_lattice as ref
 from dotspin import hyperfine
@@ -16,9 +16,8 @@ from dotspin.hyperfine import (
     CALIBRATION_MAX_A,
     DEFAULT_F_Z,
     WavefunctionParams,
-    _vertical_integral,
+    _vertical_integrals,
     calibrate_k_hf,
-    default_region,
     enclosed_probability,
     generate_lattice,
     probability_curves,
@@ -30,51 +29,34 @@ from dotspin.vanvleck import AL_LATTICE_CONSTANT, ElectrodeGeometry, second_mome
 
 
 def _assert_vertical_integrals_match(params):
-    assert _vertical_integral(params) == ref.vertical_integrals(params)[0]
+    assert _vertical_integrals(params.f_z)[0] == ref.vertical_integrals(params)[0]
     assert enclosed_probability(params) == ref.enclosed_probability(params)
 
 
 @given(
     diameters=st.tuples(st.floats(1.5, 15.0), st.floats(1.5, 15.0)),
     f_z=st.floats(8.0, 60.0),
-    valley_phase=st.floats(0.0, 2 * np.pi),
-    stretch=st.tuples(st.floats(1.0, 1.5), st.floats(1.0, 1.5)),
 )
 @settings(max_examples=25, deadline=None)
-def test_vertical_integrals_shared_across_diameters_and_lateral_boxes(
-        diameters, f_z, valley_phase, stretch):
-    default = WavefunctionParams(dot_diameter=diameters[0], f_z=f_z,
-                                 valley_phase=valley_phase)
-    lx, ly, lz = default_region(diameters[1], f_z)
-    boxed = replace(default, dot_diameter=diameters[1],
-                    region=(stretch[0] * lx, stretch[1] * ly, lz))
-    assert default.region[2] == boxed.region[2]
+def test_vertical_integrals_shared_across_diameters_and_lateral_boxes(diameters, f_z):
+    # each diameter sizes its own lateral box; the box height is f_z's alone
     hyperfine._vertical_integrals.cache_clear()
-    for params in (default, boxed):
-        _assert_vertical_integrals_match(params)
+    for d in diameters:
+        _assert_vertical_integrals_match(WavefunctionParams(dot_diameter=d, f_z=f_z))
     assert hyperfine._vertical_integrals.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("field", ["f_z", "valley_phase", "lattice_constant",
-                                   "region_z"])
+@pytest.mark.parametrize("field", ["f_z"])
 @given(
     diameter=st.floats(1.5, 9.0),
     f_z=st.floats(8.0, 40.0),
-    valley_phase=st.floats(0.0, 2 * np.pi),
-    lattice_constant=st.floats(0.5, 0.6),
     factor=st.floats(1.01, 1.5),
 )
 @settings(max_examples=10, deadline=None)
-def test_vertical_integrals_keyed_on_every_vertical_field(
-        field, diameter, f_z, valley_phase, lattice_constant, factor):
-    base = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
-                              valley_phase=valley_phase,
-                              lattice_constant=lattice_constant)
-    lx, ly, lz = base.region
-    # a stronger field or a taller box still encloses the norm
-    other = replace(base, **(
-        {"region": (lx, ly, factor * lz)} if field == "region_z" else
-        {field: factor * getattr(base, field) + (field == "valley_phase")}))
+def test_vertical_integrals_keyed_on_every_vertical_field(field, diameter, f_z, factor):
+    base = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
+    # a stronger field still encloses the norm
+    other = replace(base, **{field: factor * getattr(base, field)})
     hyperfine._vertical_integrals.cache_clear()
     for params in (base, other):
         _assert_vertical_integrals_match(params)
@@ -84,18 +66,15 @@ def test_vertical_integrals_keyed_on_every_vertical_field(
 @given(
     diameter=st.floats(1.5, 9.0),
     f_z=st.floats(8.0, 60.0),
-    valley_phase=st.floats(0.0, 2 * np.pi),
     k_hf=st.floats(1.0, 1e5),
     picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([-1, 0, 1])),
                    min_size=1, max_size=12),
 )
 @settings(max_examples=20, deadline=None)
-def test_site_counts_and_peak_match_per_site_reference(diameter, f_z, valley_phase,
-                                                       k_hf, picks):
+def test_site_counts_and_peak_match_per_site_reference(diameter, f_z, k_hf, picks):
     # thresholds on site values and one ulp either side, where the rounding
     # of k_hf * (lateral * vertical) decides the count
-    params = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
-                                valley_phase=valley_phase)
+    params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
     couplings = np.sort(ref.site_couplings(params, k_hf)[1])
     thresholds = [np.nextafter(value, value + step) if step else value
                   for value, step in ((couplings[int(q * (len(couplings) - 1))], step)
@@ -183,34 +162,14 @@ def _assert_couplings_match(params):
     assert np.array_equal(couplings, ref_couplings)
 
 
-@given(
-    diameter=st.floats(1.5, 9.0),
-    f_z=st.floats(8.0, 60.0),
-    valley_phase=st.floats(0.0, 2 * np.pi),
-)
+@given(diameter=st.floats(1.5, 9.0), f_z=st.floats(8.0, 60.0))
 @settings(max_examples=25, deadline=None)
-def test_site_couplings_match_per_site_reference(diameter, f_z, valley_phase):
-    params = WavefunctionParams(dot_diameter=diameter, f_z=f_z,
-                                valley_phase=valley_phase)
-    _assert_couplings_match(params)
-
-
-@given(
-    diameter=st.floats(1.5, 6.0),
-    f_z=st.floats(10.0, 40.0),
-    stretch=st.tuples(*[st.floats(1.0, 1.4)] * 3),
-    lattice_constant=st.floats(0.5, 0.6),
-)
-@settings(max_examples=20, deadline=None)
-def test_site_couplings_match_over_explicit_regions(diameter, f_z, stretch,
-                                                   lattice_constant):
-    region = tuple(s * v for s, v in zip(stretch, default_region(diameter, f_z)))
-    try:
-        params = WavefunctionParams(dot_diameter=diameter, f_z=f_z, region=region,
-                                    lattice_constant=lattice_constant)
-    except ValueError:  # the box encloses too little of the norm
-        assume(False)
-    _assert_couplings_match(params)
+def test_site_couplings_match_per_site_reference(diameter, f_z):
+    params = WavefunctionParams(dot_diameter=diameter, f_z=f_z)
+    sites, couplings = site_couplings(params)
+    ref_sites, ref_couplings = ref.site_couplings(params, calibrate_k_hf())
+    assert np.array_equal(sites, ref_sites)
+    assert np.array_equal(couplings, ref_couplings)
 
 
 def test_calibration_matches_per_site_reference():
