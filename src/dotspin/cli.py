@@ -380,7 +380,8 @@ def _run_shuttle(config, trials, seed):
     variant = config.get("variant", "phase")
     sweep = _linspace(config, "sweep", *_SHUTTLE_SWEEPS[variant])
     if variant == "repeated":
-        sweep = np.unique(np.round(sweep).astype(int))
+        # sorted distinct ints; np.unique would import numpy.ma to check for a mask
+        sweep = np.array(sorted(set(np.round(sweep).astype(int).tolist())), dtype=int)
     return run_shuttle_experiments(
         variant, sweep, params=_build_params(config),
         noise=_build_noise(config), trials=trials, seed=seed,

@@ -27,6 +27,10 @@ phase vector p, rho by the mask p_i p_j*. ESR pulses and free evolutions
 under I_x noise use one stacked eigh. The choice is one flag per run that
 depends on the batch alone, so a lone run and the same point inside a stack
 take the same path and agree to the bit.
+
+A Repeat's cycle is keyed once by stack_key, and run_stack evaluates its
+elements' columns once and applies the cycle count times through the same
+element code, so it agrees to the bit with its cycles written out.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .sequences import (
     MeasureNuclear,
     Pulse,
     PulseSequence,
+    Repeat,
     Rotation,
 )
 
@@ -123,10 +128,14 @@ def run_sequence(
 def stack_key(seq: PulseSequence) -> tuple:
     """What the sequences of one run_stack call share: element types and
     channels, charge configs, whether each pulse is on its frame reference
-    and each free evolution non-zero, and whole charge events and
-    measurements."""
-    key = [seq.initial_config]
-    for el in seq.elements:
+    and each free evolution non-zero, whole charge events and measurements,
+    and each Repeat's count with the key of its cycle."""
+    return (seq.initial_config, *_element_keys(seq.elements, seq))
+
+
+def _element_keys(elements, seq: PulseSequence) -> tuple:
+    key = []
+    for el in elements:
         if isinstance(el, Pulse):
             f_ref = seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref
             key.append((el.channel, el.frequency == f_ref))
@@ -134,6 +143,8 @@ def stack_key(seq: PulseSequence) -> tuple:
             key.append((Rotation, el.channel))
         elif isinstance(el, FreeEvolution):
             key.append((el.charge_config, el.duration > 0))
+        elif isinstance(el, Repeat):
+            key.append((Repeat, el.count, _element_keys(el.elements, seq)))
         else:
             key.append(el)
     return tuple(key)
@@ -168,19 +179,17 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
             static[config] = rotating_frame_hamiltonian(params, batch, frame, config)
         return static[config]
 
-    for els in zip(*(seq.elements for seq in seqs), strict=True):
+    for els, values in _timeline(zip(*(seq.elements for seq in seqs), strict=True)):
         el = els[0]
         if isinstance(el, Pulse):
             check_rwa(params, el.channel, max(e.rabi for e in els))
-            values = _columns(els, ("frequency", "rabi", "duration", "phase"))
             u = _pulse_unitary(el.channel, *values, frame, h_static(config), t, diagonal)
             state = _apply(u, state, pure)
             t = t + values[2]
         elif isinstance(el, Rotation):
-            angle, phase = _columns(els, ("angle", "phase"))
-            state = _apply(_rotation_unitary(el.channel, angle, phase), state, pure)
+            state = _apply(_rotation_unitary(el.channel, *values), state, pure)
         elif isinstance(el, FreeEvolution):
-            (duration,) = _columns(els, ("duration",))
+            (duration,) = values
             if el.duration > 0:
                 key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
                        else duration, pure)
@@ -208,6 +217,25 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     rho = _outer(state) if pure else state
     return SequenceResult(per_point(_renormalise(rho), 4),
                           [(kind, per_point(p, 3)) for kind, p in records])
+
+
+#: The fields of each element type that may differ between stacked points.
+_FIELDS = {Pulse: ("frequency", "rabi", "duration", "phase"),
+           Rotation: ("angle", "phase"), FreeEvolution: ("duration",)}
+
+
+def _timeline(steps):
+    """(elements, values) for each step of the side-by-side elements of a
+    stack in timeline order: the step's _columns of its _FIELDS, or None.
+    A Repeat's cycle is evaluated once and replayed count times."""
+    for els in steps:
+        if isinstance(els[0], Repeat):
+            cycle = list(_timeline(zip(*(el.elements for el in els), strict=True)))
+            for _ in range(els[0].count):
+                yield from cycle
+        else:
+            names = _FIELDS.get(type(els[0]))
+            yield els, names and _columns(els, names)
 
 
 def _columns(items, names) -> list:

@@ -317,6 +317,22 @@ def fit_hahn(tau, p) -> FitResult:
     return res
 
 
+def _percentiles(x, qs) -> list:
+    """np.percentile(x, qs) by numpy's linear rule, to the bit, without the
+    numpy.ma import that np.percentile's index dedup pays on first use: the
+    sorted values a = x[floor(v)] and b = x[floor(v) + 1] at the virtual
+    index v = (n - 1) q/100, interpolated from the nearer end."""
+    x = np.sort(x)
+    out = []
+    for q in qs:
+        v = (len(x) - 1) * (q / 100)
+        i = min(int(v), len(x) - 1)
+        t = v - i
+        a, b = x[i], x[min(i + 1, len(x) - 1)]
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
+
+
 def fit_flip_intervals(intervals) -> FitResult:
     """Characteristic lifetime from waiting intervals between flips: an
     exponential fit to the interval histogram, cross-checked by the
@@ -325,7 +341,7 @@ def fit_flip_intervals(intervals) -> FitResult:
     if len(intervals) < 10:
         raise ValueError("need at least 10 intervals to fit a lifetime")
     # Freedman-Diaconis, floor of 5 bins
-    iqr = np.subtract(*np.percentile(intervals, [75, 25]))
+    iqr = np.subtract(*_percentiles(intervals, (75, 25)))
     width = 2 * iqr / len(intervals) ** (1 / 3)
     bins = max(int(np.ceil(np.ptp(intervals) / width)) if width > 0 else 5, 5)
     counts, edges = np.histogram(intervals, bins=bins)
@@ -402,7 +418,7 @@ def fit_esr_histogram(frequencies, bin_width: float = 8.0) -> FitResult:
     # whatever their weights; the mean is pulled towards the heavier pair and,
     # started there, the fit can settle on a local minimum that mislabels
     # the peaks.
-    lo, hi = np.percentile(frequencies, [2, 98])
+    lo, hi = _percentiles(frequencies, (2, 98))
     f0_guess = float(lo + hi) / 2
     spread = float(np.std(frequencies))
     a1_guess = spread  # the outer splitting dominates the variance

@@ -1,4 +1,5 @@
-"""Control timelines: pulses, free evolution, charge events, measurements.
+"""Control timelines: pulses, free evolution, charge events, measurements,
+and Repeat, a cycle of elements run a whole number of times.
 
 All elements are immutable values; builders are pure functions of their
 inputs, so identical inputs produce element-wise identical timelines.
@@ -13,6 +14,7 @@ electron is loaded: ESR is allowed and the shuttle events apply.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +112,22 @@ class MeasureNuclear:
 
 
 @dataclass(frozen=True)
+class Repeat:
+    """A cycle of elements run count times in a row. The cycle must end in
+    the charge config it starts in (validate_sequence)."""
+
+    elements: tuple
+    count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        if not isinstance(self.count, numbers.Integral) or isinstance(self.count, bool):
+            raise TypeError(f"count: expected int, got {self.count!r}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count!r}")
+
+
+@dataclass(frozen=True)
 class PulseSequence:
     """Ordered control timeline plus the per-channel rotating-frame
     references (f_e_ref, f_n_ref, MHz) the engine simulates it in."""
@@ -131,17 +149,30 @@ def validate_sequence(seq: PulseSequence) -> None:
     """Check charge-configuration consistency along the timeline.
 
     ESR requires a loaded electron; NMR is allowed in any configuration;
-    loading into an already-loaded configuration is rejected.
+    loading into an already-loaded configuration is rejected. A Repeat's
+    cycle is walked once and must end in the config it starts in; an
+    element inside it is named by both indices, as in 'element 1.2'.
     """
-    config = seq.initial_config
-    for i, el in enumerate(seq.elements):
-        if isinstance(el, (Pulse, Rotation)):
+    _validate(seq.elements, seq.initial_config)
+
+
+def _validate(elements, config: str, where: str = "") -> str:
+    """Walk the elements from config; return the config they end in."""
+    for i, el in enumerate(elements):
+        at = f"{where}{i}"
+        if isinstance(el, Repeat):
+            end = _validate(el.elements, config, f"{at}.")
+            if end != config:
+                raise ValueError(
+                    f"element {at}: repeated cycle ends in {end!r} but starts in {config!r}"
+                )
+        elif isinstance(el, (Pulse, Rotation)):
             if el.channel == "ESR" and config not in LOADED_CONFIGS:
-                raise ValueError(f"element {i}: ESR pulse with no electron loaded")
+                raise ValueError(f"element {at}: ESR pulse with no electron loaded")
         elif isinstance(el, FreeEvolution):
             if el.charge_config != config:
                 raise ValueError(
-                    f"element {i}: free evolution declared in {el.charge_config!r} "
+                    f"element {at}: free evolution declared in {el.charge_config!r} "
                     f"but sequence is in {config!r}"
                 )
         elif isinstance(el, ChargeEvent):
@@ -149,9 +180,10 @@ def validate_sequence(seq: PulseSequence) -> None:
             allowed = pre if isinstance(pre, tuple) else (pre,)
             if config not in allowed:
                 raise ValueError(
-                    f"element {i}: charge event {el.kind!r} invalid from {config!r}"
+                    f"element {at}: charge event {el.kind!r} invalid from {config!r}"
                 )
             config = post
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +389,12 @@ def repeated_load_sequence(
         elements.append(FreeEvolution(tau_0, "qd2"))
     else:
         dwell = tau_0 / (2 * k_cycles)
-        elements += [  # the elements are frozen, so every cycle can share them
+        elements.append(Repeat((
             ChargeEvent(kind="shuttle_2_to_1"),
             FreeEvolution(dwell, "qd1"),
             ChargeEvent(kind="shuttle_1_to_2", dephase_prob=p_err),
             FreeEvolution(dwell, "qd2"),
-        ] * k_cycles
+        ), k_cycles))
     elements += [Rotation("NMR", 90.0, phase=final_phase), MeasureNuclear()]
     return PulseSequence(
         elements=tuple(elements),

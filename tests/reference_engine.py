@@ -36,6 +36,7 @@ from dotspin.sequences import (
     MeasureNuclear,
     Pulse,
     PulseSequence,
+    Repeat,
     Rotation,
     LOADED_CONFIGS,
 )
@@ -56,6 +57,14 @@ def apply_dephasing_channel(state: QuantumState, p_err: float, subsystem: str):
     mask = _MASK_ELECTRON if subsystem == "electron" else _MASK_NUCLEAR
     rho = state.density_matrix()
     return QuantumState(matrix=np.where(mask, (1.0 - p_err) * rho, rho))
+
+
+def unroll(elements) -> tuple:
+    """The elements with each Repeat written out, its cycle count times."""
+    out = []
+    for el in elements:
+        out += unroll(el.elements) * el.count if isinstance(el, Repeat) else [el]
+    return tuple(out)
 
 
 def draw_row(batch, t: int) -> NoiseDraw:
@@ -111,7 +120,7 @@ def run_sequence(
     t = 0.0  # absolute sequence time, us
     records = []
 
-    for el in seq.elements:
+    for el in unroll(seq.elements):
         if isinstance(el, Pulse):
             if el.channel == "ESR" and config not in LOADED_CONFIGS:
                 raise ValueError("ESR pulse with no electron loaded")

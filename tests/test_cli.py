@@ -689,6 +689,24 @@ class TestColdStart:
         assert proc.stdout.strip() == "0 []"
         assert os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("figure", FIGURE_IDS)
+    def test_reproduce_loads_no_numpy_ma(self, figure, tmp_path):
+        # numpy.ma costs about 11 ms to import; np.unique without indices and
+        # np.percentile load it on first use. Matched by exact name, since
+        # numpy.matrixlib is always loaded
+        src = os.path.dirname(os.path.dirname(dotspin.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from dotspin.cli import main; "
+             f"code = main(['reproduce', {figure!r}, '--threads', '1']); "
+             "print(code, sorted(m for m in sys.modules "
+             "if m == 'numpy.ma' or m.startswith('numpy.ma.')))"],
+            env={**os.environ, "PYTHONPATH": src, "DOTSPIN_OUTDIR": str(tmp_path)},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
+
     def test_readout_fidelity_loads_no_scipy(self, tmp_path):
         # the binomial CDF is an exact integer sum, not scipy's
         src = os.path.dirname(os.path.dirname(dotspin.__file__))

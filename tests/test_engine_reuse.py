@@ -1,6 +1,7 @@
 """The engine's reuse paths against the work they replace: sweep points run
 as stacks on the distinct draw rows (against one run_sequence per point on
-every trial), the per-run free-evolution propagators and the cached Bell
+every trial), the per-run free-evolution propagators, a Repeat's cycle
+evaluated once (against the cycles written out) and the cached Bell
 calibration."""
 
 from dataclasses import replace
@@ -11,15 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from test_batched_engine import PARAMS, initial_states, noise_draws, sequences
-from dotspin import experiments
+from dotspin import engine, experiments
 from dotspin.core import NoiseBatch, NoiseDraw, NoiseModel, transition_frequencies
-from dotspin.engine import run_sequence
+from dotspin.engine import run_sequence, run_stack, stack_key
 from dotspin.sequences import (
+    ChargeEvent,
     FreeEvolution,
     MeasureElectron,
     MeasureNuclear,
     Pulse,
+    Repeat,
     Rotation,
+    _validate,
     repeated_load_sequence,
 )
 
@@ -240,16 +244,128 @@ def test_calibration_runs_each_coordinate_as_one_stack(engine_runs, monkeypatch)
 @settings(max_examples=20, deadline=None)
 def test_repeated_load_matches_reference_element_by_element(k, tau_0, p_err, phase, draws):
     # every cycle repeats the same two free evolutions, which share one
-    # propagator each within a run
+    # propagator each within a run; the prefixes cut the written-out cycles
     seq = repeated_load_sequence(PARAMS, k, tau_0, p_err=p_err, final_phase=phase)
     batch = NoiseBatch.stack(draws)
-    for n in range(1, len(seq.elements) + 1):
-        prefix = replace(seq, elements=seq.elements[:n] + (MeasureNuclear(),))
+    _assert_records_match_reference(run_sequence(seq, PARAMS, batch), seq, draws)
+    elements = ref.unroll(seq.elements)
+    for n in range(1, len(elements) + 1):
+        prefix = replace(seq, elements=elements[:n] + (MeasureNuclear(),))
         got = run_sequence(prefix, PARAMS, batch)
         for i, d in enumerate(draws):
             one = ref.run_sequence(prefix, PARAMS, d)
             assert np.max(np.abs(got.rho[i] - one.state.density_matrix())) < TOL
             assert np.max(np.abs(got.last("nuclear")[i] - one.last("nuclear"))) < TOL
+
+
+def _assert_records_match_reference(got, seq, draws):
+    for i, d in enumerate(draws):
+        one = ref.run_sequence(seq, PARAMS, d)
+        assert np.max(np.abs(got.rho[i] - one.state.density_matrix())) < TOL
+        assert np.max(np.abs(got.last("nuclear")[i] - one.last("nuclear"))) < TOL
+
+
+#: Charge events that take a timeline from one config (first) to another.
+_HOME = {("unloaded", "qd1"): ("load_down",), ("unloaded", "qd2"): ("load_down", "shuttle_1_to_2"),
+         ("qd1", "unloaded"): ("unload",), ("qd2", "unloaded"): ("unload",),
+         ("qd1", "qd2"): ("shuttle_1_to_2",), ("qd2", "qd1"): ("shuttle_2_to_1",)}
+
+
+def _twins(seq, count):
+    """seq's elements, closed by charge events back to its initial config,
+    as one Repeat and written out count times, each followed by both
+    measurements."""
+    end = _validate(seq.elements, seq.initial_config)
+    cycle = seq.elements + tuple(ChargeEvent(kind) for kind in
+                                 _HOME.get((end, seq.initial_config), ()))
+    tail = (MeasureNuclear(), MeasureElectron())
+    return (replace(seq, elements=(Repeat(cycle, count),) + tail),
+            replace(seq, elements=cycle * count + tail))
+
+
+def _groups(seqs) -> list:
+    """Each sequence's first sequence with the same stack_key."""
+    keys = [stack_key(seq) for seq in seqs]
+    return [keys.index(key) for key in keys]
+
+
+def _assert_bitwise_equal(a, b):
+    assert np.array_equal(a.rho, b.rho)
+    assert [kind for kind, _ in a.records] == [kind for kind, _ in b.records]
+    for (_, p), (_, q) in zip(a.records, b.records):
+        assert np.array_equal(p, q)
+
+
+@given(
+    seqs=stacks(),
+    count=st.integers(1, 4),
+    draws=st.lists(noise_draws, min_size=1, max_size=3),
+    ix=st.booleans(),
+    init=initial_states(),
+)
+@settings(max_examples=30, deadline=None)
+def test_repeat_equals_its_written_out_cycles(seqs, count, draws, ix, init):
+    # random pulses, rotations, free evolutions, charge events (pure and
+    # mixed runs) and measurements in the cycle; a lone run and a stack of
+    # up to four points, with and without I_x noise
+    batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
+    repeated, written = zip(*(_twins(seq, count) for seq in seqs))
+    # stack_key groups the points as it groups their written-out twins
+    assert _groups(repeated) == _groups(written)
+    stack = [i for i, first in enumerate(_groups(repeated)) if first == 0]
+    _assert_bitwise_equal(run_sequence(repeated[0], PARAMS, batch, init),
+                          run_sequence(written[0], PARAMS, batch, init))
+    _assert_bitwise_equal(run_stack([repeated[i] for i in stack], PARAMS, batch, init),
+                          run_stack([written[i] for i in stack], PARAMS, batch, init))
+
+
+@given(
+    k=st.integers(1, 6),
+    tau_0=st.lists(st.floats(1.0, 2000.0), min_size=4, max_size=4),
+    p_err=st.sampled_from((0.0, 0.2)),
+    draws=st.lists(noise_draws, min_size=1, max_size=3),
+    ix=st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_repeated_load_stack_equals_its_written_out_twin(k, tau_0, p_err, draws, ix):
+    # four points of one k, each with its own dwell and final phase
+    batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
+    seqs = [repeated_load_sequence(PARAMS, k, t, p_err=p_err, final_phase=90.0 * i)
+            for i, t in enumerate(tau_0)]
+    written = [replace(seq, elements=ref.unroll(seq.elements)) for seq in seqs]
+    _assert_bitwise_equal(run_stack(seqs, PARAMS, batch), run_stack(written, PARAMS, batch))
+
+
+@pytest.mark.parametrize("p_err", [0.0, 0.1])
+def test_chunked_repeated_sweep_equals_its_written_out_twin(p_err, engine_runs):
+    # above STACK_ROWS // 4 trials the four phases of one k run as 3 + 1
+    # points, on the eigh path of I_x noise
+    trials = experiments.STACK_ROWS // 4 + 44
+    draws = experiments._draws(NoiseModel(sigma_ix=0.2, sigma_iz=0.3), 1, trials)
+    points = [(phi, k) for phi in (0.0, 90.0, 180.0, 270.0) for k in (0, 2, 5)]
+
+    def build(point):
+        return repeated_load_sequence(PARAMS, point[1], 60.0, p_err=p_err,
+                                      final_phase=point[0])
+
+    got = experiments._sweep(build, points, PARAMS, draws, "nuclear")
+    assert [p for p, _ in engine_runs] == [3, 1] * 3
+    written = experiments._sweep(
+        lambda point: replace(build(point), elements=ref.unroll(build(point).elements)),
+        points, PARAMS, draws, "nuclear")
+    assert np.array_equal(got, written)
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_repeat_evaluates_its_cycle_once(k, monkeypatch):
+    # the frame, two rotations and the cycle's two free evolutions, whatever
+    # the number of cycles
+    calls = []
+    columns = engine._columns
+    monkeypatch.setattr(engine, "_columns",
+                        lambda items, names: calls.append(names) or columns(items, names))
+    experiments.run_shuttle_experiments("repeated", [k], PARAMS, tau_0=80.0, p_err=0.1)
+    assert len(calls) == 5
 
 
 def test_cached_calibration_returns_equal_distinct_dicts():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dotspin import fitting
 from dotspin.cli import main
@@ -98,6 +99,18 @@ class TestFlipIntervals:
     def test_minimum_events(self):
         with pytest.raises(ValueError):
             fit_flip_intervals(np.ones(9))
+
+
+@given(x=st.lists(st.floats(-1e6, 1e6) | st.sampled_from((0.0, 1.0, -2.5)),
+                  min_size=1, max_size=300),
+       qs=st.sampled_from(((2, 98), (75, 25), (0, 100), (50,))))
+@settings(max_examples=200, deadline=None)
+def test_percentiles_equal_numpy_to_the_bit(x, qs):
+    # + 0.0 turns -0.0 into 0.0: the two compare equal, so a sort and
+    # np.percentile's partition may put either one first
+    x = np.array(x) + 0.0
+    assert np.array(fitting._percentiles(x, qs)).tobytes() == \
+        np.percentile(x, list(qs)).tobytes()
 
 
 class TestSpectrumHistogram:

@@ -1,8 +1,11 @@
 """Timeline construction and validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from dotspin.core import SpinSystemParams, transition_frequencies
 from dotspin.sequences import (
     ChargeEvent,
@@ -10,6 +13,7 @@ from dotspin.sequences import (
     MeasureNuclear,
     Pulse,
     PulseSequence,
+    Repeat,
     Rotation,
     bell_circuit,
     electron_shuttle_ramsey,
@@ -26,8 +30,9 @@ PARAMS = SpinSystemParams()
 
 def total_duration(seq: PulseSequence) -> float:
     """Sum of the element durations (charge events and ideal rotations are
-    instantaneous)."""
-    return sum(el.duration for el in seq.elements if isinstance(el, (Pulse, FreeEvolution)))
+    instantaneous), each Repeat's cycle counted as often as it runs."""
+    return sum(el.duration for el in ref.unroll(seq.elements)
+               if isinstance(el, (Pulse, FreeEvolution)))
 
 
 class TestElements:
@@ -93,6 +98,28 @@ class TestValidation:
                 f_n_ref=f["f_n0"],
                 initial_config="unloaded",
             )
+
+
+    @pytest.mark.parametrize("count, error", [(0, ValueError), (-1, ValueError),
+                                              (True, TypeError), (2.5, TypeError)])
+    def test_repeat_count_must_be_a_positive_int(self, count, error):
+        with pytest.raises(error, match="count"):
+            Repeat((FreeEvolution(1.0),), count)
+
+    def test_repeat_cycle_must_return_to_its_starting_config(self):
+        f = transition_frequencies(PARAMS)
+        cycle = (ChargeEvent(kind="shuttle_2_to_1"), FreeEvolution(5.0, "qd1"))
+        with pytest.raises(ValueError, match="element 1: repeated cycle ends in 'qd1' "
+                                             "but starts in 'qd2'"):
+            PulseSequence((Rotation("NMR", 90.0), Repeat(cycle, 3)), f["f_e0"], f["f_n0"],
+                          initial_config="qd2")
+
+    def test_repeat_names_the_failing_element_inside_its_cycle(self):
+        f = transition_frequencies(PARAMS)
+        cycle = (ChargeEvent(kind="load_down"), FreeEvolution(5.0, "qd2"),
+                 ChargeEvent(kind="unload"))
+        with pytest.raises(ValueError, match="element 0.1: free evolution"):
+            PulseSequence((Repeat(cycle, 2),), f["f_e0"], f["f_n0"])
 
 
 class TestBuilders:
@@ -161,7 +188,11 @@ class TestBuilders:
 
     def test_repeated_load_cycles(self):
         seq = repeated_load_sequence(PARAMS, k_cycles=5, tau_0=500.0, p_err=0.1)
-        events = [el for el in seq.elements if isinstance(el, ChargeEvent)]
+        # one Repeat of the four-element cycle between the two rotations
+        (cycle,) = (el for el in seq.elements if isinstance(el, Repeat))
+        assert len(seq.elements) == 4 and seq.elements[1] is cycle
+        assert cycle.count == 5 and len(cycle.elements) == 4
+        events = [el for el in ref.unroll(seq.elements) if isinstance(el, ChargeEvent)]
         assert len(events) == 10
         unloads = [e for e in events if e.kind == "shuttle_1_to_2"]
         assert all(e.dephase_prob == 0.1 for e in unloads)
@@ -169,8 +200,8 @@ class TestBuilders:
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_repeated_load_equals_an_element_by_element_build(self, k):
-        # the cycles reuse four element objects; the sequence is still equal
-        # to one built from fresh elements, cycle by cycle
+        # written out, the cycles equal a build from fresh elements, cycle by
+        # cycle
         elements = [Rotation("NMR", 90.0)]
         if k == 0:
             elements.append(FreeEvolution(500.0, "qd2"))
@@ -183,7 +214,8 @@ class TestBuilders:
         f = transition_frequencies(PARAMS)
         expected = PulseSequence(tuple(elements), f_e_ref=f["f_e0"], f_n_ref=f["f_n0"],
                                  initial_config="qd2")
-        assert repeated_load_sequence(PARAMS, k, 500.0, p_err=0.1, final_phase=90.0) == expected
+        seq = repeated_load_sequence(PARAMS, k, 500.0, p_err=0.1, final_phase=90.0)
+        assert replace(seq, elements=ref.unroll(seq.elements)) == expected
 
     def test_electron_shuttle_targets_electron(self):
         seq = electron_shuttle_ramsey(PARAMS, p_transfer=0.3)
