@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import NoiseModel, SpinSystemParams, rng_for, transition_frequencies
+from .core import NoiseModel, SpinSystemParams, check_rwa, rng_for, transition_frequencies
 from .experiments import (
     DEFAULT_SHUTTLE_TAU_0,
     BellNoiseConfig,
@@ -38,7 +38,7 @@ from .experiments import (
 )
 from . import fitting, hyperfine, vanvleck
 from .readout import NuclearReadoutConfig, _best_shots, fidelity_curve
-from .sequences import nmr_line
+from .sequences import DEFAULT_NMR_RABI, nmr_line
 
 FIGURE_IDS = ("2e", "2f", "2gj", "3ce", "4b", "4d", "4f", "ext1", "s1", "s2")
 
@@ -142,8 +142,8 @@ _CHOICE_READS = {
 
 def validate_config(config: dict, experiment: str) -> None:
     """Refuse, naming its key path, any config value that the run refuses,
-    apart from the library refusals that only the run reaches (README,
-    "Command line"). --dry-run makes the same check."""
+    apart from the contents of the fit.input file, which only the run reads.
+    --dry-run makes the same check."""
     if experiment not in _SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}")
     schema = _SCHEMAS[experiment]
@@ -208,11 +208,15 @@ def _library_check(path: str, check, *args, **kwargs) -> None:
 #: must be >= 0. Both ends of a sweep are checked, even when it has one point.
 _POSITIVE = {
     "chevron": ("dur_start", "dur_stop"), "rabi": ("dur_start", "dur_stop"),
+    "shuttle": ("tau_0",), "readout-fidelity": ("m_max",),
     "hyperfine-mc": ("diameter_start", "diameter_stop", "f_z"),
     "vanvleck": ("standoff_start", "standoff_stop"),
     "s1-stats": ("t1_a1_hours", "t1_a2_minutes", "scan_interval_s"),
 }
-_NON_NEGATIVE = {"chevron": ("rabi",), "rabi": ("rabi",), "s1-stats": ("sigma",)}
+_NON_NEGATIVE = {
+    "chevron": ("rabi",), "rabi": ("rabi",), "ramsey": ("tau_start", "tau_stop"),
+    "hahn": ("tau_start", "tau_stop"), "s1-stats": ("sigma",),
+}
 
 
 def _check_top_level(config: dict, experiment: str) -> None:
@@ -226,7 +230,10 @@ def _check_top_level(config: dict, experiment: str) -> None:
     for key in _NON_NEGATIVE.get(experiment, ()):
         if config.get(key, 0.0) < 0:
             raise ConfigError(f"{experiment}.{key}: must be >= 0, got {config[key]!r}")
-    if experiment == "readout-fidelity":
+    if experiment in ("chevron", "rabi"):
+        _library_check(f"{experiment}.rabi", check_rwa, _build_params(config), "NMR",
+                       config.get("rabi", DEFAULT_NMR_RABI))
+    elif experiment == "readout-fidelity":
         settings = {k: v for k, v in config.items() if k != "m_max"}
         _library_check(experiment, NuclearReadoutConfig, **settings)
     elif experiment == "hyperfine-mc":
@@ -246,6 +253,18 @@ def _check_top_level(config: dict, experiment: str) -> None:
             if not 0 <= config.get(key, 0.0) <= 1:
                 raise ConfigError(f"shuttle.{key}: must be within [0, 1], got {config[key]!r}")
         _check_shuttle_sweep(config)
+    elif experiment == "vanvleck":
+        # the lattice sum counts floor(size / a) cells per axis; with none, M2 = 0
+        lateral = config.get("lateral", [])
+        if "lateral" in config and len(lateral) != 2:
+            raise ConfigError(f"vanvleck.lateral: expected two entries, got {lateral!r}")
+        a = vanvleck.AL_LATTICE_CONSTANT
+        sizes = {"thickness": config.get("thickness", a),
+                 **{f"lateral[{i}]": v for i, v in enumerate(lateral)}}
+        for key, size in sizes.items():
+            if size / a < 1:
+                raise ConfigError(f"vanvleck.{key}: must be >= one Al lattice constant "
+                                  f"({a} nm), got {size!r}")
     elif experiment == "s1-stats":
         least = fitting.MIN_SPECTRUM_SAMPLES
         if config.get("n_scans", least) < least:
@@ -257,14 +276,13 @@ def _check_top_level(config: dict, experiment: str) -> None:
 def _check_shuttle_sweep(config: dict) -> None:
     """Refuse a shuttle sweep endpoint that the variant's sequence builder
     refuses: a t_load outside [0, tau_0] ('phase'), or a cycle count below 0
-    after the run rounds it ('repeated'). A tau_0 <= 0 is left to the run,
-    which refuses it first."""
+    after the run rounds it ('repeated')."""
     variant = config.get("variant", "phase")
     tau_0 = config.get("tau_0", DEFAULT_SHUTTLE_TAU_0)
     start, stop, _ = _SHUTTLE_SWEEPS[variant]
     for key, default in (("sweep_start", start), ("sweep_stop", stop)):
         value = config.get(key, default)
-        if variant == "phase" and tau_0 > 0 and not 0 <= value <= tau_0:
+        if variant == "phase" and not 0 <= value <= tau_0:
             raise ConfigError(f"shuttle.{key}: t_load must be within "
                               f"[0, tau_0 = {tau_0!r}], got {value!r}")
         if variant == "repeated" and np.round(value) < 0:

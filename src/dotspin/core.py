@@ -169,10 +169,6 @@ class QuantumState:
     def density_matrix(self) -> np.ndarray:
         return self._rho
 
-    def populations(self) -> np.ndarray:
-        """Born probabilities of the four joint basis states."""
-        return populations(self._rho)
-
 
 def _spin_index(label: str) -> int:
     try:
@@ -440,13 +436,12 @@ _MASK_ELECTRON = (_ELECTRON_IDX[:, None] != _ELECTRON_IDX[None, :])
 _MASK_NUCLEAR = (_NUCLEAR_IDX[:, None] != _NUCLEAR_IDX[None, :])
 
 
-def apply_dephasing_channel(state, p_err: float, subsystem: str):
+def apply_dephasing_channel(rho: np.ndarray, p_err: float, subsystem: str) -> np.ndarray:
     """Dephasing channel rho -> (1-p) rho + p diag_subsystem(rho).
 
     Scales every coherence of the chosen subsystem by (1 - p_err); the
     diagonal (and the other subsystem's internal coherences) are untouched.
-    state is a QuantumState (returned as one) or a (..., 4, 4) array of
-    density matrices (returned as an array).
+    rho is a (..., 4, 4) array of density matrices.
     """
     if not 0 <= p_err <= 1:
         raise ValueError("p_err must be in [0, 1]")
@@ -456,10 +451,7 @@ def apply_dephasing_channel(state, p_err: float, subsystem: str):
         mask = _MASK_NUCLEAR
     else:
         raise ValueError("subsystem must be 'electron' or 'nuclear'")
-    is_state = isinstance(state, QuantumState)
-    rho = state.density_matrix() if is_state else state
-    rho = np.where(mask, (1.0 - p_err) * rho, rho)
-    return QuantumState(matrix=rho) if is_state else rho
+    return np.where(mask, (1.0 - p_err) * rho, rho)
 
 
 def partial_trace_electron(rho: np.ndarray) -> np.ndarray:

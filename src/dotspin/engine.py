@@ -85,13 +85,6 @@ class SequenceResult:
     rho: np.ndarray
     records: list = field(default_factory=list)
 
-    @property
-    def state(self) -> QuantumState:
-        """The final state of a single-draw run."""
-        if self.rho.ndim != 2:
-            raise ValueError("a batched result has one state per trial; use .rho")
-        return QuantumState(matrix=self.rho)
-
     def last(self, kind: str) -> np.ndarray:
         for k, probs in reversed(self.records):
             if k == kind:

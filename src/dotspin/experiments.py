@@ -66,7 +66,7 @@ class ExperimentResult:
             raise ValueError("all columns must have equal length")
         for name, vals in self.columns.items():
             arr = np.asarray(vals, dtype=float)
-            if name.startswith("p_") or name == "probability":
+            if name.startswith("p_"):
                 if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
                     raise ValueError(f"column {name} has probabilities outside [0, 1]")
             self.columns[name] = arr
@@ -405,7 +405,6 @@ class BellTomographyResult:
     fidelity: float
     components: dict  # f_zz, f_xx, f_yy
     calibration: dict
-    correction_clamped: bool = False
 
 
 def run_bell_tomography(
@@ -432,7 +431,6 @@ def run_bell_tomography(
         calibration = calibrate_bell_projection(params, config.duration_scale())
 
     raw, corrected = {}, {}
-    clamped = False
     for basis in ("ZZ", "XX", "YY"):
         probs = _bell_basis_probabilities(
             basis, params, config, calibration, trials, seed, initial_nuclear
@@ -440,10 +438,8 @@ def run_bell_tomography(
         if readout is not None:
             fid = readout["ZZ"] if basis == "ZZ" else readout["XY"]
             measured = confuse_readout(probs, fid)
-            res = correct_readout(measured, fid)
             raw[basis] = measured
-            corrected[basis] = res["probabilities"]
-            clamped = clamped or res["clamped"]
+            corrected[basis] = correct_readout(measured, fid)["probabilities"]
         else:
             raw[basis] = probs
             corrected[basis] = probs
@@ -469,7 +465,7 @@ def run_bell_tomography(
     return BellTomographyResult(
         probabilities=corrected, raw_probabilities=raw, fidelity=float(fidelity),
         components={"f_zz": f_zz, "f_xx": f_xx, "f_yy": f_yy},
-        calibration=calibration, correction_clamped=clamped,
+        calibration=calibration,
     )
 
 

@@ -43,12 +43,6 @@ class FitResult:
         if any(v < 0 for v in self.uncertainties.values() if np.isfinite(v)):
             raise ValueError("uncertainties must be non-negative")
 
-    def value(self, name: str) -> float:
-        return self.parameters[name]
-
-    def sigma(self, name: str) -> float:
-        return self.uncertainties[name]
-
 
 #: The solver stops when an accepted step lowers the sum of squares by less
 #: than _FTOL of it, when the step is shorter than _XTOL * |p|, or when each

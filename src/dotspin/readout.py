@@ -151,12 +151,6 @@ def nuclear_fidelity_model(config: NuclearReadoutConfig) -> dict:
     return {"f_t1": f_t1, "f_shot": f_shot, "f_n": f_n}
 
 
-def optimize_shots(config: NuclearReadoutConfig, m_max: int = 100) -> int:
-    """Shot count maximising the analytic nuclear readout fidelity over
-    M in [1, m_max]; ties resolve to the smallest M."""
-    return _best_shots(fidelity_curve(config, m_max))
-
-
 def _best_shots(rows) -> int:
     """The M of the largest f_n among fidelity_curve rows; an f_n within
     1e-15 of the best so far is a tie, which the smaller M wins."""

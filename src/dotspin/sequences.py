@@ -200,13 +200,6 @@ def pi_duration(rabi_khz: float) -> float:
     return 1e3 / (2 * rabi_khz)
 
 
-def _phase_pair(phase) -> tuple:
-    if np.isscalar(phase):
-        return (float(phase), float(phase))
-    a, b = phase
-    return (float(a), float(b))
-
-
 def synchronized_esr_rabi(params: SpinSystemParams, k: int = 3) -> float:
     """Conditional-pulse Rabi frequency (kHz) synchronised with the
     hyperfine splitting: Omega = |A|/sqrt(4k^2 - 1), so that during a
@@ -229,10 +222,10 @@ def bell_circuit(
     The entangler is a conditional NMR pi/2 on the electron-down line
     followed by a conditional ESR pi on the nuclear-up line. Unconditional
     projection rotations are built from two consecutive conditional
-    rotations. projection is (phi_n, phi_e) in degrees; each entry may be a
-    scalar or a per-conditional-line pair (the two consecutive conditional
-    pulses accumulate different deterministic phases, which the tomography
-    driver calibrates out per line). The electron projection precedes the
+    rotations. projection is (phi_n, phi_e) in degrees; each entry is a
+    per-conditional-line pair (the two consecutive conditional pulses
+    accumulate different deterministic phases, which the tomography driver
+    calibrates out per line). The electron projection precedes the
     nuclear one so that the electron spends the least possible time in a
     superposition.
 
@@ -259,7 +252,7 @@ def bell_circuit(
         Pulse("ESR", f["f_e_nuc_up"], esr_rabi, t_pi_e),
     ]
     if projection is not None:
-        phi_n, phi_e = (_phase_pair(p) for p in projection)
+        phi_n, phi_e = projection
         elements += [
             idle,
             # Unconditional electron pi/2 from two conditional pi/2 pulses.

@@ -57,10 +57,6 @@ class ElectrodeGeometry:
                 f"lateral dimensions must be positive, got {self.lateral!r}"
             )
 
-    @property
-    def site_density_nm3(self) -> float:
-        return 4.0 / self.al_lattice_constant**3
-
 
 def _moment_prefactor(gamma_n: float, gamma_bath: float, spin_bath: float) -> float:
     return (
@@ -322,7 +318,7 @@ def second_moment_cylinder_integral(geometry: ElectrodeGeometry) -> float:
     z_hi = geometry.standoff + geometry.thickness - geometry.al_lattice_constant / 4.0
     integral = np.pi * (_cylinder_antiderivative(z_hi, radius)
                         - _cylinder_antiderivative(z_lo, radius))
-    density = geometry.site_density_nm3  # nm^-3
+    density = 4.0 / geometry.al_lattice_constant**3  # nm^-3, FCC
     # density (nm^-3) * integral (nm^-3) = nm^-6; convert to m^-6
     return _moment_prefactor(GAMMA_SI, GAMMA_AL, SPIN_AL) * density * integral * 1e54
 

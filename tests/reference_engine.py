@@ -6,7 +6,8 @@ per noise draw, builds its own drive-free Hamiltonian, and averages trials
 one at a time (optionally on a thread pool). The core helpers it relied on
 (propagator, partial trace, dephasing channel) are copied here in their
 original single-matrix form, so the reference shares no numerical code with
-the batched path beyond the operator constants and the state container.
+the batched path beyond the operator constants, the state container and
+core.populations.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dotspin.core import (
     _MASK_ELECTRON,
     _MASK_NUCLEAR,
     drive_operator,
+    populations,
 )
 from dotspin.sequences import (
     ChargeEvent,
@@ -99,7 +101,7 @@ class SequenceResult:
         raise KeyError(f"no {kind!r} measurement recorded")
 
     def joint_probabilities(self) -> np.ndarray:
-        return self.state.populations()
+        return populations(self.state.density_matrix())
 
 
 def run_sequence(

@@ -51,8 +51,9 @@ class TestValidation:
     def test_shuttle_sweep_bounds_are_the_runs(self, capsys, tmp_path):
         validate_config({"variant": "phase", "sweep_stop": 500.0}, "shuttle")
         validate_config({"variant": "electron", "sweep_start": -90.0}, "shuttle")
-        # tau_0 <= 0 is refused by the run, before any sweep point
-        validate_config({"variant": "phase", "tau_0": -1.0}, "shuttle")
+        # tau_0 <= 0 is refused by key, before any sweep point
+        with pytest.raises(ConfigError, match=r"shuttle\.tau_0: must be positive"):
+            validate_config({"variant": "phase", "tau_0": -1.0}, "shuttle")
         # the run rounds cycle counts, so -0.5 is the cycle count 0
         config = {"variant": "repeated", "sweep_start": -0.5, "sweep_stop": 1.0,
                   "sweep_points": 2}
@@ -176,19 +177,18 @@ class TestExitCodes:
          "readout-fidelity: t_shot_ms must be positive"),
         ("readout-fidelity", {"t1_n_hours": -1.0},
          "readout-fidelity: t1_n_hours must be positive"),
-        # values refused by the library name their argument
-        ("readout-fidelity", {"m_max": 0}, "readout-fidelity: m_max must be >= 1"),
+        ("readout-fidelity", {"m_max": 0}, "readout-fidelity.m_max: must be positive, got 0"),
         ("hyperfine-mc", {"draws": 10}, "hyperfine-mc.draws: must be >= 100, got 10"),
-        ("vanvleck", {"thickness": -1}, "vanvleck: thickness must be >= 0, got -1"),
+        ("vanvleck", {"thickness": -1},
+         "vanvleck.thickness: must be >= one Al lattice constant (0.405 nm), got -1"),
         ("vanvleck", {"lateral": [300.0, 0.0]},
-         "vanvleck: lateral dimensions must be positive"),
-        ("shuttle", {"tau_0": -1}, "shuttle: tau_0 must be positive, got -1"),
+         "vanvleck.lateral[1]: must be >= one Al lattice constant (0.405 nm), got 0.0"),
+        ("shuttle", {"tau_0": -1}, "shuttle.tau_0: must be positive, got -1"),
         ("ramsey", {"charge_config": "qd2"},
          "ramsey.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
         ("hahn", {"charge_config": "qd2"},
          "hahn.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
-        ("vanvleck", {"lateral": [1.0]},
-         "vanvleck: lateral must have exactly two entries, got [1.0]"),
+        ("vanvleck", {"lateral": [1.0]}, "vanvleck.lateral: expected two entries, got [1.0]"),
     ])
     def test_refused_section_value_names_its_path(self, capsys, tmp_path,
                                                   experiment, config, message):
@@ -333,6 +333,32 @@ class TestDryRun:
         ("shuttle", {"p_err": 1.5}, "shuttle.p_err: must be within [0, 1], got 1.5"),
         ("shuttle", {"variant": "electron", "p_transfer": -0.1},
          "shuttle.p_transfer: must be within [0, 1], got -0.1"),
+        # a gate with no whole Al lattice cell along an axis has M2 = 0
+        ("vanvleck", {"thickness": 0},
+         "vanvleck.thickness: must be >= one Al lattice constant (0.405 nm), got 0"),
+        ("vanvleck", {"thickness": 0.4},
+         "vanvleck.thickness: must be >= one Al lattice constant (0.405 nm), got 0.4"),
+        ("vanvleck", {"thickness": -1},
+         "vanvleck.thickness: must be >= one Al lattice constant (0.405 nm), got -1"),
+        ("vanvleck", {"lateral": [0.4, 100.0]},
+         "vanvleck.lateral[0]: must be >= one Al lattice constant (0.405 nm), got 0.4"),
+        ("vanvleck", {"lateral": [300.0, 0.0]},
+         "vanvleck.lateral[1]: must be >= one Al lattice constant (0.405 nm), got 0.0"),
+        ("vanvleck", {"lateral": [1.0]},
+         "vanvleck.lateral: expected two entries, got [1.0]"),
+        ("ramsey", {"tau_start": -1}, "ramsey.tau_start: must be >= 0, got -1"),
+        ("ramsey", {"tau_stop": -5.0, "tau_points": 1},
+         "ramsey.tau_stop: must be >= 0, got -5.0"),
+        ("hahn", {"tau_start": -1}, "hahn.tau_start: must be >= 0, got -1"),
+        ("hahn", {"tau_stop": -1}, "hahn.tau_stop: must be >= 0, got -1"),
+        ("shuttle", {"tau_0": -1}, "shuttle.tau_0: must be positive, got -1"),
+        ("shuttle", {"variant": "repeated", "tau_0": 0},
+         "shuttle.tau_0: must be positive, got 0"),
+        ("readout-fidelity", {"m_max": 0}, "readout-fidelity.m_max: must be positive, got 0"),
+        ("chevron", {"rabi": 1e9}, "chevron.rabi: NMR Rabi frequency 1000000000.0 kHz "
+         "exceeds 10% of the addressed transition frequency"),
+        ("rabi", {"rabi": 1300.0, "params": {"b_ext": 0.5}},
+         "rabi.rabi: NMR Rabi frequency 1300.0 kHz exceeds 10%"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
@@ -409,7 +435,7 @@ class TestReadoutScan:
 
     @pytest.mark.parametrize("f_e_avg", [0.6, 0.765, 0.9])
     def test_scan_builds_the_curve_once(self, capsys, tmp_path, monkeypatch, f_e_avg):
-        # m_opt is read off the scanned rows, with optimize_shots' tie rule
+        # m_opt is read off the scanned rows, with _best_shots' tie rule
         from dotspin import readout
 
         calls = []
@@ -424,7 +450,8 @@ class TestReadoutScan:
         assert code == 0
         assert calls == list(range(1, 41))
         data = np.genfromtxt(out, delimiter=",", names=True)
-        expected = readout.optimize_shots(readout.NuclearReadoutConfig(f_e_avg=f_e_avg), 40)
+        expected = readout._best_shots(
+            readout.fidelity_curve(readout.NuclearReadoutConfig(f_e_avg=f_e_avg), 40))
         assert np.all(data["m_opt"] == expected)
 
     def test_scan_m_bare_hi_matches_full_spec(self, capsys):

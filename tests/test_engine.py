@@ -159,7 +159,7 @@ class TestStateHandling:
     def test_density_matrix_stays_physical(self, tau, dz):
         seq = hahn_sequence(PARAMS, tau=tau, charge_config="qd1")
         draw = NoiseDraw(delta_iz=dz, delta_sz=3 * dz)
-        rho = run_sequence(seq, PARAMS, draw).state.density_matrix()
+        rho = run_sequence(seq, PARAMS, draw).rho
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-9)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12

@@ -232,7 +232,7 @@ class TestShuttle:
         t_load = np.linspace(0.0, 20.0, 81)
         res = run_shuttle_experiments("phase", t_load, PARAMS, noise=QUIET)
         fit = fit_sinusoid(t_load, res.columns["p_up"])
-        f_peak = fit.value("frequency") * 1e3  # kHz
+        f_peak = fit.parameters["frequency"] * 1e3  # kHz
         assert f_peak == pytest.approx(abs(PARAMS.a_hf) / 2.0, rel=0.01)
 
     def test_repeated_variant_coherence_decays_with_cycles(self):

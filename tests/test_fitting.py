@@ -28,16 +28,16 @@ class TestSinusoid:
         y += rng.normal(0.0, 0.01, len(x))
         fit = fit_sinusoid(x, y)
         assert fit.converged
-        assert fit.value("frequency") == pytest.approx(0.22425, rel=1e-3)
-        assert fit.value("amplitude") == pytest.approx(0.4, rel=0.02)
-        assert fit.value("offset") == pytest.approx(0.5, abs=0.01)
+        assert fit.parameters["frequency"] == pytest.approx(0.22425, rel=1e-3)
+        assert fit.parameters["amplitude"] == pytest.approx(0.4, rel=0.02)
+        assert fit.parameters["offset"] == pytest.approx(0.5, abs=0.01)
 
     def test_frequency_bounded_by_nyquist(self):
         rng = np.random.default_rng(1)
         x = np.linspace(0.0, 10.0, 40)
         y = rng.normal(0.5, 0.1, len(x))
         fit = fit_sinusoid(x, y)
-        assert fit.value("frequency") <= 0.5 / np.median(np.diff(x)) + 1e-12
+        assert fit.parameters["frequency"] <= 0.5 / np.median(np.diff(x)) + 1e-12
 
 
 class TestRamsey:
@@ -50,9 +50,9 @@ class TestRamsey:
         y += rng.normal(0.0, 0.01, len(tau))
         fit = fit_ramsey(tau, y)
         assert fit.converged
-        assert fit.value("t2star") == pytest.approx(2900.0, rel=0.05)
-        assert fit.value("alpha") == pytest.approx(2.11, rel=0.15)
-        assert fit.value("frequency") == pytest.approx(2e-3, rel=0.01)
+        assert fit.parameters["t2star"] == pytest.approx(2900.0, rel=0.05)
+        assert fit.parameters["alpha"] == pytest.approx(2.11, rel=0.15)
+        assert fit.parameters["frequency"] == pytest.approx(2e-3, rel=0.01)
 
     def test_alpha_fixed_is_pinned(self):
         tau = np.linspace(1.0, 6000.0, 60)
@@ -60,7 +60,7 @@ class TestRamsey:
         fit = fit_ramsey(tau, y, alpha_fixed=2.0)
         assert fit.parameters["alpha"] == 2.0
         assert fit.uncertainties["alpha"] == 0.0
-        assert fit.value("t2star") == pytest.approx(2000.0, rel=0.02)
+        assert fit.parameters["t2star"] == pytest.approx(2000.0, rel=0.02)
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestHahn:
         tau = np.linspace(100.0, 40000.0, 30)
         y = 0.5 * np.exp(-2.0 * tau / 16000.0) + 0.25
         fit = fit_hahn(tau, y)
-        assert fit.value("t2") == pytest.approx(16000.0, rel=1e-4)
+        assert fit.parameters["t2"] == pytest.approx(16000.0, rel=1e-4)
         assert "infinite_t2" not in fit.flags
 
     def test_flat_data_flags_infinite_t2(self):
@@ -93,7 +93,7 @@ class TestFlipIntervals:
         intervals = rng.exponential(75.0, 400)
         fit = fit_flip_intervals(intervals)
         # the seed-3 sample mean is itself ~8% above the true scale
-        assert fit.value("t1") == pytest.approx(75.0, rel=0.2)
+        assert fit.parameters["t1"] == pytest.approx(75.0, rel=0.2)
         assert fit.flags["ml_mean"] == pytest.approx(np.mean(intervals))
 
     def test_minimum_events(self):
@@ -124,10 +124,10 @@ class TestSpectrumHistogram:
         rng = np.random.default_rng(4)
         freqs = self._series(rng, 4000)
         fit = fit_esr_histogram(freqs)
-        assert fit.value("a1") == pytest.approx(503.0, rel=0.05)
-        assert fit.value("a2") == pytest.approx(119.0, rel=0.10)
-        assert fit.value("sigma") == pytest.approx(34.0, rel=0.15)
-        assert abs(fit.value("f0")) < 10.0
+        assert fit.parameters["a1"] == pytest.approx(503.0, rel=0.05)
+        assert fit.parameters["a2"] == pytest.approx(119.0, rel=0.10)
+        assert fit.parameters["sigma"] == pytest.approx(34.0, rel=0.15)
+        assert abs(fit.parameters["f0"]) < 10.0
 
     @pytest.mark.parametrize("seed", [33, 38, 77])
     def test_s1_pipeline_labels_peaks(self, seed, capsys):
@@ -170,8 +170,8 @@ class TestCoherence:
         k = np.arange(0.0, 101.0, 10.0)
         c = 0.98 * (1 - 0.0045) ** k
         fit = fit_coherence_decay(k, c)
-        assert fit.value("p_err") == pytest.approx(0.0045, rel=1e-3)
-        assert fit.value("c0") == pytest.approx(0.98, rel=1e-3)
+        assert fit.parameters["p_err"] == pytest.approx(0.0045, rel=1e-3)
+        assert fit.parameters["c0"] == pytest.approx(0.98, rel=1e-3)
 
     def test_decay_minimum_points(self):
         with pytest.raises(ValueError):
@@ -303,4 +303,4 @@ def test_evaluation_cap_returns_unconverged_start():
     assert capped.residual_norm == np.inf
     free = fitting._fit(*args)
     assert free.converged
-    assert free.value("tau") == pytest.approx(1.3, rel=1e-9)
+    assert free.parameters["tau"] == pytest.approx(1.3, rel=1e-9)

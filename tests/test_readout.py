@@ -11,11 +11,11 @@ from scipy.stats import binom
 from dotspin.readout import (
     NuclearReadoutConfig,
     ReadoutFidelities,
+    _best_shots,
     confuse_readout,
     correct_readout,
     fidelity_curve,
     nuclear_fidelity_model,
-    optimize_shots,
     repetitive_nuclear_readout,
 )
 
@@ -101,12 +101,12 @@ class TestFidelityModel:
         assert all(np.diff(f_shot) > 0)
 
     def test_interior_optimum(self):
-        m_opt = optimize_shots(NuclearReadoutConfig(), m_max=100)
+        m_opt = _best_shots(fidelity_curve(NuclearReadoutConfig(), m_max=100))
         assert 1 < m_opt < 100
 
     def test_optimum_is_mmax_without_decay(self):
         cfg = NuclearReadoutConfig(t1_n_hours=1e9)
-        assert optimize_shots(cfg, m_max=30) == 30
+        assert _best_shots(fidelity_curve(cfg, m_max=30)) == 30
 
     def test_optimum_matches_bruteforce(self):
         for f in (0.6, 0.7, 0.9):
@@ -120,7 +120,7 @@ class TestFidelityModel:
                     )
                 )["f_n"],
             )
-            assert optimize_shots(cfg, m_max=60) == best
+            assert _best_shots(fidelity_curve(cfg, m_max=60)) == best
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -42,10 +42,6 @@ class TestGeometry:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             build(value)
 
-    def test_fcc_site_density(self):
-        geo = ElectrodeGeometry(standoff=2.0)
-        assert geo.site_density_nm3 == pytest.approx(4.0 / AL_LATTICE_CONSTANT**3)
-
 
 class TestSecondMoment:
     def test_single_site_oracle(self):
@@ -103,7 +99,7 @@ class TestSecondMoment:
 
         integral = dblquad(integrand, z_lo, z_lo + geo.thickness, 0.0, radius)[0]
         expected = (_moment_prefactor(GAMMA_SI, GAMMA_AL, SPIN_AL)
-                    * geo.site_density_nm3 * integral * 1e54)
+                    * 4.0 / AL_LATTICE_CONSTANT**3 * integral * 1e54)
         assert second_moment_cylinder_integral(geo) == pytest.approx(expected, rel=1e-10)
 
     def test_zero_thickness_integral_is_zero(self):
