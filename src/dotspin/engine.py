@@ -31,6 +31,10 @@ take the same path and agree to the bit.
 A Repeat's cycle is keyed once by stack_key, and run_stack evaluates its
 elements' columns once and applies the cycle count times through the same
 element code, so it agrees to the bit with its cycles written out.
+
+run_stack is set-up, one element loop (_propagate) and the finish; _resume
+runs a shared prefix through that loop once and continues each stack of
+tails from the (state, pure, t, config) it leaves.
 """
 
 from __future__ import annotations
@@ -149,34 +153,67 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     a NoiseDraw. A field that differs between the sequences is a (P, 1)
     column, one that does not the scalar it is, so each point gets the
     arithmetic of its own run_sequence."""
-    batch = NoiseBatch.of(noise_draw)
-    psi0 = _GROUND if initial_state is None else initial_state.vector
-    pure = psi0 is not None  # state holds amplitudes psi, else density matrices
-    # nothing acts on the electron while unloaded, so a load keeps a pure run
-    # pure exactly when the run began with an empty electron slot
-    load_keeps_pure = pure and not psi0[2:].any()
-    state0 = psi0 if pure else initial_state.density_matrix()
-    state = np.repeat(state0[None], len(batch), axis=0)
-    frame = _columns(seqs, ("f_e_ref", "f_n_ref"))
-    # with no I_x noise every drive-free Hamiltonian is diagonal; a property
-    # of the batch alone, so a lone run and a stacked run take the same path
-    diagonal = not np.any(batch.delta_ix)
-    config = seqs[0].initial_config
-    t = 0.0  # absolute sequence time, us
-    records = []
-    static = {}  # charge config -> drive-free Hamiltonians of the batch
-    free = {}  # (charge config, duration(s), pure) -> propagators, or phases
+    run, records = _Run(seqs, params, noise_draw, initial_state), []
+    state, pure, _, _ = _propagate(run, zip(*(seq.elements for seq in seqs), strict=True),
+                                   records, *run.start)
+    return _finish(state, pure, records, len(seqs))
 
-    def h_static(config):
-        if config not in static:
-            static[config] = rotating_frame_hamiltonian(params, batch, frame, config)
-        return static[config]
 
-    for els, values in _timeline(zip(*(seq.elements for seq in seqs), strict=True)):
+def _resume(seq, params, noise_draw=ZERO_DRAW, initial_state=None):
+    """Run seq's elements once and return tails -> SequenceResult, which
+    runs the P element tuples tails (of one structure) as one stack on from
+    the state seq leaves. Each result is run_stack's on seq's elements
+    followed by each tail, to the bit."""
+    run, records = _Run((seq,), params, noise_draw, initial_state), []
+    at = _propagate(run, zip(seq.elements), records, *run.start)
+
+    def tails(elements):
+        out = list(records)
+        state, pure, _, _ = _propagate(run, zip(*elements, strict=True), out, *at)
+        return _finish(state, pure, out, len(elements))
+
+    return tails
+
+
+class _Run:
+    """What the elements of one run of the sequences share, and the
+    (state, pure, t, config) it starts from."""
+
+    def __init__(self, seqs, params, noise_draw, initial_state):
+        self.params, self.batch = params, NoiseBatch.of(noise_draw)
+        self.frame = _columns(seqs, ("f_e_ref", "f_n_ref"))
+        psi0 = _GROUND if initial_state is None else initial_state.vector
+        pure = psi0 is not None  # state holds amplitudes psi, else density matrices
+        # with no I_x noise every drive-free Hamiltonian is diagonal; a property
+        # of the batch alone, so a lone run and a stacked run take the same path
+        self.diagonal = not np.any(self.batch.delta_ix)
+        # nothing acts on the electron while unloaded, so a load keeps a pure run
+        # pure exactly when the run began with an empty electron slot
+        self.load_keeps_pure = pure and not psi0[2:].any()
+        self.static = {}  # charge config -> drive-free Hamiltonians of the batch
+        self.free = {}  # (charge config, duration(s), pure) -> propagators, or phases
+        state0 = psi0 if pure else initial_state.density_matrix()
+        self.start = (np.repeat(state0[None], len(self.batch), axis=0), pure, 0.0,
+                      seqs[0].initial_config)
+
+    def h_static(self, config):
+        if config not in self.static:
+            self.static[config] = rotating_frame_hamiltonian(
+                self.params, self.batch, self.frame, config)
+        return self.static[config]
+
+
+def _propagate(run: _Run, steps, records: list, state, pure: bool, t, config: str) -> tuple:
+    """The element loop: steps (side-by-side elements of a stack) applied to
+    state from sequence time t (us) in charge config config, appending their
+    measurements to records; returns the (state, pure, t, config) they
+    leave."""
+    for els, values in _timeline(steps):
         el = els[0]
         if isinstance(el, Pulse):
-            check_rwa(params, el.channel, max(e.rabi for e in els))
-            u = _pulse_unitary(el.channel, *values, frame, h_static(config), t, diagonal)
+            check_rwa(run.params, el.channel, max(e.rabi for e in els))
+            u = _pulse_unitary(el.channel, *values, run.frame, run.h_static(config), t,
+                               run.diagonal)
             state = _apply(u, state, pure)
             t = t + values[2]
         elif isinstance(el, Rotation):
@@ -186,15 +223,16 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
             if el.duration > 0:
                 key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
                        else duration, pure)
-                if key not in free:
-                    free[key] = _free_propagator(h_static(config), _lift(duration, 1),
-                                                 diagonal, pure)
-                state = state * free[key] if diagonal else _apply(free[key], state, pure)
+                if key not in run.free:
+                    run.free[key] = _free_propagator(run.h_static(config), _lift(duration, 1),
+                                                     run.diagonal, pure)
+                state = (state * run.free[key] if run.diagonal
+                         else _apply(run.free[key], state, pure))
             t = t + duration
         elif isinstance(el, ChargeEvent):
             before, config = _EVENT_TRANSITIONS[el.kind]
             if pure and (el.dephase_prob > 0 or config == "unloaded"
-                         or (before == "unloaded" and not load_keeps_pure)):
+                         or (before == "unloaded" and not run.load_keeps_pure)):
                 state, pure = _outer(state), False
             state = _apply_charge_event(state, el, pure)
         elif isinstance(el, (MeasureNuclear, MeasureElectron)):
@@ -203,9 +241,13 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
             records.append((kind, marginal_of_populations(p, kind)))
         else:
             raise TypeError(f"unknown sequence element {el!r}")
+    return state, pure, t, config
 
-    def per_point(x, ndim):  # one entry per sequence: as it is, or repeated
-        return x if x.ndim == ndim else np.repeat(x[None], len(seqs), axis=0)
+
+def _finish(state, pure: bool, records, points: int) -> SequenceResult:
+    """The renormalised rho and the records, each with one entry per point."""
+    def per_point(x, ndim):  # as it is, or repeated
+        return x if x.ndim == ndim else np.repeat(x[None], points, axis=0)
 
     rho = _outer(state) if pure else state
     return SequenceResult(per_point(_renormalise(rho), 4),

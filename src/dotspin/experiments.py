@@ -22,18 +22,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    ZERO_DRAW,
     NoiseBatch,
     NoiseModel,
     QuantumState,
     SpinSystemParams,
     _require_finite,
+    populations,
     rng_for,
     sample_noise,
     sigma_from_t2,
     transition_frequencies,
 )
-from .engine import run_sequence, run_stack, stack_key
+from .engine import _resume, run_sequence, run_stack, stack_key
 from .fitting import coherence_metric
 from .readout import confuse_readout, correct_readout
 from .sequences import (
@@ -42,6 +42,7 @@ from .sequences import (
     Pulse,
     ChargeEvent,
     MeasureNuclear,
+    _bell_parts,
     bell_circuit,
     electron_shuttle_ramsey,
     hahn_sequence,
@@ -90,11 +91,16 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     """The experiment's draw batch, row t for trial t, from one generator
     keyed on (seed, "noise", *label). The "noise" part keeps the stream apart
     from rng_for(seed), the s1 record's; the key holds neither the thread
-    count nor the sweep order, so neither moves a draw."""
+    count nor the sweep order, so neither moves a draw. An all-zero model
+    builds no generator: its batch is the +0.0 and False columns that
+    sample_noise would give whatever the draws."""
     if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
         raise TypeError(f"trials: expected int, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if noise == NoiseModel():
+        return NoiseBatch(np.zeros(trials), np.zeros(trials), np.zeros(trials),
+                          np.zeros(trials, bool))
     return sample_noise(noise, rng_for(seed, "noise", *label), trials)
 
 
@@ -331,9 +337,16 @@ def calibrate_bell_projection(
     circuit, absorbing the deterministic AC Stark and free-precession phase
     offsets; mirrors the experimental calibration workflow.
 
-    Coordinate-wise: the parity is sinusoidal in each phase, so each sweep
-    samples four quadrature points, extracts the maximising phase and moves
-    on; CALIBRATION_SWEEPS sweeps converge to the joint optimum.
+    Coordinate-wise: each of CALIBRATION_SWEEPS sweeps samples four
+    quadrature points per phase and moves the phase to the maximum of their
+    first harmonic. The parity is a pure sinusoid only in the second phase
+    of each pair (phi_e_down, phi_n_up), so the result is close to the joint
+    optimum, not at it.
+
+    The circuit's entangling prefix (load, NMR pi/2, idle, ESR pi) runs
+    once; each sweep's four candidates then run only their projection
+    pulses from its state, as one stack, so every parity is the whole
+    circuit's to the bit.
 
     Returns {'phi_e': (a, b), 'phi_n': (a, b), 'parity': best}, a fresh dict
     on each call; the calibration itself runs once per (params,
@@ -345,13 +358,12 @@ def calibrate_bell_projection(
 @functools.lru_cache(maxsize=64)
 def _calibrated_projection(params, duration_scale) -> dict:
     phases = np.zeros(4)  # (phi_e_up, phi_e_down, phi_n_down, phi_n_up)
-
-    def circuit(ph):
-        return bell_circuit(params, projection=((ph[2], ph[3]), (ph[0], ph[1])),
-                            duration_scale=duration_scale)
+    frame, prefix, project = _bell_parts(params, duration_scale)
+    resume = _resume(PulseSequence(prefix, **frame), params)
 
     def parity_at(*phase_sets):  # the noiseless parities, in one engine run
-        return _parity(_sweep(circuit, phase_sets, params, NoiseBatch.of(ZERO_DRAW), "joint"))
+        tails = [project((ph[2], ph[3]), (ph[0], ph[1])) for ph in phase_sets]
+        return _parity(populations(resume(tails).rho)[:, 0])
 
     for _ in range(CALIBRATION_SWEEPS):
         for i in range(4):

@@ -237,23 +237,32 @@ def bell_circuit(
     groups; the joint two-qubit coherence is exposed to electron dephasing
     during them.
     """
+    frame, prefix, project = _bell_parts(params, duration_scale)
+    tail = () if projection is None else project(*projection)
+    return PulseSequence(prefix + tail + (MeasureNuclear(), MeasureElectron()), **frame,
+                         initial_config="unloaded")
+
+
+def _bell_parts(params: SpinSystemParams, duration_scale: float) -> tuple:
+    """bell_circuit's pieces: its frame references, its entangling prefix
+    (from 'unloaded' to 'qd1') and project(phi_n, phi_e), the elements of
+    its projection."""
     f = transition_frequencies(params)
     esr_rabi, nmr_rabi = synchronized_esr_rabi(params), BELL_NMR_RABI
     t_pi_e = pi_duration(esr_rabi) * duration_scale
     t_pi_n = pi_duration(nmr_rabi) * duration_scale
     idle = FreeEvolution(DEFAULT_PULSE_GAP, "qd1")
-
-    elements = [
+    prefix = (
         ChargeEvent(kind="load_down"),
         # Conditional NMR pi/2 on the electron-down line: nuclear superposition.
         Pulse("NMR", f["f_n_elec_down"], nmr_rabi, t_pi_n / 2),
         idle,
         # Conditional ESR pi on the nuclear-up line: entangler.
         Pulse("ESR", f["f_e_nuc_up"], esr_rabi, t_pi_e),
-    ]
-    if projection is not None:
-        phi_n, phi_e = projection
-        elements += [
+    )
+
+    def project(phi_n, phi_e):
+        return (
             idle,
             # Unconditional electron pi/2 from two conditional pi/2 pulses.
             Pulse("ESR", f["f_e_nuc_up"], esr_rabi, t_pi_e / 2, phase=phi_e[0]),
@@ -262,14 +271,9 @@ def bell_circuit(
             # Unconditional nuclear pi/2 from two conditional pi/2 pulses.
             Pulse("NMR", f["f_n_elec_down"], nmr_rabi, t_pi_n / 2, phase=phi_n[0]),
             Pulse("NMR", f["f_n_elec_up"], nmr_rabi, t_pi_n / 2, phase=phi_n[1]),
-        ]
-    elements += [MeasureNuclear(), MeasureElectron()]
-    return PulseSequence(
-        elements=tuple(elements),
-        f_e_ref=f["f_e0"],
-        f_n_ref=f["f_n0"],
-        initial_config="unloaded",
-    )
+        )
+
+    return {"f_e_ref": f["f_e0"], "f_n_ref": f["f_n0"]}, prefix, project
 
 
 def nmr_line(params: SpinSystemParams, charge_config: str = "unloaded",

@@ -7,7 +7,8 @@ one at a time (optionally on a thread pool). The core helpers it relied on
 (propagator, partial trace, dephasing channel) are copied here in their
 original single-matrix form, so the reference shares no numerical code with
 the batched path beyond the operator constants, the state container and
-core.populations.
+core.populations. It also keeps the Bell projection calibration's original
+loop, one whole circuit per candidate, which runs on the sweep it is given.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dotspin.core import (
     IZ,
     SZ,
     XN,
+    NoiseBatch,
     NoiseDraw,
     QuantumState,
     SpinSystemParams,
@@ -41,7 +43,9 @@ from dotspin.sequences import (
     Repeat,
     Rotation,
     LOADED_CONFIGS,
+    bell_circuit,
 )
+from dotspin.experiments import CALIBRATION_SWEEPS
 
 
 def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
@@ -240,3 +244,34 @@ def _apply_charge_event(rho: np.ndarray, el: ChargeEvent, config: str):
         )
         rho = state.density_matrix()
     return rho, config
+
+
+def calibrate_bell_projection(params: SpinSystemParams, duration_scale: float,
+                              sweep) -> dict:
+    """The Bell projection calibration as it ran before its prefix ran once:
+    every candidate a whole bell_circuit, each coordinate's four quadrature
+    candidates one sweep(build, points, params, draws, 'joint') on the zero
+    draw (experiments._sweep, or a per-point reference for it), 13 sweeps in
+    all. The oracle of the loop's structure, not of the engine it runs."""
+    phases = np.zeros(4)  # (phi_e_up, phi_e_down, phi_n_down, phi_n_up)
+
+    def circuit(ph):
+        return bell_circuit(params, projection=((ph[2], ph[3]), (ph[0], ph[1])),
+                            duration_scale=duration_scale)
+
+    def parity_at(*phase_sets):
+        p = sweep(circuit, phase_sets, params, NoiseBatch.of(ZERO_DRAW), "joint")
+        return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
+
+    for _ in range(CALIBRATION_SWEEPS):
+        for i in range(4):
+            candidates = [phases.copy() for _ in range(4)]
+            for candidate, offset in zip(candidates, (0.0, 90.0, 180.0, 270.0)):
+                candidate[i] = phases[i] + offset
+            samples = parity_at(*candidates)
+            a = (samples[0] - samples[2]) / 2
+            b = (samples[1] - samples[3]) / 2
+            phases[i] = (phases[i] + np.rad2deg(np.arctan2(b, a))) % 360.0
+    (best,) = parity_at(phases)
+    return {"phi_e": (phases[0], phases[1]), "phi_n": (phases[2], phases[3]),
+            "parity": best}

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import reference_engine as ref
 from test_batched_engine import PARAMS, initial_states, noise_draws, sequences
 from dotspin import engine, experiments
-from dotspin.core import NoiseBatch, NoiseDraw, NoiseModel, transition_frequencies
+from dotspin.core import (NoiseBatch, NoiseDraw, NoiseModel, SpinSystemParams,
+                          transition_frequencies)
 from dotspin.engine import run_sequence, run_stack, stack_key
 from dotspin.sequences import (
     ChargeEvent,
@@ -24,6 +25,7 @@ from dotspin.sequences import (
     Repeat,
     Rotation,
     _validate,
+    bell_circuit,
     repeated_load_sequence,
 )
 
@@ -227,11 +229,51 @@ def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):
 
 
 def test_calibration_runs_each_coordinate_as_one_stack(engine_runs, monkeypatch):
+    # the prefix once, then each coordinate's four candidates as one stack of
+    # projection tails, and the final parity as a stack of one
+    prefixes, tails = [], []
+    resume = experiments._resume
+
+    def counted(seq, params, *args):
+        prefixes.append(len(seq.elements))
+        run_tails = resume(seq, params, *args)
+        return lambda elements: tails.append(len(elements)) or run_tails(elements)
+
+    monkeypatch.setattr(experiments, "_resume", counted)
     got = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05)
-    assert len(engine_runs) == 13
-    assert engine_runs.count((4, 1)) == 12
-    monkeypatch.setattr(experiments, "_sweep", _per_point_sweep)
-    assert experiments._calibrated_projection.__wrapped__(PARAMS, 1.05) == got
+    assert prefixes == [4]
+    assert tails == [4] * 12 + [1]
+    assert engine_runs == []  # nothing through run_stack or run_sequence
+    assert got == ref.calibrate_bell_projection(PARAMS, 1.05, _per_point_sweep)
+
+
+@pytest.mark.parametrize("params", [PARAMS, SpinSystemParams(a_hf=-300.0),
+                                    SpinSystemParams(b_ext=0.9)])
+@pytest.mark.parametrize("duration_scale", [1.0, 1.05, 0.9])
+def test_calibration_equals_its_whole_circuit_oracle(params, duration_scale):
+    got = experiments._calibrated_projection.__wrapped__(params, duration_scale)
+    assert got == ref.calibrate_bell_projection(params, duration_scale, experiments._sweep)
+
+
+def _noiseless_parity(phases, duration_scale):
+    seq = bell_circuit(PARAMS, projection=((phases[2], phases[3]), (phases[0], phases[1])),
+                       duration_scale=duration_scale)
+    p = run_sequence(seq, PARAMS).joint_probabilities()
+    return p[0] + p[3] - p[1] - p[2]
+
+
+@given(duration_scale=st.sampled_from((0.9, 1.0, 1.05)), offset=st.floats(-180.0, 180.0))
+@settings(max_examples=20, deadline=None)
+def test_calibration_maximises_its_last_phase(duration_scale, offset):
+    # the reported parity is the whole circuit's; no shift of phi_n_up, the
+    # phase swept last, raises it. (The earlier phases stop short of their
+    # optimum: shifting phi_e_up by -3.5 degrees at duration_scale 1.05
+    # raises the parity by 4.4e-4.)
+    cal = experiments.calibrate_bell_projection(PARAMS, duration_scale)
+    phases = np.array([*cal["phi_e"], *cal["phi_n"]])
+    assert _noiseless_parity(phases, duration_scale) == cal["parity"]
+    phases[3] += offset
+    assert _noiseless_parity(phases, duration_scale) <= cal["parity"] + 1e-12
 
 
 @given(
@@ -317,6 +359,27 @@ def test_repeat_equals_its_written_out_cycles(seqs, count, draws, ix, init):
                           run_sequence(written[0], PARAMS, batch, init))
     _assert_bitwise_equal(run_stack([repeated[i] for i in stack], PARAMS, batch, init),
                           run_stack([written[i] for i in stack], PARAMS, batch, init))
+
+
+@given(
+    seqs=stacks(),
+    cut=st.integers(0, 7),
+    draws=st.lists(noise_draws, min_size=1, max_size=3),
+    init=initial_states(),
+)
+@settings(max_examples=30, deadline=None)
+def test_resumed_tails_equal_their_whole_sequences(seqs, cut, draws, init):
+    # one run of a shared prefix (its measurements included), then two stacks
+    # of tails from the state it leaves, against run_stack of the whole
+    # sequences
+    base = seqs[0]
+    prefix = replace(base, elements=base.elements[:cut])
+    tails = [seq.elements[cut:] for seq in seqs]
+    batch = NoiseBatch.stack(draws)
+    resume = engine._resume(prefix, PARAMS, batch, init)
+    for stack in (tails, tails[:1]):
+        whole = [replace(base, elements=prefix.elements + tail) for tail in stack]
+        _assert_bitwise_equal(resume(stack), run_stack(whole, PARAMS, batch, init))
 
 
 @given(

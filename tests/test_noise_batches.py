@@ -1,5 +1,7 @@
-"""The drivers' noise draws: one generator per draw batch, row t for trial t."""
+"""The drivers' noise draws: at most one generator per draw batch (none for an
+all-zero model), row t for trial t."""
 
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +54,36 @@ def test_all_zero_model_gives_one_row_of_positive_zeros(trials, monkeypatch):
     seq = experiments.ramsey_sequence(PARAMS, 100.0, charge_config="qd1")
     experiments._sweep(lambda s: s, [seq], PARAMS, batch, "nuclear")
     assert runs == [1]
+
+
+@pytest.mark.parametrize("model", [NoiseModel(),
+                                   NoiseModel(sigma_iz=-0.0, spectator_flip_prob=-0.0)])
+@pytest.mark.parametrize("trials", [1, 7])
+def test_all_zero_model_draws_what_sample_noise_gives_without_a_generator(
+        model, trials, monkeypatch):
+    expected = sample_noise(model, rng_for(5, "noise"), trials)
+    monkeypatch.setattr(experiments, "rng_for", lambda *key: pytest.fail("generator built"))
+    got = experiments._draws(model, 5, trials)
+    columns = (*_normals(got), got.spectator_detuned)
+    for a, b in zip(columns, (*_normals(expected), expected.spectator_detuned)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # three separate arrays, as sample_noise gives
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(columns, 2))
+
+
+def test_spectator_only_model_still_draws_its_stream(monkeypatch):
+    model = NoiseModel(spectator_flip_prob=0.3)
+    keys = []
+
+    def counted(seed, *key):
+        keys.append((seed, key))
+        return rng_for(seed, *key)
+
+    monkeypatch.setattr(experiments, "rng_for", counted)
+    got = experiments._draws(model, 5, 64, "p_x")
+    assert keys == [(5, ("noise", "p_x"))]
+    assert _bytes(got) == _bytes(sample_noise(model, rng_for(5, "noise", "p_x"), 64))
+    assert got.spectator_detuned.any()
 
 
 @given(model=models, seed=st.integers(0, 2**32))
