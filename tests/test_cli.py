@@ -162,6 +162,43 @@ class TestExitCodes:
         assert code == 1
         assert path in err and out == ""
 
+    @pytest.mark.parametrize("experiment, config, message", [
+        ("bell", {"bell_noise": {"t2_star_e_us": -1}},
+         "bell.bell_noise: t2_star_e_us must be positive, got -1"),
+        ("error-budget", {"bell_noise": {"spectator_flip_prob": 2.0}},
+         "error-budget.bell_noise: spectator_flip_prob must be in [0, 1]"),
+        ("ramsey", {"params": {"b_ext": -1}},
+         "ramsey.params: b_ext must be positive, got -1"),
+        ("hahn", {"noise": {"sigma_iz": -1}},
+         "hahn.noise: sigma_iz must be >= 0, got -1"),
+        ("readout-fidelity", {"f_e_avg": 1.5, "m_max": 3},
+         "readout-fidelity: f_e_avg must be in [0, 1], got 1.5"),
+        ("readout-fidelity", {"t_shot_ms": 0},
+         "readout-fidelity: t_shot_ms must be positive"),
+        ("readout-fidelity", {"t1_n_hours": -1.0},
+         "readout-fidelity: t1_n_hours must be positive"),
+        ("readout-fidelity", {"m_max": 0}, "readout-fidelity.m_max: must be positive, got 0"),
+        ("hyperfine-mc", {"draws": 10}, "hyperfine-mc.draws: must be >= 100, got 10"),
+        ("vanvleck", {"thickness": -1},
+         "vanvleck.thickness: must be >= one Al lattice constant (0.405 nm), got -1"),
+        ("vanvleck", {"lateral": [300.0, 0.0]},
+         "vanvleck.lateral[1]: must be >= one Al lattice constant (0.405 nm), got 0.0"),
+        ("shuttle", {"tau_0": -1}, "shuttle.tau_0: must be positive, got -1"),
+        ("ramsey", {"charge_config": "qd2"},
+         "ramsey.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
+        ("hahn", {"charge_config": "qd2"},
+         "hahn.charge_config: expected one of 'unloaded', 'qd1', got 'qd2'"),
+        ("vanvleck", {"lateral": [1.0]}, "vanvleck.lateral: expected two entries, got [1.0]"),
+    ])
+    def test_refused_section_value_names_its_path(self, capsys, tmp_path,
+                                                  experiment, config, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, experiment, "--config", str(cfg),
+                                 "--trials", "1")
+        assert code == 1 and out == ""
+        assert message in err
+
     @pytest.mark.parametrize("argv, env, path", [
         (["spectrum", "--out", "{absent}/x.json"], {}, "{absent}/x.json"),
         (["fit", "--model", "ramsey", "--input", "{absent}.csv"], {},
