@@ -159,12 +159,12 @@ def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> Sequenc
     return _finish(state, pure, records, len(seqs))
 
 
-def _resume(seq, params, noise_draw=ZERO_DRAW, initial_state=None):
-    """Run seq's elements once and return tails -> SequenceResult, which
-    runs the P element tuples tails (of one structure) as one stack on from
-    the state seq leaves. Each result is run_stack's on seq's elements
-    followed by each tail, to the bit."""
-    run, records = _Run((seq,), params, noise_draw, initial_state), []
+def _resume(seq, params):
+    """Run seq's elements once, noiseless from the ground state, and return
+    tails -> SequenceResult, which runs the P element tuples tails (of one
+    structure) as one stack on from the state seq leaves. Each result is
+    run_stack's on seq's elements followed by each tail, to the bit."""
+    run, records = _Run((seq,), params, ZERO_DRAW, None), []
     at = _propagate(run, zip(seq.elements), records, *run.start)
 
     def tails(elements):

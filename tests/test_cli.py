@@ -359,9 +359,6 @@ class TestDryRun:
          "exceeds 10% of the addressed transition frequency"),
         ("rabi", {"rabi": 1300.0, "params": {"b_ext": 0.5}},
          "rabi.rabi: NMR Rabi frequency 1300.0 kHz exceeds 10%"),
-        ("hyperfine-mc", {"draws": 10}, "hyperfine-mc.draws: must be >= 100, got 10"),
-        ("readout-fidelity", {"f_e_avg": 1.5, "m_max": 3},
-         "readout-fidelity: f_e_avg must be in [0, 1], got 1.5"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
