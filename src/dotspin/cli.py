@@ -543,10 +543,11 @@ def _write_table(table, out, fmt: str, meta: dict, seed, trials) -> None:
 def write_csv(columns: dict, out) -> None:
     """Write named equal-length columns as CSV to the path out, or to stdout
     for "-": a header row, then one row per index with each value as
-    repr(float(v)). Rows end in CRLF in a file, as the csv module writes
-    them, and in LF on stdout."""
+    repr(float(v)), each column formatted at once. Rows end in CRLF in a
+    file, as the csv module writes them, and in LF on stdout."""
     rows = [list(columns)]
-    rows += ([repr(float(v)) for v in row] for row in zip(*columns.values()))
+    rows += zip(*(map(repr, np.asarray(col, dtype=float).tolist())
+                  for col in columns.values()))
     if out == "-":
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
         return

@@ -56,17 +56,25 @@ def sigma_from_t2(t2_us: float) -> float:
     return 1e3 / (SQRT2 * np.pi * t2_us)
 
 
-def _require_finite(obj, names) -> None:
+def _require_finite(obj, names) -> bool:
     """Refuse NaN and +-inf in the named fields of obj, naming the field. A
-    tuple or list field is checked entry by entry."""
+    tuple or list field is checked entry by entry, and an array of sweep
+    points is refused at its first bad point, as that point alone would be.
+    Returns whether any of the fields is such an array."""
+    stacked = False
     for name in names:
         value = getattr(obj, name)
         try:
             finite = math.isfinite(value)
-        except TypeError:  # a tuple or list field
-            finite = all(map(math.isfinite, value))
+        except TypeError:
+            if isinstance(value, np.ndarray):
+                stacked, bad = True, value[~np.isfinite(value)]
+                finite, value = not bad.size, float(bad[0]) if bad.size else value
+            else:  # a tuple or list field
+                finite = all(map(math.isfinite, value))
         if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
+    return stacked
 
 
 @dataclass(frozen=True)

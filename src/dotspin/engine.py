@@ -2,9 +2,9 @@
 
 Propagates the joint state through a PulseSequence, one per frozen
 quasi-static noise draw, all trials of a batch at once along a trial axis,
-and with run_stack P sequences of one stack_key at once. The state is kept
-in the sequence's rotating frame (f_e_ref for the electron, f_n_ref for the
-nucleus). A pulse whose tone differs from its channel reference is
+and with run_stack the P points of a stacked sequence at once. The state is
+kept in the sequence's rotating frame (f_e_ref for the electron, f_n_ref for
+the nucleus). A pulse whose tone differs from its channel reference is
 propagated exactly in its own drive frame, with diagonal frame-change
 rotations at the pulse boundaries, applied entrywise.
 
@@ -28,13 +28,13 @@ under I_x noise use one stacked eigh. The choice is one flag per run that
 depends on the batch alone, so a lone run and the same point inside a stack
 take the same path and agree to the bit.
 
-A Repeat's cycle is keyed once by stack_key, and run_stack evaluates its
-elements' columns once and applies the cycle count times through the same
-element code, so it agrees to the bit with its cycles written out.
+run_stack evaluates the columns of a Repeat's cycle once and applies the
+cycle count times through the same element code, so it agrees to the bit
+with its cycles written out.
 
 run_stack is set-up, one element loop (_propagate) and the finish; _resume
-runs a shared prefix through that loop once and continues each stack of
-tails from the (state, pure, t, config) it leaves.
+runs a shared prefix through that loop once and continues each stacked tail
+from the (state, pure, t, config) it leaves.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ from .core import (
 )
 from .sequences import (
     _EVENT_TRANSITIONS,
+    STACKED_FIELDS,
+    cycles_once,
+    stacked_points,
     ChargeEvent,
     FreeEvolution,
     MeasureElectron,
@@ -83,7 +86,7 @@ class SequenceResult:
 
     A NoiseBatch of N draws gives rho of shape (N, 4, 4) and records of shape
     (N, 2); a single NoiseDraw drops the trial axis: (4, 4) and (2,).
-    run_stack keeps the trial axis and adds one of P sequences before it.
+    run_stack keeps the trial axis and adds one of P points before it.
     """
 
     rho: np.ndarray
@@ -110,78 +113,70 @@ def run_sequence(
     noise_draw: NoiseDraw | NoiseBatch = ZERO_DRAW,
     initial_state: QuantumState | None = None,
 ) -> SequenceResult:
-    """Execute a sequence for one noise draw, or for a batch of N draws at
-    once along a leading trial axis, and return the final state(s).
+    """Execute a lone sequence for one noise draw, or for a batch of N draws
+    at once along a leading trial axis, and return the final state(s).
 
     Measurements are recorded as ideal Born probabilities (no collapse);
     sampling-based readout lives in the readout module. A pulse whose peak
     Rabi frequency exceeds 10% of its transition is refused (check_rwa).
     """
-    res = run_stack((seq,), params, noise_draw, initial_state)
+    if (seq.points or 1) != 1:
+        raise ValueError(f"run_sequence runs one point, got {seq.points}; use run_stack")
+    res = run_stack(seq, params, noise_draw, initial_state)
     drop = (0,) if isinstance(noise_draw, NoiseBatch) else (0, 0)  # P, and N
     return SequenceResult(res.rho[drop], [(kind, p[drop]) for kind, p in res.records])
 
 
-def stack_key(seq: PulseSequence) -> tuple:
-    """What the sequences of one run_stack call share: element types and
-    channels, charge configs, whether each pulse is on its frame reference
-    and each free evolution non-zero, whole charge events and measurements,
-    and each Repeat's count with the key of its cycle."""
-    return (seq.initial_config, *_element_keys(seq.elements, seq))
+def stack_groups(seq: PulseSequence) -> list:
+    """The points of a stacked sequence of one structure, as index arrays in
+    the order of their first points: whether each pulse is on its channel's
+    frame reference and each free evolution non-zero (a Repeat's cycle once).
+    The points of one structure run together in run_stack as each alone."""
+    points = seq.points or 1
+    flags = [el.duration > 0 if isinstance(el, FreeEvolution) else
+             el.frequency == (seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref)
+             for el in cycles_once(seq.elements) if isinstance(el, (Pulse, FreeEvolution))]
+    rows = np.array([np.broadcast_to(f, points) for f in flags], bool).reshape(-1, points).T
+    if (rows == rows[:1]).all():
+        return [np.arange(points)]
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return [np.flatnonzero(inverse.ravel() == g) for g in np.argsort(first)]
 
 
-def _element_keys(elements, seq: PulseSequence) -> tuple:
-    key = []
-    for el in elements:
-        if isinstance(el, Pulse):
-            f_ref = seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref
-            key.append((el.channel, el.frequency == f_ref))
-        elif isinstance(el, Rotation):
-            key.append((Rotation, el.channel))
-        elif isinstance(el, FreeEvolution):
-            key.append((el.charge_config, el.duration > 0))
-        elif isinstance(el, Repeat):
-            key.append((Repeat, el.count, _element_keys(el.elements, seq)))
-        else:
-            key.append(el)
-    return tuple(key)
-
-
-def run_stack(seqs, params, noise_draw=ZERO_DRAW, initial_state=None) -> SequenceResult:
-    """Execute P sequences that share one stack_key against the same noise
-    draw(s) in one pass: rho (P, N, 4, 4) and records (P, N, 2), N = 1 for
-    a NoiseDraw. A field that differs between the sequences is a (P, 1)
-    column, one that does not the scalar it is, so each point gets the
-    arithmetic of its own run_sequence."""
-    run, records = _Run(seqs, params, noise_draw, initial_state), []
-    state, pure, _, _ = _propagate(run, zip(*(seq.elements for seq in seqs), strict=True),
-                                   records, *run.start)
-    return _finish(state, pure, records, len(seqs))
+def run_stack(seq, params, noise_draw=ZERO_DRAW, initial_state=None,
+              rows=None) -> SequenceResult:
+    """Execute the P points of a stacked sequence, or its points rows,
+    against the same noise draw(s) in one pass: rho (P, N, 4, 4) and records
+    (P, N, 2), N = 1 for a NoiseDraw. An array field runs as the float its
+    entries are when they are equal to the bit, else as a (P, 1) column, so
+    the points of one of its stack_groups get the arithmetic of lone runs."""
+    run, records = _Run(seq, params, noise_draw, initial_state, rows), []
+    state, pure, _, _ = _propagate(run, seq.elements, records, *run.start)
+    return _finish(state, pure, records, (seq.points or 1) if rows is None else len(rows))
 
 
 def _resume(seq, params):
     """Run seq's elements once, noiseless from the ground state, and return
-    tails -> SequenceResult, which runs the P element tuples tails (of one
-    structure) as one stack on from the state seq leaves. Each result is
-    run_stack's on seq's elements followed by each tail, to the bit."""
-    run, records = _Run((seq,), params, ZERO_DRAW, None), []
-    at = _propagate(run, zip(seq.elements), records, *run.start)
+    tail -> SequenceResult, which runs the stacked elements tail on from the
+    state they leave, to the bit as run_stack runs seq followed by tail."""
+    run, records = _Run(seq, params, ZERO_DRAW, None), []
+    at = _propagate(run, seq.elements, records, *run.start)
 
-    def tails(elements):
+    def tail(elements):
         out = list(records)
-        state, pure, _, _ = _propagate(run, zip(*elements, strict=True), out, *at)
-        return _finish(state, pure, out, len(elements))
+        state, pure, _, _ = _propagate(run, elements, out, *at)
+        return _finish(state, pure, out, stacked_points(elements) or 1)
 
-    return tails
+    return tail
 
 
 class _Run:
-    """What the elements of one run of the sequences share, and the
-    (state, pure, t, config) it starts from."""
+    """What the elements of one run share, the points it runs (rows, None
+    for all) and the (state, pure, t, config) it starts from."""
 
-    def __init__(self, seqs, params, noise_draw, initial_state):
-        self.params, self.batch = params, NoiseBatch.of(noise_draw)
-        self.frame = _columns(seqs, ("f_e_ref", "f_n_ref"))
+    def __init__(self, seq, params, noise_draw, initial_state, rows=None):
+        self.params, self.batch, self.rows = params, NoiseBatch.of(noise_draw), rows
+        self.frame = _columns(seq, ("f_e_ref", "f_n_ref"), rows)
         psi0 = _GROUND if initial_state is None else initial_state.vector
         pure = psi0 is not None  # state holds amplitudes psi, else density matrices
         # with no I_x noise every drive-free Hamiltonian is diagonal; a property
@@ -194,7 +189,7 @@ class _Run:
         self.free = {}  # (charge config, duration(s), pure) -> propagators, or phases
         state0 = psi0 if pure else initial_state.density_matrix()
         self.start = (np.repeat(state0[None], len(self.batch), axis=0), pure, 0.0,
-                      seqs[0].initial_config)
+                      seq.initial_config)
 
     def h_static(self, config):
         if config not in self.static:
@@ -203,15 +198,15 @@ class _Run:
         return self.static[config]
 
 
-def _propagate(run: _Run, steps, records: list, state, pure: bool, t, config: str) -> tuple:
-    """The element loop: steps (side-by-side elements of a stack) applied to
-    state from sequence time t (us) in charge config config, appending their
-    measurements to records; returns the (state, pure, t, config) they
-    leave."""
-    for els, values in _timeline(steps):
-        el = els[0]
+def _propagate(run: _Run, elements, records: list, state, pure: bool, t, config: str) -> tuple:
+    """The element loop: elements applied to state from sequence time t (us)
+    in charge config config, appending their measurements to records;
+    returns the (state, pure, t, config) they leave."""
+    for el, values in _timeline(elements, run.rows):
         if isinstance(el, Pulse):
-            check_rwa(run.params, el.channel, max(e.rabi for e in els))
+            rabi = values[1]  # a column is checked at its peak
+            check_rwa(run.params, el.channel,
+                      float(rabi.max()) if isinstance(rabi, np.ndarray) else rabi)
             u = _pulse_unitary(el.channel, *values, run.frame, run.h_static(config), t,
                                run.diagonal)
             state = _apply(u, state, pure)
@@ -220,7 +215,7 @@ def _propagate(run: _Run, steps, records: list, state, pure: bool, t, config: st
             state = _apply(_rotation_unitary(el.channel, *values), state, pure)
         elif isinstance(el, FreeEvolution):
             (duration,) = values
-            if el.duration > 0:
+            if (duration > 0).any() if isinstance(duration, np.ndarray) else duration > 0:
                 key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
                        else duration, pure)
                 if key not in run.free:
@@ -254,35 +249,32 @@ def _finish(state, pure: bool, records, points: int) -> SequenceResult:
                           [(kind, per_point(p, 3)) for kind, p in records])
 
 
-#: The fields of each element type that may differ between stacked points.
-_FIELDS = {Pulse: ("frequency", "rabi", "duration", "phase"),
-           Rotation: ("angle", "phase"), FreeEvolution: ("duration",)}
-
-
-def _timeline(steps):
-    """(elements, values) for each step of the side-by-side elements of a
-    stack in timeline order: the step's _columns of its _FIELDS, or None.
-    A Repeat's cycle is evaluated once and replayed count times."""
-    for els in steps:
-        if isinstance(els[0], Repeat):
-            cycle = list(_timeline(zip(*(el.elements for el in els), strict=True)))
-            for _ in range(els[0].count):
+def _timeline(elements, rows):
+    """(element, values) for each element in timeline order: its _columns
+    of its STACKED_FIELDS at the points rows, or None. A Repeat's cycle is
+    evaluated once and replayed count times."""
+    for el in elements:
+        if isinstance(el, Repeat):
+            cycle = list(_timeline(el.elements, rows))
+            for _ in range(el.count):
                 yield from cycle
         else:
-            names = _FIELDS.get(type(els[0]))
-            yield els, names and _columns(els, names)
+            names = STACKED_FIELDS.get(type(el))
+            yield el, names and _columns(el, names, rows)
 
 
-def _columns(items, names) -> list:
-    """Each named field of the items: the first item's value when all are
-    equal to the bit, else a (P, 1) column."""
-    if len(items) == 1:
-        return [getattr(items[0], name) for name in names]
+def _columns(item, names, rows) -> list:
+    """Each named field of item: a scalar as it is, and an array, at the
+    points rows (None for all), as float(v[0]) when its entries are equal to
+    the bit, else as a (P, 1) column."""
     out = []
     for name in names:
-        column = np.array([getattr(item, name) for item in items], dtype=float)
-        bits = column.view(np.uint64)
-        out.append(getattr(items[0], name) if (bits == bits[0]).all() else column[:, None])
+        value = getattr(item, name)
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value if rows is None else value[rows], dtype=float)
+            bits = value.view(np.uint64)
+            value = float(value[0]) if (bits == bits[0]).all() else value[:, None]
+        out.append(value)
     return out
 
 

@@ -2,19 +2,18 @@
 and produce the observable curves (resonance maps, Ramsey/Hahn decays,
 Bell-state tomography, the entanglement error budget, shuttle experiments).
 
-Each experiment draws its per-trial noise once, as one NoiseBatch, and runs
-its sweep through _sweep: the sweep points whose sequences share one
-structure (engine.stack_key) run together as one stack, and the engine sees
-only the batch's distinct draws. Every point's result is expanded back to
-trial order before the trial-order sum, so the means are those of one engine
-call per point on every trial of the batch, to the bit.
+Each experiment builds its sweep as stacked sequences (sequences), draws its
+per-trial noise once, as one NoiseBatch, and runs them through _sweep: the
+points of one structure (engine.stack_groups) run together as one stack, and
+the engine sees only the batch's distinct draws. Every point's result is
+expanded back to trial order before the trial-order sum, so the means are
+those of one engine call per point on every trial of the batch, to the bit.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import numbers
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ from .core import (
     sigma_from_t2,
     transition_frequencies,
 )
-from .engine import _resume, run_sequence, run_stack, stack_key
+from .engine import _resume, run_sequence, run_stack, stack_groups
 from .fitting import coherence_metric
 from .readout import confuse_readout, correct_readout
 from .sequences import (
@@ -47,6 +46,7 @@ from .sequences import (
     electron_shuttle_ramsey,
     hahn_sequence,
     nmr_line,
+    point,
     ramsey_sequence,
     repeated_load_sequence,
     shuttle_ramsey_sequence,
@@ -119,34 +119,36 @@ def _distinct_rows(batch: NoiseBatch) -> tuple:
     return NoiseBatch(*(column[first] for column in columns)), inverse
 
 
-def _sweep(build, points, params, draws, kind, initial_state=None) -> np.ndarray:
+def _sweep(seqs, params, draws, kind, initial_state=None) -> np.ndarray:
     """Probabilities of one measurement kind ('nuclear', 'electron', or
-    'joint' for the final joint populations) of the sequence build(point) at
-    each point, averaged over the trials of the one NoiseBatch draws in trial
-    order: shape (points, 2), or (points, 4) for 'joint'.
+    'joint' for the final joint populations) at each point of the stacked
+    (or lone) sequences seqs, one after another, averaged over the trials of
+    the one NoiseBatch draws in trial order: shape (points, 2), or
+    (points, 4) for 'joint'.
 
-    The points of one stack_key run as one stack, in chunks of at most
-    STACK_ROWS points x trials, against the batch's distinct rows, each row
-    once (_distinct_rows). Results are expanded back to trial order before
+    The points of each of a sequence's engine.stack_groups run as one
+    stack, in the order of their first points, in chunks of at
+    most STACK_ROWS points x trials, against the batch's distinct rows, each
+    row once (_distinct_rows). A chunk of one point runs its lone sequence
+    through run_sequence. Results are expanded back to trial order before
     the sum, so every point gets the means of one run_sequence on the whole
     batch, to the bit."""
-    seqs = [build(point) for point in points]
     distinct, inverse = _distinct_rows(draws)
-    groups = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault(stack_key(seq), []).append(i)
-    out = np.empty((len(seqs), 4 if kind == "joint" else 2))
     size = max(1, STACK_ROWS // len(draws))
-    for members in groups.values():
-        for lo in range(0, len(members), size):
-            chunk = members[lo:lo + size]
-            res = (run_sequence(seqs[chunk[0]], params, distinct, initial_state)
-                   if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
-                   else run_stack([seqs[i] for i in chunk], params, distinct, initial_state))
-            probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-            probs = probs.reshape(len(chunk), len(distinct), -1)
-            out[chunk] = probs[:, inverse].sum(axis=1) / len(draws)
-    return out
+    out = []
+    for seq in seqs:
+        p = np.empty((seq.points or 1, 4 if kind == "joint" else 2))
+        for members in stack_groups(seq):
+            for lo in range(0, len(members), size):
+                chunk = members[lo:lo + size]
+                res = (run_sequence(point(seq, chunk[0]), params, distinct, initial_state)
+                       if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
+                       else run_stack(seq, params, distinct, initial_state, chunk))
+                probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
+                probs = probs.reshape(len(chunk), len(distinct), -1)
+                p[chunk] = probs[:, inverse].sum(axis=1) / len(draws)
+        out.append(p)
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +176,19 @@ def run_nmr_chevron(
     if freq_range.size == 0 or duration_range.size == 0:
         raise ValueError("sweep ranges must be non-empty")
     if charge_config not in ("unloaded", "qd1"):
-        raise ValueError(
-            f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}"
-        )
+        raise ValueError(f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}")
     if electron_spin not in ("down", "up"):
         raise ValueError(f"electron_spin must be 'down' or 'up', got {electron_spin!r}")
-    noise = noise or NoiseModel()
-    f = transition_frequencies(params)
     load = (ChargeEvent(kind=f"load_{electron_spin}"),) if charge_config == "qd1" else ()
-
-    def build(point):  # in the frame of the drive
-        freq, dur = point
-        return PulseSequence((*load, Pulse("NMR", freq, rabi, dur), MeasureNuclear()),
-                             f_e_ref=f["f_e0"], f_n_ref=freq, initial_config="unloaded")
-
-    grid = list(itertools.product(freq_range, duration_range))
+    # the grid, frequency-major, each point in the frame of its drive
+    freq = np.repeat(freq_range, duration_range.size)
+    dur = np.tile(duration_range, freq_range.size)
+    seq = PulseSequence((*load, Pulse("NMR", freq, rabi, dur), MeasureNuclear()),
+                        transition_frequencies(params)["f_e0"], freq)
     # P(flip) from the Down-initialised nucleus
-    p = _sweep(build, grid, params, _draws(noise, seed, trials), "nuclear")[:, 1]
+    p = _sweep([seq], params, _draws(noise or NoiseModel(), seed, trials), "nuclear")[:, 1]
     return ExperimentResult(columns={
-        "frequency_mhz": np.array([freq for freq, _ in grid]),
-        "duration_us": np.array([dur for _, dur in grid]),
+        "frequency_mhz": freq, "duration_us": dur,
         "p_flip": p, "p_flip_stderr": binomial_stderr(p, trials),
     })
 
@@ -216,11 +211,8 @@ def _run_free_precession(kind, tau_range, detuning_khz, params, noise, trials,
     if tau_range.size == 0 or np.any(tau_range < 0):
         raise ValueError("tau_range must be non-empty and non-negative")
     make = ramsey_sequence if kind == "ramsey" else hahn_sequence
-
-    def build(tau):
-        return make(params, tau, detuning_khz=detuning_khz, charge_config=charge_config)
-
-    p = _sweep(build, tau_range, params, _draws(noise, seed, trials), "nuclear")[:, 1]
+    seq = make(params, tau_range, detuning_khz=detuning_khz, charge_config=charge_config)
+    p = _sweep([seq], params, _draws(noise, seed, trials), "nuclear")[:, 1]
     return ExperimentResult(columns={
         "tau_us": tau_range, "p_up": p, "p_up_stderr": binomial_stderr(p, trials),
     })
@@ -344,9 +336,9 @@ def calibrate_bell_projection(
     optimum, not at it.
 
     The circuit's entangling prefix (load, NMR pi/2, idle, ESR pi) runs
-    once; each sweep's four candidates then run only their projection
-    pulses from its state, as one stack, so every parity is the whole
-    circuit's to the bit.
+    once; each coordinate's four candidates then run only their projection
+    pulses from its state, as one stacked tail whose swept phase is a column
+    of four, so every parity is the whole circuit's to the bit.
 
     Returns {'phi_e': (a, b), 'phi_n': (a, b), 'parity': best}, a fresh dict
     on each call; the calibration itself runs once per (params,
@@ -361,16 +353,14 @@ def _calibrated_projection(params, duration_scale) -> dict:
     frame, prefix, project = _bell_parts(params, duration_scale)
     resume = _resume(PulseSequence(prefix, **frame), params)
 
-    def parity_at(*phase_sets):  # the noiseless parities, in one engine run
-        tails = [project((ph[2], ph[3]), (ph[0], ph[1])) for ph in phase_sets]
-        return _parity(populations(resume(tails).rho)[:, 0])
+    def parity_at(ph):  # the noiseless parities at phases or phase columns ph
+        return _parity(populations(resume(project((ph[2], ph[3]), (ph[0], ph[1]))).rho)[:, 0])
 
     for _ in range(CALIBRATION_SWEEPS):
         for i in range(4):
-            candidates = [phases.copy() for _ in range(4)]
-            for candidate, offset in zip(candidates, (0.0, 90.0, 180.0, 270.0)):
-                candidate[i] = phases[i] + offset
-            samples = parity_at(*candidates)
+            candidates = list(phases)
+            candidates[i] = phases[i] + np.array([0.0, 90.0, 180.0, 270.0])
+            samples = parity_at(candidates)
             a = (samples[0] - samples[2]) / 2
             b = (samples[1] - samples[3]) / 2
             phases[i] = (phases[i] + np.rad2deg(np.arctan2(b, a))) % 360.0
@@ -406,8 +396,7 @@ def _bell_basis_probabilities(basis: str, params: SpinSystemParams,
         draws,
         spectator_detuned=np.floor((t + 1) * p_flip) > np.floor(t * p_flip),
     )
-    return _sweep(lambda s: s, [seq], params, draws, "joint",
-                  _initial_state(initial_nuclear))[0]
+    return _sweep([seq], params, draws, "joint", _initial_state(initial_nuclear))[0]
 
 
 @dataclass
@@ -456,19 +445,12 @@ def run_bell_tomography(
             raw[basis] = probs
             corrected[basis] = probs
 
-    def parity(p):
-        return float(p[0] + p[3])
+    def parity(basis, anti=False):  # P(even), or P(odd) for anti
+        p = corrected[basis]
+        return float(p[1] + p[2] if anti else p[0] + p[3])
 
-    def anti_parity(p):
-        return float(p[1] + p[2])
-
-    f_zz = parity(corrected["ZZ"])
-    if initial_nuclear == "down":
-        f_xx = parity(corrected["XX"])
-        f_yy = anti_parity(corrected["YY"])
-    else:
-        f_xx = anti_parity(corrected["XX"])
-        f_yy = parity(corrected["YY"])
+    up = initial_nuclear == "up"  # XX and YY swap parity and anti-parity roles
+    f_zz, f_xx, f_yy = parity("ZZ"), parity("XX", up), parity("YY", not up)
     fidelity = f_zz / 2 + f_yy / 2 + f_xx / 2 - 0.5
     if fidelity > 1.0 + 1e-9:
         raise ValueError(
@@ -501,16 +483,14 @@ def run_bell_parity_sweep(
     scale = config.duration_scale()
     calibration = calibrate_bell_projection(params, scale)
 
-    def build(phi):
-        phi_n, phi_e = calibration["phi_n"], calibration["phi_e"]
-        if vary == "nuclear":
-            phi_n = tuple(p + phi for p in phi_n)
-        else:
-            phi_e = tuple(p + phi for p in phi_e)
-        return bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
-
-    joint = _sweep(build, phi_range, params, _draws(config.noise_model(), seed, trials),
-                   "joint", _initial_state(initial_nuclear))
+    phi_n, phi_e = calibration["phi_n"], calibration["phi_e"]
+    if vary == "nuclear":
+        phi_n = tuple(p + phi_range for p in phi_n)
+    else:
+        phi_e = tuple(p + phi_range for p in phi_e)
+    seq = bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
+    joint = _sweep([seq], params, _draws(config.noise_model(), seed, trials), "joint",
+                   _initial_state(initial_nuclear))
     return ExperimentResult(columns={
         "phi_deg": phi_range, "parity": _parity(joint),
         "p_down_Down": joint[:, 0], "p_down_Up": joint[:, 1],
@@ -591,10 +571,10 @@ def run_shuttle_experiments(
     tau_0; the nuclear phase oscillates at |A|/2 vs t_load.
     variant 'repeated': sweep = load/unload cycle counts k, whole numbers;
     emits the four-phase probabilities and the coherence C(k), with
-    per-cycle dephasing probability p_err. All (phase, k) points run as one
-    sweep on one draw batch, so the four phases of one k are one stack (up
-    to STACK_ROWS // 4 trials) that runs the cycles once, and they project
-    one state: C <= 1.
+    per-cycle dephasing probability p_err. Each k is one sequence with the
+    four final phases as a column, and all run as one sweep on one draw
+    batch, so the four phases of one k are one stack (up to STACK_ROWS // 4
+    trials) that runs the cycles once, and they project one state: C <= 1.
     variant 'electron': sweep = final Ramsey phase (deg) for the
     electron-coherence shuttle transfer, with transfer dephasing p_transfer.
     """
@@ -612,32 +592,27 @@ def run_shuttle_experiments(
             raise ValueError(f"cycle counts must be whole numbers, got "
                              f"{float(sweep[~whole][0])!r}")
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
-        # every (phase, k) point in one sweep on one batch: the four phases
-        # of one k share a stack_key, so their cycles run once and branch at
-        # the last rotation
-        points = [(name, int(k)) for name in phases for k in sweep]
-        p = _sweep(lambda point: repeated_load_sequence(
-                       params, point[1], tau_0, p_err=p_err, final_phase=phases[point[0]]),
-                   points, params, _draws(noise, seed, trials), "nuclear")[:, 1]
-        columns = {"k_cycles": sweep,
-                   **dict(zip(phases, p.reshape(len(phases), len(sweep))))}
-        columns["coherence"] = np.array([
-            coherence_metric(*values)
-            for values in zip(*(columns[name] for name in phases))
-        ])
-        return ExperimentResult(columns=columns)
+        # one sequence per k, its four final phases one stack: the cycles
+        # run once and branch at the last rotation
+        final = np.array(list(phases.values()))
+        seqs = [repeated_load_sequence(params, int(k), tau_0, p_err=p_err, final_phase=final)
+                for k in sweep]
+        p = _sweep(seqs, params, _draws(noise, seed, trials), "nuclear")[:, 1]
+        p = p.reshape(len(sweep), len(phases))  # a row per k
+        return ExperimentResult(columns={
+            "k_cycles": sweep, **dict(zip(phases, p.T)),
+            "coherence": np.array([coherence_metric(*row) for row in p])})
 
     # the other two variants record P(up) of one spin per sweep point
-    builders = {
-        "phase": ("t_load_us", "nuclear", lambda t_load: shuttle_ramsey_sequence(
-            params, t_load, tau_0, p_err=p_err)),
-        "electron": ("phi_deg", "electron", lambda phi: electron_shuttle_ramsey(
-            params, final_phase=phi, p_transfer=p_transfer)),
-    }
-    if variant not in builders:
+    if variant == "phase":
+        column, kind, seq = "t_load_us", "nuclear", shuttle_ramsey_sequence(
+            params, sweep, tau_0, p_err=p_err)
+    elif variant == "electron":
+        column, kind, seq = "phi_deg", "electron", electron_shuttle_ramsey(
+            params, final_phase=sweep, p_transfer=p_transfer)
+    else:
         raise ValueError(f"unknown shuttle variant {variant!r}")
-    column, kind, build = builders[variant]
-    p = _sweep(build, sweep, params, _draws(noise, seed, trials), kind)[:, 1]
+    p = _sweep([seq], params, _draws(noise, seed, trials), kind)[:, 1]
     return ExperimentResult(
         columns={column: sweep, "p_up": p, "p_up_stderr": binomial_stderr(p, trials)}
     )

@@ -6,6 +6,11 @@ inputs, so identical inputs produce element-wise identical timelines.
 Durations are in microseconds, frequencies in MHz, Rabi rates in kHz,
 phases in degrees.
 
+A sweep is one stacked sequence: each of the STACKED_FIELDS, f_e_ref and
+f_n_ref may hold a length-P array (held, not copied), one value per point.
+Builders take arrays for those values; a stack is refused when one point
+would be, with that point's message; point(seq, i) is the lone point i.
+
 Charge configurations: 'unloaded' (no electron), 'qd1' (electron on the dot
 hosting the nucleus, hyperfine active), 'qd2' (electron on the neighbouring
 dot, hyperfine off). 'qd2' evolves freely as 'unloaded' does, but its
@@ -14,8 +19,9 @@ electron is loaded: ESR is allowed and the shuttle events apply.
 
 from __future__ import annotations
 
+import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,10 +53,11 @@ class Pulse:
     def __post_init__(self):
         if self.channel not in ("ESR", "NMR"):
             raise ValueError("channel must be 'ESR' or 'NMR'")
-        _require_finite(self, ("frequency", "rabi", "duration", "phase"))
-        if self.duration <= 0:
+        stacked = _require_finite(self, ("frequency", "rabi", "duration", "phase"))
+        # a stack is checked at its lowest point, and refused as that point would be
+        if (np.min(self.duration) if stacked else self.duration) <= 0:
             raise ValueError("pulse duration must be positive")
-        if self.rabi < 0:
+        if (np.min(self.rabi) if stacked else self.rabi) < 0:
             raise ValueError("rabi must be >= 0")
 
 
@@ -75,8 +82,8 @@ class FreeEvolution:
     charge_config: str = "unloaded"
 
     def __post_init__(self):
-        _require_finite(self, ("duration",))
-        if self.duration < 0:
+        stacked = _require_finite(self, ("duration",))
+        if (np.min(self.duration) if stacked else self.duration) < 0:
             raise ValueError("duration must be >= 0")
         if self.charge_config not in CHARGE_CONFIGS:
             raise ValueError(f"unknown charge config {self.charge_config!r}")
@@ -144,6 +151,50 @@ class PulseSequence:
             raise ValueError(f"unknown charge config {self.initial_config!r}")
         validate_sequence(self)
 
+    @functools.cached_property
+    def points(self) -> int | None:
+        """How many sweep points the sequence stacks, or None for a lone one."""
+        return stacked_points(self.elements, self.f_e_ref, self.f_n_ref)
+
+
+#: The fields of each element type that may hold one value per sweep point.
+STACKED_FIELDS = {Pulse: ("frequency", "rabi", "duration", "phase"),
+                  Rotation: ("angle", "phase"), FreeEvolution: ("duration",)}
+
+
+def cycles_once(elements):
+    """The elements with each Repeat's cycle in its place, written once."""
+    for el in elements:
+        yield from cycles_once(el.elements) if isinstance(el, Repeat) else (el,)
+
+
+def stacked_points(elements, *values) -> int | None:
+    """The one length of the arrays among values and the STACKED_FIELDS of
+    elements (a Repeat's cycle included), or None when none is an array."""
+    values += tuple(getattr(el, name) for el in cycles_once(elements)
+                    for name in STACKED_FIELDS.get(type(el), ()))
+    lengths = {len(v) for v in values if isinstance(v, np.ndarray) and v.ndim}
+    if len(lengths) > 1:
+        raise ValueError(f"stacked fields differ in length: {sorted(lengths)}")
+    return lengths.pop() if lengths else None
+
+
+def point(seq: PulseSequence, i: int) -> PulseSequence:
+    """The lone sequence of point i of a stacked sequence, each array field
+    replaced by its float entry i; a lone sequence itself."""
+    def at(x):  # an element, or a field's value
+        if isinstance(x, Repeat):
+            return Repeat(tuple(map(at, x.elements)), x.count)
+        if type(x) in STACKED_FIELDS:
+            names = STACKED_FIELDS[type(x)]
+            return replace(x, **{name: at(getattr(x, name)) for name in names})
+        return float(x[i]) if isinstance(x, np.ndarray) else x
+
+    if seq.points is None:
+        return seq
+    return PulseSequence(tuple(map(at, seq.elements)), at(seq.f_e_ref), at(seq.f_n_ref),
+                         seq.initial_config)
+
 
 def validate_sequence(seq: PulseSequence) -> None:
     """Check charge-configuration consistency along the timeline.
@@ -158,21 +209,19 @@ def validate_sequence(seq: PulseSequence) -> None:
 
 def _validate(elements, config: str, where: str = "") -> str:
     """Walk the elements from config; return the config they end in."""
-    for i, el in enumerate(elements):
-        at = f"{where}{i}"
+    for i, el in enumerate(elements):  # element where + i, named only when refused
         if isinstance(el, Repeat):
-            end = _validate(el.elements, config, f"{at}.")
+            end = _validate(el.elements, config, f"{where}{i}.")
             if end != config:
-                raise ValueError(
-                    f"element {at}: repeated cycle ends in {end!r} but starts in {config!r}"
-                )
+                raise ValueError(f"element {where}{i}: repeated cycle ends in {end!r} "
+                                 f"but starts in {config!r}")
         elif isinstance(el, (Pulse, Rotation)):
             if el.channel == "ESR" and config not in LOADED_CONFIGS:
-                raise ValueError(f"element {at}: ESR pulse with no electron loaded")
+                raise ValueError(f"element {where}{i}: ESR pulse with no electron loaded")
         elif isinstance(el, FreeEvolution):
             if el.charge_config != config:
                 raise ValueError(
-                    f"element {at}: free evolution declared in {el.charge_config!r} "
+                    f"element {where}{i}: free evolution declared in {el.charge_config!r} "
                     f"but sequence is in {config!r}"
                 )
         elif isinstance(el, ChargeEvent):
@@ -180,7 +229,7 @@ def _validate(elements, config: str, where: str = "") -> str:
             allowed = pre if isinstance(pre, tuple) else (pre,)
             if config not in allowed:
                 raise ValueError(
-                    f"element {at}: charge event {el.kind!r} invalid from {config!r}"
+                    f"element {where}{i}: charge event {el.kind!r} invalid from {config!r}"
                 )
             config = post
     return config
@@ -316,20 +365,14 @@ def _free_precession(params, tau, detuning_khz, charge_config, echo) -> PulseSeq
     on the bare nuclear line ('unloaded') or, with a spin-down electron
     loaded first, on its electron-down line ('qd1')."""
     if charge_config not in ("unloaded", "qd1"):
-        raise ValueError(
-            f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}"
-        )
+        raise ValueError(f"charge_config must be 'unloaded' or 'qd1', got {charge_config!r}")
     half_pi, pi = Rotation("NMR", 90.0), Rotation("NMR", 180.0)
     wait = FreeEvolution(tau, charge_config)
     elements = [ChargeEvent(kind="load_down")] if charge_config == "qd1" else []
     elements += [half_pi, *([wait, pi, wait] if echo else [wait]),
                  half_pi, MeasureNuclear()]
-    return PulseSequence(
-        elements=tuple(elements),
-        f_e_ref=transition_frequencies(params)["f_e0"],
-        f_n_ref=nmr_line(params, charge_config) - detuning_khz * 1e-3,
-        initial_config="unloaded",
-    )
+    return PulseSequence(elements, transition_frequencies(params)["f_e0"],
+                         nmr_line(params, charge_config) - detuning_khz * 1e-3)
 
 
 def shuttle_ramsey_sequence(
@@ -346,7 +389,7 @@ def shuttle_ramsey_sequence(
     hyperfine detuning (|A|/2 for spin-down). p_err is the dephasing
     probability per load/unload cycle, applied on the cycle-completing event.
     """
-    if not 0 <= t_load <= tau_0:
+    if not np.all((0 <= t_load) & (t_load <= tau_0)):
         raise ValueError("t_load must satisfy 0 <= t_load <= tau_0")
     f = transition_frequencies(params)
     t_side = (tau_0 - t_load) / 2
@@ -360,12 +403,7 @@ def shuttle_ramsey_sequence(
         Rotation("NMR", 90.0),
         MeasureNuclear(),
     ]
-    return PulseSequence(
-        elements=tuple(elements),
-        f_e_ref=f["f_e0"],
-        f_n_ref=f["f_n0"],
-        initial_config="qd2",
-    )
+    return PulseSequence(elements, f["f_e0"], f["f_n0"], initial_config="qd2")
 
 
 def repeated_load_sequence(
@@ -393,12 +431,7 @@ def repeated_load_sequence(
             FreeEvolution(dwell, "qd2"),
         ), k_cycles))
     elements += [Rotation("NMR", 90.0, phase=final_phase), MeasureNuclear()]
-    return PulseSequence(
-        elements=tuple(elements),
-        f_e_ref=f["f_e0"],
-        f_n_ref=f["f_n0"],
-        initial_config="qd2",
-    )
+    return PulseSequence(elements, f["f_e0"], f["f_n0"], initial_config="qd2")
 
 
 def electron_shuttle_ramsey(
@@ -416,17 +449,8 @@ def electron_shuttle_ramsey(
     f = transition_frequencies(params)
     elements = [
         Rotation("ESR", 90.0),
-        ChargeEvent(
-            kind="shuttle_1_to_2",
-            dephase_prob=p_transfer,
-            dephase_target="electron",
-        ),
+        ChargeEvent("shuttle_1_to_2", dephase_prob=p_transfer, dephase_target="electron"),
         Rotation("ESR", 90.0, phase=final_phase),
         MeasureElectron(),
     ]
-    return PulseSequence(
-        elements=tuple(elements),
-        f_e_ref=f["f_e_nuc_down"],
-        f_n_ref=f["f_n0"],
-        initial_config="qd1",
-    )
+    return PulseSequence(elements, f["f_e_nuc_down"], f["f_n0"], initial_config="qd1")

@@ -8,13 +8,15 @@ one at a time (optionally on a thread pool). The core helpers it relied on
 original single-matrix form, so the reference shares no numerical code with
 the batched path beyond the operator constants, the state container and
 core.populations. It also keeps the Bell projection calibration's original
-loop, one whole circuit per candidate, which runs on the sweep it is given.
+loop, one whole circuit per candidate, which runs on the sweep it is given,
+and the sweep loop's per-point form (per_point_sweep), with unstack and
+stack between a stacked sequence and the lone sequences of its points.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -43,9 +45,63 @@ from dotspin.sequences import (
     Repeat,
     Rotation,
     LOADED_CONFIGS,
+    STACKED_FIELDS,
     bell_circuit,
 )
+from dotspin import engine
 from dotspin.experiments import CALIBRATION_SWEEPS
+
+
+def unstack(seq: PulseSequence) -> list:
+    """The lone sequences of the points of a stacked sequence, each element
+    rebuilt through its constructor with entry i of every array field ([seq]
+    for a lone sequence)."""
+    def at(value, i):
+        return float(value[i]) if isinstance(value, np.ndarray) else value
+
+    def element(el, i):
+        if isinstance(el, Repeat):
+            return Repeat(tuple(element(e, i) for e in el.elements), el.count)
+        if is_dataclass(el):
+            return type(el)(**{f.name: at(getattr(el, f.name), i) for f in fields(el)})
+        return el
+
+    return [PulseSequence(tuple(element(el, i) for el in seq.elements),
+                          at(seq.f_e_ref, i), at(seq.f_n_ref, i), seq.initial_config)
+            for i in range(seq.points or 1)]
+
+
+def stack(seqs) -> PulseSequence:
+    """One stacked sequence of lone sequences of one structure: every field
+    that may be stacked becomes the array of the sequences' values, as the
+    engine once gathered side-by-side fields into columns."""
+    def column(values):
+        return np.array(values, dtype=float)
+
+    def merged(els):
+        first = els[0]
+        if isinstance(first, Repeat):
+            cycle = zip(*(el.elements for el in els), strict=True)
+            return Repeat(tuple(merged(step) for step in cycle), first.count)
+        names = STACKED_FIELDS.get(type(first), ())
+        return replace(first, **{n: column([getattr(el, n) for el in els]) for n in names})
+
+    steps = zip(*(seq.elements for seq in seqs), strict=True)
+    return PulseSequence(tuple(merged(step) for step in steps),
+                         column([seq.f_e_ref for seq in seqs]),
+                         column([seq.f_n_ref for seq in seqs]), seqs[0].initial_config)
+
+
+def per_point_sweep(seqs, params, draws, kind, initial_state=None) -> np.ndarray:
+    """The reference for experiments._sweep: one engine.run_sequence per
+    point of each of seqs (its unstack) on every trial of the batch, then
+    the trial-order mean."""
+    out = []
+    for point in (lone for seq in seqs for lone in unstack(seq)):
+        res = engine.run_sequence(point, params, draws, initial_state)
+        probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
+        out.append(probs.sum(axis=0) / len(draws))
+    return np.array(out)
 
 
 def unitary(h: np.ndarray, dt_us: float) -> np.ndarray:
@@ -249,10 +305,10 @@ def _apply_charge_event(rho: np.ndarray, el: ChargeEvent, config: str):
 def calibrate_bell_projection(params: SpinSystemParams, duration_scale: float,
                               sweep) -> dict:
     """The Bell projection calibration as it ran before its prefix ran once:
-    every candidate a whole bell_circuit, each coordinate's four quadrature
-    candidates one sweep(build, points, params, draws, 'joint') on the zero
-    draw (experiments._sweep, or a per-point reference for it), 13 sweeps in
-    all. The oracle of the loop's structure, not of the engine it runs."""
+    every candidate a whole, lone bell_circuit, each coordinate's four
+    quadrature candidates one sweep(seqs, params, draws, 'joint') on the
+    zero draw (experiments._sweep, or per_point_sweep), 13 sweeps in all.
+    The oracle of the loop's structure, not of the engine it runs."""
     phases = np.zeros(4)  # (phi_e_up, phi_e_down, phi_n_down, phi_n_up)
 
     def circuit(ph):
@@ -260,7 +316,8 @@ def calibrate_bell_projection(params: SpinSystemParams, duration_scale: float,
                             duration_scale=duration_scale)
 
     def parity_at(*phase_sets):
-        p = sweep(circuit, phase_sets, params, NoiseBatch.of(ZERO_DRAW), "joint")
+        p = sweep([circuit(ph) for ph in phase_sets], params, NoiseBatch.of(ZERO_DRAW),
+                  "joint")
         return p[..., 0] + p[..., 3] - p[..., 1] - p[..., 2]
 
     for _ in range(CALIBRATION_SWEEPS):

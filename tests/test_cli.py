@@ -1,12 +1,17 @@
 """Command-line interface: validation, exit codes, outputs, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dotspin
 from dotspin import cli
@@ -493,6 +498,38 @@ class TestOutputs:
         code, _, _ = run_cli(capsys, *args, "--out", str(out))
         assert code == 0
         assert out.read_bytes() == stdout.replace("\n", "\r\n").encode()
+
+    @given(columns=st.dictionaries(
+        st.text(st.characters(codec="ascii", exclude_characters="\r\n"), min_size=1),
+        st.one_of(
+            st.lists(st.one_of(
+                st.floats(), st.sampled_from((-0.0, 5e-324, -2.2e-308)),
+                st.integers(-2**70, 2**70), st.booleans(),
+                st.floats(width=32).map(np.float32)),
+                min_size=3, max_size=3),
+            st.lists(st.floats(width=32), min_size=3,
+                     max_size=3).map(lambda v: np.array(v, dtype=np.float32)),
+            st.lists(st.integers(-2**62, 2**62), min_size=3, max_size=3).map(np.array)),
+        min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_bytes_equal_the_per_value_row_builder(self, columns):
+        # each column formatted at once gives the bytes of repr(float(v)) per
+        # value, in a file (CRLF) and on stdout (LF)
+        def per_value(terminator):
+            out = io.StringIO()
+            rows = [list(columns)]
+            rows += ([repr(float(v)) for v in row] for row in zip(*columns.values()))
+            csv.writer(out, lineterminator=terminator).writerows(rows)
+            return out.getvalue()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            cli.write_csv(columns, path)
+            with open(path, "rb") as fh:
+                assert fh.read() == per_value("\r\n").encode()
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            cli.write_csv(columns, "-")
+        assert stdout.getvalue() == per_value("\n")
 
     def test_consecutive_calls_match_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
         # main keeps one parser for the process, the only state a call leaves

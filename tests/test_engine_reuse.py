@@ -1,10 +1,11 @@
-"""The engine's reuse paths against the work they replace: sweep points run
-as stacks on the distinct draw rows (against one run_sequence per point on
-every trial), the per-run free-evolution propagators, a Repeat's cycle
+"""The engine's reuse paths against the work they replace: sweeps built as
+stacked sequences (against the lone sequences of their points), their points
+run as stacks on the distinct draw rows (against one run_sequence per point
+on every trial), the per-run free-evolution propagators, a Repeat's cycle
 evaluated once (against the cycles written out) and the cached Bell
 calibration."""
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from test_batched_engine import FREQS, PARAMS, initial_states, noise_draws, sequ
 from dotspin import engine, experiments
 from dotspin.core import (NoiseBatch, NoiseDraw, NoiseModel, SpinSystemParams,
                           transition_frequencies)
-from dotspin.engine import run_sequence, run_stack, stack_key
+from dotspin.engine import run_sequence, run_stack, stack_groups
 from dotspin.sequences import (
     ChargeEvent,
     FreeEvolution,
@@ -27,28 +28,25 @@ from dotspin.sequences import (
     Rotation,
     _validate,
     bell_circuit,
+    electron_shuttle_ramsey,
+    hahn_sequence,
+    point,
+    ramsey_sequence,
     repeated_load_sequence,
+    shuttle_ramsey_sequence,
+    stacked_points,
 )
 
 TOL = 1e-12
-
-
-def _per_point_sweep(build, points, params, draws, kind, initial_state=None):
-    """The reference for experiments._sweep: one run_sequence per point on
-    every trial of the batch, then the trial-order mean."""
-    out = []
-    for point in points:
-        res = run_sequence(build(point), params, draws, initial_state)
-        probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-        out.append(probs.sum(axis=0) / len(draws))
-    return np.array(out)
 
 
 @st.composite
 def stacks(draw):
     """A random sequence and up to three copies of it with tones, Rabi
     rates, durations, phases, rotation angles and frame references
-    redrawn, each value kept or changed at random."""
+    redrawn, each value kept or changed at random, a non-zero free
+    evolution sometimes to zero and a pulse sometimes onto its frame
+    reference, so that the copies may fall into different stack_groups."""
     base = draw(sequences(max_elements=6))
 
     def moved(x, lo, hi):
@@ -56,10 +54,14 @@ def stacks(draw):
 
     seqs = [base]
     for _ in range(draw(st.integers(0, 3))):
+        f_e_ref = moved(base.f_e_ref, -0.1, 0.1)
+        f_n_ref = moved(base.f_n_ref, -1e-3, 1e-3)
         elements = []
         for el in base.elements:
             if isinstance(el, Pulse):
-                el = replace(el, frequency=moved(el.frequency, -1e-3, 1e-3),
+                on_frame = f_e_ref if el.channel == "ESR" else f_n_ref
+                el = replace(el, frequency=(on_frame if draw(st.integers(0, 3)) == 0
+                                            else moved(el.frequency, -1e-3, 1e-3)),
                              rabi=moved(el.rabi, 0.0, 0.4),
                              duration=moved(el.duration, 0.0, 5.0),
                              phase=moved(el.phase, 0.0, 360.0))
@@ -67,11 +69,11 @@ def stacks(draw):
                 el = replace(el, angle=moved(el.angle, 0.0, 360.0),
                              phase=moved(el.phase, 0.0, 360.0))
             elif isinstance(el, FreeEvolution) and el.duration > 0:
-                el = replace(el, duration=moved(el.duration, 0.0, 100.0))
+                el = replace(el, duration=(0.0 if draw(st.integers(0, 3)) == 0
+                                           else moved(el.duration, 0.0, 100.0)))
             elements.append(el)
-        seqs.append(replace(base, elements=tuple(elements),
-                            f_e_ref=moved(base.f_e_ref, -0.1, 0.1),
-                            f_n_ref=moved(base.f_n_ref, -1e-3, 1e-3)))
+        seqs.append(replace(base, elements=tuple(elements), f_e_ref=f_e_ref,
+                            f_n_ref=f_n_ref))
     return seqs
 
 
@@ -87,8 +89,8 @@ def test_collapsed_sweep_equals_full_batch_and_reference(seqs, pool, picks, init
     seqs = [replace(s, elements=s.elements + (MeasureElectron(),)) for s in seqs]
     trial_draws = [pool[i % len(pool)] for i in picks]
     draws = NoiseBatch.stack(trial_draws)
-    got = experiments._sweep(lambda s: s, seqs, PARAMS, draws, kind, init)
-    assert np.array_equal(got, _per_point_sweep(lambda s: s, seqs, PARAMS, draws, kind, init))
+    got = experiments._sweep([ref.stack(seqs)], PARAMS, draws, kind, init)
+    assert np.array_equal(got, ref.per_point_sweep(seqs, PARAMS, draws, kind, init))
     ones = [ref.run_sequence(seqs[0], PARAMS, d, init) for d in trial_draws]
     expected = np.mean([o.joint_probabilities() if kind == "joint" else o.last(kind)
                         for o in ones], axis=0)
@@ -101,9 +103,9 @@ def engine_runs(monkeypatch):
     runs = []
     stack, single = experiments.run_stack, experiments.run_sequence
 
-    def run_stack(seqs, params, noise, *args):
-        runs.append((len(seqs), len(NoiseBatch.of(noise))))
-        return stack(seqs, params, noise, *args)
+    def run_stack(seq, params, noise, initial_state=None, rows=None):
+        runs.append((seq.points if rows is None else len(rows), len(NoiseBatch.of(noise))))
+        return stack(seq, params, noise, initial_state, rows)
 
     def run_sequence(seq, params, noise=NoiseDraw(), *args):
         runs.append((1, len(NoiseBatch.of(noise))))
@@ -117,7 +119,7 @@ def engine_runs(monkeypatch):
 def _assert_equals_per_point_runs(experiment, monkeypatch):
     got = experiment().columns
     with monkeypatch.context() as m:
-        m.setattr(experiments, "_sweep", _per_point_sweep)
+        m.setattr(experiments, "_sweep", ref.per_point_sweep)
         expected = experiment().columns
     assert got.keys() == expected.keys()
     for name in got:
@@ -173,6 +175,169 @@ def test_shuttle_sweeps_equal_per_point_runs(variant, sweep, engine_runs, monkey
         assert engine_runs == [(4, 3)] * 3  # on the 3 rows of the shared batch
 
 
+def _bits(x):
+    """x as nested tuples, each float as its 8 bytes, so that equal values
+    of different bits (0.0 and -0.0) or types (float and np.float64)
+    compare as their bits do."""
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    if is_dataclass(x):
+        return (type(x), *(_bits(getattr(x, f.name)) for f in fields(x)))
+    if isinstance(x, (float, np.floating)):
+        return np.float64(x).tobytes()
+    return x
+
+
+def _column(draw, points, values, zero=None):
+    """A length-points array of values, one entry sometimes set to zero."""
+    column = np.array(draw(st.lists(values, min_size=points, max_size=points)))
+    if zero is not None and draw(st.booleans()):
+        column[draw(st.integers(0, points - 1))] = zero
+    return column
+
+
+@st.composite
+def stacked_builds(draw):
+    """(stacked, lone): a builder called with arrays of P values, and the
+    same builder called at each point with its float values."""
+    p = draw(st.integers(1, 4))
+    phase = st.floats(-360.0, 360.0)
+    kind = draw(st.sampled_from(("bell", "ramsey", "hahn", "shuttle_ramsey",
+                                 "repeated_load", "electron_shuttle", "chevron")))
+    if kind == "bell":
+        phases = [_column(draw, p, phase) for _ in range(4)]
+        scale = draw(st.sampled_from((0.9, 1.0, 1.05)))
+
+        def build(a, b, c, d):
+            return bell_circuit(PARAMS, projection=((a, b), (c, d)), duration_scale=scale)
+
+        columns = phases
+    elif kind in ("ramsey", "hahn"):
+        make = ramsey_sequence if kind == "ramsey" else hahn_sequence
+        config = draw(st.sampled_from(("unloaded", "qd1")))
+        columns = [_column(draw, p, st.floats(0.0, 5000.0), zero=0.0),
+                   _column(draw, p, st.floats(-5.0, 5.0))]
+
+        def build(tau, detuning):
+            return make(PARAMS, tau, detuning_khz=detuning, charge_config=config)
+    elif kind == "shuttle_ramsey":
+        tau_0 = draw(st.floats(1.0, 1000.0))
+        t_load = _column(draw, p, st.floats(0.0, tau_0), zero=0.0)
+        t_load[draw(st.integers(0, p - 1))] = draw(st.sampled_from((0.0, tau_0)))
+        p_err = draw(st.sampled_from((0.0, 0.1)))
+        columns = [t_load]
+
+        def build(t):
+            return shuttle_ramsey_sequence(PARAMS, t, tau_0, p_err=p_err)
+    elif kind == "repeated_load":
+        k = draw(st.integers(0, 4))
+        columns = [_column(draw, p, st.floats(1.0, 2000.0)), _column(draw, p, phase)]
+
+        def build(tau_0, final):
+            return repeated_load_sequence(PARAMS, k, tau_0, p_err=0.1, final_phase=final)
+    elif kind == "electron_shuttle":
+        columns = [_column(draw, p, phase)]
+
+        def build(final):
+            return electron_shuttle_ramsey(PARAMS, final_phase=final, p_transfer=0.3)
+    else:
+        columns = [FREQS["f_n0"] + _column(draw, p, st.floats(-0.02, 0.02)),
+                   _column(draw, p, st.floats(0.0, 5.0)),
+                   _column(draw, p, st.floats(1.0, 1000.0)), _column(draw, p, phase)]
+
+        def build(freq, rabi, dur, phi):
+            return PulseSequence((Pulse("NMR", freq, rabi, dur, phi), MeasureNuclear()),
+                                 f_e_ref=FREQS["f_e0"], f_n_ref=freq)
+
+    return build(*columns), [build(*(float(c[i]) for c in columns)) for i in range(p)]
+
+
+@given(case=stacked_builds())
+@settings(max_examples=60, deadline=None)
+def test_stacked_builds_unstack_to_their_lone_builds(case):
+    # every builder, and the chevron's pulse, called with arrays gives the
+    # lone sequences of its points, bit for bit, through unstack and point
+    stacked, lone = case
+    assert stacked.points == len(lone)
+    assert _bits(ref.unstack(stacked)) == _bits(lone)
+    assert _bits([point(stacked, i) for i in range(len(lone))]) == _bits(lone)
+
+
+def _drivers(draw):
+    """One driver call on hypothesis-drawn sweeps, zero taus, t_load = 0
+    and tau_0 and k = 0 among them, on a noisy or an all-zero model."""
+    noise = draw(st.sampled_from((NoiseModel(), NoiseModel(sigma_iz=0.3, sigma_sz=8.0),
+                                  NoiseModel(sigma_ix=0.2, spectator_flip_prob=0.3))))
+    trials, seed = draw(st.integers(1, 3)), draw(st.integers(0, 9))
+    common = {"noise": noise, "trials": trials, "seed": seed}
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("chevron", "rabi", "ramsey", "hahn", "bell",
+                                 "phase", "electron", "repeated")))
+    if kind in ("chevron", "rabi"):
+        config = draw(st.sampled_from(("unloaded", "qd1")))
+        durs = _column(draw, n, st.floats(1.0, 800.0))
+        if kind == "rabi":
+            return lambda: experiments.run_rabi(durs, PARAMS, charge_config=config, **common)
+        freqs = FREQS["f_n0"] + _column(draw, draw(st.integers(1, 3)),
+                                        st.floats(-0.02, 0.02), zero=0.0)
+        return lambda: experiments.run_nmr_chevron(freqs, durs, PARAMS,
+                                                   charge_config=config, **common)
+    if kind in ("ramsey", "hahn"):
+        taus = _column(draw, n, st.floats(0.0, 3000.0), zero=0.0)
+        run = getattr(experiments, f"run_{kind}")
+        config = draw(st.sampled_from(("unloaded", "qd1")))
+        return lambda: run(taus, detuning_khz=1.5, params=PARAMS,
+                           charge_config=config, **common)
+    if kind == "bell":
+        phis = _column(draw, n, st.floats(0.0, 360.0))
+        vary = draw(st.sampled_from(("nuclear", "electron")))
+        return lambda: experiments.run_bell_parity_sweep(
+            PARAMS, experiments.BellNoiseConfig(), phi_range=phis, vary=vary,
+            trials=trials, seed=seed)
+    tau_0 = 50.0
+    sweep = {"phase": _column(draw, n, st.floats(0.0, tau_0), zero=0.0),
+             "electron": _column(draw, n, st.floats(0.0, 360.0)),
+             "repeated": _column(draw, n, st.integers(0, 4), zero=0)}[kind]
+    if kind == "phase":
+        sweep[-1] = draw(st.sampled_from((sweep[-1], tau_0)))
+    return lambda: experiments.run_shuttle_experiments(
+        kind, sweep, PARAMS, tau_0=tau_0, p_err=0.1, p_transfer=0.3, **common)
+
+
+@given(seqs=stacks(), draws=st.lists(noise_draws, min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_any_stack_runs_each_point_as_alone_to_round_off(seqs, draws):
+    # points of different structure in one run_stack (a zero wait beside a
+    # non-zero one, a pulse on and off its frame) agree with their lone runs
+    # to round-off; within one of stack_groups they agree to the bit
+    batch = NoiseBatch.stack(draws)
+    res = run_stack(ref.stack(seqs), PARAMS, batch)
+    for i, seq in enumerate(seqs):
+        lone = run_sequence(seq, PARAMS, batch)
+        assert np.max(np.abs(res.rho[i] - lone.rho)) < TOL
+        for (_, p), (_, q) in zip(res.records, lone.records, strict=True):
+            assert np.max(np.abs(p[i] - q)) < TOL
+
+
+def test_run_sequence_refuses_a_stack_of_several_points():
+    seq = experiments.ramsey_sequence(PARAMS, np.array([10.0, 20.0]))
+    with pytest.raises(ValueError, match="run_sequence runs one point, got 2"):
+        run_sequence(seq, PARAMS)
+    lone = run_sequence(experiments.ramsey_sequence(PARAMS, np.array([10.0])), PARAMS)
+    assert np.array_equal(lone.rho, run_sequence(ramsey_sequence(PARAMS, 10.0), PARAMS).rho)
+
+
+@given(data=st.data(), stack_rows=st.sampled_from((1, 3, experiments.STACK_ROWS)))
+@settings(max_examples=60, deadline=None)
+def test_every_driver_equals_its_per_point_oracle(data, stack_rows):
+    # a small STACK_ROWS splits the stacks into chunks of a few points, and
+    # of one, which runs the lone sequence of its point
+    experiment = _drivers(data.draw)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiments, "STACK_ROWS", stack_rows)
+        _assert_equals_per_point_runs(experiment, m)
+
+
 @pytest.mark.parametrize("points, sizes", [(4, [4]), (5, [4, 1]), (8, [4, 4]),
                                            (9, [4, 4, 1])])
 def test_sweep_chunks_hold_at_most_stack_rows(points, sizes, engine_runs):
@@ -180,12 +345,10 @@ def test_sweep_chunks_hold_at_most_stack_rows(points, sizes, engine_runs):
     draws = experiments._draws(NoiseModel(sigma_iz=0.3), 1, trials)
     taus = np.linspace(10.0, 500.0, points)
 
-    def build(tau):
-        return experiments.ramsey_sequence(PARAMS, tau, detuning_khz=2.0)
-
-    got = experiments._sweep(build, taus, PARAMS, draws, "nuclear")
+    seqs = [experiments.ramsey_sequence(PARAMS, taus, detuning_khz=2.0)]
+    got = experiments._sweep(seqs, PARAMS, draws, "nuclear")
     assert [p for p, _ in engine_runs] == sizes
-    assert np.array_equal(got, _per_point_sweep(build, taus, PARAMS, draws, "nuclear"))
+    assert np.array_equal(got, ref.per_point_sweep(seqs, PARAMS, draws, "nuclear"))
 
 
 @pytest.mark.parametrize("noise, trials", [
@@ -201,8 +364,8 @@ def test_repeated_shuttle_equals_one_sweep_per_phase(noise, trials, engine_runs)
     draws = experiments._draws(noise, 7, trials)  # the phases project one state
     for name, phi in (("p_x", 0.0), ("p_mx", 180.0), ("p_y", 90.0), ("p_my", 270.0)):
         expected = experiments._sweep(  # the form with one sweep per final phase
-            lambda c: repeated_load_sequence(PARAMS, c, 80.0, p_err=0.1, final_phase=phi),
-            k, PARAMS, draws, "nuclear")[:, 1]
+            [repeated_load_sequence(PARAMS, c, 80.0, p_err=0.1, final_phase=phi) for c in k],
+            PARAMS, draws, "nuclear")[:, 1]
         assert np.array_equal(got.columns[name], expected), name
 
 
@@ -211,9 +374,9 @@ def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):
     draws = NoiseBatch.stack([NoiseDraw(delta_sz=0.0), NoiseDraw(delta_sz=-0.0),
                               NoiseDraw(delta_sz=0.0)])
     seq = experiments.ramsey_sequence(PARAMS, 100.0, charge_config="qd1")
-    got = experiments._sweep(lambda s: s, [seq], PARAMS, draws, "nuclear")
+    got = experiments._sweep([seq], PARAMS, draws, "nuclear")
     assert engine_runs == [(1, 2)]
-    assert np.array_equal(got, _per_point_sweep(lambda s: s, [seq], PARAMS, draws, "nuclear"))
+    assert np.array_equal(got, ref.per_point_sweep([seq], PARAMS, draws, "nuclear"))
     # a spectator-only Bell basis: stratified flips, two distinct rows of 40
     calibration = experiments.calibrate_bell_projection(PARAMS)
     engine_runs.clear()
@@ -225,27 +388,27 @@ def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):
 
     got = basis()
     assert engine_runs == [(1, 2)]
-    monkeypatch.setattr(experiments, "_sweep", _per_point_sweep)
+    monkeypatch.setattr(experiments, "_sweep", ref.per_point_sweep)
     assert np.array_equal(got, basis())
 
 
 def test_calibration_runs_each_coordinate_as_one_stack(engine_runs, monkeypatch):
-    # the prefix once, then each coordinate's four candidates as one stack of
-    # projection tails, and the final parity as a stack of one
+    # the prefix once, then each coordinate's four candidates as one stacked
+    # tail of projection pulses, and the final parity as a lone tail
     prefixes, tails = [], []
     resume = experiments._resume
 
     def counted(seq, params):
         prefixes.append(len(seq.elements))
-        run_tails = resume(seq, params)
-        return lambda elements: tails.append(len(elements)) or run_tails(elements)
+        run_tail = resume(seq, params)
+        return lambda elements: tails.append(stacked_points(elements)) or run_tail(elements)
 
     monkeypatch.setattr(experiments, "_resume", counted)
     got = experiments._calibrated_projection.__wrapped__(PARAMS, 1.05)
     assert prefixes == [4]
-    assert tails == [4] * 12 + [1]
+    assert tails == [4] * 12 + [None]
     assert engine_runs == []  # nothing through run_stack or run_sequence
-    assert got == ref.calibrate_bell_projection(PARAMS, 1.05, _per_point_sweep)
+    assert got == ref.calibrate_bell_projection(PARAMS, 1.05, ref.per_point_sweep)
 
 
 @pytest.mark.parametrize("params", [PARAMS, SpinSystemParams(a_hf=-300.0),
@@ -327,9 +490,9 @@ def _twins(seq, count):
 
 
 def _groups(seqs) -> list:
-    """Each sequence's first sequence with the same stack_key."""
-    keys = [stack_key(seq) for seq in seqs]
-    return [keys.index(key) for key in keys]
+    """The indices of the lone sequences seqs, stacked, in each of the
+    stacks that _sweep runs."""
+    return [g.tolist() for g in stack_groups(ref.stack(seqs))]
 
 
 def _assert_bitwise_equal(a, b):
@@ -353,13 +516,13 @@ def test_repeat_equals_its_written_out_cycles(seqs, count, draws, ix, init):
     # up to four points, with and without I_x noise
     batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
     repeated, written = zip(*(_twins(seq, count) for seq in seqs))
-    # stack_key groups the points as it groups their written-out twins
+    # stack_groups groups the points as it groups their written-out twins
     assert _groups(repeated) == _groups(written)
-    stack = [i for i, first in enumerate(_groups(repeated)) if first == 0]
+    rows = np.array(_groups(repeated)[0])
     _assert_bitwise_equal(run_sequence(repeated[0], PARAMS, batch, init),
                           run_sequence(written[0], PARAMS, batch, init))
-    _assert_bitwise_equal(run_stack([repeated[i] for i in stack], PARAMS, batch, init),
-                          run_stack([written[i] for i in stack], PARAMS, batch, init))
+    _assert_bitwise_equal(run_stack(ref.stack(repeated), PARAMS, batch, init, rows),
+                          run_stack(ref.stack(written), PARAMS, batch, init, rows))
 
 
 @given(seqs=stacks(), cut=st.integers(0, 7))
@@ -372,15 +535,15 @@ def test_repeat_equals_its_written_out_cycles(seqs, count, draws, ix, init):
 @settings(max_examples=30, deadline=None)
 def test_resumed_tails_equal_their_whole_sequences(seqs, cut):
     # one noiseless run of a shared prefix from the ground state (its
-    # measurements included), then two stacks of tails from the state it
-    # leaves, against run_stack of the whole sequences
+    # measurements included), then two stacked tails from the state it
+    # leaves, against run_stack of the prefix followed by each tail
     base = seqs[0]
     prefix = replace(base, elements=base.elements[:cut])
-    tails = [seq.elements[cut:] for seq in seqs]
     resume = engine._resume(prefix, PARAMS)
-    for stack in (tails, tails[:1]):
-        whole = [replace(base, elements=prefix.elements + tail) for tail in stack]
-        _assert_bitwise_equal(resume(stack), run_stack(whole, PARAMS))
+    for group in (seqs, seqs[:1]):
+        tail = ref.stack(group).elements[cut:]
+        whole = replace(base, elements=prefix.elements + tail)
+        _assert_bitwise_equal(resume(tail), run_stack(whole, PARAMS))
 
 
 @given(
@@ -394,10 +557,10 @@ def test_resumed_tails_equal_their_whole_sequences(seqs, cut):
 def test_repeated_load_stack_equals_its_written_out_twin(k, tau_0, p_err, draws, ix):
     # four points of one k, each with its own dwell and final phase
     batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
-    seqs = [repeated_load_sequence(PARAMS, k, t, p_err=p_err, final_phase=90.0 * i)
-            for i, t in enumerate(tau_0)]
-    written = [replace(seq, elements=ref.unroll(seq.elements)) for seq in seqs]
-    _assert_bitwise_equal(run_stack(seqs, PARAMS, batch), run_stack(written, PARAMS, batch))
+    seq = repeated_load_sequence(PARAMS, k, np.array(tau_0), p_err=p_err,
+                                 final_phase=90.0 * np.arange(4))
+    written = replace(seq, elements=ref.unroll(seq.elements))
+    _assert_bitwise_equal(run_stack(seq, PARAMS, batch), run_stack(written, PARAMS, batch))
 
 
 @pytest.mark.parametrize("p_err", [0.0, 0.1])
@@ -406,17 +569,14 @@ def test_chunked_repeated_sweep_equals_its_written_out_twin(p_err, engine_runs):
     # points, on the eigh path of I_x noise
     trials = experiments.STACK_ROWS // 4 + 44
     draws = experiments._draws(NoiseModel(sigma_ix=0.2, sigma_iz=0.3), 1, trials)
-    points = [(phi, k) for phi in (0.0, 90.0, 180.0, 270.0) for k in (0, 2, 5)]
-
-    def build(point):
-        return repeated_load_sequence(PARAMS, point[1], 60.0, p_err=p_err,
-                                      final_phase=point[0])
-
-    got = experiments._sweep(build, points, PARAMS, draws, "nuclear")
+    seqs = [repeated_load_sequence(PARAMS, k, 60.0, p_err=p_err,
+                                   final_phase=np.array([0.0, 90.0, 180.0, 270.0]))
+            for k in (0, 2, 5)]
+    got = experiments._sweep(seqs, PARAMS, draws, "nuclear")
     assert [p for p, _ in engine_runs] == [3, 1] * 3
     written = experiments._sweep(
-        lambda point: replace(build(point), elements=ref.unroll(build(point).elements)),
-        points, PARAMS, draws, "nuclear")
+        [replace(seq, elements=ref.unroll(seq.elements)) for seq in seqs],
+        PARAMS, draws, "nuclear")
     assert np.array_equal(got, written)
 
 
@@ -427,7 +587,7 @@ def test_repeat_evaluates_its_cycle_once(k, monkeypatch):
     calls = []
     columns = engine._columns
     monkeypatch.setattr(engine, "_columns",
-                        lambda items, names: calls.append(names) or columns(items, names))
+                        lambda item, names, rows: calls.append(names) or columns(item, names, rows))
     experiments.run_shuttle_experiments("repeated", [k], PARAMS, tau_0=80.0, p_err=0.1)
     assert len(calls) == 5
 

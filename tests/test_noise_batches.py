@@ -52,7 +52,7 @@ def test_all_zero_model_gives_one_row_of_positive_zeros(trials, monkeypatch):
 
     monkeypatch.setattr(experiments, "run_sequence", counted)
     seq = experiments.ramsey_sequence(PARAMS, 100.0, charge_config="qd1")
-    experiments._sweep(lambda s: s, [seq], PARAMS, batch, "nuclear")
+    experiments._sweep([seq], PARAMS, batch, "nuclear")
     assert runs == [1]
 
 

@@ -122,16 +122,17 @@ def test_load_keeps_amplitudes_only_from_an_empty_electron_slot(
 
 
 def test_stack_of_rotation_angles_before_an_unload_equals_per_point_runs():
-    seqs = [PulseSequence(
+    angle = np.array([10.0, 90.0, 180.0, 333.0])
+    stack = PulseSequence(
         elements=(ChargeEvent("load_down"), Rotation("ESR", angle, 20.0),
                   Rotation("NMR", 90.0), FreeEvolution(300.0, "qd1"),
                   ChargeEvent("unload"), Rotation("NMR", angle / 2, 45.0),
                   MeasureNuclear()),
         f_e_ref=FREQS["f_e0"], f_n_ref=FREQS["f_n0"], initial_config="unloaded",
-    ) for angle in (10.0, 90.0, 180.0, 333.0)]
+    )
     draws = experiments._draws(NoiseModel(sigma_iz=0.5, sigma_sz=20.0), 4, 5)
-    stacked = run_stack(seqs, PARAMS, draws)
-    for i, seq in enumerate(seqs):
+    stacked = run_stack(stack, PARAMS, draws)
+    for i, seq in enumerate(ref.unstack(stack)):
         lone = run_sequence(seq, PARAMS, draws)
         assert np.array_equal(stacked.rho[i], lone.rho)
         assert np.array_equal(stacked.last("nuclear")[i], lone.last("nuclear"))

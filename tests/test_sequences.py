@@ -67,6 +67,69 @@ class TestElements:
             ChargeEvent(kind="unload", dephase_prob=2.0)
 
 
+def _message(build, value):
+    """The ValueError message build(value) raises."""
+    with pytest.raises(ValueError) as refused:
+        build(value)
+    return str(refused.value)
+
+
+class TestStackedValidation:
+    """A stacked element or builder is refused when one point of a column is
+    bad, with the message that point alone gets."""
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("build", [
+        lambda v: Pulse("NMR", v, 2.0, 100.0),
+        lambda v: Pulse("NMR", 12.0, v, 100.0),
+        lambda v: Pulse("NMR", 12.0, 2.0, v),
+        lambda v: Pulse("NMR", 12.0, 2.0, 100.0, v),
+        lambda v: Rotation("NMR", v),
+        lambda v: Rotation("NMR", 90.0, v),
+        lambda v: FreeEvolution(v),
+        lambda v: PulseSequence((), v, 12.0),
+        lambda v: PulseSequence((), 18.0e3, v),
+    ])
+    def test_one_non_finite_point_refuses_the_stack(self, build, bad, at):
+        column = np.linspace(1.0, 5.0, 5)
+        column[at] = bad
+        assert _message(build, column) == _message(build, bad)
+        assert f"got {bad!r}" in _message(build, column)
+
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("build, bad", [
+        (lambda v: Pulse("NMR", 12.0, 2.0, v), 0.0),
+        (lambda v: Pulse("NMR", 12.0, 2.0, v), -0.0),
+        (lambda v: Pulse("NMR", 12.0, 2.0, v), -3.0),
+        (lambda v: Pulse("NMR", 12.0, v, 100.0), -1e-9),
+        (lambda v: FreeEvolution(v), -1.0),
+        (lambda v: ramsey_sequence(PARAMS, v), -0.5),
+        (lambda v: shuttle_ramsey_sequence(PARAMS, v, 50.0), -1.0),
+        (lambda v: shuttle_ramsey_sequence(PARAMS, v, 50.0), 50.5),
+        (lambda v: shuttle_ramsey_sequence(PARAMS, v, 50.0), float("nan")),
+    ])
+    def test_one_out_of_domain_point_refuses_the_stack(self, build, bad, at):
+        column = np.linspace(1.0, 40.0, 4)
+        column[at] = bad
+        assert _message(build, column) == _message(build, bad)
+
+    def test_good_columns_build(self):
+        column = np.array([0.0, 10.0, 50.0])
+        assert shuttle_ramsey_sequence(PARAMS, column, 50.0).points == 3
+        assert FreeEvolution(column).duration is column  # held, not copied
+        assert Pulse("NMR", 12.0, column, 100.0).rabi is column
+
+    def test_columns_of_different_lengths_are_refused(self):
+        seq = ramsey_sequence(PARAMS, np.array([1.0, 2.0]), detuning_khz=np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match=r"stacked fields differ in length: \[2, 3\]"):
+            seq.points
+
+    def test_lone_sequences_stack_no_points(self):
+        assert ramsey_sequence(PARAMS, 10.0).points is None
+        assert ramsey_sequence(PARAMS, np.array([10.0])).points == 1
+
+
 class TestValidation:
     def test_esr_requires_loaded_electron(self):
         f = transition_frequencies(PARAMS)
