@@ -4,7 +4,8 @@ Runs the simulation experiments from declarative JSON configs, writes CSV
 (tables) or JSON (any result, under a provenance block), and bundles one
 config per reproduced figure under `dotspin/configs/`.
 
-Exit codes: 0 success, 1 config/validation or file error, 2 numerical failure.
+Exit codes: 0 success, 1 config/validation or file error, 2 numerical failure
+or usage error.
 """
 
 from __future__ import annotations
@@ -41,12 +42,6 @@ from .readout import NuclearReadoutConfig, _best_shots, fidelity_curve
 from .sequences import DEFAULT_NMR_RABI, nmr_line
 
 FIGURE_IDS = ("2e", "2f", "2gj", "3ce", "4b", "4d", "4f", "ext1", "s1", "s2")
-
-SUBCOMMANDS = (
-    "spectrum", "chevron", "rabi", "ramsey", "hahn", "bell", "error-budget",
-    "shuttle", "readout-fidelity", "hyperfine-mc", "vanvleck", "fit",
-    "reproduce",
-)
 
 
 class ConfigError(ValueError):
@@ -569,37 +564,32 @@ def _jsonable(obj):
 # Entry point
 
 
-def _load_bundled_config(figure_id: str) -> dict:
-    name = f"fig_{figure_id}.json"
-    ref = resources.files("dotspin.configs").joinpath(name)
-    if not ref.is_file():
-        raise ConfigError(f"no bundled config for figure {figure_id!r}")
-    return json.loads(ref.read_text())
+#: The commands, every experiment but s1-stats (a config's experiment key names
+#: it) and reproduce; and the command-specific arguments, with the commands that
+#: read each. main refuses any other use, and reproduce requires its figure.
+_COMMANDS = (*(name for name in _RUNNERS if name != "s1-stats"), "reproduce")
+_READ_BY = {"figure": ("reproduce",), "--scan-m": ("readout-fidelity",),
+            "--model": ("fit",), "--input": ("fit",), "--config": _COMMANDS[:-1]}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="dotspin",
+        prog="dotspin", usage="%(prog)s <command> [<figure>] [options]",
         description="Quantum-dot-coupled nuclear spin qubit simulation suite",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        if name == "reproduce":
-            p.add_argument("figure", choices=FIGURE_IDS)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--dry-run", action="store_true")
-        if name == "readout-fidelity":
-            p.add_argument("--scan-m", default=None, metavar="[1..]HI")
-        if name == "fit":
-            p.add_argument("--model", default=None)
-            p.add_argument("--input", default=None)
+    read_by = {arg: "read by " + ", ".join(cmds) for arg, cmds in _READ_BY.items()}
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("figure", nargs="?", choices=FIGURE_IDS, help=read_by["figure"])
+    parser.add_argument("--config", help=read_by["--config"])
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--out")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--dry-run", action="store_true")
+    parser.add_argument("--scan-m", metavar="[1..]HI", help=read_by["--scan-m"])
+    parser.add_argument("--model", help=read_by["--model"])
+    parser.add_argument("--input", help=read_by["--input"])
     return parser
 
 
@@ -609,7 +599,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_intermixed_args(argv)
+    for arg, commands in _READ_BY.items():
+        if (getattr(args, arg.lstrip("-").replace("-", "_")) is not None
+                and args.command not in commands):
+            _parser().error(f"argument {arg}: not read by {args.command}")
+    if args.command == "reproduce" and args.figure is None:
+        _parser().error("argument figure: reproduce requires it")
     try:
         return _dispatch(args)
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
@@ -622,13 +618,13 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    command = args.command
     config: dict = {}
-    if command == "reproduce":
-        bundle = _load_bundled_config(args.figure)
-        runs = bundle["runs"] if "runs" in bundle else [bundle]
-        return _run_all(runs, args)
-    if args.config:
+    if args.command == "reproduce":
+        # the figure's choices are the bundled files' ids
+        ref = resources.files("dotspin.configs").joinpath(f"fig_{args.figure}.json")
+        bundle = json.loads(ref.read_text())
+        return _run_all(bundle.get("runs", [bundle]), args)
+    if args.config is not None:
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
@@ -636,12 +632,12 @@ def _dispatch(args) -> int:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}:{exc.lineno}: {exc.msg}")
-    config.setdefault("experiment", command)
-    if getattr(args, "model", None):
+    config.setdefault("experiment", args.command)
+    if args.model is not None:
         config["model"] = args.model
-    if getattr(args, "input", None):
+    if args.input is not None:
         config["input"] = args.input
-    if getattr(args, "scan_m", None) is not None:
+    if args.scan_m is not None:
         config["m_max"] = _scan_m_max(args.scan_m)
     return _run_all([config], args)
 
@@ -667,9 +663,12 @@ def _writes_record(experiment: str, run: dict) -> bool:
 
 
 def _run_all(runs, args) -> int:
+    """Check every run, then print their plans (--dry-run) or run them: a call
+    that a check refuses writes nothing."""
     # the trials of a sweep point already run as one batch; no run uses threads
     if args.threads != 1:
         raise ConfigError(f"--threads: only 1 is supported, got {args.threads}")
+    plans, written = [], set()
     for run in runs:
         run = dict(run)
         experiment = run.pop("experiment", args.command)
@@ -692,6 +691,12 @@ def _run_all(runs, args) -> int:
             name = "--format" if args.fmt else f"{experiment}.format"
             raise ConfigError(f"{name}: {experiment} writes a record, which has "
                               f"no CSV form; use json")
+        if out != "-" and out in written:
+            name = "--out" if args.out else f"{experiment}.out"
+            raise ConfigError(f"{name}: two runs would write {out}")
+        written.add(out)
+        plans.append((experiment, run, trials, seed, out, fmt))
+    for experiment, run, trials, seed, out, fmt in plans:
         if args.dry_run:
             plan = {"experiment": experiment, "config": run, "trials": trials,
                     "seed": seed, "out": out, "format": fmt}

@@ -234,8 +234,6 @@ def _propagate(run: _Run, elements, records: list, state, pure: bool, t, config:
             kind = "nuclear" if isinstance(el, MeasureNuclear) else "electron"
             p = state.real**2 + state.imag**2 if pure else populations(state)
             records.append((kind, marginal_of_populations(p, kind)))
-        else:
-            raise TypeError(f"unknown sequence element {el!r}")
     return state, pure, t, config
 
 

@@ -197,7 +197,8 @@ def point(seq: PulseSequence, i: int) -> PulseSequence:
 
 
 def validate_sequence(seq: PulseSequence) -> None:
-    """Check charge-configuration consistency along the timeline.
+    """Check charge-configuration consistency along the timeline, and refuse
+    an element of unknown type (TypeError).
 
     ESR requires a loaded electron; NMR is allowed in any configuration;
     loading into an already-loaded configuration is rejected. A Repeat's
@@ -232,6 +233,8 @@ def _validate(elements, config: str, where: str = "") -> str:
                     f"element {where}{i}: charge event {el.kind!r} invalid from {config!r}"
                 )
             config = post
+        elif not isinstance(el, (MeasureNuclear, MeasureElectron)):
+            raise TypeError(f"element {where}{i}: unknown sequence element {el!r}")
     return config
 
 

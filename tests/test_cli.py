@@ -105,11 +105,6 @@ class TestExitCodes:
         assert code == 1
         assert "trials must be >= 1" in err
 
-    def test_unknown_reproduce_id_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["reproduce", "9z"])
-        assert exc.value.code == 2
-
     def test_non_finite_config_file_exits_1(self, capsys, tmp_path):
         # Python's json parser accepts NaN / Infinity literals
         cfg = tmp_path / "nan.json"
@@ -367,7 +362,7 @@ class TestDryRun:
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
-        # s1-stats has no subcommand; any subcommand reaches it through "experiment"
+        # s1-stats has no command; any command but reproduce reaches it through "experiment"
         command = "spectrum" if experiment == "s1-stats" else experiment
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"experiment": experiment, **config}))
@@ -422,6 +417,64 @@ class TestDryRun:
         for figure in FIGURE_IDS:
             code, _, err = run_cli(capsys, "reproduce", figure, "--dry-run")
             assert code == 0, (figure, err)
+
+
+#: argv, its exit code and, for a refusal, a fragment of its stderr;
+#: {outdir} stands for DOTSPIN_OUTDIR
+ARGV_TABLE = [
+    # options may stand before, between or after the positionals
+    (["reproduce", "--dry-run", "4b"], 0, None),
+    (["reproduce", "4b", "--dry-run"], 0, None),
+    (["readout-fidelity", "--scan-m", "5", "--dry-run"], 0, None),
+    (["fit", "--model", "ramsey", "--input", "x.csv", "--dry-run"], 0, None),
+    # a command-specific argument that the command does not read
+    (["chevron", "2e"], 2, "argument figure: not read by chevron"),
+    (["reproduce"], 2, "argument figure: reproduce requires it"),
+    (["reproduce", "9z"], 2, "argument figure: invalid choice: '9z'"),
+    (["ramsey", "--scan-m", "5"], 2, "argument --scan-m: not read by ramsey"),
+    (["spectrum", "--model", "ramsey"], 2, "argument --model: not read by spectrum"),
+    (["ramsey", "--input", "x.csv"], 2, "argument --input: not read by ramsey"),
+    (["reproduce", "4b", "--config", "x.json"], 2,
+     "argument --config: not read by reproduce"),
+    # every run is checked before the first one writes
+    (["reproduce", "3ce", "--format", "csv", "--trials", "1"], 1,
+     "error: --format: bell writes a record, which has no CSV form"),
+    (["reproduce", "3ce", "--format", "csv", "--trials", "1", "--dry-run"], 1,
+     "error: --format: bell writes a record, which has no CSV form"),
+    (["reproduce", "2gj", "--out", "one.csv"], 1,
+     "error: --out: two runs would write {outdir}/one.csv"),
+    (["reproduce", "2gj", "--out", "one.csv", "--dry-run"], 1,
+     "error: --out: two runs would write {outdir}/one.csv"),
+]
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv, code, message", ARGV_TABLE,
+                             ids=[" ".join(row[0]) for row in ARGV_TABLE])
+    def test_argv_exit_codes(self, capsys, tmp_path, monkeypatch, argv, code, message):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        monkeypatch.setenv("DOTSPIN_OUTDIR", str(outdir))
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code, err
+        if code == 0:
+            assert json.loads(out)
+        else:
+            assert out == "" and message.format(outdir=outdir) in err
+        assert os.listdir(outdir) == []
+
+    def test_help_names_the_commands_that_read_each_argument(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per argument
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for arg, commands in cli._READ_BY.items():
+            assert "read by " + ", ".join(commands) in out, arg
 
 
 class TestReadoutScan:
@@ -533,14 +586,16 @@ class TestOutputs:
 
     def test_consecutive_calls_match_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
         # main keeps one parser for the process, the only state a call leaves
-        # behind for the next: after calls with other subcommands, a usage
-        # error (exit 2), --help (exit 0) and a config error (exit 1) among
-        # them, each call acts as it does with a parser of its own
+        # behind for the next: after calls with other commands, usage errors
+        # (exit 2, one of them a misplaced argument), --help (exit 0) and a
+        # config error (exit 1) among them, each call acts as it does with a
+        # parser of its own
         calls = (
             ("spectrum", "--out", "spectrum.json"),
             ("reproduce", "9z"),
             ("rabi", "--trials", "1", "--format", "json", "--out", "rabi.json"),
             ("ramsey", "--help"),
+            ("ramsey", "--scan-m", "5", "--trials", "1"),
             ("ramsey", "--trials", "0"),
             ("rabi", "--trials", "1", "--out", "rabi.csv"),
         )
@@ -560,7 +615,7 @@ class TestOutputs:
             cli._parser.cache_clear()
             fresh.append(run(argv, "fresh"))
         assert shared == fresh
-        assert [r[0] for r in shared] == [0, 2, 0, 0, 1, 0]
+        assert [r[0] for r in shared] == [0, 2, 0, 0, 2, 1, 0]
         names = sorted(os.listdir(tmp_path / "fresh"))
         assert names == ["rabi.csv", "rabi.json", "spectrum.json"]
         assert names == sorted(os.listdir(tmp_path / "shared"))

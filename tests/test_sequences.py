@@ -184,6 +184,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="element 0.1: free evolution"):
             PulseSequence((Repeat(cycle, 2),), f["f_e0"], f["f_n0"])
 
+    @pytest.mark.parametrize("elements, message", [
+        (("oops", MeasureNuclear()), "element 0: unknown sequence element 'oops'"),
+        ((MeasureNuclear(), None), "element 1: unknown sequence element None"),
+        ((Repeat((FreeEvolution(1.0), 3.0), 2),),
+         "element 0.1: unknown sequence element 3.0"),
+    ], ids=["first", "last", "inside-a-repeat"])
+    def test_unknown_element_is_refused_at_construction(self, elements, message):
+        # so the engine meets only the element types it runs
+        with pytest.raises(TypeError, match=message):
+            PulseSequence(elements, 1.0, 1.0)
+
 
 class TestBuilders:
     def test_pi_duration(self):
