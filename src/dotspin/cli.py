@@ -668,7 +668,9 @@ def _run_all(runs, args) -> int:
     # the trials of a sweep point already run as one batch; no run uses threads
     if args.threads != 1:
         raise ConfigError(f"--threads: only 1 is supported, got {args.threads}")
-    plans, written = [], set()
+    if args.out not in (None, "-") and len(runs) > 1:
+        raise ConfigError(f"--out: {len(runs)} runs would write one file")
+    plans = []
     for run in runs:
         run = dict(run)
         experiment = run.pop("experiment", args.command)
@@ -691,10 +693,6 @@ def _run_all(runs, args) -> int:
             name = "--format" if args.fmt else f"{experiment}.format"
             raise ConfigError(f"{name}: {experiment} writes a record, which has "
                               f"no CSV form; use json")
-        if out != "-" and out in written:
-            name = "--out" if args.out else f"{experiment}.out"
-            raise ConfigError(f"{name}: two runs would write {out}")
-        written.add(out)
         plans.append((experiment, run, trials, seed, out, fmt))
     for experiment, run, trials, seed, out, fmt in plans:
         if args.dry_run:

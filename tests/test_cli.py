@@ -105,6 +105,11 @@ class TestExitCodes:
         assert code == 1
         assert "trials must be >= 1" in err
 
+    def test_unknown_reproduce_id_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "9z"])
+        assert exc.value.code == 2
+
     def test_non_finite_config_file_exits_1(self, capsys, tmp_path):
         # Python's json parser accepts NaN / Infinity literals
         cfg = tmp_path / "nan.json"
@@ -442,9 +447,9 @@ ARGV_TABLE = [
     (["reproduce", "3ce", "--format", "csv", "--trials", "1", "--dry-run"], 1,
      "error: --format: bell writes a record, which has no CSV form"),
     (["reproduce", "2gj", "--out", "one.csv"], 1,
-     "error: --out: two runs would write {outdir}/one.csv"),
+     "error: --out: 3 runs would write one file"),
     (["reproduce", "2gj", "--out", "one.csv", "--dry-run"], 1,
-     "error: --out: two runs would write {outdir}/one.csv"),
+     "error: --out: 3 runs would write one file"),
 ]
 
 
