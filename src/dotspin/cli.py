@@ -685,6 +685,8 @@ def _run_all(runs, args) -> int:
         out = args.out or out or "-"
         if out != "-" and not os.path.isabs(out):
             out = os.path.join(os.environ.get("DOTSPIN_OUTDIR", "."), out)
+        if out != "-" and not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(f"{out}: no directory {os.path.dirname(out)}")
         fmt = args.fmt or fmt or (
             "json" if experiment == "bell" or _writes_record(experiment, run)
             else "csv"

@@ -28,6 +28,11 @@ under I_x noise use one stacked eigh. The choice is one flag per run that
 depends on the batch alone, so a lone run and the same point inside a stack
 take the same path and agree to the bit.
 
+The points of a stack need not share a structure. A pulse on its frame
+reference beside one off it is rotated into its frame by exactly 1, and a
+zero wait beside a non-zero one keeps its point's state, as its lone run
+skips the element, so every point equals its lone run to the bit.
+
 run_stack evaluates the columns of a Repeat's cycle once and applies the
 cycle count times through the same element code, so it agrees to the bit
 with its cycles written out.
@@ -67,7 +72,6 @@ from .core import (
 from .sequences import (
     _EVENT_TRANSITIONS,
     STACKED_FIELDS,
-    cycles_once,
     stacked_points,
     ChargeEvent,
     FreeEvolution,
@@ -127,29 +131,13 @@ def run_sequence(
     return SequenceResult(res.rho[drop], [(kind, p[drop]) for kind, p in res.records])
 
 
-def stack_groups(seq: PulseSequence) -> list:
-    """The points of a stacked sequence of one structure, as index arrays in
-    the order of their first points: whether each pulse is on its channel's
-    frame reference and each free evolution non-zero (a Repeat's cycle once).
-    The points of one structure run together in run_stack as each alone."""
-    points = seq.points or 1
-    flags = [el.duration > 0 if isinstance(el, FreeEvolution) else
-             el.frequency == (seq.f_e_ref if el.channel == "ESR" else seq.f_n_ref)
-             for el in cycles_once(seq.elements) if isinstance(el, (Pulse, FreeEvolution))]
-    rows = np.array([np.broadcast_to(f, points) for f in flags], bool).reshape(-1, points).T
-    if (rows == rows[:1]).all():
-        return [np.arange(points)]
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return [np.flatnonzero(inverse.ravel() == g) for g in np.argsort(first)]
-
-
 def run_stack(seq, params, noise_draw=ZERO_DRAW, initial_state=None,
               rows=None) -> SequenceResult:
     """Execute the P points of a stacked sequence, or its points rows,
     against the same noise draw(s) in one pass: rho (P, N, 4, 4) and records
-    (P, N, 2), N = 1 for a NoiseDraw. An array field runs as the float its
-    entries are when they are equal to the bit, else as a (P, 1) column, so
-    the points of one of its stack_groups get the arithmetic of lone runs."""
+    (P, N, 2), N = 1 for a NoiseDraw. The points need not share a structure
+    (a pulse on or off its frame, a wait of zero or not): each point gets
+    the arithmetic of its lone run_sequence, to the bit."""
     run, records = _Run(seq, params, noise_draw, initial_state, rows), []
     state, pure, _, _ = _propagate(run, seq.elements, records, *run.start)
     return _finish(state, pure, records, (seq.points or 1) if rows is None else len(rows))
@@ -215,14 +203,17 @@ def _propagate(run: _Run, elements, records: list, state, pure: bool, t, config:
             state = _apply(_rotation_unitary(el.channel, *values), state, pure)
         elif isinstance(el, FreeEvolution):
             (duration,) = values
-            if (duration > 0).any() if isinstance(duration, np.ndarray) else duration > 0:
-                key = (config, duration.tobytes() if isinstance(duration, np.ndarray)
-                       else duration, pure)
+            column = isinstance(duration, np.ndarray)
+            moves = duration > 0  # a lone run skips a zero wait, so its point keeps its state
+            if moves.any() if column else moves:
+                key = (config, duration.tobytes() if column else duration, pure)
                 if key not in run.free:
                     run.free[key] = _free_propagator(run.h_static(config), _lift(duration, 1),
                                                      run.diagonal, pure)
-                state = (state * run.free[key] if run.diagonal
+                moved = (state * run.free[key] if run.diagonal
                          else _apply(run.free[key], state, pure))
+                state = (np.where(_lift(moves, 2 - pure), moved, state)
+                         if column and not moves.all() else moved)
             t = t + duration
         elif isinstance(el, ChargeEvent):
             before, config = _EVENT_TRANSITIONS[el.kind]
@@ -264,7 +255,9 @@ def _timeline(elements, rows):
 def _columns(item, names, rows) -> list:
     """Each named field of item: a scalar as it is, and an array, at the
     points rows (None for all), as float(v[0]) when its entries are equal to
-    the bit, else as a (P, 1) column."""
+    the bit, else as a (P, 1) column. The float is there only so a prefix
+    the points share runs once; a column of equal entries gives each point
+    the same bits."""
     out = []
     for name in names:
         value = getattr(item, name)

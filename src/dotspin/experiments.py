@@ -4,10 +4,11 @@ Bell-state tomography, the entanglement error budget, shuttle experiments).
 
 Each experiment builds its sweep as stacked sequences (sequences), draws its
 per-trial noise once, as one NoiseBatch, and runs them through _sweep: the
-points of one structure (engine.stack_groups) run together as one stack, and
-the engine sees only the batch's distinct draws. Every point's result is
-expanded back to trial order before the trial-order sum, so the means are
-those of one engine call per point on every trial of the batch, to the bit.
+points of each sequence run together as one stack, whatever their
+structure, and the engine sees only the batch's distinct draws. Every
+point's result is expanded back to trial order before the trial-order sum,
+so the means are those of one engine call per point on every trial of the
+batch, to the bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .core import (
     sigma_from_t2,
     transition_frequencies,
 )
-from .engine import _resume, run_sequence, run_stack, stack_groups
+from .engine import _resume, run_sequence, run_stack
 from .fitting import coherence_metric
 from .readout import confuse_readout, correct_readout
 from .sequences import (
@@ -126,27 +127,26 @@ def _sweep(seqs, params, draws, kind, initial_state=None) -> np.ndarray:
     the one NoiseBatch draws in trial order: shape (points, 2), or
     (points, 4) for 'joint'.
 
-    The points of each of a sequence's engine.stack_groups run as one
-    stack, in the order of their first points, in chunks of at
-    most STACK_ROWS points x trials, against the batch's distinct rows, each
-    row once (_distinct_rows). A chunk of one point runs its lone sequence
-    through run_sequence. Results are expanded back to trial order before
-    the sum, so every point gets the means of one run_sequence on the whole
-    batch, to the bit."""
+    The points of each sequence run as one stack, whatever their structure,
+    in contiguous chunks of at most STACK_ROWS points x trials, against the
+    batch's distinct rows, each row once (_distinct_rows). A chunk of one
+    point runs its lone sequence through run_sequence. Results are expanded
+    back to trial order before the sum, so every point gets the means of one
+    run_sequence on the whole batch, to the bit."""
     distinct, inverse = _distinct_rows(draws)
     size = max(1, STACK_ROWS // len(draws))
     out = []
     for seq in seqs:
-        p = np.empty((seq.points or 1, 4 if kind == "joint" else 2))
-        for members in stack_groups(seq):
-            for lo in range(0, len(members), size):
-                chunk = members[lo:lo + size]
-                res = (run_sequence(point(seq, chunk[0]), params, distinct, initial_state)
-                       if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
-                       else run_stack(seq, params, distinct, initial_state, chunk))
-                probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
-                probs = probs.reshape(len(chunk), len(distinct), -1)
-                p[chunk] = probs[:, inverse].sum(axis=1) / len(draws)
+        points = seq.points or 1
+        p = np.empty((points, 4 if kind == "joint" else 2))
+        for lo in range(0, points, size):
+            chunk = np.arange(lo, min(lo + size, points))
+            res = (run_sequence(point(seq, lo), params, distinct, initial_state)
+                   if len(chunk) == 1  # a plain run_sequence call, as perfbench traces
+                   else run_stack(seq, params, distinct, initial_state, chunk))
+            probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
+            probs = probs.reshape(len(chunk), len(distinct), -1)
+            p[chunk] = probs[:, inverse].sum(axis=1) / len(draws)
         out.append(p)
     return np.concatenate(out)
 

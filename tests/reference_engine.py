@@ -72,9 +72,11 @@ def unstack(seq: PulseSequence) -> list:
 
 
 def stack(seqs) -> PulseSequence:
-    """One stacked sequence of lone sequences of one structure: every field
-    that may be stacked becomes the array of the sequences' values, as the
-    engine once gathered side-by-side fields into columns."""
+    """One stacked sequence of lone sequences with the same element types in
+    the same order (a pulse may sit on its frame in one and off it in
+    another, a wait may be zero in one only): every field that may be
+    stacked becomes the array of the sequences' values, as the engine once
+    gathered side-by-side fields into columns."""
     def column(values):
         return np.array(values, dtype=float)
 

@@ -210,6 +210,9 @@ class TestExitCodes:
          "{absent}.csv"),
         (["reproduce", "4b"], {"DOTSPIN_OUTDIR": "{absent}"},
          "{absent}/fig_4b_shuttle_phase.csv"),
+        (["spectrum", "--out", "{absent}/x.json", "--dry-run"], {}, "{absent}/x.json"),
+        (["reproduce", "4b", "--dry-run"], {"DOTSPIN_OUTDIR": "{absent}"},
+         "{absent}/fig_4b_shuttle_phase.csv"),
     ])
     def test_file_error_exits_1_naming_the_path(self, tmp_path, argv, env, path):
         absent = str(tmp_path / "absent")
@@ -225,6 +228,18 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: ")
         assert path.format(absent=absent) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_absent_output_directory_is_refused_before_any_run(self, capsys, monkeypatch,
+                                                               tmp_path):
+        # 2gj's first run is a Rabi sweep; it would run and then fail to write
+        absent = str(tmp_path / "absent")
+        monkeypatch.setenv("DOTSPIN_OUTDIR", absent)
+        calls = []
+        for name in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, name, lambda *a, name=name: calls.append(name))
+        code, out, err = run_cli(capsys, "reproduce", "2gj")
+        assert (code, out, calls) == (1, "", [])
+        assert f"{absent}/fig_2g_rabi.csv" in err
 
     def test_numerical_failure_exits_2(self, capsys, monkeypatch):
         # LinAlgError subclasses ValueError; it must still map to exit 2

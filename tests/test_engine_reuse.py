@@ -16,7 +16,7 @@ from test_batched_engine import FREQS, PARAMS, initial_states, noise_draws, sequ
 from dotspin import engine, experiments
 from dotspin.core import (NoiseBatch, NoiseDraw, NoiseModel, SpinSystemParams,
                           transition_frequencies)
-from dotspin.engine import run_sequence, run_stack, stack_groups
+from dotspin.engine import run_sequence, run_stack
 from dotspin.sequences import (
     ChargeEvent,
     FreeEvolution,
@@ -46,7 +46,7 @@ def stacks(draw):
     rates, durations, phases, rotation angles and frame references
     redrawn, each value kept or changed at random, a non-zero free
     evolution sometimes to zero and a pulse sometimes onto its frame
-    reference, so that the copies may fall into different stack_groups."""
+    reference, so that the copies may differ in structure."""
     base = draw(sequences(max_elements=6))
 
     def moved(x, lo, hi):
@@ -90,7 +90,7 @@ def test_collapsed_sweep_equals_full_batch_and_reference(seqs, pool, picks, init
     trial_draws = [pool[i % len(pool)] for i in picks]
     draws = NoiseBatch.stack(trial_draws)
     got = experiments._sweep([ref.stack(seqs)], PARAMS, draws, kind, init)
-    assert np.array_equal(got, ref.per_point_sweep(seqs, PARAMS, draws, kind, init))
+    assert got.tobytes() == ref.per_point_sweep(seqs, PARAMS, draws, kind, init).tobytes()
     ones = [ref.run_sequence(seqs[0], PARAMS, d, init) for d in trial_draws]
     expected = np.mean([o.joint_probabilities() if kind == "joint" else o.last(kind)
                         for o in ones], axis=0)
@@ -122,8 +122,8 @@ def _assert_equals_per_point_runs(experiment, monkeypatch):
         m.setattr(experiments, "_sweep", ref.per_point_sweep)
         expected = experiment().columns
     assert got.keys() == expected.keys()
-    for name in got:
-        assert np.array_equal(got[name], expected[name]), name
+    for name in got:  # bytes, so that a signed zero counts as the CSV writes it
+        assert got[name].tobytes() == expected[name].tobytes(), name
 
 
 NOISE = NoiseModel(sigma_iz=0.5, sigma_sz=20.0, spectator_flip_prob=0.3)
@@ -304,19 +304,20 @@ def _drivers(draw):
         kind, sweep, PARAMS, tau_0=tau_0, p_err=0.1, p_transfer=0.3, **common)
 
 
-@given(seqs=stacks(), draws=st.lists(noise_draws, min_size=1, max_size=2))
+@given(seqs=stacks(), draws=st.lists(noise_draws, min_size=1, max_size=2),
+       init=initial_states())
 @settings(max_examples=30, deadline=None)
-def test_any_stack_runs_each_point_as_alone_to_round_off(seqs, draws):
+def test_any_stack_runs_each_point_as_alone_to_the_bit(seqs, draws, init):
     # points of different structure in one run_stack (a zero wait beside a
-    # non-zero one, a pulse on and off its frame) agree with their lone runs
-    # to round-off; within one of stack_groups they agree to the bit
+    # non-zero one, a pulse on and off its frame) equal their lone runs to
+    # the bit, signed zeros included
     batch = NoiseBatch.stack(draws)
-    res = run_stack(ref.stack(seqs), PARAMS, batch)
+    res = run_stack(ref.stack(seqs), PARAMS, batch, init)
     for i, seq in enumerate(seqs):
-        lone = run_sequence(seq, PARAMS, batch)
-        assert np.max(np.abs(res.rho[i] - lone.rho)) < TOL
+        lone = run_sequence(seq, PARAMS, batch, init)
+        assert res.rho[i].tobytes() == lone.rho.tobytes()
         for (_, p), (_, q) in zip(res.records, lone.records, strict=True):
-            assert np.max(np.abs(p[i] - q)) < TOL
+            assert p[i].tobytes() == q.tobytes()
 
 
 def test_run_sequence_refuses_a_stack_of_several_points():
@@ -489,12 +490,6 @@ def _twins(seq, count):
             replace(seq, elements=cycle * count + tail))
 
 
-def _groups(seqs) -> list:
-    """The indices of the lone sequences seqs, stacked, in each of the
-    stacks that _sweep runs."""
-    return [g.tolist() for g in stack_groups(ref.stack(seqs))]
-
-
 def _assert_bitwise_equal(a, b):
     assert np.array_equal(a.rho, b.rho)
     assert [kind for kind, _ in a.records] == [kind for kind, _ in b.records]
@@ -516,13 +511,10 @@ def test_repeat_equals_its_written_out_cycles(seqs, count, draws, ix, init):
     # up to four points, with and without I_x noise
     batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
     repeated, written = zip(*(_twins(seq, count) for seq in seqs))
-    # stack_groups groups the points as it groups their written-out twins
-    assert _groups(repeated) == _groups(written)
-    rows = np.array(_groups(repeated)[0])
     _assert_bitwise_equal(run_sequence(repeated[0], PARAMS, batch, init),
                           run_sequence(written[0], PARAMS, batch, init))
-    _assert_bitwise_equal(run_stack(ref.stack(repeated), PARAMS, batch, init, rows),
-                          run_stack(ref.stack(written), PARAMS, batch, init, rows))
+    _assert_bitwise_equal(run_stack(ref.stack(repeated), PARAMS, batch, init),
+                          run_stack(ref.stack(written), PARAMS, batch, init))
 
 
 @given(seqs=stacks(), cut=st.integers(0, 7))
