@@ -695,6 +695,8 @@ def _run_all(runs, args) -> int:
             name = "--format" if args.fmt else f"{experiment}.format"
             raise ConfigError(f"{name}: {experiment} writes a record, which has "
                               f"no CSV form; use json")
+        if experiment == "fit":  # the run's refusal of an input it cannot open
+            open(run["input"]).close()
         plans.append((experiment, run, trials, seed, out, fmt))
     for experiment, run, trials, seed, out, fmt in plans:
         if args.dry_run:

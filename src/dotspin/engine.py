@@ -35,7 +35,11 @@ skips the element, so every point equals its lone run to the bit.
 
 run_stack evaluates the columns of a Repeat's cycle once and applies the
 cycle count times through the same element code, so it agrees to the bit
-with its cycles written out.
+with its cycles written out. A count column runs the cycle max(count) times,
+and a point whose count has run out keeps its state and sequence time
+(np.where on the points axis), as its lone run has no such cycles; every
+count is >= 1, so each point switches to rho, if at all, in the first cycle.
+The final rho is built only when something reads it.
 
 run_stack is set-up, one element loop (_propagate) and the finish; _resume
 runs a shared prefix through that loop once and continues each stacked tail
@@ -44,7 +48,9 @@ from the (state, pure, t, config) it leaves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -87,14 +93,19 @@ from .sequences import (
 class SequenceResult:
     """Final density matrix plus the Born probabilities recorded at
     measurement markers: list of (kind, probabilities) in timeline order.
+    final() builds rho, on its first read only.
 
     A NoiseBatch of N draws gives rho of shape (N, 4, 4) and records of shape
     (N, 2); a single NoiseDraw drops the trial axis: (4, 4) and (2,).
     run_stack keeps the trial axis and adds one of P points before it.
     """
 
-    rho: np.ndarray
+    final: Callable[[], np.ndarray]
     records: list = field(default_factory=list)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return self.final()
 
     def last(self, kind: str) -> np.ndarray:
         for k, probs in reversed(self.records):
@@ -128,7 +139,7 @@ def run_sequence(
         raise ValueError(f"run_sequence runs one point, got {seq.points}; use run_stack")
     res = run_stack(seq, params, noise_draw, initial_state)
     drop = (0,) if isinstance(noise_draw, NoiseBatch) else (0, 0)  # P, and N
-    return SequenceResult(res.rho[drop], [(kind, p[drop]) for kind, p in res.records])
+    return SequenceResult(lambda: res.rho[drop], [(kind, p[drop]) for kind, p in res.records])
 
 
 def run_stack(seq, params, noise_draw=ZERO_DRAW, initial_state=None,
@@ -139,7 +150,7 @@ def run_stack(seq, params, noise_draw=ZERO_DRAW, initial_state=None,
     (a pulse on or off its frame, a wait of zero or not): each point gets
     the arithmetic of its lone run_sequence, to the bit."""
     run, records = _Run(seq, params, noise_draw, initial_state, rows), []
-    state, pure, _, _ = _propagate(run, seq.elements, records, *run.start)
+    state, pure, _, _ = _propagate(run, _timeline(seq.elements, rows), records, *run.start)
     return _finish(state, pure, records, (seq.points or 1) if rows is None else len(rows))
 
 
@@ -148,11 +159,11 @@ def _resume(seq, params):
     tail -> SequenceResult, which runs the stacked elements tail on from the
     state they leave, to the bit as run_stack runs seq followed by tail."""
     run, records = _Run(seq, params, ZERO_DRAW, None), []
-    at = _propagate(run, seq.elements, records, *run.start)
+    at = _propagate(run, _timeline(seq.elements, None), records, *run.start)
 
     def tail(elements):
         out = list(records)
-        state, pure, _, _ = _propagate(run, elements, out, *at)
+        state, pure, _, _ = _propagate(run, _timeline(elements, None), out, *at)
         return _finish(state, pure, out, stacked_points(elements) or 1)
 
     return tail
@@ -186,12 +197,23 @@ class _Run:
         return self.static[config]
 
 
-def _propagate(run: _Run, elements, records: list, state, pure: bool, t, config: str) -> tuple:
-    """The element loop: elements applied to state from sequence time t (us)
-    in charge config config, appending their measurements to records;
-    returns the (state, pure, t, config) they leave."""
-    for el, values in _timeline(elements, run.rows):
-        if isinstance(el, Pulse):
+def _propagate(run: _Run, timeline, records: list, state, pure: bool, t, config: str) -> tuple:
+    """The element loop: the elements of a _timeline applied to state from
+    sequence time t (us) in charge config config, appending their
+    measurements to records; returns the (state, pure, t, config) they
+    leave."""
+    for el, values in timeline:
+        if isinstance(el, Repeat):
+            count, cycle = values
+            lowest = np.min(count)
+            for c in range(int(np.max(count))):
+                before = state, t
+                state, pure, t, config = _propagate(run, cycle, records, state, pure, t, config)
+                if c >= lowest:  # a point whose count has run out keeps its state and
+                    done = count <= c  # time; c >= 1, so this cycle switched nothing to rho
+                    state = np.where(_lift(done, 2 - pure), before[0], state)
+                    t = np.where(done, before[1], t)
+        elif isinstance(el, Pulse):
             rabi = values[1]  # a column is checked at its peak
             check_rwa(run.params, el.channel,
                       float(rabi.max()) if isinstance(rabi, np.ndarray) else rabi)
@@ -229,27 +251,27 @@ def _propagate(run: _Run, elements, records: list, state, pure: bool, t, config:
 
 
 def _finish(state, pure: bool, records, points: int) -> SequenceResult:
-    """The renormalised rho and the records, each with one entry per point."""
+    """The records and the renormalised rho, built on its first read, each
+    with one entry per point."""
     def per_point(x, ndim):  # as it is, or repeated
         return x if x.ndim == ndim else np.repeat(x[None], points, axis=0)
 
-    rho = _outer(state) if pure else state
-    return SequenceResult(per_point(_renormalise(rho), 4),
+    return SequenceResult(lambda: per_point(_renormalise(_outer(state) if pure else state), 4),
                           [(kind, per_point(p, 3)) for kind, p in records])
 
 
-def _timeline(elements, rows):
+def _timeline(elements, rows) -> list:
     """(element, values) for each element in timeline order: its _columns
-    of its STACKED_FIELDS at the points rows, or None. A Repeat's cycle is
-    evaluated once and replayed count times."""
+    of its STACKED_FIELDS at the points rows, or None; for a Repeat, its
+    count and the _timeline of its cycle, evaluated once and replayed."""
+    out = []
     for el in elements:
+        names = STACKED_FIELDS.get(type(el))
+        values = names and _columns(el, names, rows)
         if isinstance(el, Repeat):
-            cycle = list(_timeline(el.elements, rows))
-            for _ in range(el.count):
-                yield from cycle
-        else:
-            names = STACKED_FIELDS.get(type(el))
-            yield el, names and _columns(el, names, rows)
+            values = (*values, _timeline(el.elements, rows))
+        out.append((el, values))
+    return out
 
 
 def _columns(item, names, rows) -> list:

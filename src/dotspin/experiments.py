@@ -105,8 +105,9 @@ def _draws(noise: NoiseModel, seed: int, trials: int, *label) -> NoiseBatch:
     return sample_noise(noise, rng_for(seed, "noise", *label), trials)
 
 
-#: Most sweep points x trials one engine run holds (at least one point), so
-#: neither its states nor the trial-order expansion grow with the sweep.
+#: Most sweep points x distinct draw rows one engine run holds, and most
+#: points x trials one expansion to trial order holds (at least one point
+#: each), so neither grows with the sweep.
 STACK_ROWS = 1024
 
 
@@ -128,13 +129,16 @@ def _sweep(seqs, params, draws, kind, initial_state=None) -> np.ndarray:
     (points, 4) for 'joint'.
 
     The points of each sequence run as one stack, whatever their structure,
-    in contiguous chunks of at most STACK_ROWS points x trials, against the
-    batch's distinct rows, each row once (_distinct_rows). A chunk of one
+    in contiguous chunks of at most STACK_ROWS points x distinct rows,
+    against the batch's distinct rows, each row once (_distinct_rows): a
+    noiseless sweep runs as one stack at any trial count. A chunk of one
     point runs its lone sequence through run_sequence. Results are expanded
-    back to trial order before the sum, so every point gets the means of one
-    run_sequence on the whole batch, to the bit."""
+    back to trial order, at most STACK_ROWS points x trials at a time,
+    before the sum, so every point gets the means of one run_sequence on the
+    whole batch, to the bit."""
     distinct, inverse = _distinct_rows(draws)
-    size = max(1, STACK_ROWS // len(draws))
+    size = max(1, STACK_ROWS // len(distinct))
+    expand = max(1, STACK_ROWS // len(draws))
     out = []
     for seq in seqs:
         points = seq.points or 1
@@ -146,7 +150,9 @@ def _sweep(seqs, params, draws, kind, initial_state=None) -> np.ndarray:
                    else run_stack(seq, params, distinct, initial_state, chunk))
             probs = res.joint_probabilities() if kind == "joint" else res.last(kind)
             probs = probs.reshape(len(chunk), len(distinct), -1)
-            p[chunk] = probs[:, inverse].sum(axis=1) / len(draws)
+            for i in range(0, len(chunk), expand):
+                part = probs[i:i + expand]
+                p[chunk[i:i + expand]] = part[:, inverse].sum(axis=1) / len(draws)
         out.append(p)
     return np.concatenate(out)
 
@@ -571,10 +577,11 @@ def run_shuttle_experiments(
     tau_0; the nuclear phase oscillates at |A|/2 vs t_load.
     variant 'repeated': sweep = load/unload cycle counts k, whole numbers;
     emits the four-phase probabilities and the coherence C(k), with
-    per-cycle dephasing probability p_err. Each k is one sequence with the
-    four final phases as a column, and all run as one sweep on one draw
-    batch, so the four phases of one k are one stack (up to STACK_ROWS // 4
-    trials) that runs the cycles once, and they project one state: C <= 1.
+    per-cycle dephasing probability p_err. Every k >= 1 and final phase is
+    one point of one stacked sequence whose cycle count, dwell and final
+    phase are columns; k = 0, which has no cycle, is a sequence of its own.
+    Both run as one sweep on one draw batch, so the four phases of one k
+    project one state on the same draws: C <= 1.
     variant 'electron': sweep = final Ramsey phase (deg) for the
     electron-coherence shuttle transfer, with transfer dephasing p_transfer.
     """
@@ -592,13 +599,18 @@ def run_shuttle_experiments(
             raise ValueError(f"cycle counts must be whole numbers, got "
                              f"{float(sweep[~whole][0])!r}")
         phases = {"p_x": 0.0, "p_mx": 180.0, "p_y": 90.0, "p_my": 270.0}
-        # one sequence per k, its four final phases one stack: the cycles
-        # run once and branch at the last rotation
         final = np.array(list(phases.values()))
-        seqs = [repeated_load_sequence(params, int(k), tau_0, p_err=p_err, final_phase=final)
-                for k in sweep]
-        p = _sweep(seqs, params, _draws(noise, seed, trials), "nuclear")[:, 1]
-        p = p.reshape(len(sweep), len(phases))  # a row per k
+        # the k = 0 points first, each k >= 1 in sweep order after them, a
+        # point per (k, final phase); scattered back to sweep order below
+        order = np.argsort(sweep != 0, kind="stable")
+        ks, zeros = sweep[order].astype(int), int(np.sum(sweep == 0))
+        seqs = [repeated_load_sequence(params, k, tau_0, p_err=p_err,
+                                       final_phase=np.tile(final, n))
+                for k, n in ((0, zeros), (np.repeat(ks[zeros:], len(final)), len(ks) - zeros))
+                if n]
+        p = np.empty((len(sweep), len(phases)))  # a row per k
+        p[order] = _sweep(seqs, params, _draws(noise, seed, trials), "nuclear")[:, 1].reshape(
+            len(sweep), len(phases))
         return ExperimentResult(columns={
             "k_cycles": sweep, **dict(zip(phases, p.T)),
             "coherence": np.array([coherence_metric(*row) for row in p])})

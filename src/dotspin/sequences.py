@@ -121,17 +121,29 @@ class MeasureNuclear:
 @dataclass(frozen=True)
 class Repeat:
     """A cycle of elements run count times in a row. The cycle must end in
-    the charge config it starts in (validate_sequence)."""
+    the charge config it starts in (validate_sequence). count may be a
+    column, one whole count >= 1 per point, refused at its first bad point
+    as that point would be; a column whose counts differ takes no
+    measurement in its cycle, as its points would record it unequally often."""
 
     elements: tuple
     count: int
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not isinstance(self.count, numbers.Integral) or isinstance(self.count, bool):
-            raise TypeError(f"count: expected int, got {self.count!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count!r}")
+        column = isinstance(self.count, np.ndarray) and self.count.ndim > 0
+        counts = self.count.tolist() if column else [self.count]
+        for count in counts:
+            if column and isinstance(count, float) and count.is_integer():
+                count = int(count)  # the int count of its point
+            if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+                raise TypeError(f"count: expected int, got {count!r}")
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count!r}")
+        if len(set(counts)) > 1 and any(isinstance(el, (MeasureNuclear, MeasureElectron))
+                                        for el in cycles_once(self.elements)):
+            raise ValueError("count: a column of differing counts takes no measurement "
+                             "inside its cycle")
 
 
 @dataclass(frozen=True)
@@ -159,18 +171,22 @@ class PulseSequence:
 
 #: The fields of each element type that may hold one value per sweep point.
 STACKED_FIELDS = {Pulse: ("frequency", "rabi", "duration", "phase"),
-                  Rotation: ("angle", "phase"), FreeEvolution: ("duration",)}
+                  Rotation: ("angle", "phase"), FreeEvolution: ("duration",),
+                  Repeat: ("count",)}
 
 
 def cycles_once(elements):
-    """The elements with each Repeat's cycle in its place, written once."""
+    """Each element once, a Repeat followed by the elements of its cycle."""
     for el in elements:
-        yield from cycles_once(el.elements) if isinstance(el, Repeat) else (el,)
+        yield el
+        if isinstance(el, Repeat):
+            yield from cycles_once(el.elements)
 
 
 def stacked_points(elements, *values) -> int | None:
     """The one length of the arrays among values and the STACKED_FIELDS of
-    elements (a Repeat's cycle included), or None when none is an array."""
+    elements (a Repeat and its cycle included), or None when none is an
+    array."""
     values += tuple(getattr(el, name) for el in cycles_once(elements)
                     for name in STACKED_FIELDS.get(type(el), ()))
     lengths = {len(v) for v in values if isinstance(v, np.ndarray) and v.ndim}
@@ -181,10 +197,11 @@ def stacked_points(elements, *values) -> int | None:
 
 def point(seq: PulseSequence, i: int) -> PulseSequence:
     """The lone sequence of point i of a stacked sequence, each array field
-    replaced by its float entry i; a lone sequence itself."""
+    replaced by its float entry i (a Repeat's count by its int); a lone
+    sequence itself."""
     def at(x):  # an element, or a field's value
         if isinstance(x, Repeat):
-            return Repeat(tuple(map(at, x.elements)), x.count)
+            return Repeat(tuple(map(at, x.elements)), int(at(x.count)))
         if type(x) in STACKED_FIELDS:
             names = STACKED_FIELDS[type(x)]
             return replace(x, **{name: at(getattr(x, name)) for name in names})
@@ -418,12 +435,17 @@ def repeated_load_sequence(
 ) -> PulseSequence:
     """Nuclear Ramsey with k load/unload cycles during a fixed precession
     time tau_0. The per-cycle dephasing probability p_err is applied once
-    per completed cycle (on the unloading shuttle)."""
-    if k_cycles < 0:
+    per completed cycle (on the unloading shuttle). k_cycles may be a
+    column of counts >= 1, the Repeat's count; k = 0 has no cycle."""
+    if np.any(k_cycles < 0):
         raise ValueError("k_cycles must be >= 0")
+    stacked = isinstance(k_cycles, np.ndarray)
+    if stacked and np.any(k_cycles == 0):
+        raise ValueError("k_cycles: a column of counts must be >= 1 at every point, "
+                         "as k = 0 has no cycle")
     f = transition_frequencies(params)
     elements = [Rotation("NMR", 90.0)]
-    if k_cycles == 0:
+    if not stacked and k_cycles == 0:
         elements.append(FreeEvolution(tau_0, "qd2"))
     else:
         dwell = tau_0 / (2 * k_cycles)

@@ -55,13 +55,13 @@ from dotspin.experiments import CALIBRATION_SWEEPS
 def unstack(seq: PulseSequence) -> list:
     """The lone sequences of the points of a stacked sequence, each element
     rebuilt through its constructor with entry i of every array field ([seq]
-    for a lone sequence)."""
+    for a lone sequence), a Repeat with the int entry i of a count column."""
     def at(value, i):
         return float(value[i]) if isinstance(value, np.ndarray) else value
 
     def element(el, i):
         if isinstance(el, Repeat):
-            return Repeat(tuple(element(e, i) for e in el.elements), el.count)
+            return Repeat(tuple(element(e, i) for e in el.elements), int(at(el.count, i)))
         if is_dataclass(el):
             return type(el)(**{f.name: at(getattr(el, f.name), i) for f in fields(el)})
         return el
@@ -74,9 +74,10 @@ def unstack(seq: PulseSequence) -> list:
 def stack(seqs) -> PulseSequence:
     """One stacked sequence of lone sequences with the same element types in
     the same order (a pulse may sit on its frame in one and off it in
-    another, a wait may be zero in one only): every field that may be
-    stacked becomes the array of the sequences' values, as the engine once
-    gathered side-by-side fields into columns."""
+    another, a wait may be zero in one only, a Repeat may run a different
+    count of cycles): every field that may be stacked becomes the array of
+    the sequences' values, as the engine once gathered side-by-side fields
+    into columns, a Repeat's counts an int column."""
     def column(values):
         return np.array(values, dtype=float)
 
@@ -84,7 +85,8 @@ def stack(seqs) -> PulseSequence:
         first = els[0]
         if isinstance(first, Repeat):
             cycle = zip(*(el.elements for el in els), strict=True)
-            return Repeat(tuple(merged(step) for step in cycle), first.count)
+            return Repeat(tuple(merged(step) for step in cycle),
+                          np.array([el.count for el in els]))
         names = STACKED_FIELDS.get(type(first), ())
         return replace(first, **{n: column([getattr(el, n) for el in els]) for n in names})
 
@@ -124,10 +126,16 @@ def apply_dephasing_channel(state: QuantumState, p_err: float, subsystem: str):
 
 
 def unroll(elements) -> tuple:
-    """The elements with each Repeat written out, its cycle count times."""
+    """The elements with each Repeat written out, its cycle count times; a
+    count column must hold one count (unstack a column of differing counts
+    first)."""
     out = []
     for el in elements:
-        out += unroll(el.elements) * el.count if isinstance(el, Repeat) else [el]
+        if isinstance(el, Repeat):
+            (count,) = set(np.ravel(el.count).tolist())
+            out += unroll(el.elements) * int(count)
+        else:
+            out.append(el)
     return tuple(out)
 
 

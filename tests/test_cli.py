@@ -440,13 +440,18 @@ class TestDryRun:
 
 
 #: argv, its exit code and, for a refusal, a fragment of its stderr;
-#: {outdir} stands for DOTSPIN_OUTDIR
+#: {outdir} stands for DOTSPIN_OUTDIR, {data} for a CSV file that exists
 ARGV_TABLE = [
     # options may stand before, between or after the positionals
     (["reproduce", "--dry-run", "4b"], 0, None),
     (["reproduce", "4b", "--dry-run"], 0, None),
     (["readout-fidelity", "--scan-m", "5", "--dry-run"], 0, None),
-    (["fit", "--model", "ramsey", "--input", "x.csv", "--dry-run"], 0, None),
+    (["fit", "--model", "ramsey", "--input", "{data}", "--dry-run"], 0, None),
+    # an input the run cannot open is refused before it, and by --dry-run
+    (["fit", "--model", "ramsey", "--input", "x.csv", "--dry-run"], 1,
+     "error: [Errno 2] No such file or directory: 'x.csv'"),
+    (["fit", "--model", "ramsey", "--input", "x.csv"], 1,
+     "error: [Errno 2] No such file or directory: 'x.csv'"),
     # a command-specific argument that the command does not read
     (["chevron", "2e"], 2, "argument figure: not read by chevron"),
     (["reproduce"], 2, "argument figure: reproduce requires it"),
@@ -474,9 +479,11 @@ class TestArgv:
     def test_argv_exit_codes(self, capsys, tmp_path, monkeypatch, argv, code, message):
         outdir = tmp_path / "out"
         outdir.mkdir()
+        data = tmp_path / "trace.csv"
+        data.write_text("x,y\n0,1\n1,2\n")
         monkeypatch.setenv("DOTSPIN_OUTDIR", str(outdir))
         try:
-            got = main(argv)
+            got = main([arg.format(data=data) for arg in argv])
         except SystemExit as exc:
             got = exc.code
         out, err = capsys.readouterr()

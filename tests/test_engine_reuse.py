@@ -171,8 +171,8 @@ def test_shuttle_sweeps_equal_per_point_runs(variant, sweep, engine_runs, monkey
     _assert_equals_per_point_runs(lambda: experiments.run_shuttle_experiments(
         variant, sweep, PARAMS, noise=NoiseModel(sigma_iz=0.3, sigma_sz=10.0),
         trials=3, tau_0=50.0, p_err=0.1, p_transfer=0.3), monkeypatch)
-    if variant == "repeated":  # per cycle count, one stack of the four phases
-        assert engine_runs == [(4, 3)] * 3  # on the 3 rows of the shared batch
+    if variant == "repeated":  # k = 0, then k = 1 and 3 as one stack of 2 x 4 phases
+        assert engine_runs == [(4, 3), (8, 3)]  # on the 3 rows of the shared batch
 
 
 def _bits(x):
@@ -185,6 +185,8 @@ def _bits(x):
         return (type(x), *(_bits(getattr(x, f.name)) for f in fields(x)))
     if isinstance(x, (float, np.floating)):
         return np.float64(x).tobytes()
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
     return x
 
 
@@ -199,7 +201,8 @@ def _column(draw, points, values, zero=None):
 @st.composite
 def stacked_builds(draw):
     """(stacked, lone): a builder called with arrays of P values, and the
-    same builder called at each point with its float values."""
+    same builder called at each point with its float values (a cycle count
+    with its int)."""
     p = draw(st.integers(1, 4))
     phase = st.floats(-360.0, 360.0)
     kind = draw(st.sampled_from(("bell", "ramsey", "hahn", "shuttle_ramsey",
@@ -232,9 +235,12 @@ def stacked_builds(draw):
     elif kind == "repeated_load":
         k = draw(st.integers(0, 4))
         columns = [_column(draw, p, st.floats(1.0, 2000.0)), _column(draw, p, phase)]
+        if k and draw(st.booleans()):  # the cycle counts a column too
+            columns.append(_column(draw, p, st.integers(1, 4)))
 
-        def build(tau_0, final):
-            return repeated_load_sequence(PARAMS, k, tau_0, p_err=0.1, final_phase=final)
+        def build(tau_0, final, count=k):
+            count = count if isinstance(count, np.ndarray) else int(count)
+            return repeated_load_sequence(PARAMS, count, tau_0, p_err=0.1, final_phase=final)
     elif kind == "electron_shuttle":
         columns = [_column(draw, p, phase)]
 
@@ -320,6 +326,76 @@ def test_any_stack_runs_each_point_as_alone_to_the_bit(seqs, draws, init):
             assert p[i].tobytes() == q.tobytes()
 
 
+@given(
+    counts=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    data=st.data(),
+    p_err=st.sampled_from((0.0, 0.1)),
+    draws=st.lists(noise_draws, min_size=1, max_size=3),
+    ix=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_count_column_runs_each_point_as_alone_to_the_bit(counts, data, p_err, draws, ix):
+    # each point of a repeated-load stack whose cycle count, dwell and final
+    # phase are columns, under I_x, I_z, S_z and spectator noise, equals the
+    # lone run_sequence of its point, signed zeros included
+    n = len(counts)
+    tau_0 = _column(data.draw, n, st.floats(1.0, 2000.0))
+    final = _column(data.draw, n, st.floats(-360.0, 360.0))
+    seq = repeated_load_sequence(PARAMS, np.array(counts), tau_0, p_err=p_err,
+                                 final_phase=final)
+    batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
+    res = run_stack(seq, PARAMS, batch)
+    for i in range(n):
+        lone = run_sequence(point(seq, i), PARAMS, batch)
+        assert point(seq, i).elements[1].count == counts[i]
+        assert _bits([res.rho[i], *(p[i] for _, p in res.records)]) == _bits(
+            [lone.rho, *(p for _, p in lone.records)])
+
+
+@given(
+    ks=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+    noise=st.sampled_from((NoiseModel(), NoiseModel(sigma_ix=0.2),
+                           NoiseModel(sigma_iz=0.4, spectator_flip_prob=0.4))),
+    trials=st.integers(1, 3),
+    p_err=st.sampled_from((0.0, 0.1)),
+    stack_rows=st.sampled_from((1, 3, 5, 6, experiments.STACK_ROWS)),
+)
+@settings(max_examples=40, deadline=None)
+def test_repeated_shuttle_chunks_across_counts_equal_per_point_runs(ks, noise, trials, p_err,
+                                                                    stack_rows):
+    # chunks of a few points of the one stacked sequence of every k >= 1
+    # cross from one cycle count to the next; k = 0 may stand anywhere
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiments, "STACK_ROWS", stack_rows)
+        _assert_equals_per_point_runs(lambda: experiments.run_shuttle_experiments(
+            "repeated", ks, PARAMS, noise=noise, trials=trials, seed=4, tau_0=60.0,
+            p_err=p_err), m)
+
+
+def test_noiseless_chevron_runs_as_one_stack_at_any_trial_count(engine_runs, monkeypatch):
+    # one distinct row: 441 points x 1 row is one run, though 441 points x 20
+    # trials exceed STACK_ROWS
+    freqs = FREQS["f_n0"] + np.linspace(-0.01, 0.01, 21)
+    _assert_equals_per_point_runs(lambda: experiments.run_nmr_chevron(
+        freqs, np.linspace(10.0, 1000.0, 21), PARAMS, trials=20), monkeypatch)
+    assert engine_runs == [(441, 1)]
+
+
+def test_count_column_of_equal_entries_runs_as_its_int():
+    # its points take the measurement in the cycle as often as their lone runs
+    cycle = (Rotation("NMR", np.array([30.0, 50.0])), FreeEvolution(np.array([5.0, 7.0])),
+             MeasureNuclear())
+    seq = PulseSequence((Repeat(cycle, np.array([3, 3])), MeasureElectron()),
+                        FREQS["f_e0"], FREQS["f_n0"])
+    batch = NoiseBatch.stack([NoiseDraw(delta_iz=0.3), NoiseDraw(delta_ix=0.1)])
+    res = run_stack(seq, PARAMS, batch)
+    assert [kind for kind, _ in res.records] == ["nuclear"] * 3 + ["electron"]
+    for i in range(2):
+        lone = run_sequence(point(seq, i), PARAMS, batch)
+        assert _bits([res.rho[i], *(p[i] for _, p in res.records)]) == _bits(
+            [lone.rho, *(p for _, p in lone.records)])
+
+
 def test_run_sequence_refuses_a_stack_of_several_points():
     seq = experiments.ramsey_sequence(PARAMS, np.array([10.0, 20.0]))
     with pytest.raises(ValueError, match="run_sequence runs one point, got 2"):
@@ -360,8 +436,10 @@ def test_repeated_shuttle_equals_one_sweep_per_phase(noise, trials, engine_runs)
     k = [0, 1, 2, 5]
     got = experiments.run_shuttle_experiments("repeated", k, PARAMS, noise=noise,
                                               trials=trials, seed=7, tau_0=80.0, p_err=0.1)
-    # per k, one stack of the four phases on the batch's distinct rows
-    assert engine_runs == [(4, 1 if not noise.sigma_iz else trials)] * len(k)
+    # k = 0's four phases, then the four phases of every k >= 1 as one stack,
+    # on the batch's distinct rows
+    rows = 1 if not noise.sigma_iz else trials
+    assert engine_runs == [(4, rows), (4 * (len(k) - 1), rows)]
     draws = experiments._draws(noise, 7, trials)  # the phases project one state
     for name, phi in (("p_x", 0.0), ("p_mx", 180.0), ("p_y", 90.0), ("p_my", 270.0)):
         expected = experiments._sweep(  # the form with one sweep per final phase
@@ -517,6 +595,34 @@ def test_repeat_equals_its_written_out_cycles(seqs, count, draws, ix, init):
                           run_stack(ref.stack(written), PARAMS, batch, init))
 
 
+@given(
+    seqs=stacks(),
+    counts=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    draws=st.lists(noise_draws, min_size=1, max_size=2),
+    init=initial_states(),
+)
+@settings(max_examples=30, deadline=None)
+def test_points_whose_count_ran_out_keep_their_state_and_time(seqs, counts, draws, init):
+    # random cycles (measurements taken out) run a different count at each
+    # point, then once more written out, so a pulse after the Repeat reads
+    # the sequence time that each point's own count left
+    def build(seq, count):
+        repeated, _ = _twins(seq, count)
+        (cycle,) = (el for el in repeated.elements if isinstance(el, Repeat))
+        kept = tuple(el for el in cycle.elements
+                     if not isinstance(el, (MeasureNuclear, MeasureElectron)))
+        return replace(repeated, elements=(Repeat(kept, count),) + kept
+                       + repeated.elements[1:])
+
+    lone = [build(seq, count) for seq, count in zip(seqs, counts)]
+    batch = NoiseBatch.stack(draws)
+    res = run_stack(ref.stack(lone), PARAMS, batch, init)
+    for i, seq in enumerate(lone):
+        alone = run_sequence(seq, PARAMS, batch, init)
+        assert _bits([res.rho[i], *(p[i] for _, p in res.records)]) == _bits(
+            [alone.rho, *(p for _, p in alone.records)])
+
+
 @given(seqs=stacks(), cut=st.integers(0, 7))
 # an off-frame tail pulse after a superposition and an idle: its drive phase
 # reads the time the prefix leaves
@@ -574,14 +680,14 @@ def test_chunked_repeated_sweep_equals_its_written_out_twin(p_err, engine_runs):
 
 @pytest.mark.parametrize("k", [1, 3, 40])
 def test_repeat_evaluates_its_cycle_once(k, monkeypatch):
-    # the frame, two rotations and the cycle's two free evolutions, whatever
-    # the number of cycles
+    # the frame, two rotations, the Repeat's count and the cycle's two free
+    # evolutions, whatever the number of cycles
     calls = []
     columns = engine._columns
     monkeypatch.setattr(engine, "_columns",
                         lambda item, names, rows: calls.append(names) or columns(item, names, rows))
     experiments.run_shuttle_experiments("repeated", [k], PARAMS, tau_0=80.0, p_err=0.1)
-    assert len(calls) == 5
+    assert len(calls) == 6
 
 
 def test_cached_calibration_returns_equal_distinct_dicts():

@@ -10,6 +10,7 @@ from dotspin.core import SpinSystemParams, transition_frequencies
 from dotspin.sequences import (
     ChargeEvent,
     FreeEvolution,
+    MeasureElectron,
     MeasureNuclear,
     Pulse,
     PulseSequence,
@@ -19,6 +20,7 @@ from dotspin.sequences import (
     electron_shuttle_ramsey,
     hahn_sequence,
     pi_duration,
+    point,
     ramsey_sequence,
     repeated_load_sequence,
     shuttle_ramsey_sequence,
@@ -129,6 +131,54 @@ class TestStackedValidation:
         assert ramsey_sequence(PARAMS, 10.0).points is None
         assert ramsey_sequence(PARAMS, np.array([10.0])).points == 1
 
+    @pytest.mark.parametrize("column, lone, error, message", [
+        ([1, 0, 5], 0, ValueError, "count must be >= 1, got 0"),
+        ([1, 3, -1], -1, ValueError, "count must be >= 1, got -1"),
+        ([2.0, 0.0], 0, ValueError, "count must be >= 1, got 0"),
+        ([1.0, 2.5], 2.5, TypeError, "count: expected int, got 2.5"),
+        ([float("nan"), 1.0], float("nan"), TypeError, "count: expected int, got nan"),
+        ([2.5, 0.0], 2.5, TypeError, "count: expected int, got 2.5"),
+        ([0.0, 2.5], 0, ValueError, "count must be >= 1, got 0"),
+        ([True, False], True, TypeError, "count: expected int, got True"),
+    ])
+    def test_one_bad_count_refuses_the_column(self, column, lone, error, message):
+        # the first bad point decides, with the message that point alone gets
+        cycle = (FreeEvolution(1.0),)
+        with pytest.raises(error) as stacked:
+            Repeat(cycle, np.array(column))
+        with pytest.raises(error) as alone:
+            Repeat(cycle, lone)
+        assert str(stacked.value) == str(alone.value) == message
+
+    @pytest.mark.parametrize("cycle", [
+        (FreeEvolution(1.0), MeasureNuclear()),
+        (Repeat((MeasureElectron(),), 2), FreeEvolution(1.0)),
+    ], ids=["measurement", "measurement-in-a-nested-repeat"])
+    def test_count_column_of_differing_counts_refuses_a_measurement(self, cycle):
+        with pytest.raises(ValueError, match="count: a column of differing counts takes "
+                                             "no measurement inside its cycle"):
+            Repeat(cycle, np.array([1, 2]))
+        assert Repeat(cycle, np.array([2, 2])).count.tolist() == [2, 2]
+
+    def test_count_column_stacks_its_points(self):
+        f = transition_frequencies(PARAMS)
+        seq = PulseSequence((Repeat((FreeEvolution(1.0),), np.array([1, 4, 2])),),
+                            f["f_e0"], f["f_n0"])
+        assert seq.points == 3
+        assert [point(seq, i).elements[0].count for i in range(3)] == [1, 4, 2]
+        assert all(type(point(seq, i).elements[0].count) is int for i in range(3))
+        with pytest.raises(ValueError, match=r"stacked fields differ in length: \[2, 3\]"):
+            replace(seq, f_e_ref=np.array([1.0, 2.0])).points
+
+    def test_repeated_load_column_refuses_k_0(self):
+        with pytest.raises(ValueError, match="k_cycles: a column of counts must be >= 1 "
+                                             "at every point, as k = 0 has no cycle"):
+            repeated_load_sequence(PARAMS, np.array([2, 0]), 500.0)
+        with pytest.raises(ValueError, match="k_cycles must be >= 0"):
+            repeated_load_sequence(PARAMS, np.array([2, -1]), 500.0)
+        with pytest.raises(TypeError, match="count: expected int, got 1.5"):
+            repeated_load_sequence(PARAMS, np.array([2.0, 1.5]), 500.0)
+
 
 class TestValidation:
     def test_esr_requires_loaded_electron(self):
@@ -164,7 +214,8 @@ class TestValidation:
 
 
     @pytest.mark.parametrize("count, error", [(0, ValueError), (-1, ValueError),
-                                              (True, TypeError), (2.5, TypeError)])
+                                              (True, TypeError), (2.5, TypeError),
+                                              (np.array(3), TypeError)])
     def test_repeat_count_must_be_a_positive_int(self, count, error):
         with pytest.raises(error, match="count"):
             Repeat((FreeEvolution(1.0),), count)
