@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import sys
@@ -537,17 +538,29 @@ def _write_table(table, out, fmt: str, meta: dict, seed, trials) -> None:
 
 def write_csv(columns: dict, out) -> None:
     """Write named equal-length columns as CSV to the path out, or to stdout
-    for "-": a header row, then one row per index with each value as
-    repr(float(v)), each column formatted at once. Rows end in CRLF in a
-    file, as the csv module writes them, and in LF on stdout."""
-    rows = [list(columns)]
-    rows += zip(*(map(repr, np.asarray(col, dtype=float).tolist())
-                  for col in columns.values()))
+    for "-", in one write: a header row (through the csv module, as a name
+    may need quoting), then one row per index with each value as
+    repr(float(v)), which holds nothing to quote. Each value distinct to the
+    bit in its column (-0.0 beside 0.0 is two) is formatted once. Rows end
+    in CRLF in a file, as the csv module writes them, and in LF on stdout.
+    Columns of unequal length are refused before anything is written."""
+    cols = [np.asarray(col, dtype=float) for col in columns.values()]
+    for name, col in zip(columns, cols):
+        if len(col) != len(cols[0]):
+            raise ValueError(f"write_csv: column {name!r} has {len(col)} values, "
+                             f"{next(iter(columns))!r} has {len(cols[0])}")
+    end = "\n" if out == "-" else "\r\n"
+    head, texts = io.StringIO(), []
+    csv.writer(head, lineterminator=end).writerow(columns)
+    for col in cols:  # np.unique without return_inverse would import numpy.ma
+        bits, index = np.unique(col.view(np.uint64), return_inverse=True)
+        texts.append(np.array([repr(v) for v in bits.view(float).tolist()], object)[index].tolist())
+    text = head.getvalue() + "".join(row + end for row in map(",".join, zip(*texts)))
     if out == "-":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        sys.stdout.write(text)
         return
     with open(out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        fh.write(text)
 
 
 def _jsonable(obj):

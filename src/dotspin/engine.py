@@ -33,13 +33,16 @@ reference beside one off it is rotated into its frame by exactly 1, and a
 zero wait beside a non-zero one keeps its point's state, as its lone run
 skips the element, so every point equals its lone run to the bit.
 
-run_stack evaluates the columns of a Repeat's cycle once and applies the
-cycle count times through the same element code, so it agrees to the bit
-with its cycles written out. A count column runs the cycle max(count) times,
-and a point whose count has run out keeps its state and sequence time
-(np.where on the points axis), as its lone run has no such cycles; every
-count is >= 1, so each point switches to rho, if at all, in the first cycle.
-The final rho is built only when something reads it.
+run_stack evaluates the columns of a Repeat's cycle once, with each wait's
+choice of the points it moves, and applies the cycle count times through the
+same element code, so it agrees to the bit with its cycles written out. A
+count column runs the cycle max(count) times on every point. After each
+cycle whose number is one of the distinct counts, the points of that count
+are merged into one kept (state, sequence time), which the Repeat leaves:
+each point keeps what exactly its own count of cycles made, as its lone run
+has no further cycles. Every count is >= 1, so each point switches to rho,
+if at all, in the first cycle. The final rho is built only when something
+reads it.
 
 run_stack is set-up, one element loop (_propagate) and the finish; _resume
 runs a shared prefix through that loop once and continues each stacked tail
@@ -204,15 +207,13 @@ def _propagate(run: _Run, timeline, records: list, state, pure: bool, t, config:
     leave."""
     for el, values in timeline:
         if isinstance(el, Repeat):
-            count, cycle = values
-            lowest = np.min(count)
-            for c in range(int(np.max(count))):
-                before = state, t
+            count, cycle, ends = values
+            kept = None  # each point's (state, t) after its own count of cycles
+            for c in range(1, max(ends) + 1):
                 state, pure, t, config = _propagate(run, cycle, records, state, pure, t, config)
-                if c >= lowest:  # a point whose count has run out keeps its state and
-                    done = count <= c  # time; c >= 1, so this cycle switched nothing to rho
-                    state = np.where(_lift(done, 2 - pure), before[0], state)
-                    t = np.where(done, before[1], t)
+                if c in ends:  # c >= 1: pure is the same in every kept state
+                    kept = _keep(count == c, (state, t), kept, pure)
+            state, t = kept
         elif isinstance(el, Pulse):
             rabi = values[1]  # a column is checked at its peak
             check_rwa(run.params, el.channel,
@@ -224,18 +225,15 @@ def _propagate(run: _Run, timeline, records: list, state, pure: bool, t, config:
         elif isinstance(el, Rotation):
             state = _apply(_rotation_unitary(el.channel, *values), state, pure)
         elif isinstance(el, FreeEvolution):
-            (duration,) = values
-            column = isinstance(duration, np.ndarray)
-            moves = duration > 0  # a lone run skips a zero wait, so its point keeps its state
-            if moves.any() if column else moves:
-                key = (config, duration.tobytes() if column else duration, pure)
+            duration, moves, wait = values
+            if moves is not False:
+                key = (config, wait, pure)
                 if key not in run.free:
                     run.free[key] = _free_propagator(run.h_static(config), _lift(duration, 1),
                                                      run.diagonal, pure)
                 moved = (state * run.free[key] if run.diagonal
                          else _apply(run.free[key], state, pure))
-                state = (np.where(_lift(moves, 2 - pure), moved, state)
-                         if column and not moves.all() else moved)
+                state = moved if moves is True else np.where(_lift(moves, 2 - pure), moved, state)
             t = t + duration
         elif isinstance(el, ChargeEvent):
             before, config = _EVENT_TRANSITIONS[el.kind]
@@ -263,15 +261,31 @@ def _finish(state, pure: bool, records, points: int) -> SequenceResult:
 def _timeline(elements, rows) -> list:
     """(element, values) for each element in timeline order: its _columns
     of its STACKED_FIELDS at the points rows, or None; for a Repeat, its
-    count and the _timeline of its cycle, evaluated once and replayed."""
+    count, the _timeline of its cycle, evaluated once and replayed, and its
+    distinct counts; for a FreeEvolution, its duration, the points it moves
+    and its propagator's cache key, decided once however often it replays."""
     out = []
     for el in elements:
         names = STACKED_FIELDS.get(type(el))
         values = names and _columns(el, names, rows)
         if isinstance(el, Repeat):
-            values = (*values, _timeline(el.elements, rows))
+            (count,) = values
+            values = (count, _timeline(el.elements, rows), set(map(int, np.ravel(count))))
+        elif isinstance(el, FreeEvolution):  # the points it moves (False: none, True:
+            (duration,) = values  # all, else a (P, 1) mask) and its propagator's cache key
+            column, moves = isinstance(duration, np.ndarray), duration > 0
+            moves = (bool(moves.all()) or (bool(moves.any()) and moves)) if column else bool(moves)
+            values = (duration, moves, duration.tobytes() if column else duration)
         out.append((el, values))
     return out
+
+
+def _keep(done, now, kept, pure: bool) -> tuple:
+    """The (state, t) of now at the points done, else of kept (None: now)."""
+    if kept is None:
+        return now
+    return (np.where(_lift(done, 2 - pure), now[0], kept[0]),
+            np.where(done, now[1], kept[1]))
 
 
 def _columns(item, names, rows) -> list:
@@ -313,7 +327,7 @@ def _outer(psi: np.ndarray) -> np.ndarray:
 def _renormalise(rho: np.ndarray) -> np.ndarray:
     # guard against accumulated float drift over very long sequences
     rho = (rho + dagger(rho)) / 2
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:

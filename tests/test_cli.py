@@ -579,22 +579,29 @@ class TestOutputs:
         assert code == 0
         assert out.read_bytes() == stdout.replace("\n", "\r\n").encode()
 
-    @given(columns=st.dictionaries(
+    @given(columns=st.integers(0, 6).flatmap(lambda rows: st.dictionaries(
         st.text(st.characters(codec="ascii", exclude_characters="\r\n"), min_size=1),
         st.one_of(
             st.lists(st.one_of(
                 st.floats(), st.sampled_from((-0.0, 5e-324, -2.2e-308)),
                 st.integers(-2**70, 2**70), st.booleans(),
                 st.floats(width=32).map(np.float32)),
-                min_size=3, max_size=3),
-            st.lists(st.floats(width=32), min_size=3,
-                     max_size=3).map(lambda v: np.array(v, dtype=np.float32)),
-            st.lists(st.integers(-2**62, 2**62), min_size=3, max_size=3).map(np.array)),
-        min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
+                min_size=rows, max_size=rows),
+            # values repeated from a pool whose entries are equal but not
+            # bit-equal (-0.0, 0.0), or not equal to themselves (nan)
+            st.lists(st.sampled_from((-0.0, 0.0, float("nan"), -float("nan"), float("inf"),
+                                      -float("inf"), 5e-324, 1.5)),
+                     min_size=rows, max_size=rows).map(np.array),
+            st.lists(st.floats(width=32), min_size=rows,
+                     max_size=rows).map(lambda v: np.array(v, dtype=np.float32)),
+            st.lists(st.integers(-2**62, 2**62), min_size=rows, max_size=rows).map(
+                lambda v: np.array(v, dtype=np.int64))),
+        min_size=1, max_size=4)))
+    @settings(max_examples=80, deadline=None)
     def test_csv_bytes_equal_the_per_value_row_builder(self, columns):
-        # each column formatted at once gives the bytes of repr(float(v)) per
-        # value, in a file (CRLF) and on stdout (LF)
+        # each distinct value of a column formatted once gives the bytes of
+        # repr(float(v)) per value, in a file (CRLF) and on stdout (LF), for
+        # any number of rows, zero included
         def per_value(terminator):
             out = io.StringIO()
             rows = [list(columns)]
@@ -610,6 +617,14 @@ class TestOutputs:
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             cli.write_csv(columns, "-")
         assert stdout.getvalue() == per_value("\n")
+
+    def test_csv_refuses_columns_of_unequal_length(self, capsys, tmp_path):
+        # they were cut to the shortest column, dropping values without a word
+        columns = {"a": np.arange(3.0), "b": np.arange(5.0)}
+        for out in ("-", str(tmp_path / "t.csv")):
+            with pytest.raises(ValueError, match="column 'b' has 5 values, 'a' has 3"):
+                cli.write_csv(columns, out)
+        assert capsys.readouterr().out == "" and not os.listdir(tmp_path)
 
     def test_consecutive_calls_match_a_fresh_parser(self, capsys, tmp_path, monkeypatch):
         # main keeps one parser for the process, the only state a call leaves

@@ -328,23 +328,39 @@ def test_any_stack_runs_each_point_as_alone_to_the_bit(seqs, draws, init):
 
 @given(
     counts=st.lists(st.integers(1, 6), min_size=1, max_size=6),
-    data=st.data(),
+    tau_0=st.lists(st.one_of(st.floats(1.0, 2000.0), st.just(0.0)), min_size=6, max_size=6),
+    final=st.lists(st.floats(-360.0, 360.0), min_size=6, max_size=6),
     p_err=st.sampled_from((0.0, 0.1)),
     draws=st.lists(noise_draws, min_size=1, max_size=3),
     ix=st.booleans(),
 )
+# 4d's shape, noiseless: unsorted counts, duplicates and a unique maximum
+@example(counts=[3, 1, 6, 3, 1, 2], tau_0=[500.0] * 6, final=[0.0, 180.0, 90.0, 270.0, 0.0, 90.0],
+         p_err=0.1, draws=[NoiseDraw()], ix=False)
+# a repeated maximum
+@example(counts=[4, 2, 4, 1], tau_0=[60.0, 700.0, 3.0, 60.0, 1.0, 1.0], final=[90.0] * 6,
+         p_err=0.1, draws=[NoiseDraw(delta_iz=0.3, delta_sz=5.0)], ix=False)
+# the cycle's wait column holds a zero beside non-zero waits
+@example(counts=[2, 5, 3, 2], tau_0=[100.0, 0.0, 7.0, 0.0, 1.0, 1.0],
+         final=[0.0, 45.0, -90.0, 180.0, 0.0, 0.0], p_err=0.0,
+         draws=[NoiseDraw(delta_iz=0.3, delta_ix=0.2), NoiseDraw(delta_iz=-0.1)], ix=True)
 @settings(max_examples=40, deadline=None)
-def test_count_column_runs_each_point_as_alone_to_the_bit(counts, data, p_err, draws, ix):
-    # each point of a repeated-load stack whose cycle count, dwell and final
-    # phase are columns, under I_x, I_z, S_z and spectator noise, equals the
-    # lone run_sequence of its point, signed zeros included
+def test_count_column_runs_each_point_as_alone_to_the_bit(counts, tau_0, final, p_err, draws,
+                                                          ix):
+    # each point of a repeated-load stack whose cycle count, dwell (zero
+    # among them) and final phase are columns, under I_x, I_z, S_z and
+    # spectator noise, equals the lone run_sequence of its point, signed
+    # zeros included; the stack keeps its points' states once per distinct
+    # count, after the cycle that ends them
     n = len(counts)
-    tau_0 = _column(data.draw, n, st.floats(1.0, 2000.0))
-    final = _column(data.draw, n, st.floats(-360.0, 360.0))
-    seq = repeated_load_sequence(PARAMS, np.array(counts), tau_0, p_err=p_err,
-                                 final_phase=final)
+    seq = repeated_load_sequence(PARAMS, np.array(counts), np.array(tau_0[:n]), p_err=p_err,
+                                 final_phase=np.array(final[:n]))
     batch = NoiseBatch.stack([d if ix else replace(d, delta_ix=0.0) for d in draws])
-    res = run_stack(seq, PARAMS, batch)
+    merges = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_keep", lambda *a, keep=engine._keep: merges.append(1) or keep(*a))
+        res = run_stack(seq, PARAMS, batch)
+    assert len(merges) == len(set(counts))
     for i in range(n):
         lone = run_sequence(point(seq, i), PARAMS, batch)
         assert point(seq, i).elements[1].count == counts[i]
@@ -688,6 +704,19 @@ def test_repeat_evaluates_its_cycle_once(k, monkeypatch):
                         lambda item, names, rows: calls.append(names) or columns(item, names, rows))
     experiments.run_shuttle_experiments("repeated", [k], PARAMS, tau_0=80.0, p_err=0.1)
     assert len(calls) == 6
+
+
+def test_repeat_keeps_each_count_once(monkeypatch):
+    # Fig. 4d's k = 0, 10, ..., 100: one stack of the ten counts >= 1 runs
+    # 100 cycles and keeps its points' states ten times, once per count
+    merges, cycles, propagate = [], [], engine._propagate
+    monkeypatch.setattr(engine, "_keep", lambda *a, keep=engine._keep: merges.append(1) or keep(*a))
+    monkeypatch.setattr(engine, "_propagate", lambda run, timeline, *a: cycles.append(
+        isinstance(timeline[0][0], ChargeEvent)) or propagate(run, timeline, *a))
+    experiments.run_shuttle_experiments("repeated", np.linspace(0.0, 100.0, 11), PARAMS,
+                                        p_err=0.0045)
+    assert len(merges) == 10
+    assert sum(cycles) == 100  # the cycle begins with a shuttle
 
 
 def test_cached_calibration_returns_equal_distinct_dicts():
