@@ -213,6 +213,17 @@ _NON_NEGATIVE = {
     "chevron": ("rabi",), "rabi": ("rabi",), "ramsey": ("tau_start", "tau_stop"),
     "hahn": ("tau_start", "tau_stop"), "s1-stats": ("sigma",),
 }
+#: experiment -> {key: (lo, hi)}, the closed range its value must lie in; the
+#: ranges of f_z and the standoffs keep the lattice sums finite and positive.
+_RANGES = {
+    "shuttle": {"p_err": (0, 1), "p_transfer": (0, 1)},
+    "hyperfine-mc": {"f_z": (0.1, 1e4)},
+    "vanvleck": {key: (vanvleck.AL_LATTICE_CONSTANT / 2, 100.0)
+                 for key in ("standoff_start", "standoff_stop")},
+}
+#: The most cells a vanvleck or hyperfine-mc lattice may span along an axis:
+#: s2's gate spans 740 x 246 x 123; hyperfine-mc's envelope is 64 MB at 1000.
+MAX_CELLS_PER_AXIS = 1000
 
 
 def _check_top_level(config: dict, experiment: str) -> None:
@@ -226,6 +237,10 @@ def _check_top_level(config: dict, experiment: str) -> None:
     for key in _NON_NEGATIVE.get(experiment, ()):
         if config.get(key, 0.0) < 0:
             raise ConfigError(f"{experiment}.{key}: must be >= 0, got {config[key]!r}")
+    for key, (lo, hi) in _RANGES.get(experiment, {}).items():
+        if key in config and not lo <= config[key] <= hi:
+            raise ConfigError(f"{experiment}.{key}: must be within [{lo!r}, {hi!r}], "
+                              f"got {config[key]!r}")
     if experiment in ("chevron", "rabi"):
         _library_check(f"{experiment}.rabi", check_rwa, _build_params(config), "NMR",
                        config.get("rabi", DEFAULT_NMR_RABI))
@@ -240,14 +255,17 @@ def _check_top_level(config: dict, experiment: str) -> None:
             raise ConfigError(
                 f"hyperfine-mc.draws: must be >= {least}, got {config['draws']!r}"
             )
+        f_z = config.get("f_z", hyperfine.DEFAULT_F_Z)
+        for key in ("diameter_start", "diameter_stop"):
+            if key in config:  # the defaults fit
+                width = hyperfine.default_region(config[key], f_z)[0]
+                _check_cells(f"hyperfine-mc.{key}", config[key],
+                             np.rint(width / hyperfine.SI_LATTICE_CONSTANT))
     elif experiment == "fit":
         for key in ("model", "input"):
             if key not in config:
                 raise ConfigError(f"fit.{key}: missing (give --{key} or set it)")
     elif experiment == "shuttle":
-        for key in ("p_err", "p_transfer"):
-            if not 0 <= config.get(key, 0.0) <= 1:
-                raise ConfigError(f"shuttle.{key}: must be within [0, 1], got {config[key]!r}")
         _check_shuttle_sweep(config)
     elif experiment == "vanvleck":
         # the lattice sum counts floor(size / a) cells per axis; with none, M2 = 0
@@ -261,12 +279,20 @@ def _check_top_level(config: dict, experiment: str) -> None:
             if size / a < 1:
                 raise ConfigError(f"vanvleck.{key}: must be >= one Al lattice constant "
                                   f"({a} nm), got {size!r}")
+            _check_cells(f"vanvleck.{key}", size, np.floor(size / a))
     elif experiment == "s1-stats":
         least = fitting.MIN_SPECTRUM_SAMPLES
         if config.get("n_scans", least) < least:
             raise ConfigError(
                 f"s1-stats.n_scans: must be >= {least}, got {config['n_scans']!r}"
             )
+
+
+def _check_cells(path: str, value, cells) -> None:
+    """Refuse a value whose lattice spans more than MAX_CELLS_PER_AXIS cells."""
+    if cells > MAX_CELLS_PER_AXIS:
+        raise ConfigError(f"{path}: its lattice would span {cells:.4g} cells along an "
+                          f"axis, more than {MAX_CELLS_PER_AXIS}, got {value!r}")
 
 
 def _check_shuttle_sweep(config: dict) -> None:

@@ -16,7 +16,9 @@ mix it: an unload, a charge event with dephasing, or a load, unless the run
 began with its electron amplitudes exactly zero (nothing acts on the
 electron while unloaded, so the load then only moves the nuclear
 amplitudes). The switch depends on the sequence's structure and the initial
-state only, never on a point's values. The result is rho either way.
+state only, never on a point's values. The result is rho either way, as the
+element loop leaves it: every element preserves the trace, so nothing
+renormalises rho, and |tr rho - 1| drifts ~1e-15 per noisy load/unload cycle.
 
 Every propagator comes from core.unitary, told the structure its element
 guarantees. An NMR drive is two 2x2 blocks (one per electron state), and so
@@ -249,12 +251,13 @@ def _propagate(run: _Run, timeline, records: list, state, pure: bool, t, config:
 
 
 def _finish(state, pure: bool, records, points: int) -> SequenceResult:
-    """The records and the renormalised rho, built on its first read, each
-    with one entry per point."""
+    """The records, and rho as the element loop leaves it, unrenormalised
+    (|tr rho - 1| drifts ~1e-15 per noisy load/unload cycle) and built on
+    its first read, each with one entry per point."""
     def per_point(x, ndim):  # as it is, or repeated
         return x if x.ndim == ndim else np.repeat(x[None], points, axis=0)
 
-    return SequenceResult(lambda: per_point(_renormalise(_outer(state) if pure else state), 4),
+    return SequenceResult(lambda: per_point(_outer(state) if pure else state, 4),
                           [(kind, per_point(p, 3)) for kind, p in records])
 
 
@@ -324,12 +327,6 @@ def _outer(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * psi.conj()[..., None, :]
 
 
-def _renormalise(rho: np.ndarray) -> np.ndarray:
-    # guard against accumulated float drift over very long sequences
-    rho = (rho + dagger(rho)) / 2
-    return rho / rho.trace(axis1=-2, axis2=-1).real[..., None, None]
-
-
 def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:
     axis = drive_operator(channel, _lift(phase, 2))
     theta = np.deg2rad(_lift(angle, 2))
@@ -388,7 +385,5 @@ def _apply_charge_event(state: np.ndarray, el: ChargeEvent, pure: bool) -> np.nd
         state = np.zeros_like(state)
         state[..., 2 * e:2 * e + 2, 2 * e:2 * e + 2] = rho_n
     if el.dephase_prob > 0:
-        state = core.apply_dephasing_channel(
-            _renormalise(state), el.dephase_prob, el.dephase_target
-        )
+        state = core.apply_dephasing_channel(state, el.dephase_prob, el.dephase_target)
     return state

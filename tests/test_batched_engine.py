@@ -17,6 +17,8 @@ from dotspin.core import (
     NoiseModel,
     QuantumState,
     SpinSystemParams,
+    rng_for,
+    sample_noise,
     transition_frequencies,
 )
 from dotspin.engine import run_sequence
@@ -310,3 +312,14 @@ def test_outputs_byte_identical_across_reruns(seed):
     b = run_shuttle_experiments("electron", [0.0, 90.0], PARAMS, noise=noise,
                                 trials=4, seed=seed, p_transfer=0.3)
     assert column_bytes(a) == column_bytes(b)
+
+
+def test_long_noisy_sequence_keeps_trace_and_hermiticity():
+    """Nothing renormalises rho, so 10,000 noisy load/unload cycles (20,000
+    charge events, half of them dephasing) leave only round-off drift."""
+    noise = NoiseModel(sigma_ix=0.2, sigma_iz=1.0, sigma_sz=5.0, spectator_flip_prob=0.1)
+    seq = repeated_load_sequence(PARAMS, 10_000, 500.0, p_err=0.01)
+    rho = run_sequence(seq, PARAMS, sample_noise(noise, rng_for(1), 64)).rho
+    assert rho.shape == (64, 4, 4)
+    assert np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1)) < 1e-10
+    assert np.max(np.linalg.norm(rho - rho.conj().swapaxes(-1, -2), axis=(-2, -1))) < 1e-10

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dotspin
-from dotspin import cli
+from dotspin import cli, hyperfine, vanvleck
 from dotspin.cli import FIGURE_IDS, ConfigError, _write_table, main, validate_config
 from dotspin.core import SpinSystemParams, transition_frequencies
 
@@ -67,6 +68,29 @@ class TestValidation:
         cfg.write_text(json.dumps(config))
         code, out, _ = run_cli(capsys, "shuttle", "--config", str(cfg), "--trials", "1")
         assert code == 0 and out.splitlines()[1].startswith("0.0,")
+
+    def test_lattice_bounds_keep_the_sums_finite_and_positive(self):
+        """At both ends of the standoff and f_z ranges, on the smallest and
+        the largest lattice the cell cap lets through, the checks pass and
+        the run's values are finite, with M2 and the peak coupling positive."""
+        cap = cli.MAX_CELLS_PER_AXIS
+        a = vanvleck.AL_LATTICE_CONSTANT
+        lo, hi = cli._RANGES["vanvleck"]["standoff_start"]
+        for thickness, *lateral in itertools.product((a, cap * a), repeat=3):
+            config = {"standoff_start": lo, "standoff_stop": hi, "standoff_points": 2,
+                      "thickness": thickness, "lateral": lateral}
+            validate_config(config, "vanvleck")
+            out = cli._run_vanvleck(config, 1, 0)
+            for column in ("m2_sum", "m2_integral", "t2star_sum_ms", "t2star_integral_ms"):
+                assert np.all(np.isfinite(out[column]) & (out[column] > 0)), (config, column)
+        widest = cap * hyperfine.SI_LATTICE_CONSTANT / 3.2  # the box is 3.2 diameters
+        for f_z in cli._RANGES["hyperfine-mc"]["f_z"]:
+            config = {"f_z": f_z, "diameter_start": 1.0, "diameter_stop": widest,
+                      "diameter_points": 2, "thresholds": [100.0]}
+            validate_config(config, "hyperfine-mc")
+            out = cli._run_hyperfine(config, 1, 0)
+            assert all(np.all(np.isfinite(column)) for column in out.values()), config
+            assert np.all(out["max_coupling_khz"] > 0), config
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
@@ -379,6 +403,22 @@ class TestDryRun:
          "exceeds 10% of the addressed transition frequency"),
         ("rabi", {"rabi": 1300.0, "params": {"b_ext": 0.5}},
          "rabi.rabi: NMR Rabi frequency 1300.0 kHz exceeds 10%"),
+        # lattices beyond MAX_CELLS_PER_AXIS, which the run cannot lay out
+        ("vanvleck", {"lateral": [1e9, 2.0]}, "vanvleck.lateral[0]: its lattice would "
+         "span 2.469e+09 cells along an axis, more than 1000, got 1000000000.0"),
+        ("hyperfine-mc", {"diameter_stop": 1e9}, "hyperfine-mc.diameter_stop: its lattice "
+         "would span 5.893e+09 cells along an axis, more than 1000, got 1000000000.0"),
+        ("vanvleck", {"thickness": 1e300}, "vanvleck.thickness: its lattice would span "
+         "2.469e+300 cells along an axis, more than 1000, got 1e+300"),
+        ("hyperfine-mc", {"diameter_start": 1e300}, "hyperfine-mc.diameter_start: its "
+         "lattice would span 5.893e+300 cells along an axis, more than 1000, got 1e+300"),
+        # where a sum would not be finite and positive
+        ("vanvleck", {"standoff_start": 1e9},
+         "vanvleck.standoff_start: must be within [0.2025, 100.0], got 1000000000.0"),
+        ("vanvleck", {"standoff_start": 1e-300},
+         "vanvleck.standoff_start: must be within [0.2025, 100.0], got 1e-300"),
+        ("hyperfine-mc", {"f_z": 1e-300},
+         "hyperfine-mc.f_z: must be within [0.1, 10000.0], got 1e-300"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
