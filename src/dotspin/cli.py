@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import os
 import sys
 import typing
@@ -40,7 +41,7 @@ from .experiments import (
 )
 from . import fitting, hyperfine, vanvleck
 from .readout import NuclearReadoutConfig, _best_shots, fidelity_curve
-from .sequences import DEFAULT_NMR_RABI, nmr_line
+from .sequences import BELL_NMR_RABI, DEFAULT_NMR_RABI, bell_circuit, nmr_line
 
 FIGURE_IDS = ("2e", "2f", "2gj", "3ce", "4b", "4d", "4f", "ext1", "s1", "s2")
 
@@ -65,27 +66,56 @@ _SHUTTLE_SWEEPS = {"phase": (0.0, 20.0, 41), "repeated": (0.0, 100.0, 11),
 _CHARGE_CONFIG = ("unloaded", "qd1")
 _SPIN = ("down", "up")
 
+
+@dataclasses.dataclass(frozen=True)
+class _Domain:
+    """A number key's type, int or float, and the values it may take: above 0
+    when positive, in the closed range [lo, hi], and at most cap, the most a
+    run may ask for without running out of time or memory."""
+    kind: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    positive: bool = False
+    cap: float = math.inf
+
+    def check(self, value, where: str) -> None:
+        if self.positive and value <= 0:
+            raise ConfigError(f"{where}: must be positive, got {value!r}")
+        if not self.lo <= value <= self.hi:
+            bound = (f">= {self.lo!r}" if self.hi == math.inf
+                     else f"within [{self.lo!r}, {self.hi!r}]")
+            raise ConfigError(f"{where}: must be {bound}, got {value!r}")
+        if value > self.cap:
+            raise ConfigError(f"{where}: must be <= {self.cap!r}, got {value!r}")
+
+
+#: Domains that keys share. Both ends of a sweep are checked, even when it has
+#: one point; the standoffs' range keeps the lattice sums finite and positive.
+_POINTS, _PROBABILITY = _Domain(int, lo=1), _Domain(float, lo=0, hi=1)
+_ABOVE_0, _AT_LEAST_0 = _Domain(float, positive=True), _Domain(float, lo=0)
+_STANDOFF = _Domain(float, lo=vanvleck.AL_LATTICE_CONSTANT / 2, hi=100.0, positive=True)
+
 _FREE_PRECESSION_SCHEMA = {
     "params": SpinSystemParams, "noise": NoiseModel,
-    "tau_start": float, "tau_stop": float, "tau_points": int,
+    "tau_start": _AT_LEAST_0, "tau_stop": _AT_LEAST_0, "tau_points": _POINTS,
     "detuning_khz": float, "charge_config": _CHARGE_CONFIG,
 }
 
-#: experiment -> {key: expected}. expected is a type; a tuple of the allowed
-#: values, the CLI default first; or a config dataclass, whose fields the
-#: section may set and which is built to check their values.
+#: experiment -> {key: expected}. expected is a type; a _Domain; a tuple of
+#: the allowed values, the CLI default first; or a config dataclass, whose
+#: fields the section may set and which is built to check their values.
 _SCHEMAS = {
     "spectrum": {"params": SpinSystemParams},
     "chevron": {
         "params": SpinSystemParams, "noise": NoiseModel,
-        "freq_start": float, "freq_stop": float, "freq_points": int,
-        "dur_start": float, "dur_stop": float, "dur_points": int,
-        "rabi": float, "charge_config": _CHARGE_CONFIG, "electron_spin": _SPIN,
+        "freq_start": float, "freq_stop": float, "freq_points": _POINTS,
+        "dur_start": _ABOVE_0, "dur_stop": _ABOVE_0, "dur_points": _POINTS,
+        "rabi": _AT_LEAST_0, "charge_config": _CHARGE_CONFIG, "electron_spin": _SPIN,
     },
     "rabi": {
         "params": SpinSystemParams, "noise": NoiseModel,
-        "frequency": float, "dur_start": float, "dur_stop": float,
-        "dur_points": int, "rabi": float, "charge_config": _CHARGE_CONFIG,
+        "frequency": float, "dur_start": _ABOVE_0, "dur_stop": _ABOVE_0,
+        "dur_points": _POINTS, "rabi": _AT_LEAST_0, "charge_config": _CHARGE_CONFIG,
         "electron_spin": _SPIN,
     },
     "ramsey": _FREE_PRECESSION_SCHEMA,
@@ -93,30 +123,38 @@ _SCHEMAS = {
     "bell": {
         "params": SpinSystemParams, "bell_noise": BellNoiseConfig,
         "mode": ("tomography", "parity"), "vary": ("nuclear", "electron"),
-        "phi_start": float, "phi_stop": float, "phi_points": int,
+        "phi_start": float, "phi_stop": float, "phi_points": _POINTS,
         "initial_nuclear": _SPIN,
     },
     "error-budget": {"params": SpinSystemParams, "bell_noise": BellNoiseConfig},
     "shuttle": {
         "params": SpinSystemParams, "noise": NoiseModel,
         "variant": tuple(_SHUTTLE_SWEEPS), "sweep_start": float,
-        "sweep_stop": float, "sweep_points": int, "tau_0": float,
-        "p_err": float, "p_transfer": float,
+        "sweep_stop": float, "sweep_points": _POINTS, "tau_0": _ABOVE_0,
+        "p_err": _PROBABILITY, "p_transfer": _PROBABILITY,
     },
-    "readout-fidelity": {**_fields_schema(NuclearReadoutConfig), "m_max": int},
+    # the scan sets m_shots to each M up to m_max, at a cost that grows as M^3
+    "readout-fidelity": {"t_shot_ms": float, "t1_n_hours": float, "f_e_avg": float,
+                         "m_max": _Domain(int, positive=True, cap=200)},
     "hyperfine-mc": {
-        "diameter_start": float, "diameter_stop": float, "diameter_points": int,
-        "thresholds": list, "ppm": float, "draws": int, "f_z": float,
+        "diameter_start": _ABOVE_0, "diameter_stop": _ABOVE_0,
+        "diameter_points": _POINTS, "thresholds": list, "ppm": float,
+        "draws": _Domain(int, lo=hyperfine.MIN_DRAWS),
+        "f_z": _Domain(float, lo=0.1, hi=1e4, positive=True),  # as the standoffs
     },
     "vanvleck": {
-        "standoff_start": float, "standoff_stop": float, "standoff_points": int,
-        "thickness": float, "lateral": list,
+        "standoff_start": _STANDOFF, "standoff_stop": _STANDOFF,
+        "standoff_points": _POINTS, "thickness": float, "lateral": list,
     },
     "fit": {"model": ("ramsey", "hahn", "sinusoid", "coherence_decay"),
             "input": str, "x_column": str, "y_column": str},
+    # the histogram's 8 kHz bins span about 2 (|a1| + |a2|) + 9 sigma; the
+    # bounds give a1, sigma and n_scans 10x to 30x headroom over fig_s1.json's
     "s1-stats": {
-        "t1_a1_hours": float, "t1_a2_minutes": float, "a1": float, "a2": float,
-        "sigma": float, "n_scans": int, "scan_interval_s": float,
+        "t1_a1_hours": _ABOVE_0, "t1_a2_minutes": _ABOVE_0, "scan_interval_s": _ABOVE_0,
+        "a1": _Domain(float, lo=-1e4, hi=1e4), "a2": _Domain(float, lo=-1e4, hi=1e4),
+        "sigma": _Domain(float, lo=0, cap=1e3),
+        "n_scans": _Domain(int, lo=fitting.MIN_SPECTRUM_SAMPLES, cap=40_000),
     },
 }
 
@@ -161,6 +199,9 @@ def _validate_section(section: dict, schema: dict, path: str) -> None:
         if key not in schema:
             raise ConfigError(f"{path}.{key}: unknown key")
         expected, where = schema[key], f"{path}.{key}"
+        domain = expected if isinstance(expected, _Domain) else None
+        if domain is not None:  # a _Domain instance is a dataclass too
+            expected = domain.kind
         if isinstance(expected, tuple):
             if value not in expected:
                 raise ConfigError(
@@ -182,6 +223,8 @@ def _validate_section(section: dict, schema: dict, path: str) -> None:
             expected is int and isinstance(value, bool)
         ):
             raise ConfigError(f"{where}: expected {expected.__name__}")
+        if domain is not None:
+            domain.check(value, where)
 
 
 def _check_number(value, path: str) -> None:
@@ -200,61 +243,31 @@ def _library_check(path: str, check, *args, **kwargs) -> None:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-#: experiment -> its top-level keys that must be positive, and those that
-#: must be >= 0. Both ends of a sweep are checked, even when it has one point.
-_POSITIVE = {
-    "chevron": ("dur_start", "dur_stop"), "rabi": ("dur_start", "dur_stop"),
-    "shuttle": ("tau_0",), "readout-fidelity": ("m_max",),
-    "hyperfine-mc": ("diameter_start", "diameter_stop", "f_z"),
-    "vanvleck": ("standoff_start", "standoff_stop"),
-    "s1-stats": ("t1_a1_hours", "t1_a2_minutes", "scan_interval_s"),
-}
-_NON_NEGATIVE = {
-    "chevron": ("rabi",), "rabi": ("rabi",), "ramsey": ("tau_start", "tau_stop"),
-    "hahn": ("tau_start", "tau_stop"), "s1-stats": ("sigma",),
-}
-#: experiment -> {key: (lo, hi)}, the closed range its value must lie in; the
-#: ranges of f_z and the standoffs keep the lattice sums finite and positive.
-_RANGES = {
-    "shuttle": {"p_err": (0, 1), "p_transfer": (0, 1)},
-    "hyperfine-mc": {"f_z": (0.1, 1e4)},
-    "vanvleck": {key: (vanvleck.AL_LATTICE_CONSTANT / 2, 100.0)
-                 for key in ("standoff_start", "standoff_stop")},
-}
 #: The most cells a vanvleck or hyperfine-mc lattice may span along an axis:
 #: s2's gate spans 740 x 246 x 123; hyperfine-mc's envelope is 64 MB at 1000.
 MAX_CELLS_PER_AXIS = 1000
 
 
 def _check_top_level(config: dict, experiment: str) -> None:
-    """The checks of a run's top-level values beyond their types."""
-    for key, value in config.items():
-        if key.endswith("_points") and value < 1:
-            raise ConfigError(f"{experiment}.{key}: must be >= 1, got {value!r}")
-    for key in _POSITIVE.get(experiment, ()):
-        if config.get(key, 1.0) <= 0:
-            raise ConfigError(f"{experiment}.{key}: must be positive, got {config[key]!r}")
-    for key in _NON_NEGATIVE.get(experiment, ()):
-        if config.get(key, 0.0) < 0:
-            raise ConfigError(f"{experiment}.{key}: must be >= 0, got {config[key]!r}")
-    for key, (lo, hi) in _RANGES.get(experiment, {}).items():
-        if key in config and not lo <= config[key] <= hi:
-            raise ConfigError(f"{experiment}.{key}: must be within [{lo!r}, {hi!r}], "
-                              f"got {config[key]!r}")
+    """The checks of a run's top-level values beyond their types and domains."""
     if experiment in ("chevron", "rabi"):
         _library_check(f"{experiment}.rabi", check_rwa, _build_params(config), "NMR",
                        config.get("rabi", DEFAULT_NMR_RABI))
+    elif experiment in ("bell", "error-budget"):
+        # the run's circuits at their longest pulses: error-budget turns the
+        # pulse-length error on in one step, even where bell_noise turns it off
+        noise = BellNoiseConfig(**config.get("bell_noise", {})).only("pulse_calibration")
+        params, where = _build_params(config), f"{experiment}.params"
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite pulse is refused
+            _library_check(where, bell_circuit, params,
+                           duration_scale=max(1.0, noise.duration_scale()))
+        _library_check(where, check_rwa, params, "NMR", BELL_NMR_RABI)
     elif experiment == "readout-fidelity":
         settings = {k: v for k, v in config.items() if k != "m_max"}
         _library_check(experiment, NuclearReadoutConfig, **settings)
     elif experiment == "hyperfine-mc":
         if "ppm" in config:
             _library_check(experiment, hyperfine.check_ppm, config["ppm"])
-        least = hyperfine.MIN_DRAWS
-        if config.get("draws", least) < least:
-            raise ConfigError(
-                f"hyperfine-mc.draws: must be >= {least}, got {config['draws']!r}"
-            )
         f_z = config.get("f_z", hyperfine.DEFAULT_F_Z)
         for key in ("diameter_start", "diameter_stop"):
             if key in config:  # the defaults fit
@@ -280,12 +293,6 @@ def _check_top_level(config: dict, experiment: str) -> None:
                 raise ConfigError(f"vanvleck.{key}: must be >= one Al lattice constant "
                                   f"({a} nm), got {size!r}")
             _check_cells(f"vanvleck.{key}", size, np.floor(size / a))
-    elif experiment == "s1-stats":
-        least = fitting.MIN_SPECTRUM_SAMPLES
-        if config.get("n_scans", least) < least:
-            raise ConfigError(
-                f"s1-stats.n_scans: must be >= {least}, got {config['n_scans']!r}"
-            )
 
 
 def _check_cells(path: str, value, cells) -> None:
@@ -298,7 +305,8 @@ def _check_cells(path: str, value, cells) -> None:
 def _check_shuttle_sweep(config: dict) -> None:
     """Refuse a shuttle sweep endpoint that the variant's sequence builder
     refuses: a t_load outside [0, tau_0] ('phase'), or a cycle count below 0
-    after the run rounds it ('repeated')."""
+    after the run rounds it ('repeated'); and one above 100,000, 1,000 times
+    fig_4d.json's, as the run applies the cycles one by one."""
     variant = config.get("variant", "phase")
     tau_0 = config.get("tau_0", DEFAULT_SHUTTLE_TAU_0)
     start, stop, _ = _SHUTTLE_SWEEPS[variant]
@@ -307,8 +315,9 @@ def _check_shuttle_sweep(config: dict) -> None:
         if variant == "phase" and not 0 <= value <= tau_0:
             raise ConfigError(f"shuttle.{key}: t_load must be within "
                               f"[0, tau_0 = {tau_0!r}], got {value!r}")
-        if variant == "repeated" and np.round(value) < 0:
-            raise ConfigError(f"shuttle.{key}: k_cycles must be >= 0 after "
+        if variant == "repeated" and not 0 <= np.round(value) <= 100_000:
+            bound = ">= 0" if np.round(value) < 0 else "<= 100000"
+            raise ConfigError(f"shuttle.{key}: k_cycles must be {bound} after "
                               f"rounding, got {value!r}")
 
 
@@ -490,7 +499,7 @@ def _run_s1_stats(config, trials, seed):
     rng = rng_for(seed)
     a1 = config.get("a1", 503.0)
     a2 = config.get("a2", 119.0)
-    sigma = config.get("sigma", 34.0)
+    sigma = abs(config.get("sigma", 34.0))  # the normal draws refuse -0.0
     dt = config.get("scan_interval_s", 40.0)
     n = config.get("n_scans", 4000)
     p1 = 1.0 - np.exp(-dt / (config.get("t1_a1_hours", 1.0) * 3600.0))

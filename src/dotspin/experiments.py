@@ -289,8 +289,15 @@ class BellNoiseConfig:
         times = ("t2_star_e_us", "t2_star_n_us", "t2_rabi_n_us")
         _require_finite(self, times + ("spectator_flip_prob", "pulse_length_error"))
         for name in times:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            with np.errstate(over="ignore"):  # the overflow is refused here
+                finite = np.isfinite(sigma_from_t2(value))
+            if not finite:
+                raise ValueError(f"{name} is too short for a finite dephasing rate, got {value!r}")
+        if not self.pulse_length_error > -1:  # every pulse must keep a positive length
+            raise ValueError(f"pulse_length_error must be > -1, got {self.pulse_length_error!r}")
         if not 0 <= self.spectator_flip_prob <= 1:
             raise ValueError(
                 f"spectator_flip_prob must be in [0, 1], got {self.spectator_flip_prob!r}"

@@ -475,7 +475,8 @@ def coherence_metric(p_x, p_mx, p_y, p_my) -> float:
     """C = sqrt((p_X - p_-X)^2 + (p_Y - p_-Y)^2); bounded by sqrt(2) for
     arbitrary probabilities, by 1 for physical states."""
     probs = np.array([p_x, p_mx, p_y, p_my], dtype=float)
-    if np.any(probs < 0) or np.any(probs > 1):
+    # the engine's probabilities may leave [0, 1] by round-off
+    if np.any(probs < -1e-9) or np.any(probs > 1 + 1e-9):
         raise ValueError("probabilities must lie in [0, 1]")
     c = float(np.hypot(p_x - p_mx, p_y - p_my))
     if c > 1.0 + 1e-9:

@@ -2,17 +2,20 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dotspin
 from dotspin import cli, hyperfine, vanvleck
@@ -75,7 +78,8 @@ class TestValidation:
         the run's values are finite, with M2 and the peak coupling positive."""
         cap = cli.MAX_CELLS_PER_AXIS
         a = vanvleck.AL_LATTICE_CONSTANT
-        lo, hi = cli._RANGES["vanvleck"]["standoff_start"]
+        standoff = cli._SCHEMAS["vanvleck"]["standoff_start"]
+        lo, hi = standoff.lo, standoff.hi
         for thickness, *lateral in itertools.product((a, cap * a), repeat=3):
             config = {"standoff_start": lo, "standoff_stop": hi, "standoff_points": 2,
                       "thickness": thickness, "lateral": lateral}
@@ -84,7 +88,8 @@ class TestValidation:
             for column in ("m2_sum", "m2_integral", "t2star_sum_ms", "t2star_integral_ms"):
                 assert np.all(np.isfinite(out[column]) & (out[column] > 0)), (config, column)
         widest = cap * hyperfine.SI_LATTICE_CONSTANT / 3.2  # the box is 3.2 diameters
-        for f_z in cli._RANGES["hyperfine-mc"]["f_z"]:
+        f_z_domain = cli._SCHEMAS["hyperfine-mc"]["f_z"]
+        for f_z in (f_z_domain.lo, f_z_domain.hi):
             config = {"f_z": f_z, "diameter_start": 1.0, "diameter_stop": widest,
                       "diameter_points": 2, "thresholds": [100.0]}
             validate_config(config, "hyperfine-mc")
@@ -281,6 +286,49 @@ class TestExitCodes:
         assert "f_n" in out
 
 
+#: The values a generated config gives a float key that has no domain, and
+#: the entries of its lists.
+EDGE_NUMBERS = (0, -0.0, 1, -1, 1e-300, 5e-324, 1e9, 1e300)
+
+
+def edge_values(key: str, expected) -> st.SearchStrategy:
+    """Values at the edges of a schema key's domain or type."""
+    if key.endswith("_points"):  # runs of at most 3 points
+        return st.sampled_from((0, -0.0, 1, 2, 3))
+    if isinstance(expected, cli._Domain):
+        values = [0, -0.0]
+        for bound, way in ((expected.lo, -1), (min(expected.hi, expected.cap), 1)):
+            if math.isfinite(bound):
+                values += [bound, bound + way if expected.kind is int
+                           else math.nextafter(bound, way * math.inf)]
+        return st.sampled_from(values)
+    if isinstance(expected, tuple):
+        return st.sampled_from((*expected, "unknown"))
+    if expected is list:
+        return st.lists(st.sampled_from(EDGE_NUMBERS), max_size=3)
+    if expected is bool:
+        return st.booleans()
+    assert expected is float, (key, expected)
+    return st.sampled_from(EDGE_NUMBERS)
+
+
+@st.composite
+def generated_configs(draw) -> dict:
+    """One experiment but fit, which needs an input file, and 0-3 of its keys
+    at the edges of their domains; a section sets one field."""
+    experiment = draw(st.sampled_from([name for name in cli._SCHEMAS if name != "fit"]))
+    schema = cli._SCHEMAS[experiment]
+    config = {"experiment": experiment}
+    for key in draw(st.lists(st.sampled_from(list(schema)), max_size=3, unique=True)):
+        if isinstance(schema[key], type) and dataclasses.is_dataclass(schema[key]):
+            fields = cli._fields_schema(schema[key])
+            field = draw(st.sampled_from(list(fields)))
+            config[key] = {field: draw(edge_values(field, fields[field]))}
+        else:
+            config[key] = draw(edge_values(key, schema[key]))
+    return config
+
+
 class TestDryRun:
     def test_dry_run_prints_plan_without_output(self, capsys, tmp_path):
         out = tmp_path / "res.csv"
@@ -348,7 +396,8 @@ class TestDryRun:
         ("fit", {"model": "ramsey"}, "fit.input: missing"),
         ("ramsey", {"seed": -1}, "ramsey.seed must be >= 0, got -1"),
         ("ramsey", {"tau_points": True}, "ramsey.tau_points: expected int"),
-        ("readout-fidelity", {"m_shots": False}, "readout-fidelity.m_shots: expected int"),
+        # the scan sets m_shots itself
+        ("readout-fidelity", {"m_shots": False}, "readout-fidelity.m_shots: unknown key"),
         ("ramsey", {"tau_points": -2}, "ramsey.tau_points: must be >= 1, got -2"),
         ("vanvleck", {"standoff_points": 0},
          "vanvleck.standoff_points: must be >= 1, got 0"),
@@ -419,6 +468,35 @@ class TestDryRun:
          "vanvleck.standoff_start: must be within [0.2025, 100.0], got 1e-300"),
         ("hyperfine-mc", {"f_z": 1e-300},
          "hyperfine-mc.f_z: must be within [0.1, 10000.0], got 1e-300"),
+        # a scan whose exact CDF would take minutes
+        ("readout-fidelity", {"m_max": 2000}, "readout-fidelity.m_max: must be <= 200, got 2000"),
+        # an s1 record or histogram too large to hold
+        ("s1-stats", {"n_scans": 10**9}, "s1-stats.n_scans: must be <= 40000, got 1000000000"),
+        ("s1-stats", {"a1": 1e9},
+         "s1-stats.a1: must be within [-10000.0, 10000.0], got 1000000000.0"),
+        ("s1-stats", {"a2": 1e300}, "s1-stats.a2: must be within [-10000.0, 10000.0], got 1e+300"),
+        ("s1-stats", {"sigma": 1e9}, "s1-stats.sigma: must be <= 1000.0, got 1000000000.0"),
+        # a Bell circuit the run cannot build or drive
+        ("bell", {"params": {"gamma_n": 0}}, "bell.params: NMR Rabi frequency 1.0 kHz "
+         "exceeds 10% of the addressed transition frequency (0 MHz)"),
+        ("error-budget", {"params": {"gamma_n": 1e-300}},
+         "error-budget.params: NMR Rabi frequency 1.0 kHz exceeds 10%"),
+        ("bell", {"params": {"a_hf": 0}}, "bell.params: duration must be finite"),
+        ("error-budget", {"params": {"a_hf": 5e-324}},
+         "error-budget.params: duration must be finite"),
+        # error-budget turns the pulse-length error on in one step
+        ("error-budget", {"params": {"a_hf": 1e-300},
+                          "bell_noise": {"pulse_length_error": 1e9, "pulse_calibration": False}},
+         "error-budget.params: duration must be finite"),
+        ("bell", {"bell_noise": {"t2_star_e_us": 5e-324}}, "bell.bell_noise: t2_star_e_us "
+         "is too short for a finite dephasing rate, got 5e-324"),
+        ("error-budget", {"bell_noise": {"pulse_length_error": -1}},
+         "error-budget.bell_noise: pulse_length_error must be > -1, got -1"),
+        # cycle counts the run would take minutes to apply, or cast to a negative int
+        ("shuttle", {"variant": "repeated", "sweep_stop": 1e9}, "shuttle.sweep_stop: "
+         "k_cycles must be <= 100000 after rounding, got 1000000000.0"),
+        ("shuttle", {"variant": "repeated", "sweep_start": 1e300}, "shuttle.sweep_start: "
+         "k_cycles must be <= 100000 after rounding, got 1e+300"),
     ])
     def test_dry_run_refuses_what_the_run_refuses(self, capsys, tmp_path,
                                                   experiment, config, message):
@@ -430,6 +508,27 @@ class TestDryRun:
         assert dry[0] == 1 and dry[1] == ""
         assert "error: " + message in dry[2]
         assert run_cli(capsys, command, "--config", str(cfg), "--trials", "1") == dry
+
+    @given(config=generated_configs())
+    @example(config={"experiment": "s1-stats", "sigma": -0.0})  # runs as 0.0
+    # its P(up) reaches 1 + 2.2e-16 by round-off
+    @example(config={"experiment": "shuttle", "noise": {"sigma_sz": 1}, "variant": "repeated"})
+    @settings(max_examples=600, deadline=timedelta(seconds=30), derandomize=True)
+    def test_dry_run_agrees_with_the_run_on_generated_configs(self, config):
+        """The run exits as --dry-run does, with the same stderr, and no
+        exception escapes main."""
+        command = "spectrum" if config["experiment"] == "s1-stats" else config["experiment"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            calls = []
+            for dry_run in (["--dry-run"], []):
+                stderr = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                    code = main([command, "--config", path, "--trials", "1", *dry_run])
+                calls.append((code, stderr.getvalue()))
+        assert calls[1] == calls[0], config
 
     def test_flags_win_over_config_trials_and_seed(self, capsys, tmp_path):
         cfg = tmp_path / "s.json"
@@ -510,6 +609,9 @@ ARGV_TABLE = [
      "error: --out: 3 runs would write one file"),
     (["reproduce", "2gj", "--out", "one.csv", "--dry-run"], 1,
      "error: --out: 3 runs would write one file"),
+    # a scan beyond the cap, which would take minutes
+    (["readout-fidelity", "--scan-m", "2000", "--dry-run"], 1,
+     "error: readout-fidelity.m_max: must be <= 200, got 2000"),
 ]
 
 

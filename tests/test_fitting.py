@@ -166,6 +166,12 @@ class TestCoherence:
         with pytest.warns(UserWarning):
             coherence_metric(1.0, 0.0, 1.0, 0.0)
 
+    def test_metric_accepts_round_off_outside_the_unit_interval(self):
+        # a repeated-load shuttle run's P(up) reached 1 + 2.2e-16
+        assert coherence_metric(1.0000000000000002, 3e-33, 0.5, 0.5) == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            coherence_metric(0.5, -1e-6, 0.5, 0.5)
+
     def test_decay_round_trip(self):
         k = np.arange(0.0, 101.0, 10.0)
         c = 0.98 * (1 - 0.0045) ** k
