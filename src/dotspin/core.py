@@ -421,8 +421,9 @@ def block_unitary(h: np.ndarray, dt_us, pairs) -> np.ndarray:
 
 
 def populations(rho: np.ndarray) -> np.ndarray:
-    """Born probabilities of the four joint basis states (per batch index)."""
-    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)).clip(0.0)
+    """Born probabilities of the four joint basis states (per batch index),
+    held in [0, 1] against round-off."""
+    return np.real(np.diagonal(rho, axis1=-2, axis2=-1)).clip(0.0, 1.0)
 
 
 def marginal_of_populations(p: np.ndarray, subsystem: str) -> np.ndarray:

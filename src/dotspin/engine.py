@@ -25,10 +25,12 @@ guarantees. An NMR drive is two 2x2 blocks (one per electron state), and so
 is an ESR drive (one per nuclear state) when no trial has I_x noise; both
 take the closed form of core.block_unitary. Without I_x noise a free
 evolution is diagonal and acts entrywise: psi is multiplied by a cached
-phase vector p, rho by the mask p_i p_j*. ESR pulses and free evolutions
-under I_x noise use one stacked eigh. The choice is one flag per run that
-depends on the batch alone, so a lone run and the same point inside a stack
-take the same path and agree to the bit.
+phase vector p, rho by the mask p_i p_j*. I_x noise couples the nuclear
+states only, so under it a free evolution is two NMR blocks, and the ESR
+pulse is the one element that takes eigh, of its real H at drive phase 0.
+The choice is one flag per run that depends on the batch alone, so a lone
+run and the same point inside a stack take the same path and agree to the
+bit.
 
 The points of a stack need not share a structure. A pulse on its frame
 reference beside one off it is rotated into its frame by exactly 1, and a
@@ -67,6 +69,7 @@ from .core import (
     IZ,
     NMR_BLOCKS,
     SZ,
+    XE,
     NoiseBatch,
     NoiseDraw,
     QuantumState,
@@ -246,7 +249,8 @@ def _propagate(run: _Run, timeline, records: list, state, pure: bool, t, config:
         elif isinstance(el, (MeasureNuclear, MeasureElectron)):
             kind = "nuclear" if isinstance(el, MeasureNuclear) else "electron"
             p = state.real**2 + state.imag**2 if pure else populations(state)
-            records.append((kind, marginal_of_populations(p, kind)))
+            # a sum of populations may pass 1 by round-off
+            records.append((kind, marginal_of_populations(p, kind).clip(0.0, 1.0)))
     return state, pure, t, config
 
 
@@ -334,11 +338,11 @@ def _rotation_unitary(channel: str, angle, phase) -> np.ndarray:
 
 
 def _free_propagator(h0: np.ndarray, dt, diagonal: bool, pure: bool) -> np.ndarray:
-    """The propagators of a free evolution, or for diagonal Hamiltonians what
-    the state is multiplied by: psi by p, the diagonal of U, and rho by the
-    phase mask p_i conj(p_j)."""
+    """The propagators of a free evolution, two NMR blocks under I_x noise,
+    or for diagonal Hamiltonians what the state is multiplied by: psi by p,
+    the diagonal of U, and rho by the phase mask p_i conj(p_j)."""
     if not diagonal:
-        return unitary(h0, dt)
+        return unitary(h0, dt, NMR_BLOCKS)
     p = np.diagonal(unitary(h0, dt, DIAGONAL), axis1=-2, axis2=-1)
     return p if pure else _outer(p)
 
@@ -348,25 +352,33 @@ def _pulse_unitary(channel: str, frequency, rabi, duration, phase, frame,
     """Propagators (per point and trial) of a pulse on the channel with the
     given values starting at sequence time t0, given the drive-free
     Hamiltonians h0 of the batch in the frame (f_e_ref, f_n_ref), diagonal
-    when the batch has no I_x noise."""
+    when the batch has no I_x noise. I_x noise couples the ESR blocks, so an
+    ESR pulse under it takes eigh of its H at phase 0, which is real
+    symmetric: every drive-free term commutes with S_z, so the phase phi is
+    the rotation exp(i phi S_z), which joins the frame rotations."""
     z_op = SZ if channel == "ESR" else IZ
     df = frequency - (frame[0] if channel == "ESR" else frame[1])
+    if channel == "ESR" and not diagonal:
+        h_d = h0.real - _lift(df, 2) * SZ.real + _lift(rabi * 1e-3 / 2, 2) * XE.real
+        return _in_drive_frame(unitary(h_d, _lift(duration, 1)), z_op, df, t0, duration,
+                               np.deg2rad(phase))
     h_d = h0 - _lift(df, 2) * z_op + _lift(rabi * 1e-3 / 2, 2) * drive_operator(
         channel, _lift(phase, 2))
-    # I_x noise couples only the ESR blocks
-    blocks = NMR_BLOCKS if channel == "NMR" else ESR_BLOCKS if diagonal else None
+    blocks = NMR_BLOCKS if channel == "NMR" else ESR_BLOCKS
     return _in_drive_frame(unitary(h_d, _lift(duration, 1), blocks), z_op, df, t0, duration)
 
 
-def _in_drive_frame(u, z_op, df, t0, duration) -> np.ndarray:
+def _in_drive_frame(u, z_op, df, t0, duration, phi=0.0) -> np.ndarray:
     """Exact frame change into / out of the drive frame at offset df: the
-    diagonal rotations exp(+2*pi*i df t Z) at t0 (in) and t0 + duration
-    (out, conjugated), applied to u entrywise."""
-    if np.all(df == 0.0):
+    diagonal rotations exp(+i (2*pi df t - phi) Z) at t0 (in) and
+    t0 + duration (out, conjugated), applied to u entrywise. phi (radians)
+    is the drive phase of a u built at phase 0, else 0."""
+    if np.all(df == 0.0) and np.all(phi == 0.0):
         return u
     z = np.diag(z_op).real
-    w_in = np.exp(2j * np.pi * _lift(df, 1) * _lift(t0, 1) * z)
-    w_out = np.exp(-2j * np.pi * _lift(df, 1) * _lift(t0 + duration, 1) * z)
+    turn, phi = 2 * np.pi * _lift(df, 1), _lift(phi, 1)
+    w_in = np.exp(1j * (turn * _lift(t0, 1) - phi) * z)
+    w_out = np.exp(-1j * (turn * _lift(t0 + duration, 1) - phi) * z)
     return w_out[..., :, None] * u * w_in[..., None, :]
 
 

@@ -38,6 +38,7 @@ from dotspin.sequences import (
     PulseSequence,
     Rotation,
     bell_circuit,
+    point,
     ramsey_sequence,
     repeated_load_sequence,
 )
@@ -191,8 +192,9 @@ def test_every_element_kind_matches_reference():
 
 def test_ix_noise_sends_esr_pulses_through_eigh(monkeypatch):
     # one trial's I_x noise couples the ESR blocks, so the whole batch's ESR
-    # pulses and free evolutions take the stacked eigh; NMR pulses keep their
-    # closed-form blocks, and without that trial nothing reaches eigh
+    # pulses take the stacked eigh, of a real Hamiltonian; NMR pulses and
+    # free evolutions keep their closed-form NMR blocks, and without that
+    # trial nothing reaches eigh
     f = FREQS
     seq = PulseSequence(
         elements=(
@@ -214,15 +216,49 @@ def test_ix_noise_sends_esr_pulses_through_eigh(monkeypatch):
     calls = []
     unitary = engine.unitary
     monkeypatch.setattr(engine, "unitary", lambda h, dt, blocks=None: calls.append(
-        (h.shape, blocks)) or unitary(h, dt, blocks))
+        (h.shape, h.dtype, blocks)) or unitary(h, dt, blocks))
     run_sequence(seq, PARAMS, NoiseBatch.stack(draws))
-    assert calls == [((3, 4, 4), None), ((3, 4, 4), NMR_BLOCKS), ((3, 4, 4), None),
-                     ((3, 4, 4), None)]
+    real, cplx = np.dtype(float), np.dtype(complex)
+    assert calls == [((3, 4, 4), real, None), ((3, 4, 4), cplx, NMR_BLOCKS),
+                     ((3, 4, 4), cplx, NMR_BLOCKS), ((3, 4, 4), real, None)]
     calls.clear()
     run_sequence(seq, PARAMS, NoiseBatch.stack(draws[::2]))
-    assert calls == [((2, 4, 4), ESR_BLOCKS), ((2, 4, 4), NMR_BLOCKS),
-                     ((2, 4, 4), DIAGONAL), ((2, 4, 4), ESR_BLOCKS)]
+    assert calls == [((2, 4, 4), cplx, ESR_BLOCKS), ((2, 4, 4), cplx, NMR_BLOCKS),
+                     ((2, 4, 4), cplx, DIAGONAL), ((2, 4, 4), cplx, ESR_BLOCKS)]
     _assert_matches_reference(seq, draws, None)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_ix_noise_esr_phase_column_takes_one_eigh(offset, monkeypatch):
+    # the phase of an ESR pulse under I_x noise joins its frame rotations,
+    # so a column of 19 phases (as Fig. 3d sweeps) diagonalises the trials'
+    # (N, 4, 4) stack once, and each point equals its lone run to the bit,
+    # on its frame reference too, where the lone run at phase 0 rotates nothing
+    f, phases = FREQS, np.linspace(-180.0, 180.0, 19)
+    seq = PulseSequence(
+        elements=(
+            Pulse("NMR", f["f_n_elec_down"], 2.0, 120.0, 30.0),
+            FreeEvolution(350.0, "qd1"),
+            Pulse("ESR", f["f_e0"] + offset, 100.0, 2.5, phases),
+            MeasureElectron(),
+        ),
+        f_e_ref=f["f_e0"],
+        f_n_ref=f["f_n0"],
+        initial_config="qd1",
+    )
+    batch = NoiseBatch.stack([NoiseDraw(delta_ix=0.7, delta_sz=-30.0),
+                              NoiseDraw(delta_ix=-0.2, spectator_detuned=True),
+                              NoiseDraw()])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append((h.shape, h.dtype))
+                        or eigh(h))
+    res = engine.run_stack(seq, PARAMS, batch)
+    assert calls == [((3, 4, 4), np.dtype(float))]
+    for i in range(len(phases)):
+        lone = run_sequence(point(seq, i), PARAMS, batch)
+        assert res.rho[i].tobytes() == lone.rho.tobytes()
+        assert res.last("electron")[i].tobytes() == lone.last("electron").tobytes()
 
 
 @given(

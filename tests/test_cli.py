@@ -511,7 +511,7 @@ class TestDryRun:
 
     @given(config=generated_configs())
     @example(config={"experiment": "s1-stats", "sigma": -0.0})  # runs as 0.0
-    # its P(up) reaches 1 + 2.2e-16 by round-off
+    # its P(up) sums to 1 + 2.2e-16 by round-off, which the engine's records clip to 1
     @example(config={"experiment": "shuttle", "noise": {"sigma_sz": 1}, "variant": "repeated"})
     @settings(max_examples=600, deadline=timedelta(seconds=30), derandomize=True)
     def test_dry_run_agrees_with_the_run_on_generated_configs(self, config):
@@ -704,6 +704,18 @@ class TestOutputs:
         )
         assert code == 0
         assert (tmp_path / "scan.csv").exists()
+
+    def test_probabilities_stay_within_zero_and_one(self, capsys, tmp_path):
+        # the populations of P(+X) at k = 0 sum to 1 + 2.2e-16 by round-off;
+        # the engine clips the marginals it records to [0, 1]
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"noise": {"sigma_sz": 1}, "variant": "repeated"}))
+        code, out, _ = run_cli(capsys, "shuttle", "--config", str(cfg), "--trials", "1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert (rows[0]["p_x"], rows[0]["coherence"]) == ("1.0", "1.0")
+        for row in rows:
+            assert all(0.0 <= float(row[k]) <= 1.0 for k in ("p_x", "p_mx", "p_y", "p_my"))
 
     def test_csv_rows_end_crlf_in_file_and_lf_on_stdout(self, capsys, tmp_path):
         table = {"m": np.array([1.0, 2.0]), "f": [0.1, 1e-20]}

@@ -680,7 +680,7 @@ def test_repeated_load_stack_equals_its_written_out_twin(k, tau_0, p_err, draws,
 @pytest.mark.parametrize("p_err", [0.0, 0.1])
 def test_chunked_repeated_sweep_equals_its_written_out_twin(p_err, engine_runs):
     # above STACK_ROWS // 4 trials the four phases of one k run as 3 + 1
-    # points, on the eigh path of I_x noise
+    # points, under I_x noise, whose free evolutions take the NMR blocks
     trials = experiments.STACK_ROWS // 4 + 44
     draws = experiments._draws(NoiseModel(sigma_ix=0.2, sigma_iz=0.3), 1, trials)
     seqs = [repeated_load_sequence(PARAMS, k, 60.0, p_err=p_err,
