@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -28,9 +29,7 @@ from .core import NoiseModel, SpinSystemParams, check_rwa, rng_for, transition_f
 from .experiments import (
     DEFAULT_SHUTTLE_TAU_0,
     BellNoiseConfig,
-    ExperimentResult,
     compute_error_budget,
-    provenance_block,
     run_bell_parity_sweep,
     run_bell_tomography,
     run_hahn,
@@ -551,12 +550,20 @@ _RUNNERS = {
 # Output
 
 
+def provenance_block(meta: dict, seed: int, trials: int) -> dict:
+    body = json.dumps(meta, sort_keys=True, default=str)
+    return {
+        "config": meta,
+        "config_hash": hashlib.sha256(body.encode()).hexdigest()[:16],
+        "seed": seed,
+        "trials": trials,
+    }
+
+
 def _write_table(table, out, fmt: str, meta: dict, seed, trials) -> None:
-    """Write a run's result: a table (named equal-length columns, or an
-    ExperimentResult) as CSV, or any result as the JSON payload
+    """Write a run's result: a table ({name: array}, equal-length columns)
+    as CSV, or any result as the JSON payload
     {"provenance": provenance_block(meta, seed, trials), "result": ...}."""
-    if isinstance(table, ExperimentResult):
-        table = table.columns
     if fmt == "csv":
         return write_csv(table, out)
     payload = {

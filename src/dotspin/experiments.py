@@ -8,14 +8,14 @@ points of each sequence run together as one stack, whatever their
 structure, and the engine sees only the batch's distinct draws. Every
 point's result is expanded back to trial order before the trial-order sum,
 so the means are those of one engine call per point on every trial of the
-batch, to the bit.
+batch, to the bit. A sweep driver returns its table as {name: float64
+array}, a row per sweep point, each probability column beside its binomial
+standard error in '<name>_stderr'.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import numbers
 from dataclasses import dataclass, replace
 
@@ -52,36 +52,6 @@ from .sequences import (
     repeated_load_sequence,
     shuttle_ramsey_sequence,
 )
-
-
-@dataclass
-class ExperimentResult:
-    """Long-format result table: named equal-length columns, one row per
-    sweep point. Probability columns carry binomial standard errors
-    sqrt(p(1-p)/trials) in matching '<name>_stderr' columns."""
-
-    columns: dict
-
-    def __post_init__(self):
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
-            raise ValueError("all columns must have equal length")
-        for name, vals in self.columns.items():
-            arr = np.asarray(vals, dtype=float)
-            if name.startswith("p_"):
-                if np.any(arr < -1e-9) or np.any(arr > 1 + 1e-9):
-                    raise ValueError(f"column {name} has probabilities outside [0, 1]")
-            self.columns[name] = arr
-
-
-def provenance_block(meta: dict, seed: int, trials: int) -> dict:
-    body = json.dumps(meta, sort_keys=True, default=str)
-    return {
-        "config": meta,
-        "config_hash": hashlib.sha256(body.encode()).hexdigest()[:16],
-        "seed": seed,
-        "trials": trials,
-    }
 
 
 def binomial_stderr(p: np.ndarray, trials: int) -> np.ndarray:
@@ -171,7 +141,7 @@ def run_nmr_chevron(
     rabi: float = DEFAULT_NMR_RABI,
     charge_config: str = "unloaded",
     electron_spin: str = "down",
-) -> ExperimentResult:
+) -> dict:
     """Nuclear flip probability over (drive frequency, duration).
 
     charge_config 'unloaded' drives the bare line; 'qd1' loads an electron
@@ -193,13 +163,13 @@ def run_nmr_chevron(
                         transition_frequencies(params)["f_e0"], freq)
     # P(flip) from the Down-initialised nucleus
     p = _sweep([seq], params, _draws(noise or NoiseModel(), seed, trials), "nuclear")[:, 1]
-    return ExperimentResult(columns={
+    return {
         "frequency_mhz": freq, "duration_us": dur,
         "p_flip": p, "p_flip_stderr": binomial_stderr(p, trials),
-    })
+    }
 
 
-def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResult:
+def run_rabi(duration_range, params, frequency=None, **kwargs) -> dict:
     """Rabi oscillation: a single-frequency chevron slice, resonant by default."""
     if frequency is None:
         frequency = nmr_line(params, kwargs.get("charge_config", "unloaded"),
@@ -212,16 +182,16 @@ def run_rabi(duration_range, params, frequency=None, **kwargs) -> ExperimentResu
 
 
 def _run_free_precession(kind, tau_range, detuning_khz, params, noise, trials,
-                         seed, charge_config) -> ExperimentResult:
+                         seed, charge_config) -> dict:
     tau_range = np.asarray(tau_range, dtype=float)
     if tau_range.size == 0 or np.any(tau_range < 0):
         raise ValueError("tau_range must be non-empty and non-negative")
     make = ramsey_sequence if kind == "ramsey" else hahn_sequence
     seq = make(params, tau_range, detuning_khz=detuning_khz, charge_config=charge_config)
     p = _sweep([seq], params, _draws(noise, seed, trials), "nuclear")[:, 1]
-    return ExperimentResult(columns={
+    return {
         "tau_us": tau_range, "p_up": p, "p_up_stderr": binomial_stderr(p, trials),
-    })
+    }
 
 
 def run_ramsey(
@@ -232,7 +202,7 @@ def run_ramsey(
     trials: int = 2000,
     seed: int = 0,
     charge_config: str = "unloaded",
-) -> ExperimentResult:
+) -> dict:
     """Detuned nuclear Ramsey decay. The default 2 kHz detuning gives at
     least ten fringes within the unloaded dephasing time."""
     return _run_free_precession(
@@ -249,7 +219,7 @@ def run_hahn(
     trials: int = 2000,
     seed: int = 0,
     charge_config: str = "unloaded",
-) -> ExperimentResult:
+) -> dict:
     """Nuclear Hahn echo; tau is the half-interval. Pure quasi-static
     detuning noise is refocused exactly."""
     return _run_free_precession(
@@ -484,7 +454,7 @@ def run_bell_parity_sweep(
     trials: int = 200,
     seed: int = 0,
     initial_nuclear: str = "down",
-) -> ExperimentResult:
+) -> dict:
     """Two-qubit parity vs the nuclear (or electron) projection phase."""
     if vary not in ("nuclear", "electron"):
         raise ValueError(f"vary must be 'nuclear' or 'electron', got {vary!r}")
@@ -504,11 +474,11 @@ def run_bell_parity_sweep(
     seq = bell_circuit(params, projection=(phi_n, phi_e), duration_scale=scale)
     joint = _sweep([seq], params, _draws(config.noise_model(), seed, trials), "joint",
                    _initial_state(initial_nuclear))
-    return ExperimentResult(columns={
+    return {
         "phi_deg": phi_range, "parity": _parity(joint),
         "p_down_Down": joint[:, 0], "p_down_Up": joint[:, 1],
         "p_up_Down": joint[:, 2], "p_up_Up": joint[:, 3],
-    })
+    }
 
 
 @dataclass
@@ -577,7 +547,7 @@ def run_shuttle_experiments(
     tau_0: float = DEFAULT_SHUTTLE_TAU_0,
     p_err: float = 0.0,
     p_transfer: float = 0.0,
-) -> ExperimentResult:
+) -> dict:
     """The three electron-transfer experiments.
 
     variant 'phase': sweep = t_load values (us), fixed total precession
@@ -618,9 +588,9 @@ def run_shuttle_experiments(
         p = np.empty((len(sweep), len(phases)))  # a row per k
         p[order] = _sweep(seqs, params, _draws(noise, seed, trials), "nuclear")[:, 1].reshape(
             len(sweep), len(phases))
-        return ExperimentResult(columns={
+        return {
             "k_cycles": sweep, **dict(zip(phases, p.T)),
-            "coherence": np.array([coherence_metric(*row) for row in p])})
+            "coherence": np.array([coherence_metric(*row) for row in p])}
 
     # the other two variants record P(up) of one spin per sweep point
     if variant == "phase":
@@ -632,6 +602,4 @@ def run_shuttle_experiments(
     else:
         raise ValueError(f"unknown shuttle variant {variant!r}")
     p = _sweep([seq], params, _draws(noise, seed, trials), kind)[:, 1]
-    return ExperimentResult(
-        columns={column: sweep, "p_up": p, "p_up_stderr": binomial_stderr(p, trials)}
-    )
+    return {column: sweep, "p_up": p, "p_up_stderr": binomial_stderr(p, trials)}

@@ -473,15 +473,18 @@ def classify_shifts(frequency_series, a1, a2, sigma, times=None) -> dict:
 
 def coherence_metric(p_x, p_mx, p_y, p_my) -> float:
     """C = sqrt((p_X - p_-X)^2 + (p_Y - p_-Y)^2); bounded by sqrt(2) for
-    arbitrary probabilities, by 1 for physical states."""
+    arbitrary probabilities, by 1 for physical states. A C above 1 by at
+    most 1e-9, the hypot's round-off on a state on the equator, reads 1."""
     probs = np.array([p_x, p_mx, p_y, p_my], dtype=float)
-    # the engine's probabilities may leave [0, 1] by round-off
+    # the engine clips what it records to [0, 1], but a caller outside it
+    # (a table read back, a hand-made input) may be off by round-off
     if np.any(probs < -1e-9) or np.any(probs > 1 + 1e-9):
         raise ValueError("probabilities must lie in [0, 1]")
     c = float(np.hypot(p_x - p_mx, p_y - p_my))
     if c > 1.0 + 1e-9:
         warnings.warn("coherence exceeds 1: unphysical input probabilities")
-    return c
+        return c
+    return min(c, 1.0)
 
 
 def fit_coherence_decay(k, c) -> FitResult:

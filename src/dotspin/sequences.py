@@ -121,7 +121,7 @@ class MeasureNuclear:
 @dataclass(frozen=True)
 class Repeat:
     """A cycle of elements run count times in a row. The cycle must end in
-    the charge config it starts in (validate_sequence). count may be a
+    the charge config it starts in (PulseSequence checks it). count may be a
     column, one whole count >= 1 per point, refused at its first bad point
     as that point would be; a column whose counts differ takes no
     measurement in its cycle, as its points would record it unequally often."""
@@ -161,7 +161,7 @@ class PulseSequence:
         _require_finite(self, ("f_e_ref", "f_n_ref"))
         if self.initial_config not in CHARGE_CONFIGS:
             raise ValueError(f"unknown charge config {self.initial_config!r}")
-        validate_sequence(self)
+        _validate(self.elements, self.initial_config)
 
     @functools.cached_property
     def points(self) -> int | None:
@@ -213,20 +213,17 @@ def point(seq: PulseSequence, i: int) -> PulseSequence:
                          seq.initial_config)
 
 
-def validate_sequence(seq: PulseSequence) -> None:
-    """Check charge-configuration consistency along the timeline, and refuse
-    an element of unknown type (TypeError).
+def _validate(elements, config: str, where: str = "") -> str:
+    """Walk the elements from config and return the config they end in:
+    check charge-configuration consistency along the timeline, and refuse
+    an element of unknown type (TypeError). PulseSequence's constructor
+    walks every sequence it builds.
 
     ESR requires a loaded electron; NMR is allowed in any configuration;
     loading into an already-loaded configuration is rejected. A Repeat's
     cycle is walked once and must end in the config it starts in; an
     element inside it is named by both indices, as in 'element 1.2'.
     """
-    _validate(seq.elements, seq.initial_config)
-
-
-def _validate(elements, config: str, where: str = "") -> str:
-    """Walk the elements from config; return the config they end in."""
     for i, el in enumerate(elements):  # element where + i, named only when refused
         if isinstance(el, Repeat):
             end = _validate(el.elements, config, f"{where}{i}.")

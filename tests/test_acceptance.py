@@ -114,7 +114,7 @@ def test_acceptance_4_shuttle_physics():
     # phase accumulation vs load time oscillates at half the coupling
     t_load = np.linspace(0.0, 20.0, 81)
     res = run_shuttle_experiments("phase", t_load, PARAMS, noise=NoiseModel())
-    fit = fit_sinusoid(t_load, res.columns["p_up"])
+    fit = fit_sinusoid(t_load, res["p_up"])
     assert fit.parameters["frequency"] * 1e3 == pytest.approx(224.25, rel=0.01)
     # repeated-cycle coherence decay recovers the injected per-cycle error
     noise = NoiseModel(sigma_iz=sigma_from_t2(2900.0))
@@ -122,7 +122,7 @@ def test_acceptance_4_shuttle_physics():
     res = run_shuttle_experiments(
         "repeated", k, PARAMS, noise=noise, trials=100, seed=0, p_err=0.0045
     )
-    fit = fit_coherence_decay(k, res.columns["coherence"])
+    fit = fit_coherence_decay(k, res["coherence"])
     p = fit.parameters["p_err"]
     # the four phases project one state and every k precesses for tau_0, so
     # the quasi-static dephasing folds into C0 and C is exactly C0 (1 - p)^k:
@@ -247,7 +247,7 @@ def test_acceptance_7_property_suite():
     noise = NoiseModel(sigma_iz=sigma_from_t2(t2))
     tau = np.linspace(50.0, 6500.0, 12)
     res = run_ramsey(tau, detuning_khz=2.0, noise=noise, trials=4000, seed=0)
-    fit = fit_ramsey(tau, res.columns["p_up"], alpha_fixed=2.0)
+    fit = fit_ramsey(tau, res["p_up"], alpha_fixed=2.0)
     assert fit.parameters["t2star"] == pytest.approx(t2, rel=0.05)
 
     # confusion-matrix round trip is exact

@@ -298,7 +298,7 @@ def test_drivers_match_per_trial_reference():
                        spectator_flip_prob=0.3)
     taus = np.linspace(0.0, 900.0, 4)
     res = run_ramsey(taus, noise=noise, trials=12, seed=4)
-    assert np.max(np.abs(res.columns["p_up"] - _ref_ramsey(taus, noise, 12, 4))) < TOL
+    assert np.max(np.abs(res["p_up"] - _ref_ramsey(taus, noise, 12, 4))) < TOL
 
     # the four final phases of the repeated-load variant, on one batch
     res = run_shuttle_experiments("repeated", [0, 3], PARAMS, noise=noise,
@@ -311,7 +311,7 @@ def test_drivers_match_per_trial_reference():
                 lambda t: ref.draw_row(draws, t),
                 lambda d: ref.run_sequence(seq, PARAMS, d).last("nuclear"), 5,
             )[1]
-            assert abs(res.columns[name][row] - expected) < TOL
+            assert abs(res[name][row] - expected) < TOL
 
     # joint probabilities from a non-default initial state
     cfg = BellNoiseConfig()
@@ -329,7 +329,7 @@ def test_drivers_match_per_trial_reference():
         lambda t: ref.draw_row(draws, t),
         lambda d: ref.run_sequence(seq, PARAMS, d, init).joint_probabilities(), 6,
     )
-    assert abs(res.columns["p_up_Up"][0] - expected[3]) < TOL
+    assert abs(res["p_up_Up"][0] - expected[3]) < TOL
 
 
 @given(seed=st.integers(0, 2**16))
@@ -338,7 +338,7 @@ def test_outputs_byte_identical_across_reruns(seed):
     noise = NoiseModel(sigma_iz=0.3, sigma_sz=4.0, spectator_flip_prob=0.2)
     taus = np.linspace(0.0, 600.0, 3)
     def column_bytes(res):
-        return {name: column.tobytes() for name, column in res.columns.items()}
+        return {name: column.tobytes() for name, column in res.items()}
 
     a = run_ramsey(taus, noise=noise, trials=5, seed=seed)
     b = run_ramsey(taus, noise=noise, trials=5, seed=seed)

@@ -707,7 +707,9 @@ class TestOutputs:
 
     def test_probabilities_stay_within_zero_and_one(self, capsys, tmp_path):
         # the populations of P(+X) at k = 0 sum to 1 + 2.2e-16 by round-off;
-        # the engine clips the marginals it records to [0, 1]
+        # the engine clips the marginals it records to [0, 1]; the hypot of
+        # their differences reached 1 + 1.1e-14 on the equator, which the
+        # coherence metric reads as 1
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps({"noise": {"sigma_sz": 1}, "variant": "repeated"}))
         code, out, _ = run_cli(capsys, "shuttle", "--config", str(cfg), "--trials", "1")
@@ -715,7 +717,8 @@ class TestOutputs:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert (rows[0]["p_x"], rows[0]["coherence"]) == ("1.0", "1.0")
         for row in rows:
-            assert all(0.0 <= float(row[k]) <= 1.0 for k in ("p_x", "p_mx", "p_y", "p_my"))
+            assert all(0.0 <= float(row[k]) <= 1.0
+                       for k in ("p_x", "p_mx", "p_y", "p_my", "coherence"))
 
     def test_csv_rows_end_crlf_in_file_and_lf_on_stdout(self, capsys, tmp_path):
         table = {"m": np.array([1.0, 2.0]), "f": [0.1, 1e-20]}

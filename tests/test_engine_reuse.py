@@ -117,10 +117,10 @@ def engine_runs(monkeypatch):
 
 
 def _assert_equals_per_point_runs(experiment, monkeypatch):
-    got = experiment().columns
+    got = experiment()
     with monkeypatch.context() as m:
         m.setattr(experiments, "_sweep", ref.per_point_sweep)
-        expected = experiment().columns
+        expected = experiment()
     assert got.keys() == expected.keys()
     for name in got:  # bytes, so that a signed zero counts as the CSV writes it
         assert got[name].tobytes() == expected[name].tobytes(), name
@@ -461,7 +461,7 @@ def test_repeated_shuttle_equals_one_sweep_per_phase(noise, trials, engine_runs)
         expected = experiments._sweep(  # the form with one sweep per final phase
             [repeated_load_sequence(PARAMS, c, 80.0, p_err=0.1, final_phase=phi) for c in k],
             PARAMS, draws, "nuclear")[:, 1]
-        assert np.array_equal(got.columns[name], expected), name
+        assert np.array_equal(got[name], expected), name
 
 
 def test_distinct_draws_are_not_collapsed(engine_runs, monkeypatch):

@@ -169,6 +169,8 @@ class TestCoherence:
     def test_metric_accepts_round_off_outside_the_unit_interval(self):
         # a repeated-load shuttle run's P(up) reached 1 + 2.2e-16
         assert coherence_metric(1.0000000000000002, 3e-33, 0.5, 0.5) == pytest.approx(1.0)
+        # a C above 1 by round-off reads 1
+        assert coherence_metric(0.8, 0.0, 0.6 + 1e-12, 0.0) == 1.0
         with pytest.raises(ValueError):
             coherence_metric(0.5, -1e-6, 0.5, 0.5)
 

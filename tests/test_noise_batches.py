@@ -148,5 +148,5 @@ def test_draws_do_not_depend_on_the_sweep_order():
     forward = experiments.run_ramsey(taus, params=PARAMS, noise=NOISE, trials=20, seed=6)
     backward = experiments.run_ramsey(taus[::-1], params=PARAMS, noise=NOISE, trials=20,
                                       seed=6)
-    for name, column in forward.columns.items():
-        assert column.tobytes() == backward.columns[name][::-1].tobytes(), name
+    for name, column in forward.items():
+        assert column.tobytes() == backward[name][::-1].tobytes(), name
